@@ -9,7 +9,7 @@ Run:  python3 demos/02_polarity_lexicon.py
 """
 
 from newstrend.corpus import build_vocabulary, tokenize
-from newstrend.polarity import ClassCorpus, build_model_set, tfidf_difference_ranking
+from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.synth import SynthSettings, generate
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
@@ -39,11 +39,7 @@ def main():
             pos_docs.extend(docs_by_week[lab.week.anchor])
         elif lab.extractor_class == "negative":
             neg_docs.extend(docs_by_week[lab.week.anchor])
-    ranking = tfidf_difference_ranking(
-        ClassCorpus(label="positive", docs=tuple(pos_docs)),
-        ClassCorpus(label="negative", docs=tuple(neg_docs)),
-        pos_docs + neg_docs,
-    )
+    ranking = tfidf_difference_ranking(pos_docs, neg_docs)
     print("most positive:", ", ".join(w for w, _ in ranking[:8]))
     print("most negative:", ", ".join(w for w, _ in ranking[-8:]))
 
@@ -67,10 +63,10 @@ def main():
     print("=" * 64)
     moods = {truth.anchors[t]: truth.moods[t] for t in range(1, len(truth.moods))}
     print(f"{'week':12s} {'mood':>5s} {'surge':>10s} {'plunge':>10s}")
+    plunge = dict(model_set.trajectory("plunge"))
     for anchor, score in model_set.trajectory("surge")[12::6]:
-        plunge = model_set.models[anchor].score("plunge")
         mood = moods.get(anchor, 0)
-        print(f"{anchor}   {mood:+5d} {score:>10.5f} {plunge:>10.5f}")
+        print(f"{anchor}   {mood:+5d} {score:>10.5f} {plunge[anchor]:>10.5f}")
     print("\n('surge' polarity is positive in up regimes; 'plunge' mirrors it.")
     print(" the sign flips a few weeks after a regime change as the rolling")
     print(" window turns over — the lag the extractor's attention can exploit)")

@@ -12,7 +12,7 @@ from newstrend.extractor import (
     TrainSettings, TrainingExample, gradient_check, sentiment_score,
     train_extractor,
 )
-from newstrend.polarity import ClassCorpus, build_model_set, tfidf_difference_ranking
+from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.synth import SynthSettings, generate
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
@@ -41,11 +41,7 @@ def main():
                 for d in docs_by_week[lab.week.anchor]]
     neg_docs = [d for lab in big if lab.extractor_class == "negative"
                 for d in docs_by_week[lab.week.anchor]]
-    ranking = tfidf_difference_ranking(
-        ClassCorpus(label="positive", docs=tuple(pos_docs)),
-        ClassCorpus(label="negative", docs=tuple(neg_docs)),
-        pos_docs + neg_docs,
-    )
+    ranking = tfidf_difference_ranking(pos_docs, neg_docs)
     vocab = build_vocabulary(pos_docs + neg_docs, ranking, 32)
     model_set = build_model_set(labels, docs_by_week, set(vocab.words))
     examples = []

@@ -23,10 +23,7 @@ from .extractor import (
 from .metrics import (
     ConfusionMatrix, EvaluationReport, accuracy, f1, mcc, pearson, report,
 )
-from .polarity import (
-    ClassCorpus, PolarityModelSet, WeeklyPolarityModel, build_model_set,
-    polarity_score, tfidf, tfidf_difference_ranking,
-)
+from .polarity import PolarityModelSet, build_model_set, tfidf_difference_ranking
 from .summarizer import (
     SummarizerDataset, SummarizerModel, SummarizerSettings, WeeklySentiment,
     build_summarizer_dataset, features_of, load_summarizer, predict_week,

@@ -274,13 +274,8 @@ def cmd_pot(args) -> int:
                 continue
             bucket = pos_docs if lab.extractor_class == "positive" else neg_docs
             bucket.extend(docs_by_week[lab.week.anchor])
-        universe = pos_docs + neg_docs
-        ranking = polarity.tfidf_difference_ranking(
-            polarity.ClassCorpus(label="positive", docs=tuple(pos_docs)),
-            polarity.ClassCorpus(label="negative", docs=tuple(neg_docs)),
-            universe,
-        )
-        vocab = build_vocabulary(universe, ranking, config.polarity.vocab_size)
+        ranking = polarity.tfidf_difference_ranking(pos_docs, neg_docs)
+        vocab = build_vocabulary(pos_docs + neg_docs, ranking, config.polarity.vocab_size)
         tracked = set(vocab.words) | set(args.word)
         model_set = polarity.build_model_set(
             labels, docs_by_week, tracked,
@@ -319,14 +314,11 @@ def cmd_pot(args) -> int:
     return 0
 
 
-def _load_models_and_vocab(config: PipelineConfig, workdir: Path):
+def _load_models_and_vocab(workdir: Path):
     pot_dir = _require(workdir, "pot")
     vocab_path = _require(workdir, "vocab.json")
     vocab = Vocabulary(words=tuple(json.loads(vocab_path.read_text(encoding="utf-8"))["words"]))
-    model_set = polarity.PolarityModelSet.load(
-        pot_dir, window_weeks=config.polarity.window_weeks, discount=config.polarity.discount
-    )
-    return model_set, vocab
+    return polarity.PolarityModelSet.load(pot_dir), vocab
 
 
 def cmd_train_extractor(args) -> int:
@@ -335,7 +327,7 @@ def cmd_train_extractor(args) -> int:
         labels, records_by_id, docs_by_id, _ = _load_week_data(config, workdir)
         _warn_drift([workdir / "weeks.csv", workdir / "vocab.json"], config,
                     args.allow_config_drift)
-        model_set, vocab = _load_models_and_vocab(config, workdir)
+        model_set, vocab = _load_models_and_vocab(workdir)
         _, selected, train_w, dev_w = _extractor_split(config, labels)
         selected_set = set(selected)
         examples = []
@@ -388,7 +380,7 @@ def cmd_score(args) -> int:
         labels, _, docs_by_id, _ = _load_week_data(config, workdir)
         model_path = _require(workdir, "extractor.model")
         _warn_drift([model_path], config, args.allow_config_drift)
-        model_set, vocab = _load_models_and_vocab(config, workdir)
+        model_set, vocab = _load_models_and_vocab(workdir)
         trained = load_extractor(model_path)
         excluded = set(trained.train_weeks) | set(trained.dev_weeks)
         eligible = labels[config.polarity.n_lags - 1:]
@@ -471,7 +463,6 @@ def cmd_train_summarizer(args) -> int:
             train_weeks=config.summarizer.train_weeks,
             c=config.summarizer.c,
             epochs=config.summarizer.epochs,
-            seed=config.summarizer.seed,
             feature_spec=config.summarizer.features,
         )
         model = train_summarizer(rows, settings)
@@ -575,7 +566,7 @@ def cmd_export_plot_data(args) -> int:
             written.append(out)
 
         if args.word:
-            model_set, _ = _load_models_and_vocab(config, workdir)
+            model_set, _ = _load_models_and_vocab(workdir)
             for word in args.word:
                 out = plots / f"trajectory_{word}.csv"
                 polarity.write_trajectory_csv(model_set.trajectory(word), word, out)

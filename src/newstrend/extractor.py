@@ -639,14 +639,27 @@ def load_extractor(path: str | Path) -> TrainedExtractor:
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}")
     try:
-        first, rest = raw.split(b"\n", 1)
-        if first.decode("ascii") != MODEL_MAGIC:
-            raise ValueError("bad magic")
-        size_line, rest = rest.split(b"\n", 1)
-        header = json.loads(rest[: int(size_line)])
-        body = rest[int(size_line):]
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"model file {path} is corrupt: {exc}")
+        return _parse_extractor(raw)
+    except KeyError as exc:
+        raise DataError(f"model file {path} is corrupt: header lacks key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"model file {path} is corrupt: {exc}") from None
+
+
+def _parse_extractor(raw: bytes) -> TrainedExtractor:
+    first, rest = raw.split(b"\n", 1)
+    if first.decode("ascii") != MODEL_MAGIC:
+        raise ValueError("bad magic")
+    size_line, rest = rest.split(b"\n", 1)
+    header = json.loads(rest[: int(size_line)])
+    body = rest[int(size_line):]
+    if header["vocab_sha256"] != _sha256_words(header["vocab"]):
+        raise ValueError("vocabulary does not match its recorded sha256")
+    counts = [int(np.prod(spec["shape"])) for spec in header["arrays"]]
+    if len(body) != 8 * sum(counts):
+        raise ValueError(
+            f"{len(body)} parameter bytes where the header declares {8 * sum(counts)}"
+        )
     encoder = encoder_from_config(header["encoder"])
     vocab = Vocabulary(words=tuple(header["vocab"]))
     model = ExtractorModel(
@@ -655,11 +668,9 @@ def load_extractor(path: str | Path) -> TrainedExtractor:
     )
     offset = 0
     loaded: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
-        loaded[spec["name"]] = arr.astype(np.float64)
+    for spec, count in zip(header["arrays"], counts):
+        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        loaded[spec["name"]] = arr.reshape(spec["shape"]).astype(np.float64)
         offset += count * 8
     model.pot_mu = loaded.pop("pot_mu")
     model.pot_sigma = loaded.pop("pot_sigma")

@@ -12,14 +12,21 @@ over the pooled class tokens, smoothed IDF over the individual window
 documents) and N_c is the class document count. An empty class contributes
 zero. Positive scores mean the word tracks rising weeks.
 
+The formula is coded once, in `_weights`, over integer counts: per class,
+each word's token count and document frequency, and the class token and
+document totals. `build_model_set` lays them out as a table of
+(window + weeks) x class x word: `window_weeks` zero rows, then one row per
+week. The window ending at week i is row window + i minus row i of its
+cumulative sum, so every window is scored at once. The counts are int64, so
+these differences are exact. `tfidf_difference_ranking` applies the same
+formula to two classes.
+
 Stacking a vocabulary's scores for weeks t, t-1, ... t-L+1 gives the
 per-article feature matrix consumed by the extractor's lag attention.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -34,217 +41,140 @@ from .weeks import POT_CLASSES, WeeklyLabel
 SCORE_FORMAT = "%.12e"
 
 
-@dataclass(frozen=True)
-class ClassCorpus:
-    label: str
-    docs: tuple[TokenizedDoc, ...]
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.docs)
-
-
-def _tfidf_from_counts(count: int, class_tokens: int, df: int, n_docs: int) -> float:
-    # TF over the pooled class text, smoothed IDF over individual documents.
-    if count == 0 or class_tokens == 0:
-        return 0.0
-    tf = count / class_tokens
-    idf = math.log((1 + n_docs) / (1 + df)) + 1.0
-    return tf * idf
-
-
-def _doc_frequency(docs: Sequence[TokenizedDoc], word: str) -> int:
-    return sum(1 for d in docs if word in d.tokens)
+def _count(groups: Sequence[Sequence[TokenizedDoc]], index: Mapping[str, int]):
+    """int64 counts of each group of documents: per-word token counts and
+    document frequencies over the words in `index` (groups x words), and the
+    token and document totals (groups), which include all other words too."""
+    counts = np.zeros((len(groups), len(index)), dtype=np.int64)
+    df = np.zeros_like(counts)
+    for g, docs in enumerate(groups):
+        ids, present = [], []
+        for doc in docs:
+            row = [index[t] for t in doc.tokens if t in index]
+            ids += row
+            present += set(row)
+        counts[g] = np.bincount(np.array(ids, dtype=np.int64), minlength=len(index))
+        df[g] = np.bincount(np.array(present, dtype=np.int64), minlength=len(index))
+    tokens = np.array([sum(len(d.tokens) for d in docs) for docs in groups], dtype=np.int64)
+    n_docs = np.array([len(docs) for docs in groups], dtype=np.int64)
+    return counts, df, tokens, n_docs
 
 
-def tfidf(universe: Sequence[TokenizedDoc], pooled_class: ClassCorpus, word: str) -> float:
-    """TF-IDF of `word` in the pooled text of one class.
-
-    `universe` is the full window document set and defines the IDF; an empty
-    class or absent word scores 0.
+def _weights(counts: np.ndarray, df: np.ndarray, tokens: np.ndarray, n_docs: np.ndarray):
+    """W(x, c)/sqrt(N_c) for every class c and word x, from `_count` results
+    with classes on axis -2 of the per-word arrays and axis -1 of the totals
+    (leading axes broadcast). All classes together are the IDF universe. An
+    empty class has no tokens, so every count and weight in it is 0.
     """
-    count = sum(d.tokens.count(word) for d in pooled_class.docs)
-    class_tokens = sum(len(d.tokens) for d in pooled_class.docs)
-    return _tfidf_from_counts(count, class_tokens, _doc_frequency(universe, word), len(universe))
-
-
-def _normalized_weight(universe, corpus: ClassCorpus, word: str) -> float:
-    if corpus.n_docs == 0:
-        return 0.0
-    return tfidf(universe, corpus, word) / math.sqrt(corpus.n_docs)
+    idf = np.log((1 + n_docs.sum(axis=-1))[..., None] / (1 + df.sum(axis=-2))) + 1.0
+    w = counts / np.maximum(tokens, 1)[..., None]  # TF, scaled in place to save memory
+    w *= idf[..., None, :]
+    w /= np.sqrt(np.maximum(n_docs, 1))[..., None]
+    return w
 
 
 def tfidf_difference_ranking(
-    pos: ClassCorpus, neg: ClassCorpus, universe: Sequence[TokenizedDoc]
+    pos_docs: Sequence[TokenizedDoc], neg_docs: Sequence[TokenizedDoc]
 ) -> list[tuple[str, float]]:
     """Words of the two classes scored by normalized TF-IDF gap, descending.
 
-    Positive scores lean toward the positive class. Ties break
-    lexicographically, so the ranking is stable across runs.
+    The IDF universe is the documents of both classes. Positive scores lean
+    toward the positive class. Ties break lexicographically, so the ranking
+    is stable across runs.
     """
-    if pos.n_docs == 0 or neg.n_docs == 0:
+    if not pos_docs or not neg_docs:
         raise DataError("tfidf_difference_ranking needs nonempty positive and negative classes")
-    words: set[str] = set()
-    for corpus in (pos, neg):
-        for doc in corpus.docs:
-            words.update(doc.tokens)
-    scored = [
-        (word, _normalized_weight(universe, pos, word) - _normalized_weight(universe, neg, word))
-        for word in words
-    ]
+    words = sorted({t for docs in (pos_docs, neg_docs) for doc in docs for t in doc.tokens})
+    w = _weights(*_count([pos_docs, neg_docs], {word: j for j, word in enumerate(words)}))
+    scored = list(zip(words, (w[0] - w[1]).tolist()))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
 
 
-def polarity_score(
-    word: str, window_classes: Mapping[str, ClassCorpus], discount: float = 0.5
-) -> float:
-    """Polarity of `word` over one trailing window, split into the five classes.
-
-    The IDF universe is the union of all class documents (neutral included).
-    """
-    universe: list[TokenizedDoc] = []
-    for label in POT_CLASSES:
-        corpus = window_classes.get(label)
-        if corpus is not None:
-            universe.extend(corpus.docs)
-    empty = ClassCorpus(label="", docs=())
-
-    def w(label: str) -> float:
-        return _normalized_weight(universe, window_classes.get(label, empty), word)
-
-    return w("vpos") - w("vneg") + discount * (w("pos") - w("neg"))
-
-
-@dataclass
-class WeeklyPolarityModel:
-    """Per-week word polarity scores; words absent from the window score 0."""
-
-    week: date
-    scores: dict[str, float]
-
-    def score(self, word: str) -> float:
-        return self.scores.get(word, 0.0)
-
-
-class _WindowCounts:
-    """Rolling counts backing the weekly models: exact integer bookkeeping."""
-
-    def __init__(self):
-        self.n_docs = 0
-        self.df: Counter[str] = Counter()
-        self.class_counts: dict[str, Counter[str]] = {c: Counter() for c in POT_CLASSES}
-        self.class_tokens: dict[str, int] = {c: 0 for c in POT_CLASSES}
-        self.class_docs: dict[str, int] = {c: 0 for c in POT_CLASSES}
-
-    def add_week(self, pot_class: str, docs: Sequence[TokenizedDoc]) -> None:
-        self._apply(pot_class, docs, +1)
-
-    def remove_week(self, pot_class: str, docs: Sequence[TokenizedDoc]) -> None:
-        self._apply(pot_class, docs, -1)
-
-    def _apply(self, pot_class: str, docs: Sequence[TokenizedDoc], sign: int) -> None:
-        counts = self.class_counts[pot_class]
-        for doc in docs:
-            self.n_docs += sign
-            self.class_docs[pot_class] += sign
-            self.class_tokens[pot_class] += sign * len(doc.tokens)
-            for word in set(doc.tokens):
-                self.df[word] += sign
-                if self.df[word] == 0:
-                    del self.df[word]
-            for word in doc.tokens:
-                counts[word] += sign
-                if counts[word] == 0:
-                    del counts[word]
-
-    def score(self, word: str, discount: float) -> float:
-        df = self.df.get(word, 0)
-
-        def term(label: str) -> float:
-            n = self.class_docs[label]
-            if n == 0:
-                return 0.0
-            w = _tfidf_from_counts(
-                self.class_counts[label].get(word, 0), self.class_tokens[label], df, self.n_docs
-            )
-            return w / math.sqrt(n)
-
-        return term("vpos") - term("vneg") + discount * (term("pos") - term("neg"))
-
-
 @dataclass
 class PolarityModelSet:
-    """Weekly polarity models over an ordered anchor sequence."""
+    """Weekly polarity scores over an ordered anchor sequence.
+
+    Row i of `scores` holds week `anchors[i]`, column j the sorted word
+    `words[j]`; any other word scores 0.
+    """
 
     anchors: tuple[date, ...]
-    models: dict[date, WeeklyPolarityModel]
-    window_weeks: int = 13
-    discount: float = 0.5
+    words: tuple[str, ...]
+    scores: np.ndarray
     _pos: dict[date, int] = field(init=False, repr=False)
+    _col: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._pos = {a: i for i, a in enumerate(self.anchors)}
+        self._col = {w: j for j, w in enumerate(self.words)}
 
     def matrix(self, vocab: Vocabulary, anchor: date, n_lags: int) -> np.ndarray:
         """Vocab-by-lag score matrix: column l holds week (anchor - l) scores."""
         if anchor not in self._pos:
             raise DataError(f"no polarity model for week {anchor.isoformat()}")
         i = self._pos[anchor]
-        if i - (n_lags - 1) < 0:
-            missing = n_lags - 1 - i
-            raise DataError(
-                f"week {anchor.isoformat()} lacks {missing} trailing model(s) for {n_lags} lags"
-            )
-        out = np.empty((len(vocab), n_lags), dtype=np.float64)
-        for lag in range(n_lags):
-            model = self.models[self.anchors[i - lag]]
-            for j, word in enumerate(vocab.words):
-                out[j, lag] = model.score(word)
+        if i < n_lags - 1:
+            raise DataError(f"week {anchor.isoformat()} lacks {n_lags - 1 - i} trailing "
+                            f"model(s) for {n_lags} lags")
+        cols = np.array([self._col.get(w, -1) for w in vocab.words], dtype=np.int64)
+        known = cols >= 0
+        out = np.zeros((len(vocab), n_lags), dtype=np.float64)
+        out[known] = self.scores[i - n_lags + 1 : i + 1][::-1][:, cols[known]].T
         return out
 
     def trajectory(
         self, word: str, start: date | None = None, end: date | None = None
     ) -> list[tuple[date, float]]:
+        j = self._col.get(word)
+        column = [0.0] * len(self.anchors) if j is None else self.scores[:, j].tolist()
         return [
-            (a, self.models[a].score(word))
-            for a in self.anchors
+            (a, score)
+            for a, score in zip(self.anchors, column)
             if (start is None or a >= start) and (end is None or a <= end)
         ]
 
     def save(self, directory: str | Path) -> list[Path]:
+        """One `<anchor>.tsv` per week of `word<TAB>score` lines for the
+        nonzero scores, in word order; returns the written paths."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written = []
-        for anchor in self.anchors:
+        for anchor, row in zip(self.anchors, self.scores.tolist()):
             path = directory / f"{anchor.isoformat()}.tsv"
-            model = self.models[anchor]
             with open(path, "w", encoding="utf-8") as fh:
-                for word in sorted(model.scores):
-                    fh.write(f"{word}\t{SCORE_FORMAT % model.scores[word]}\n")
+                for word, value in zip(self.words, row):
+                    if value != 0.0:
+                        fh.write(f"{word}\t{SCORE_FORMAT % value}\n")
             written.append(path)
         return written
 
     @classmethod
-    def load(cls, directory: str | Path, window_weeks: int = 13, discount: float = 0.5):
+    def load(cls, directory: str | Path) -> PolarityModelSet:
         directory = Path(directory)
         paths = sorted(directory.glob("*.tsv"))
         if not paths:
             raise DataError(f"no polarity models found under {directory}")
-        anchors = []
-        models = {}
+        anchors, rows = [], []
         for path in paths:
-            anchor = date.fromisoformat(path.stem)
-            scores = {}
-            for line in path.read_text(encoding="utf-8").splitlines():
-                word, value = line.split("\t")
-                scores[word] = float(value)
-            anchors.append(anchor)
-            models[anchor] = WeeklyPolarityModel(week=anchor, scores=scores)
-        return cls(
-            anchors=tuple(anchors), models=models,
-            window_weeks=window_weeks, discount=discount,
-        )
+            try:
+                anchors.append(date.fromisoformat(path.stem))
+                lines = path.read_text(encoding="utf-8").splitlines()
+            except (OSError, ValueError) as exc:
+                raise DataError(f"polarity model {path} is unreadable: {exc}") from None
+            row = {}
+            for n, line in enumerate(lines, start=1):
+                try:
+                    word, value = line.split("\t")
+                    row[word] = float(value)
+                except ValueError:
+                    raise DataError(
+                        f"polarity model {path} line {n}: expected word<TAB>score, got {line!r}"
+                    ) from None
+            rows.append(row)
+        words = sorted(set().union(*rows))
+        scores = np.array([[row.get(w, 0.0) for w in words] for row in rows], dtype=np.float64)
+        return cls(anchors=tuple(anchors), words=tuple(words), scores=scores)
 
 
 def build_model_set(
@@ -254,49 +184,31 @@ def build_model_set(
     window_weeks: int = 13,
     discount: float = 0.5,
 ) -> PolarityModelSet:
-    """Weekly models for every labeled week, via one rolling pass.
+    """Weekly scores of `words` for every labeled week, all windows at once.
 
     Early weeks use however much history exists (the window simply has not
-    filled yet). Scores are computed for `words` only.
+    filled yet).
     """
     ordered = sorted(labels, key=lambda lab: lab.week.anchor)
     word_list = sorted(set(words))
-    counts = _WindowCounts()
-    anchors: list[date] = []
-    models: dict[date, WeeklyPolarityModel] = {}
-    for i, lab in enumerate(ordered):
-        anchor = lab.week.anchor
-        counts.add_week(lab.pot_class, docs_by_week.get(anchor, ()))
-        j = i - window_weeks
-        if j >= 0:
-            old = ordered[j]
-            counts.remove_week(old.pot_class, docs_by_week.get(old.week.anchor, ()))
-        scores = {}
-        for word in word_list:
-            value = counts.score(word, discount)
-            if value != 0.0:
-                scores[word] = value
-        anchors.append(anchor)
-        models[anchor] = WeeklyPolarityModel(week=anchor, scores=scores)
+    index = {word: j for j, word in enumerate(word_list)}
+    weekly = _count([docs_by_week.get(lab.week.anchor, ()) for lab in ordered], index)
+    n_weeks = len(ordered)
+    classes = [POT_CLASSES.index(lab.pot_class) for lab in ordered]
+
+    def window_sums(counts: np.ndarray) -> np.ndarray:
+        table = np.zeros((window_weeks + n_weeks, len(POT_CLASSES)) + counts.shape[1:],
+                         dtype=np.int64)
+        table[window_weeks + np.arange(n_weeks), classes] = counts
+        np.cumsum(table, axis=0, out=table)
+        return table[window_weeks:] - table[:n_weeks]
+
+    w = dict(zip(POT_CLASSES, np.moveaxis(_weights(*map(window_sums, weekly)), 1, 0)))
     return PolarityModelSet(
-        anchors=tuple(anchors), models=models,
-        window_weeks=window_weeks, discount=discount,
+        anchors=tuple(lab.week.anchor for lab in ordered),
+        words=tuple(word_list),
+        scores=w["vpos"] - w["vneg"] + discount * (w["pos"] - w["neg"]),
     )
-
-
-def window_classes_at(
-    labels: Sequence[WeeklyLabel],
-    docs_by_week: Mapping[date, Sequence[TokenizedDoc]],
-    index: int,
-    window_weeks: int = 13,
-) -> dict[str, ClassCorpus]:
-    """The five window corpora for week `index` (direct, non-rolling form)."""
-    ordered = sorted(labels, key=lambda lab: lab.week.anchor)
-    lo = max(0, index - window_weeks + 1)
-    grouped: dict[str, list[TokenizedDoc]] = {c: [] for c in POT_CLASSES}
-    for lab in ordered[lo : index + 1]:
-        grouped[lab.pot_class].extend(docs_by_week.get(lab.week.anchor, ()))
-    return {c: ClassCorpus(label=c, docs=tuple(docs)) for c, docs in grouped.items()}
 
 
 def write_trajectory_csv(

@@ -25,9 +25,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .weeks import CLASS_ORDER, WeeklyLabel
 
-FEATURE_SPECS = ("scalar", "extended")
-
-
 @dataclass
 class WeeklySentiment:
     week: date                     # anchor of the news week that was scored
@@ -165,7 +162,6 @@ class SummarizerSettings:
     train_weeks: int = 250        # chronological: the earliest weeks train
     c: float = 1.0
     epochs: int = 200
-    seed: int = 0                 # kept for API stability; fit is deterministic
     feature_spec: str = "scalar"
 
 
@@ -231,19 +227,15 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
     )
 
 
-def write_weekly_sentiment_csv(
-    rows: Sequence[WeeklySentiment],
-    path: str | Path,
-    predictions: dict[date, str] | None = None,
-) -> None:
+def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["anchor", "n_sampled", "overall_score", "true_class", "predicted_class"])
         for row in rows:
-            predicted = (predictions or {}).get(row.week, "")
+            # predicted_class stays empty: evaluate writes predictions to report.csv
             writer.writerow(
                 [row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
-                 row.label, predicted]
+                 row.label, ""]
             )
 
 

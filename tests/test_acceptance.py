@@ -20,16 +20,15 @@ from newstrend.config import load_config
 from newstrend.corpus import Vocabulary, ingest_news, tokenize
 from newstrend.extractor import gradient_check, load_extractor, multitask_loss, pot_attention
 from newstrend.metrics import ConfusionMatrix, accuracy, f1, mcc
-from newstrend.polarity import ClassCorpus, PolarityModelSet, build_model_set, polarity_score
+from newstrend.polarity import PolarityModelSet, build_model_set
 from newstrend.summarizer import build_summarizer_dataset
 from newstrend.weeks import (
     POT_CLASSES, TradingWeek, WeeklyLabel, label_weeks, load_prices,
     monday_anchors, three_way_policy, weekday_autocorrelation, weekly_changes,
 )
 
-from conftest import make_doc
 from test_extractor import tiny_example, tiny_model
-from test_polarity import oracle_polarity
+from test_polarity import oracle_polarity, window_scores
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REAL_NEWS = REPO_ROOT / "data" / "real" / "news.jsonl"
@@ -126,24 +125,20 @@ def test_01_polarity_score_matches_independent_oracle():
     checked = 0
     worst = 0.0
     while checked < 100:
-        window, plain, n_docs = {}, {}, 0
+        plain, n_docs = {}, 0
         for cls in POT_CLASSES:
             k = int(rng.integers(0, 5))
-            docs = [
+            plain[cls] = [
                 [vocab[j] for j in rng.integers(0, 50, size=rng.integers(1, 12))]
                 for _ in range(k)
             ]
             n_docs += k
-            window[cls] = ClassCorpus(
-                label=cls, docs=tuple(make_doc(f"{cls}{i}", d) for i, d in enumerate(docs))
-            )
-            plain[cls] = docs
         if n_docs > 20:
             continue
         checked += 1
         alpha = float(rng.uniform(0, 1))
-        for word in rng.choice(vocab, size=5, replace=False):
-            got = polarity_score(word, window, discount=alpha)
+        words = [str(w) for w in rng.choice(vocab, size=5, replace=False)]
+        for word, got in window_scores(plain, words, discount=alpha).items():
             want = oracle_polarity(word, plain, alpha)
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start

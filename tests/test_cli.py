@@ -1,4 +1,7 @@
 import json
+import shutil
+
+import pytest
 
 from newstrend.cli import main
 
@@ -188,6 +191,50 @@ class TestErrors:
         monkeypatch.setitem(cli.HANDLERS, "evaluate", explode)
         assert run(["evaluate", "--workdir", tmp_path]) == 3
         assert "diverged" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_workdir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("trained")
+    config = write_config(base)
+    run_pipeline(base / "w", config, stages=["ingest", "label", "pot", "train-extractor"])
+    return base / "w", config
+
+
+def _garble_pot_line(wd):
+    path = sorted((wd / "pot").glob("*.tsv"))[0]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("no tab here\n")
+    return path.name
+
+
+def _truncate_model(wd):
+    path = wd / "extractor.model"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    return "extractor.model"
+
+
+def _rename_vocab_word(wd):
+    path = wd / "extractor.model"
+    magic, size, rest = path.read_bytes().split(b"\n", 2)
+    header = json.loads(rest[: int(size)])
+    header["vocab"][0] += "x"
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
+    return "sha256"
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("corrupt", [_garble_pot_line, _truncate_model, _rename_vocab_word])
+    def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
+                                                 corrupt):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        expected = corrupt(wd)
+        assert run(["score", "--workdir", wd, "--config", config,
+                    "--allow-config-drift"]) == 2
+        assert expected in capsys.readouterr().err
 
 
 class TestTrainLog:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,10 +7,7 @@ import pytest
 
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
-from newstrend.polarity import (
-    ClassCorpus, PolarityModelSet, build_model_set, polarity_score, tfidf,
-    tfidf_difference_ranking, window_classes_at,
-)
+from newstrend.polarity import PolarityModelSet, build_model_set, tfidf_difference_ranking
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
 from conftest import make_doc
@@ -43,91 +41,107 @@ def oracle_polarity(word, window, alpha):
     return term("vpos") - term("vneg") + alpha * (term("pos") - term("neg"))
 
 
-def corpus(cls, token_lists):
-    return ClassCorpus(
-        label=cls,
-        docs=tuple(make_doc(f"{cls}{i}", toks) for i, toks in enumerate(token_lists)),
-    )
+def window_scores(window, words, discount=0.5):
+    """Polarity of `words` over one window given as class -> token lists.
+
+    The window is laid out as five consecutive weeks, one per class, and
+    the scores are read from the last week of a five-week rolling build.
+    """
+    monday = date(2020, 1, 6)
+    labels, docs_by_week = [], {}
+    for i, cls in enumerate(POT_CLASSES):
+        anchor = monday + timedelta(days=7 * (i + 1))
+        week = TradingWeek(anchor=anchor, prev_anchor=anchor - timedelta(days=7), pct_change=0.0)
+        labels.append(WeeklyLabel(week=week, extractor_class="excluded",
+                                  pot_class=cls, summarizer_class="up"))
+        docs_by_week[anchor] = [make_doc(f"{cls}{j}", toks)
+                                for j, toks in enumerate(window.get(cls, []))]
+    model_set = build_model_set(labels, docs_by_week, words, window_weeks=5, discount=discount)
+    column = model_set.matrix(Vocabulary(words=tuple(words)), labels[-1].week.anchor, 1)[:, 0]
+    return dict(zip(words, column.tolist()))
+
+
+def docs(token_lists):
+    return [make_doc(f"d{i}", toks) for i, toks in enumerate(token_lists)]
 
 
 class TestTfidf:
+    """W(x, c) arithmetic, read through one-class windows: with only vpos
+    nonempty among the scored classes, P(x) = W(x, vpos)/sqrt(N_vpos)."""
+
     def test_absent_word_scores_zero(self):
-        universe = [make_doc("a", ["x", "y"])]
-        assert tfidf(universe, corpus("pos", [["x", "y"]]), "gain") == 0.0
+        assert window_scores({"vpos": [["x", "y"]]}, ["gain"])["gain"] == 0.0
 
     def test_single_doc_universe_degenerate_case(self):
         # one doc, word = every token: TF 1, IDF ln(2/2)+1 = 1
-        universe = [make_doc("a", ["gain", "gain"])]
-        assert tfidf(universe, corpus("pos", [["gain", "gain"]]), "gain") == pytest.approx(1.0)
+        assert window_scores({"vpos": [["gain", "gain"]]}, ["gain"])["gain"] == pytest.approx(1.0)
 
     def test_empty_class_scores_zero(self):
-        universe = [make_doc("a", ["x"])]
-        assert tfidf(universe, corpus("pos", []), "x") == 0.0
+        # "x" is in the IDF universe but every scored class is empty
+        assert window_scores({"neutral": [["x"]]}, ["x"])["x"] == 0.0
 
     def test_four_doc_window_hand_value(self):
         # frozen from the independent oracle: TF 3/5, IDF ln(5/3)+1
-        docs = [["gain", "up"], ["gain", "fall", "gain"], ["flat", "down"], ["drop"]]
-        universe = [make_doc(f"d{i}", t) for i, t in enumerate(docs)]
-        value = tfidf(universe, corpus("pos", docs[:2]), "gain")
+        token_lists = [["gain", "up"], ["gain", "fall", "gain"], ["flat", "down"], ["drop"]]
+        window = {"vpos": token_lists[:2], "neutral": token_lists[2:]}
+        value = window_scores(window, ["gain"])["gain"] * math.sqrt(2)
         assert value == pytest.approx(0.9064953742595944, abs=1e-12)
-        assert value == pytest.approx(oracle_tfidf([tuple(t) for t in docs], docs[:2], "gain"))
+        assert value == pytest.approx(oracle_tfidf(token_lists, token_lists[:2], "gain"))
 
 
 class TestDifferenceRanking:
     def test_word_only_in_positive_scores_positive(self):
-        pos = corpus("pos", [["gain", "up"]])
-        neg = corpus("neg", [["fall", "down"]])
-        ranking = dict(tfidf_difference_ranking(pos, neg, list(pos.docs) + list(neg.docs)))
+        ranking = dict(tfidf_difference_ranking(docs([["gain", "up"]]), docs([["fall", "down"]])))
         assert ranking["gain"] > 0
         assert ranking["fall"] < 0
 
     def test_identical_corpora_all_zero(self):
         text = [["gain", "fall", "x"]]
-        pos, neg = corpus("pos", text), corpus("neg", text)
-        ranking = tfidf_difference_ranking(pos, neg, list(pos.docs) + list(neg.docs))
+        ranking = tfidf_difference_ranking(docs(text), docs(text))
         assert all(score == pytest.approx(0.0) for _, score in ranking)
 
     def test_sorted_descending_with_lexicographic_ties(self):
-        pos = corpus("pos", [["bb", "aa"]])
-        neg = corpus("neg", [["zz"]])
-        ranking = tfidf_difference_ranking(pos, neg, list(pos.docs) + list(neg.docs))
+        ranking = tfidf_difference_ranking(docs([["bb", "aa"]]), docs([["zz"]]))
         words = [w for w, _ in ranking]
         scores = [s for _, s in ranking]
         assert scores == sorted(scores, reverse=True)
         assert words.index("aa") < words.index("bb")  # equal scores, lexicographic
 
     def test_empty_class_fatal(self):
-        pos = corpus("pos", [["x"]])
         with pytest.raises(DataError):
-            tfidf_difference_ranking(pos, corpus("neg", []), list(pos.docs))
+            tfidf_difference_ranking(docs([["x"]]), [])
+
+    def test_matches_oracle(self):
+        pos = [["gain", "up"], ["gain", "fall", "gain"]]
+        neg = [["flat", "down"], ["drop", "gain"]]
+        universe = pos + neg
+        for word, score in tfidf_difference_ranking(docs(pos), docs(neg)):
+            want = (oracle_tfidf(universe, pos, word) - oracle_tfidf(universe, neg, word)) / math.sqrt(2)
+            assert score == pytest.approx(want, abs=1e-12)
 
 
 class TestPolarityScore:
     def window(self):
         return {
-            "vpos": corpus("vpos", [["boom", "x", "y"], ["boom", "z"]]),
-            "vneg": corpus("vneg", [["a", "b"], ["c"]]),
-            "pos": corpus("pos", [["p"], ["q"]]),
-            "neg": corpus("neg", [["r"], ["s"]]),
-            "neutral": corpus("neutral", [["n"]]),
+            "vpos": [["boom", "x", "y"], ["boom", "z"]],
+            "vneg": [["a", "b"], ["c"]],
+            "pos": [["p"], ["q"]],
+            "neg": [["r"], ["s"]],
+            "neutral": [["n"]],
         }
 
     def test_word_absent_everywhere_is_zero(self):
-        assert polarity_score("ghost", self.window()) == 0.0
+        assert window_scores(self.window(), ["ghost"])["ghost"] == 0.0
 
     def test_mirror_window_is_zero_for_every_word(self):
         text_a, text_b = [["gain", "x"], ["y"]], [["gain", "x"], ["y"]]
-        window = {
-            "vpos": corpus("vpos", text_a), "vneg": corpus("vneg", text_a),
-            "pos": corpus("pos", text_b), "neg": corpus("neg", text_b),
-            "neutral": corpus("neutral", []),
-        }
-        for word in ("gain", "x", "y"):
-            assert polarity_score(word, window) == pytest.approx(0.0, abs=1e-15)
+        window = {"vpos": text_a, "vneg": text_a, "pos": text_b, "neg": text_b, "neutral": []}
+        for score in window_scores(window, ["gain", "x", "y"]).values():
+            assert score == pytest.approx(0.0, abs=1e-15)
 
     def test_planted_word_hand_value(self):
         # frozen from the independent oracle over this exact window
-        assert polarity_score("boom", self.window(), discount=0.5) == pytest.approx(
+        assert window_scores(self.window(), ["boom"], discount=0.5)["boom"] == pytest.approx(
             0.6233776461958405, abs=1e-12
         )
 
@@ -136,41 +150,37 @@ class TestPolarityScore:
         swapped = dict(window)
         swapped["vpos"], swapped["vneg"] = window["vneg"], window["vpos"]
         swapped["pos"], swapped["neg"] = window["neg"], window["pos"]
-        for word in ("boom", "p", "r", "n"):
-            assert polarity_score(word, swapped) == pytest.approx(
-                -polarity_score(word, window), abs=1e-12
-            )
+        words = ["boom", "p", "r", "n"]
+        base, mirrored = window_scores(window, words), window_scores(swapped, words)
+        for word in words:
+            assert mirrored[word] == pytest.approx(-base[word], abs=1e-12)
 
     def test_adding_word_to_vpos_does_not_decrease_score(self):
         window = self.window()
-        base = polarity_score("boom", window)
+        base = window_scores(window, ["boom"])["boom"]
         grown = dict(window)
-        grown["vpos"] = corpus("vpos", [["boom", "x", "y"], ["boom", "boom", "z"]])
-        assert polarity_score("boom", grown) >= base - 1e-12
+        grown["vpos"] = [["boom", "x", "y"], ["boom", "boom", "z"]]
+        assert window_scores(grown, ["boom"])["boom"] >= base - 1e-12
 
     def test_matches_oracle_on_random_windows(self):
         rng = np.random.default_rng(123)
         vocab = [f"w{i}" for i in range(50)]
         for _ in range(100):
             window = {}
-            plain = {}
             n_docs = 0
             for cls in POT_CLASSES:
                 k = int(rng.integers(0, 5))
-                docs = []
-                for _ in range(k):
-                    toks = [vocab[j] for j in rng.integers(0, 50, size=rng.integers(1, 12))]
-                    docs.append(toks)
+                window[cls] = [
+                    [vocab[j] for j in rng.integers(0, 50, size=rng.integers(1, 12))]
+                    for _ in range(k)
+                ]
                 n_docs += k
-                window[cls] = corpus(cls, docs)
-                plain[cls] = docs
             if n_docs > 20:
                 continue
             alpha = float(rng.uniform(0, 1))
-            for word in rng.choice(vocab, size=5, replace=False):
-                got = polarity_score(word, window, discount=alpha)
-                want = oracle_polarity(word, plain, alpha)
-                assert got == pytest.approx(want, abs=1e-12)
+            words = [str(w) for w in rng.choice(vocab, size=5, replace=False)]
+            for word, got in window_scores(window, words, discount=alpha).items():
+                assert got == pytest.approx(oracle_polarity(word, window, alpha), abs=1e-12)
 
 
 def weekly_fixture(n_weeks=6, words=("gain", "fall", "x")):
@@ -190,36 +200,55 @@ def weekly_fixture(n_weeks=6, words=("gain", "fall", "x")):
     return labels, docs_by_week
 
 
+def score_at(model_set, anchor, word):
+    return dict(model_set.trajectory(word))[anchor]
+
+
 class TestModelSet:
     def test_rolling_builder_matches_direct_evaluation(self):
-        labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall", "x"},
-                                    window_weeks=3, discount=0.5)
+        # random classes and texts over 12 weeks with a 4-week window, so
+        # every class occurs and weeks leave the window
+        rng = np.random.default_rng(7)
+        vocab = [f"w{i}" for i in range(8)]
+        labels, _ = weekly_fixture(n_weeks=12)
+        labels = [replace(lab, pot_class=str(rng.choice(POT_CLASSES))) for lab in labels]
+        plain = {
+            lab.week.anchor: [
+                [vocab[j] for j in rng.integers(0, 8, size=rng.integers(1, 6))]
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            for lab in labels
+        }
+        docs_by_week = {a: [make_doc(f"{a}{j}", t) for j, t in enumerate(d)]
+                        for a, d in plain.items()}
+        model_set = build_model_set(labels, docs_by_week, vocab, window_weeks=4, discount=0.3)
         for idx, lab in enumerate(labels):
-            window = window_classes_at(labels, docs_by_week, idx, window_weeks=3)
-            for word in ("gain", "fall", "x"):
-                want = polarity_score(word, window, discount=0.5)
-                got = model_set.models[lab.week.anchor].score(word)
-                assert got == pytest.approx(want, abs=1e-12)
+            window = {cls: [] for cls in POT_CLASSES}
+            for old in labels[max(0, idx - 3): idx + 1]:
+                window[old.pot_class] += plain[old.week.anchor]
+            for word in vocab:
+                got = score_at(model_set, lab.week.anchor, word)
+                assert got == pytest.approx(oracle_polarity(word, window, 0.3), abs=1e-12)
 
     def test_planted_word_signs(self):
         labels, docs_by_week = weekly_fixture()
         model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
-        last = model_set.models[labels[-1].week.anchor]
-        assert last.score("gain") > 0
-        assert last.score("fall") < 0
+        last = labels[-1].week.anchor
+        assert score_at(model_set, last, "gain") > 0
+        assert score_at(model_set, last, "fall") < 0
 
     def test_matrix_assembly(self):
         labels, docs_by_week = weekly_fixture()
         model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
-        vocab = Vocabulary(words=("gain", "fall"))
+        vocab = Vocabulary(words=("gain", "fall", "unseen"))
         anchor = labels[3].week.anchor
         m = model_set.matrix(vocab, anchor, 2)
-        assert m.shape == (2, 2)
-        assert m[0, 0] == model_set.models[anchor].score("gain")
-        assert m[1, 1] == model_set.models[labels[2].week.anchor].score("fall")
+        assert m.shape == (3, 2)
+        assert m[0, 0] == score_at(model_set, anchor, "gain")
+        assert m[1, 1] == score_at(model_set, labels[2].week.anchor, "fall")
+        assert np.all(m[2] == 0.0)
         single = model_set.matrix(vocab, anchor, 1)
-        assert single.shape == (2, 1)
+        assert single.shape == (3, 1)
         assert np.allclose(single[:, 0], m[:, 0])
 
     def test_matrix_missing_history_fatal_names_week(self):
@@ -257,11 +286,9 @@ class TestModelSet:
         model_set.save(tmp_path / "pot")
         loaded = PolarityModelSet.load(tmp_path / "pot")
         assert loaded.anchors == model_set.anchors
-        for anchor in model_set.anchors:
-            for word in ("gain", "fall"):
-                assert loaded.models[anchor].score(word) == pytest.approx(
-                    model_set.models[anchor].score(word), rel=1e-10
-                )
+        for word in ("gain", "fall"):
+            for (_, got), (_, want) in zip(loaded.trajectory(word), model_set.trajectory(word)):
+                assert got == pytest.approx(want, rel=1e-10)
 
     def test_save_is_deterministic(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
@@ -270,3 +297,13 @@ class TestModelSet:
         model_set.save(tmp_path / "b")
         for pa, pb in zip(sorted((tmp_path / "a").iterdir()), sorted((tmp_path / "b").iterdir())):
             assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("name, line, where", [
+        ("2020-01-13.tsv", "fall 1.0", "2020-01-13.tsv line 2"),
+        ("2020-01-13.tsv", "fall\tlots", "2020-01-13.tsv line 2"),
+        ("notadate.tsv", "fall\t1.0", "notadate.tsv"),
+    ])
+    def test_garbled_file_is_data_error_naming_file_and_line(self, tmp_path, name, line, where):
+        (tmp_path / name).write_text(f"gain\t1.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=where):
+            PolarityModelSet.load(tmp_path)
