@@ -81,11 +81,17 @@ def _jsonish(value):
 
 @contextmanager
 def workdir_lock(workdir: Path, force: bool = False):
-    """Advisory single-writer lock: one command per workdir at a time."""
+    """Advisory single-writer lock: one command per workdir at a time.
+
+    The lock file holds the owner's pid. `force` takes over a stale lock by
+    rewriting it; on exit the lock is removed only if it still holds this
+    process's pid, so a lock another process has since taken survives.
+    """
     lock = workdir / ".lock"
+    pid = str(os.getpid())
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.write(fd, pid.encode("ascii"))
         os.close(fd)
     except FileExistsError:
         if not force:
@@ -93,7 +99,12 @@ def workdir_lock(workdir: Path, force: bool = False):
                 f"workdir {workdir} is locked ({lock} exists); another command may be "
                 f"running. Remove the lock file or pass --force."
             )
+        lock.write_text(pid, encoding="ascii")
     try:
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        try:
+            if lock.read_text(encoding="ascii") == pid:
+                lock.unlink()
+        except FileNotFoundError:
+            pass

@@ -394,8 +394,7 @@ def cmd_score(args) -> int:
             for lo in range(0, len(ids), batch):
                 chunk = ids[lo : lo + batch]
                 docs = [docs_by_id[i] for i in chunk]
-                mats = np.repeat(matrix[None, :, :], len(chunk), axis=0)
-                ps, pw, _ = model.forward(docs, mats)
+                ps, pw, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
                 out[lo : lo + len(chunk), 0] = ps[:, 1]
                 out[lo : lo + len(chunk), 1] = pw[:, 1]
             return out

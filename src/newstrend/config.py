@@ -165,4 +165,25 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         except json.JSONDecodeError:
             value = raw
         config.set_flat(key.strip(), value)
+    _validate(config)
     return config
+
+
+def _validate(config: PipelineConfig) -> None:
+    """Reject values the pipeline would otherwise ignore or misuse."""
+    if config.extractor.encoder != "reference":
+        raise ConfigError(
+            f"extractor.encoder must be 'reference' (the only encoder built in), "
+            f"got {config.extractor.encoder!r}"
+        )
+    if config.summarizer.features not in ("scalar", "extended"):
+        raise ConfigError(
+            f"summarizer.features must be 'scalar' or 'extended', "
+            f"got {config.summarizer.features!r}"
+        )
+    if not isinstance(config.summarizer.target_offset, int) or config.summarizer.target_offset < 1:
+        raise ConfigError(
+            f"summarizer.target_offset must be an integer >= 1 (at 0 the lag-0 "
+            f"polarity column sees the target week's own class), "
+            f"got {config.summarizer.target_offset!r}"
+        )

@@ -5,7 +5,9 @@ article's week gets a vocab-by-lag polarity matrix, pooled over lags by a
 small attention (softmax(v' tanh(W M)) weights, pooled vector M a); the
 standardized pooled polarity vector is concatenated with the encoder output,
 passed through one rectified dense layer, and read out by two softmax heads:
-sentiment (negative/positive) and worthiness (irrelevant/relevant).
+sentiment (negative/positive) and worthiness (irrelevant/relevant). A batch
+runs the attention once per distinct week matrix, not per article, and the
+reference encoder is one bag-of-words matrix product.
 
 Training minimizes a masked multitask objective: for articles with a
 worthiness label, lam * CE_sentiment + (1 - lam) * CE_worthiness; for the
@@ -106,28 +108,29 @@ class ReferenceEncoder(Encoder):
             "b": np.zeros(self.dim),
         }
 
-    def _token_ids(self, doc: TokenizedDoc) -> np.ndarray:
-        return np.array([self.index.get(t, 0) for t in doc.tokens], dtype=np.int64)
+    def _bag(self, docs: Sequence[TokenizedDoc]) -> np.ndarray:
+        """B x (|vocab|+1) bag of words holding count / sqrt(n) per token."""
+        width = len(self.vocab) + 1
+        lengths = np.array([len(d.tokens) for d in docs], dtype=np.int64)
+        ids = np.fromiter(
+            (self.index.get(t, 0) for d in docs for t in d.tokens),
+            dtype=np.int64, count=int(lengths.sum()),
+        )
+        rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+        counts = np.bincount(rows * width + ids, minlength=len(docs) * width)
+        return counts.reshape(len(docs), width) / np.sqrt(np.maximum(lengths, 1))[:, None]
 
     def forward(self, docs, params):
-        emb = params["emb"]
-        ids = [self._token_ids(d) for d in docs]
-        xbar = np.zeros((len(docs), self.emb_dim))
-        for i, row in enumerate(ids):
-            if len(row):
-                xbar[i] = emb[row].sum(axis=0) / np.sqrt(len(row))
+        bag = self._bag(docs)
+        xbar = bag @ params["emb"]
         out = np.tanh(xbar @ params["w"] + params["b"])
-        return out, (ids, xbar, out)
+        return out, (bag, xbar, out)
 
     def backward(self, cache, d_out, params):
-        ids, xbar, out = cache
+        bag, xbar, out = cache
         dpre = d_out * (1.0 - out * out)
-        demb = np.zeros_like(params["emb"])
         dxbar = dpre @ params["w"].T
-        for i, row in enumerate(ids):
-            if len(row):
-                np.add.at(demb, row, dxbar[i] / np.sqrt(len(row)))
-        return {"emb": demb, "w": xbar.T @ dpre, "b": dpre.sum(axis=0)}
+        return {"emb": bag.T @ dxbar, "w": xbar.T @ dpre, "b": dpre.sum(axis=0)}
 
     def to_config(self) -> dict:
         return {
@@ -147,20 +150,21 @@ def encoder_from_config(cfg: Mapping) -> Encoder:
 def pot_attention(
     m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention over the lag columns of one polarity matrix.
+    """Attention over the lag columns of a (V, L) polarity matrix or a stack of them.
 
     Weights a = softmax(att_v' tanh(att_w m)) form a probability simplex over
     the lags; the pooled vector is m a.
     """
     m = np.asarray(m, dtype=np.float64)
-    v_size, _ = m.shape
+    if m.ndim < 2:
+        raise ValueError(f"m must be (..., V, L), got {m.shape}")
+    v_size = m.shape[-2]
     if att_w.shape != (v_size, v_size):
         raise ValueError(f"att_w must be {v_size}x{v_size}, got {att_w.shape}")
     if att_v.shape != (v_size,):
         raise ValueError(f"att_v must have length {v_size}, got {att_v.shape}")
-    scores = att_v @ np.tanh(att_w @ m)
-    a = softmax(scores)
-    return a, m @ a
+    a = softmax(att_v @ np.tanh(att_w @ m))
+    return a, (m @ a[..., None])[..., 0]
 
 
 def multitask_loss(
@@ -258,31 +262,28 @@ class ExtractorModel:
         self.pot_sigma = sigma
 
     def forward(
-        self, docs: Sequence[TokenizedDoc], matrices: np.ndarray
+        self, docs: Sequence[TokenizedDoc], matrices: np.ndarray, week: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Batch forward. matrices has shape (B, V, L)."""
+        """Batch forward over a (W, V, L) table of week matrices; `week` is each
+        document's (B,) index into it, None meaning one matrix per document.
+        Attention runs once per table entry; documents gather its output."""
         p = self.params
         m = np.asarray(matrices, dtype=np.float64)
         if m.ndim != 3 or m.shape[1] != len(self.vocab) or m.shape[2] != self.n_lags:
             raise ValueError(
-                f"matrices must be (B, {len(self.vocab)}, {self.n_lags}), got {m.shape}"
+                f"matrices must be (W, {len(self.vocab)}, {self.n_lags}), got {m.shape}"
             )
+        week = np.arange(len(m)) if week is None else np.asarray(week, dtype=np.intp)
         vcls, enc_cache = self.encoder.forward(docs, _sub(p, "enc."))
-        z = np.einsum("uv,bvl->bul", p["att_w"], m)
-        t = np.tanh(z)
-        s = np.einsum("v,bvl->bl", p["att_v"], t)
-        a = softmax(s, axis=1)
-        vpot_raw = np.einsum("bvl,bl->bv", m, a)
-        vpot = (vpot_raw - self.pot_mu) / self.pot_sigma
+        a, pooled = pot_attention(m, p["att_w"], p["att_v"])
+        vpot = (pooled[week] - self.pot_mu) / self.pot_sigma
         u = np.concatenate([vcls, vpot], axis=1)
         q = u @ p["dense_w"] + p["dense_b"]
         r = np.maximum(q, 0.0)
         ps = softmax(r @ p["senti_w"] + p["senti_b"], axis=1)
         pw = softmax(r @ p["worth_w"] + p["worth_b"], axis=1)
-        cache = {
-            "docs": docs, "m": m, "t": t, "a": a, "vcls": vcls,
-            "enc_cache": enc_cache, "u": u, "q": q, "r": r, "ps": ps, "pw": pw,
-        }
+        cache = {"m": m, "week": week, "a": a, "enc_cache": enc_cache,
+                 "u": u, "q": q, "r": r, "ps": ps, "pw": pw}
         return ps, pw, cache
 
     def batch_loss(self, batch: Sequence[TrainingExample]) -> float:
@@ -290,9 +291,7 @@ class ExtractorModel:
         return loss
 
     def _loss_forward(self, batch):
-        docs = [ex.doc for ex in batch]
-        mats = np.stack([ex.matrix for ex in batch])
-        ps, pw, cache = self.forward(docs, mats)
+        ps, pw, cache = self.forward(*_week_table(batch))
         n = len(batch)
         total = 0.0
         clamped = False
@@ -309,20 +308,13 @@ class ExtractorModel:
         p = self.params
         n = len(batch)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
-        m, t, a = cache["m"], cache["t"], cache["a"]
+        m, week, a = cache["m"], cache["week"], cache["a"]
 
-        ys = np.zeros_like(ps)
-        cs = np.empty(n)
-        yw = np.zeros_like(pw)
-        cw = np.zeros(n)
-        for i, ex in enumerate(batch):
-            ys[i, ex.sentiment] = 1.0
-            if ex.worthiness is None:
-                cs[i] = 1.0
-            else:
-                cs[i] = self.lam
-                yw[i, ex.worthiness] = 1.0
-                cw[i] = 1.0 - self.lam
+        labeled = np.array([ex.worthiness is not None for ex in batch])
+        ys = np.eye(2)[[ex.sentiment for ex in batch]]
+        yw = np.eye(2)[[ex.worthiness or 0 for ex in batch]] * labeled[:, None]
+        cs = np.where(labeled, self.lam, 1.0)
+        cw = np.where(labeled, 1.0 - self.lam, 0.0)
         dls = (ps - ys) * cs[:, None] / n
         dlw = (pw - yw) * cw[:, None] / n
 
@@ -338,12 +330,15 @@ class ExtractorModel:
         du = dq @ p["dense_w"].T
         d = self.encoder.dim
         dvcls = du[:, :d]
-        dvpot_raw = du[:, d:] / self.pot_sigma
-        da = np.einsum("bvl,bv->bl", m, dvpot_raw)
+        # attention backward once per table entry: rows sharing a week add up
+        dpooled = np.zeros((len(m), len(self.vocab)))
+        np.add.at(dpooled, week, du[:, d:] / self.pot_sigma)
+        da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
-        grads["att_v"] = np.einsum("bvl,bl->v", t, ds)
-        dz = np.einsum("v,bl->bvl", p["att_v"], ds) * (1.0 - t * t)
-        grads["att_w"] = np.einsum("bul,bvl->uv", dz, m)
+        t = np.tanh(p["att_w"] @ m)
+        grads["att_v"] = _lag_columns(t) @ ds.reshape(-1)
+        dz = p["att_v"][:, None] * ds[:, None, :] * (1.0 - t * t)
+        grads["att_w"] = _lag_columns(dz) @ _lag_columns(m).T
         for name, g in self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc.")).items():
             grads[f"enc.{name}"] = g
         return loss, grads
@@ -364,6 +359,19 @@ def _sub(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
+def _lag_columns(x: np.ndarray) -> np.ndarray:
+    """(W, V, L) -> (V, W*L): every lag column of every table entry."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _week_table(batch: Sequence[TrainingExample]):
+    """Docs, the distinct matrices (by identity, first seen first) and each row's index."""
+    table = {id(ex.matrix): ex.matrix for ex in batch}
+    slot = {key: i for i, key in enumerate(table)}
+    week = np.array([slot[id(ex.matrix)] for ex in batch], dtype=np.intp)
+    return [ex.doc for ex in batch], np.stack(list(table.values())), week
+
+
 def sentiment_score(model: ExtractorModel, doc: TokenizedDoc, matrix: np.ndarray) -> float:
     """P(positive market sentiment) for one article, in [0, 1]."""
     ps = model.sentiment_probs([doc], np.asarray(matrix)[None, :, :])
@@ -372,7 +380,7 @@ def sentiment_score(model: ExtractorModel, doc: TokenizedDoc, matrix: np.ndarray
 
 def gradient_check(
     model: ExtractorModel,
-    example: TrainingExample,
+    example: TrainingExample | Sequence[TrainingExample],
     eps: float = 1e-5,
     corrupt_block: str | None = None,
     corrupt_amount: float = 0.05,
@@ -384,8 +392,9 @@ def gradient_check(
     on near-zero coordinates cannot dominate. `corrupt_block` additively
     perturbs one analytic block first (mutation-testing aid: a correct
     implementation scores < 1e-4 while a corrupted block scores > 1e-2).
+    `example` may also be a batch of examples.
     """
-    batch = [example]
+    batch = [example] if isinstance(example, TrainingExample) else list(example)
     _, grads = model.loss_and_grads(batch)
     if corrupt_block is not None:
         if corrupt_block not in grads:
@@ -481,9 +490,7 @@ def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], bat
     loss_sum = 0.0
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo : lo + batch_size]
-        docs = [ex.doc for ex in chunk]
-        mats = np.stack([ex.matrix for ex in chunk])
-        ps, pw, _ = model.forward(docs, mats)
+        ps, pw, _ = model.forward(*_week_table(chunk))
         pred_s = ps.argmax(axis=1)
         pred_w = pw.argmax(axis=1)
         for i, ex in enumerate(chunk):

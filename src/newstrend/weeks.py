@@ -6,8 +6,10 @@ assignment, and weekday autocorrelation.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -254,13 +256,18 @@ def attach_news(weeks: Sequence[TradingWeek], records: Iterable[NewsRecord]) -> 
     records outside every week stay unassigned.
     """
     ordered = sorted(weeks, key=lambda w: w.anchor)
+    anchors = [w.anchor for w in ordered]
+    # earliest prev_anchor from each position on: weeks from i on end on or
+    # after the day, so one of them holds it only if this floor is before it
+    floor = list(accumulate(reversed([w.prev_anchor for w in ordered]), min))[::-1]
     ids: list[list[str]] = [[] for _ in ordered]
     for record in records:
         day = record.published.date()
-        for i, week in enumerate(ordered):
-            if week.prev_anchor < day <= week.anchor:
-                ids[i].append(record.id)
-                break
+        i = bisect_left(anchors, day)
+        if i < len(ordered) and floor[i] < day:
+            while not ordered[i].prev_anchor < day:
+                i += 1
+            ids[i].append(record.id)
     return [replace(w, news_ids=tuple(chunk)) for w, chunk in zip(ordered, ids)]
 
 

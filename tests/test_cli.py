@@ -151,6 +151,17 @@ class TestErrors:
         wd = tmp_path / "w"
         assert run(["synth", "--workdir", wd, "--set", "nonsense.key=1"]) == 1
 
+    @pytest.mark.parametrize("override, key", [
+        ("extractor.encoder=bert", "extractor.encoder"),
+        ("summarizer.features=fancy", "summarizer.features"),
+        ("summarizer.target_offset=0", "summarizer.target_offset"),
+    ])
+    def test_bad_config_value_exits_one_when_loaded(self, tmp_path, capsys, override, key):
+        wd = tmp_path / "w"
+        assert run(["synth", "--workdir", wd, "--set", override]) == 1
+        assert key in capsys.readouterr().err
+        assert not (wd / "news.jsonl").exists()
+
     def test_vocab_larger_than_corpus_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, **{"polarity.vocab_size": 50_000})
         wd = tmp_path / "w"
@@ -180,6 +191,17 @@ class TestErrors:
         (wd / ".lock").write_text("12345")
         assert run(["synth", "--workdir", wd, "--config", config]) == 1
         assert run(["synth", "--workdir", wd, "--config", config, "--force"]) == 0
+        assert not (wd / ".lock").exists()
+
+    def test_lock_taken_by_another_process_survives_exit(self, tmp_path):
+        from newstrend.artifacts import workdir_lock
+
+        with workdir_lock(tmp_path):
+            (tmp_path / ".lock").write_text("12345")
+        assert (tmp_path / ".lock").read_text() == "12345"
+        with workdir_lock(tmp_path, force=True):
+            (tmp_path / ".lock").write_text("67890")
+        assert (tmp_path / ".lock").read_text() == "67890"
 
     def test_numeric_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         from newstrend import cli

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,8 +10,8 @@ from newstrend.errors import DataError
 from newstrend.extractor import (
     ExtractorModel, ReferenceEncoder, TrainSettings, TrainingExample,
     gradient_check, load_extractor, multitask_loss, pot_attention,
-    save_extractor, select_extractor_weeks, sentiment_score, split_dev_weeks,
-    train_extractor,
+    save_extractor, select_extractor_weeks, sentiment_score, softmax,
+    split_dev_weeks, train_extractor,
 )
 
 from conftest import make_doc
@@ -31,6 +32,78 @@ def tiny_example(model, rng, worthiness=None, sentiment=1):
     matrix = rng.normal(0.0, 0.02, size=(v, n_lags))
     return TrainingExample(doc=doc, matrix=matrix, week=date(2020, 1, 6),
                            sentiment=sentiment, worthiness=worthiness)
+
+
+def randomize(model, rng):
+    """Nonzero heads, attention gate and scaler, so every block gets gradient."""
+    for name in ("att_v", "senti_w", "senti_b", "worth_w", "worth_b", "dense_b"):
+        model.params[name] = rng.normal(0, 0.5, size=model.params[name].shape)
+    model.pot_mu = rng.normal(0, 0.1, size=len(model.vocab))
+    model.pot_sigma = rng.uniform(0.5, 2.0, size=len(model.vocab))
+
+
+def reference_forward(model, docs, mats):
+    """Per-article forward: per-document encoder loop, one attention per row
+    through einsum. Kept as an independent reference for the batched code."""
+    p, enc = model.params, model.encoder
+    ids = [np.array([enc.index.get(t, 0) for t in d.tokens], dtype=np.int64) for d in docs]
+    xbar = np.zeros((len(docs), enc.emb_dim))
+    for i, row in enumerate(ids):
+        if len(row):
+            xbar[i] = p["enc.emb"][row].sum(axis=0) / np.sqrt(len(row))
+    vcls = np.tanh(xbar @ p["enc.w"] + p["enc.b"])
+    t = np.tanh(np.einsum("uv,bvl->bul", p["att_w"], mats))
+    a = softmax(np.einsum("v,bvl->bl", p["att_v"], t), axis=1)
+    vpot = (np.einsum("bvl,bl->bv", mats, a) - model.pot_mu) / model.pot_sigma
+    u = np.concatenate([vcls, vpot], axis=1)
+    q = u @ p["dense_w"] + p["dense_b"]
+    r = np.maximum(q, 0.0)
+    ps = softmax(r @ p["senti_w"] + p["senti_b"], axis=1)
+    pw = softmax(r @ p["worth_w"] + p["worth_b"], axis=1)
+    return ps, pw, {"ids": ids, "xbar": xbar, "vcls": vcls, "t": t, "a": a,
+                    "u": u, "q": q, "r": r}
+
+
+def reference_loss_and_grads(model, batch):
+    p, n = model.params, len(batch)
+    mats = np.stack([ex.matrix for ex in batch])
+    ps, pw, c = reference_forward(model, [ex.doc for ex in batch], mats)
+    loss = sum(multitask_loss(ps[i], pw[i], ex.sentiment, ex.worthiness, model.lam)[0]
+               for i, ex in enumerate(batch)) / n
+    ys, yw = np.zeros_like(ps), np.zeros_like(pw)
+    cs, cw = np.empty(n), np.zeros(n)
+    for i, ex in enumerate(batch):
+        ys[i, ex.sentiment] = 1.0
+        if ex.worthiness is None:
+            cs[i] = 1.0
+        else:
+            cs[i] = model.lam
+            yw[i, ex.worthiness] = 1.0
+            cw[i] = 1.0 - model.lam
+    dls = (ps - ys) * cs[:, None] / n
+    dlw = (pw - yw) * cw[:, None] / n
+    g = {"senti_w": c["r"].T @ dls, "senti_b": dls.sum(axis=0),
+         "worth_w": c["r"].T @ dlw, "worth_b": dlw.sum(axis=0)}
+    dq = (dls @ p["senti_w"].T + dlw @ p["worth_w"].T) * (c["q"] > 0.0)
+    g["dense_w"] = c["u"].T @ dq
+    g["dense_b"] = dq.sum(axis=0)
+    du = dq @ p["dense_w"].T
+    d = model.encoder.dim
+    dvpot_raw = du[:, d:] / model.pot_sigma
+    t, a = c["t"], c["a"]
+    da = np.einsum("bvl,bv->bl", mats, dvpot_raw)
+    ds = a * (da - (a * da).sum(axis=1, keepdims=True))
+    g["att_v"] = np.einsum("bvl,bl->v", t, ds)
+    dz = np.einsum("v,bl->bvl", p["att_v"], ds) * (1.0 - t * t)
+    g["att_w"] = np.einsum("bul,bvl->uv", dz, mats)
+    dpre = du[:, :d] * (1.0 - c["vcls"] ** 2)
+    dxbar = dpre @ p["enc.w"].T
+    demb = np.zeros_like(p["enc.emb"])
+    for i, row in enumerate(c["ids"]):
+        if len(row):
+            np.add.at(demb, row, dxbar[i] / np.sqrt(len(row)))
+    g.update({"enc.emb": demb, "enc.w": c["xbar"].T @ dpre, "enc.b": dpre.sum(axis=0)})
+    return loss, g
 
 
 class TestAttention:
@@ -61,6 +134,18 @@ class TestAttention:
             pot_attention(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             pot_attention(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(2))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(2, 3, 5, 4))
+        att_w, att_v = rng.normal(size=(5, 5)), rng.normal(size=5)
+        a, vpot = pot_attention(stack, att_w, att_v)
+        assert a.shape == (2, 3, 4) and vpot.shape == (2, 3, 5)
+        for i in range(2):
+            for j in range(3):
+                a1, v1 = pot_attention(stack[i, j], att_w, att_v)
+                assert np.allclose(a[i, j], a1, atol=1e-14)
+                assert np.allclose(vpot[i, j], v1, atol=1e-14)
 
     def test_weights_form_simplex_on_random_inputs(self):
         rng = np.random.default_rng(7)
@@ -121,6 +206,50 @@ class TestForward:
         want_pw = np.exp(lw - lw.max()); want_pw /= want_pw.sum()
         assert np.allclose(ps[0], want_ps, atol=1e-12)
         assert np.allclose(pw[0], want_pw, atol=1e-12)
+
+    def test_week_table_matches_per_article_reference(self):
+        # B=32 rows over 7 week matrices; rows of a week share one object
+        vocab = Vocabulary(words=tuple(f"v{i}" for i in range(16)))
+        encoder = ReferenceEncoder([f"t{i}" for i in range(30)], dim=8, emb_dim=8)
+        model = ExtractorModel(vocab=vocab, encoder=encoder, n_lags=4, hidden=24,
+                               lam=0.5, seed=4)
+        rng = np.random.default_rng(31)
+        randomize(model, rng)
+        table = rng.normal(0, 0.5, size=(7, 16, 4))
+        matrices = list(table)  # one object per week, shared by its rows
+        week = rng.integers(0, 7, size=32)
+        batch = [
+            TrainingExample(
+                doc=make_doc(f"d{i}", [f"t{j}" for j in rng.integers(34, size=rng.integers(12))]),
+                matrix=matrices[w], week=date(2020, 1, 6) + timedelta(days=7 * int(w)),
+                sentiment=int(rng.integers(0, 2)),
+                worthiness=[None, 0, 1][int(rng.integers(0, 3))],
+            )
+            for i, w in enumerate(week)
+        ]
+        docs = [ex.doc for ex in batch]
+        want_ps, want_pw, _ = reference_forward(model, docs, table[week])
+        for ps, pw, _ in (model.forward(docs, table, week), model.forward(docs, table[week])):
+            assert np.abs(ps - want_ps).max() < 1e-12
+            assert np.abs(pw - want_pw).max() < 1e-12
+        loss, grads = model.loss_and_grads(batch)
+        assert model._loss_forward(batch)[1]["a"].shape == (len(set(week.tolist())), 4)
+        want_loss, want_grads = reference_loss_and_grads(model, batch)
+        assert abs(loss - want_loss) < 1e-12
+        assert set(grads) == set(want_grads) == set(model.params)
+        for name, g in grads.items():
+            assert g.shape == model.params[name].shape
+            assert np.abs(g - want_grads[name]).max() < 1e-12, name
+
+    def test_batch_pools_each_distinct_matrix_once(self):
+        model = tiny_model()
+        rng = np.random.default_rng(5)
+        shared = tiny_example(model, rng).matrix
+        exs = [tiny_example(model, rng) for _ in range(3)]
+        batch = [replace(exs[0], matrix=shared), exs[1], replace(exs[2], matrix=shared)]
+        _, cache, _ = model._loss_forward(batch)
+        assert cache["a"].shape == (2, model.n_lags)
+        assert cache["week"].tolist() == [0, 1, 0]
 
     def test_empty_document_encodes(self):
         model = tiny_model()
@@ -200,6 +329,26 @@ class TestGradientCheck:
         model = tiny_model(seed=1)
         ex = tiny_example(model, np.random.default_rng(2), worthiness=1)
         assert gradient_check(model, ex, corrupt_block="att_w") > 1e-2
+
+    def test_mixed_batch_with_a_shared_week(self):
+        # two examples share one matrix object, two have their own; labeled and
+        # unlabeled worthiness, both sentiments
+        model = tiny_model(seed=6)
+        rng = np.random.default_rng(40)
+        randomize(model, rng)
+        shared = rng.normal(0, 0.5, size=(6, 3))
+        exs = [tiny_example(model, rng) for _ in range(4)]
+        batch = [
+            replace(exs[0], matrix=shared, sentiment=1, worthiness=None),
+            replace(exs[1], matrix=rng.normal(0, 0.5, size=(6, 3)), sentiment=0, worthiness=1),
+            replace(exs[2], matrix=shared, sentiment=0, worthiness=0),
+            replace(exs[3], sentiment=1, worthiness=None),
+        ]
+        worst, errors = gradient_check(model, batch, detail=True)
+        assert worst < 1e-4, errors
+        _, grads = model.loss_and_grads(batch)
+        assert all(np.any(grads[name] != 0.0) for name in ("att_w", "att_v", "enc.emb"))
+        assert gradient_check(model, batch, corrupt_block="att_w") > 1e-2
 
     def test_unknown_block_rejected(self):
         model = tiny_model()

@@ -1,5 +1,6 @@
-from datetime import date
+from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,37 @@ class TestAttachNews:
         assigned = [rid for w in out for rid in w.news_ids]
         assert len(assigned) == len(set(assigned))
         assert set(assigned) == {f"r{i}" for i in range(13)}
+
+
+    def test_matches_linear_rule_on_random_calendars(self):
+        # gaps, overlaps, empty spans and shared anchors, plus records
+        # before, between and after the weeks
+        rng = np.random.default_rng(17)
+        base = date(2020, 1, 6)
+        for _ in range(300):
+            weeks = []
+            for _ in range(int(rng.integers(1, 12))):
+                anchor = base + timedelta(days=int(rng.integers(0, 120)))
+                prev = anchor - timedelta(days=int(rng.integers(-3, 15)))
+                weeks.append(TradingWeek(anchor=anchor, prev_anchor=prev, pct_change=0.0))
+            records = [
+                make_record(rec_id=f"r{j}", published=(
+                    base + timedelta(days=int(rng.integers(-20, 140)))
+                ).strftime("%Y-%m-%dT10:00:00Z"))
+                for j in range(40)
+            ]
+            ordered = sorted(weeks, key=lambda w: w.anchor)
+            want = [[] for _ in ordered]
+            for rec in records:
+                day = rec.published.date()
+                for i, w in enumerate(ordered):
+                    if w.prev_anchor < day <= w.anchor:
+                        want[i].append(rec.id)
+                        break
+            got = attach_news(weeks, records)
+            assert [w.anchor for w in got] == [w.anchor for w in ordered]
+            assert [w.prev_anchor for w in got] == [w.prev_anchor for w in ordered]
+            assert [w.news_ids for w in got] == [tuple(ids) for ids in want]
 
 
 class TestAutocorrelation:
