@@ -9,32 +9,20 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 VERSION = "0.1.0"
 
-# artifact name -> the stage that produces it (for actionable errors)
-PRODUCERS = {
-    "news.jsonl": "synth (or point paths.news at your own file)",
-    "prices.csv": "synth (or point paths.prices at your own file)",
-    "corpus.jsonl": "ingest",
-    "rejects.csv": "ingest",
-    "weeks.csv": "label",
-    "pot": "pot",
-    "vocab.json": "pot",
-    "extractor.model": "train-extractor",
-    "weekly_sentiment.csv": "score",
-    "weekly_features.csv": "score",
-    "summarizer.model": "train-summarizer",
-    "report.txt": "evaluate",
-}
-
 
 def sha256_file(path: str | Path) -> str:
+    """Digest of a file, or of a directory's files read in name order."""
+    path = Path(path)
+    files = sorted(p for p in path.iterdir() if p.is_file()) if path.is_dir() else [path]
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    for file in files:
+        with open(file, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 
@@ -43,14 +31,15 @@ def manifest_path(artifact: Path) -> Path:
 
 
 def write_manifest(
-    artifact: Path, command: str, config_flat: Mapping, inputs: Mapping[str, Path]
+    artifact: Path, command: str, config_flat: Mapping, inputs: Mapping[str, str]
 ) -> None:
+    """`inputs` maps each input's name to its sha256 digest."""
     payload = {
         "artifact": artifact.name,
         "command": command,
         "version": VERSION,
         "config": {k: v for k, v in sorted(config_flat.items())},
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": dict(sorted(inputs.items())),
     }
     manifest_path(artifact).write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
@@ -61,7 +50,10 @@ def read_manifest(artifact: Path) -> dict | None:
     path = manifest_path(artifact)
     if not path.exists():
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"manifest {path} is unreadable: {exc}") from None
 
 
 def config_drift(artifact: Path, config_flat: Mapping) -> list[str]:

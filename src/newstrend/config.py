@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import typing
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 from .errors import ConfigError
@@ -61,13 +64,12 @@ class PolarityConfig:
 
 @dataclass
 class ExtractorConfig:
-    encoder: str = "reference"
     dim: int = 64
     emb_dim: int = 64
     encoder_vocab: int = 5000
     hidden: int = 512
     lam: float = 0.5
-    lr: float | None = None        # None = auto: 1e-3 reference encoder, 2e-5 otherwise
+    lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 8
     seed: int = 0
@@ -136,11 +138,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(obj, field_name, value)
 
-    def effective_lr(self) -> float:
-        if self.extractor.lr is not None:
-            return self.extractor.lr
-        return 1e-3 if self.extractor.encoder == "reference" else 2e-5
-
 
 def load_config(path: str | Path | None, overrides: list[str] | None = None) -> PipelineConfig:
     """Defaults, then the JSON file of dotted keys, then key=value overrides."""
@@ -169,19 +166,49 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
     return config
 
 
+def _accepts(hint, value) -> bool:
+    """Whether `value` fits a field annotation; an int fits a float field."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_accepts(item, v) for v in value)
+    if typing.get_args(hint):  # a union such as `int | None`
+        return any(_accepts(h, value) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _validate(config: PipelineConfig) -> None:
-    """Reject values the pipeline would otherwise ignore or misuse."""
-    if config.extractor.encoder != "reference":
+    """Reject values the pipeline would otherwise ignore, misuse or crash on."""
+    for section in dataclasses.fields(config):
+        obj = getattr(config, section.name)
+        hints = typing.get_type_hints(type(obj))
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if not _accepts(hints[f.name], value):
+                raise ConfigError(f"{section.name}.{f.name} must be {f.type}, got {value!r}")
+    bad = [r for r in config.corpus.proxy_rules if not re.fullmatch(r"[^:]+:[01]:[0-9]+", r)]
+    if bad:
         raise ConfigError(
-            f"extractor.encoder must be 'reference' (the only encoder built in), "
-            f"got {config.extractor.encoder!r}"
+            f"corpus.proxy_rules entries {bad} must look like category:label:cap "
+            f"with label 0 or 1 and a non-negative integer cap"
         )
+    try:
+        date.fromisoformat(config.synth.start)
+    except ValueError:
+        raise ConfigError(
+            f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"
+        ) from None
     if config.summarizer.features not in ("scalar", "extended"):
         raise ConfigError(
             f"summarizer.features must be 'scalar' or 'extended', "
             f"got {config.summarizer.features!r}"
         )
-    if not isinstance(config.summarizer.target_offset, int) or config.summarizer.target_offset < 1:
+    if config.summarizer.target_offset < 1:
         raise ConfigError(
             f"summarizer.target_offset must be an integer >= 1 (at 0 the lag-0 "
             f"polarity column sees the target week's own class), "

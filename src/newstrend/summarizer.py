@@ -228,14 +228,16 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
 
 
 def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
+    # reprs read back bit for bit, so the extended features survive the file
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["anchor", "n_sampled", "overall_score", "true_class", "predicted_class"])
+        writer.writerow(["anchor", "n_sampled", "overall_score", "true_class",
+                         "score_std", "frac_positive", "worthiness_mean"])
         for row in rows:
-            # predicted_class stays empty: evaluate writes predictions to report.csv
             writer.writerow(
                 [row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
-                 row.label, ""]
+                 row.label, repr(row.score_std), repr(row.frac_positive),
+                 "" if row.worthiness_mean is None else repr(row.worthiness_mean)]
             )
 
 
@@ -246,14 +248,23 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
     except OSError as exc:
         raise DataError(f"cannot read weekly sentiment file {path}: {exc}")
     rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(
-            WeeklySentiment(
-                week=date.fromisoformat(rec["anchor"]),
-                n_sampled=int(rec["n_sampled"]),
-                overall_score=float(rec["overall_score"]),
-                label=rec["true_class"],
-                sampled_ids=(),
+    for n, rec in enumerate(csv.DictReader(text.splitlines()), start=2):
+        try:
+            worth = rec["worthiness_mean"]
+            rows.append(
+                WeeklySentiment(
+                    week=date.fromisoformat(rec["anchor"]),
+                    n_sampled=int(rec["n_sampled"]),
+                    overall_score=float(rec["overall_score"]),
+                    label=rec["true_class"],
+                    sampled_ids=(),
+                    score_std=float(rec["score_std"]),
+                    frac_positive=float(rec["frac_positive"]),
+                    worthiness_mean=float(worth) if worth else None,
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"weekly sentiment file {path} line {n}: bad or missing field {exc}"
+            ) from None
     return rows

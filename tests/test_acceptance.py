@@ -27,7 +27,7 @@ from newstrend.weeks import (
     monday_anchors, three_way_policy, weekday_autocorrelation, weekly_changes,
 )
 
-from test_extractor import tiny_example, tiny_model
+from test_extractor import randomize, tiny_example, tiny_model, zero_gradient_blocks
 from test_polarity import oracle_polarity, window_scores
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -149,10 +149,13 @@ def test_01_polarity_score_matches_independent_oracle():
 def test_02_gradient_check_and_mutation():
     start = time.perf_counter()
     worst = 0.0
+    silent = []
     for seed in range(10):
         model = tiny_model(seed=seed)
         rng = np.random.default_rng(100 + seed)
+        randomize(model, rng)
         ex = tiny_example(model, rng, worthiness=[None, 0, 1][seed % 3], sentiment=seed % 2)
+        silent += zero_gradient_blocks(model, ex)
         worst = max(worst, gradient_check(model, ex))
     model = tiny_model(seed=1)
     ex = tiny_example(model, np.random.default_rng(2), worthiness=1)
@@ -160,8 +163,9 @@ def test_02_gradient_check_and_mutation():
     elapsed = time.perf_counter() - start
     _report(
         "2. gradient correctness + mutation detection",
-        worst < 1e-4 and corrupted > 1e-2 and elapsed < 30.0,
-        f"max rel err {worst:.2e}, corrupted {corrupted:.2e}, {elapsed:.1f}s",
+        worst < 1e-4 and corrupted > 1e-2 and not silent and elapsed < 30.0,
+        f"max rel err {worst:.2e}, corrupted {corrupted:.2e}, "
+        f"zero-gradient blocks {silent or 'none'}, {elapsed:.1f}s",
     )
 
 

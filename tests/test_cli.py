@@ -61,6 +61,22 @@ class TestFullPipeline:
         assert manifest["config"]["polarity.vocab_size"] == 24
         assert set(manifest["inputs"]) == {"prices", "corpus"}
 
+    def test_score_manifest_hashes_every_input(self, tmp_path):
+        from newstrend.artifacts import sha256_file
+
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=STAGES[:5])
+        manifest = json.loads((wd / "weekly_sentiment.csv.manifest.json").read_text())
+        assert manifest["command"] == "score"
+        assert manifest["inputs"] == {
+            "corpus": sha256_file(wd / "corpus.jsonl"),
+            "weeks": sha256_file(wd / "weeks.csv"),
+            "pot": sha256_file(wd / "pot"),
+            "vocab": sha256_file(wd / "vocab.json"),
+            "extractor": sha256_file(wd / "extractor.model"),
+        }
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         wd = tmp_path / "w"
@@ -96,9 +112,10 @@ class TestExtendedFeatures:
         config = write_config(tmp_path, **{"summarizer.features": "extended"})
         wd = tmp_path / "w"
         run_pipeline(wd, config)
-        feats = (wd / "weekly_features.csv").read_text().splitlines()
-        assert feats[0] == "anchor,overall_score,score_std,frac_positive,worthiness_mean"
-        assert len(feats) > 10
+        lines = (wd / "weekly_sentiment.csv").read_text().splitlines()
+        assert lines[0].split(",")[-3:] == ["score_std", "frac_positive", "worthiness_mean"]
+        assert len(lines) > 10
+        assert not (wd / "weekly_features.csv").exists()
         model = json.loads((wd / "summarizer.model").read_text())
         assert model["feature_spec"] == "extended"
         assert len(model["weights"][0]) == 4
@@ -131,6 +148,26 @@ class TestPotCommand:
             anchor = row.split(",")[0]
             assert "2015-02-01" <= anchor <= "2015-06-30"
 
+    def test_bad_month_exits_one_before_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label"])
+        assert run(["pot", "--workdir", wd, "--config", config, "--word", "plunge",
+                    "--from", "2015-13"]) == 1
+        assert "--from" in capsys.readouterr().err
+        assert not (wd / "pot").exists() and not (wd / "vocab.json").exists()
+
+    def test_pot_ranks_only_the_extractor_training_weeks(self, tmp_path):
+        # at synth seed 1 the extractor selection picks the last labeled week,
+        # which has no news; it must not shift the train/dev split pot ranks on
+        from newstrend.extractor import load_extractor
+
+        config = write_config(tmp_path, **{"synth.seed": 1})
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label", "pot", "train-extractor"])
+        vocab = json.loads((wd / "vocab.json").read_text())
+        assert vocab["n_train_weeks"] == len(load_extractor(wd / "extractor.model").train_weeks)
+
 
 class TestErrors:
     def test_missing_upstream_names_stage(self, tmp_path, capsys):
@@ -144,6 +181,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "weeks.csv" in err and "label" in err
 
+    @pytest.mark.parametrize("stage, missing, producer", [
+        ("ingest", "news.jsonl", "synth"),
+        ("label", "corpus.jsonl", "ingest"),
+        ("pot", "corpus.jsonl", "ingest"),
+        ("train-extractor", "corpus.jsonl", "ingest"),
+        ("score", "corpus.jsonl", "ingest"),
+        ("train-summarizer", "weekly_sentiment.csv", "score"),
+        ("evaluate", "weekly_sentiment.csv", "score"),
+    ])
+    def test_missing_input_exits_two_naming_it_and_its_stage(self, tmp_path, capsys,
+                                                             stage, missing, producer):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        wd.mkdir()
+        if stage != "ingest":
+            assert run(["synth", "--workdir", wd, "--config", config]) == 0
+        capsys.readouterr()
+        assert run([stage, "--workdir", wd, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert repr(missing) in err and f"`{producer}`" in err
+        assert not (wd / ".lock").exists()
+
     def test_usage_error_exits_one(self, tmp_path, capsys):
         assert run(["no-such-command"]) == 1
 
@@ -155,6 +214,9 @@ class TestErrors:
         ("extractor.encoder=bert", "extractor.encoder"),
         ("summarizer.features=fancy", "summarizer.features"),
         ("summarizer.target_offset=0", "summarizer.target_offset"),
+        ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
+        ("synth.start=notadate", "synth.start"),
+        ("synth.weeks=abc", "synth.weeks"),
     ])
     def test_bad_config_value_exits_one_when_loaded(self, tmp_path, capsys, override, key):
         wd = tmp_path / "w"
@@ -184,6 +246,14 @@ class TestErrors:
                     "--set", "polarity.vocab_size=16", "--allow-config-drift"]) == 0
         assert "warning: config differs" not in capsys.readouterr().err
 
+    def test_corrupt_input_manifest_exits_two_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest"])
+        (wd / "corpus.jsonl.manifest.json").write_text("{broken")
+        assert run(["label", "--workdir", wd, "--config", config]) == 2
+        assert "corpus.jsonl.manifest.json" in capsys.readouterr().err
+
     def test_lock_blocks_second_writer(self, tmp_path, capsys):
         config = write_config(tmp_path)
         wd = tmp_path / "w"
@@ -207,10 +277,10 @@ class TestErrors:
         from newstrend import cli
         from newstrend.errors import NumericError
 
-        def explode(args):
+        def explode(config, workdir, args):
             raise NumericError("training diverged: loss=nan")
 
-        monkeypatch.setitem(cli.HANDLERS, "evaluate", explode)
+        monkeypatch.setitem(cli.STAGES, "evaluate", cli.Stage(explode))
         assert run(["evaluate", "--workdir", tmp_path]) == 3
         assert "diverged" in capsys.readouterr().err
 
@@ -236,6 +306,11 @@ def _truncate_model(wd):
     return "extractor.model"
 
 
+def _garble_vocab(wd):
+    (wd / "vocab.json").write_text("{not json")
+    return "vocab.json"
+
+
 def _rename_vocab_word(wd):
     path = wd / "extractor.model"
     magic, size, rest = path.read_bytes().split(b"\n", 2)
@@ -247,7 +322,8 @@ def _rename_vocab_word(wd):
 
 
 class TestCorruptArtifacts:
-    @pytest.mark.parametrize("corrupt", [_garble_pot_line, _truncate_model, _rename_vocab_word])
+    @pytest.mark.parametrize("corrupt", [_garble_pot_line, _truncate_model, _rename_vocab_word,
+                                         _garble_vocab])
     def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  corrupt):
         source, config = trained_workdir

@@ -20,12 +20,8 @@ class TestDefaults:
         assert config.labels.policy == "three_way"
 
     def test_learning_rate_auto(self):
-        config = PipelineConfig()
-        assert config.effective_lr() == 1e-3        # shallow reference encoder
-        config.extractor.encoder = "external"
-        assert config.effective_lr() == 2e-5        # deep-encoder default
-        config.extractor.lr = 7e-4
-        assert config.effective_lr() == 7e-4
+        assert PipelineConfig().extractor.lr == 1e-3     # reference encoder default
+        assert load_config(None, ["extractor.lr=7e-4"]).extractor.lr == 7e-4
 
 
 class TestFlatKeys:

@@ -42,6 +42,13 @@ def randomize(model, rng):
     model.pot_sigma = rng.uniform(0.5, 2.0, size=len(model.vocab))
 
 
+def zero_gradient_blocks(model, ex):
+    """Gradient blocks that are exactly zero, apart from a masked worthiness head."""
+    _, grads = model.loss_and_grads([ex])
+    return [name for name, g in grads.items()
+            if not np.any(g) and not (ex.worthiness is None and name.startswith("worth_"))]
+
+
 def reference_forward(model, docs, mats):
     """Per-article forward: per-document encoder loop, one attention per row
     through einsum. Kept as an independent reference for the batched code."""
@@ -319,8 +326,10 @@ class TestGradientCheck:
         for seed in range(4):
             model = tiny_model(seed=seed)
             rng = np.random.default_rng(100 + seed)
+            randomize(model, rng)
             worth = [None, 0, 1][seed % 3]
             ex = tiny_example(model, rng, worthiness=worth, sentiment=seed % 2)
+            assert zero_gradient_blocks(model, ex) == [], seed
             err = gradient_check(model, ex)
             worst = max(worst, err)
         assert worst < 1e-4

@@ -9,7 +9,8 @@ from newstrend.errors import DataError
 from newstrend.summarizer import (
     SummarizerModel, SummarizerSettings, WeeklySentiment,
     build_summarizer_dataset, features_of, load_summarizer, predict_week,
-    save_summarizer, train_summarizer,
+    read_weekly_sentiment_csv, save_summarizer, train_summarizer,
+    write_weekly_sentiment_csv,
 )
 from newstrend.weeks import TradingWeek, WeeklyLabel
 
@@ -273,3 +274,26 @@ class TestSerialization:
         model = train_summarizer(rows, SummarizerSettings(train_weeks=20))
         save_summarizer(model, tmp_path / "a"); save_summarizer(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_weekly_sentiment_csv_keeps_extended_features_exactly(self, tmp_path):
+        rows = [
+            WeeklySentiment(week=MONDAY, n_sampled=3, overall_score=0.25, label="up",
+                            sampled_ids=("a", "b", "c"), score_std=0.1 / 3,
+                            frac_positive=1 / 3, worthiness_mean=2 / 3),
+            WeeklySentiment(week=MONDAY + timedelta(days=7), n_sampled=1,
+                            overall_score=0.75, label="down", sampled_ids=("d",)),
+        ]
+        path = tmp_path / "weekly_sentiment.csv"
+        write_weekly_sentiment_csv(rows, path)
+        loaded = read_weekly_sentiment_csv(path)
+        for spec in ("scalar", "extended"):
+            for got, want in zip(loaded, rows):
+                assert np.array_equal(features_of(got, spec), features_of(want, spec))
+        assert loaded[1].worthiness_mean is None
+
+    def test_weekly_sentiment_csv_without_feature_columns_is_data_error(self, tmp_path):
+        path = tmp_path / "weekly_sentiment.csv"
+        path.write_text("anchor,n_sampled,overall_score,true_class,predicted_class\n"
+                        "2020-01-06,3,0.2500000000,up,\n")
+        with pytest.raises(DataError, match="line 2"):
+            read_weekly_sentiment_csv(path)
