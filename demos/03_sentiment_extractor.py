@@ -7,9 +7,10 @@ finite-difference gradient check, and scoring of unseen articles.
 Run:  python3 demos/03_sentiment_extractor.py
 """
 
+from newstrend.config import ExtractorConfig
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.extractor import (
-    TrainSettings, TrainingExample, gradient_check, sentiment_score,
+    TrainingExample, gradient_check, sentiment_score, split_dev_weeks,
     train_extractor,
 )
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
@@ -61,8 +62,9 @@ def main():
     print("=" * 64)
     print("2. training (Adam, whole-week dev holdout, masked multitask loss)")
     print("=" * 64)
-    train_settings = TrainSettings(dim=32, emb_dim=32, hidden=64, epochs=8, seed=0)
-    trained = train_extractor(examples, train_settings, vocab)
+    config = ExtractorConfig(dim=32, emb_dim=32, hidden=64, epochs=8, seed=0)
+    _, dev_weeks = split_dev_weeks([e.week for e in examples], config.dev_fraction, config.seed)
+    trained = train_extractor(examples, config, vocab, dev_weeks)
     for row in trained.history:
         worth = "-" if row["dev_acc_worth"] is None else f"{row['dev_acc_worth']:.3f}"
         print(f"  epoch {row['epoch']:2d}  loss {row['train_loss']:.4f}  "

@@ -26,18 +26,17 @@ import numpy as np
 from . import artifacts, polarity, synth
 from .config import PipelineConfig, load_config
 from .corpus import (
-    FilterRules, ProxyRule, assign_worthiness_proxy, build_vocabulary,
-    Vocabulary, clean_filter, ingest_news, tokenize, write_news_jsonl,
-    write_rejects_csv,
+    ProxyRule, assign_worthiness_proxy, build_vocabulary, Vocabulary,
+    clean_filter, ingest_news, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .extractor import (
-    TrainSettings, TrainingExample, load_extractor, save_extractor,
-    select_extractor_weeks, split_dev_weeks, train_extractor, write_train_log,
+    TrainingExample, load_extractor, save_extractor, select_extractor_weeks,
+    split_dev_weeks, train_extractor, write_train_log,
 )
 from .metrics import pearson, report, write_report_csv, write_report_text
 from .summarizer import (
-    SummarizerSettings, build_summarizer_dataset, load_summarizer, predict_week,
+    build_summarizer_dataset, load_summarizer, predict_week,
     read_weekly_sentiment_csv, save_summarizer, train_summarizer,
     write_weekly_sentiment_csv,
 )
@@ -105,14 +104,6 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
         raise ConfigError(f"{flag} {value!r} must look like YYYY-MM or YYYY-MM-DD") from None
 
 
-def _proxy_rules(config: PipelineConfig) -> list[ProxyRule]:
-    # load_config has checked every rule's category:label:cap shape
-    return [
-        ProxyRule(category=cat, label=int(label), cap=int(cap))
-        for cat, label, cap in (item.split(":") for item in config.corpus.proxy_rules)
-    ]
-
-
 def _load_week_data(config: PipelineConfig, workdir: Path):
     """Corpus + weeks with news attached and documents tokenized."""
     records = ingest_news(workdir / "corpus.jsonl").records
@@ -135,8 +126,9 @@ def _extractor_split(config: PipelineConfig, labels):
     """Week selection shared by pot and train-extractor.
 
     Only weeks with a full lag history are eligible, and selected weeks
-    without news are dropped: they give no examples, so `train_extractor`
-    would split a different week set than the one pot ranks words on.
+    without news are dropped, since they give no examples. pot ranks words on
+    the train weeks and `train_extractor` holds out the dev weeks; this is the
+    one place that splits them.
     """
     eligible = labels[config.polarity.n_lags - 1:]
     with_news = {lab.week.anchor for lab in eligible if lab.week.news_ids}
@@ -171,13 +163,15 @@ def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
 
 def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
     result = ingest_news(_path(config, workdir, "news.jsonl"))
-    rules = FilterRules(
-        min_content_chars=config.corpus.min_content_chars,
-        max_content_chars=config.corpus.max_content_chars,
-        url_blocklist=tuple(config.corpus.url_blocklist),
-    )
-    cleaned = clean_filter(result.records, rules)
-    labeled = assign_worthiness_proxy(cleaned, _proxy_rules(config))
+    cleaned = clean_filter(result.records, config.corpus)
+    # one rule at a time, which labels exactly as all rules at once, to count each
+    labeled, per_rule = cleaned, []
+    for item in config.corpus.proxy_rules:  # shape checked by load_config
+        cat, label, cap = item.split(":")
+        before = labeled
+        labeled = assign_worthiness_proxy(before, [ProxyRule(cat, int(label), int(cap))])
+        n = sum(a.worthiness != b.worthiness for a, b in zip(before, labeled))
+        per_rule.append(f"{item}={n}")
     write_news_jsonl(labeled, workdir / "corpus.jsonl")
     write_rejects_csv(result.rejected, workdir / "rejects.csv")
     n_pos = sum(1 for r in labeled if r.worthiness == 1)
@@ -185,6 +179,7 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
     print(f"ingest: {result.total} lines, {result.parsed} parsed, "
           f"{len(result.rejected)} rejected, {len(cleaned)} after cleaning")
     print(f"ingest: worthiness labels: {n_pos} positive, {n_neg} negative")
+    print(f"ingest: records labeled per proxy rule: {', '.join(per_rule) or 'no rules'}")
 
 
 def run_label(config: PipelineConfig, workdir: Path, args) -> None:
@@ -265,19 +260,7 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
                     sentiment=senti, worthiness=records_by_id[rid].worthiness,
                 )
             )
-    settings = TrainSettings(
-        dim=config.extractor.dim,
-        emb_dim=config.extractor.emb_dim,
-        encoder_vocab=config.extractor.encoder_vocab,
-        hidden=config.extractor.hidden,
-        lam=config.extractor.lam,
-        lr=config.extractor.lr,
-        batch_size=config.extractor.batch_size,
-        epochs=config.extractor.epochs,
-        seed=config.extractor.seed,
-        dev_fraction=config.extractor.dev_fraction,
-    )
-    trained = train_extractor(examples, settings, vocab)
+    trained = train_extractor(examples, config.extractor, vocab, dev_w)
     save_extractor(trained, workdir / "extractor.model", config_echo=config.to_flat())
     write_train_log(trained.history, workdir / "train_log.csv")
     best = max(h["dev_acc_senti"] for h in trained.history)
@@ -319,15 +302,9 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
 
 def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
-    settings = SummarizerSettings(
-        train_weeks=config.summarizer.train_weeks,
-        c=config.summarizer.c,
-        epochs=config.summarizer.epochs,
-        feature_spec=config.summarizer.features,
-    )
-    model = train_summarizer(rows, settings)
+    model = train_summarizer(rows, config.summarizer)
     save_summarizer(model, workdir / "summarizer.model")
-    print(f"train-summarizer: {model.kind} on {settings.train_weeks} weeks, "
+    print(f"train-summarizer: {model.kind} on {config.summarizer.train_weeks} weeks, "
           f"classes {model.classes}")
 
 

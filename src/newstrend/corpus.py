@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .config import CorpusConfig
 from .errors import ConfigError, DataError
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -168,26 +169,20 @@ def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> 
         writer.writerows(rejected)
 
 
-@dataclass(frozen=True)
-class FilterRules:
-    min_content_chars: int = 200
-    max_content_chars: int = 20_000
-    url_blocklist: tuple[str, ...] = ()  # regex patterns matched against the url
-
-
-def clean_filter(records: Sequence[NewsRecord], rules: FilterRules) -> list[NewsRecord]:
-    """Drop bad records: too short/long content, blocklisted urls, duplicates.
+def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[NewsRecord]:
+    """Drop bad records: too short/long content, urls matching a
+    `url_blocklist` regex, duplicates.
 
     Duplicates are detected by id and by (title, published date); the first
     occurrence wins. Deterministic and idempotent.
     """
-    blocked = [re.compile(p) for p in rules.url_blocklist]
+    blocked = [re.compile(p) for p in config.url_blocklist]
     seen_ids: set[str] = set()
     seen_title_day: set[tuple[str, str]] = set()
     kept: list[NewsRecord] = []
     for record in records:
         n = len(record.content)
-        if n < rules.min_content_chars or n > rules.max_content_chars:
+        if n < config.min_content_chars or n > config.max_content_chars:
             continue
         if any(p.search(record.url) for p in blocked):
             continue
@@ -226,13 +221,9 @@ def assign_worthiness_proxy(
 
     Existing labels (manual annotation) are never overwritten. Rules apply in
     order; within a rule, records are labeled in corpus order until the cap.
+    A rule whose category no record carries labels nothing.
     """
-    known = set()
-    for record in records:
-        known.update(record.categories)
     for rule in rules:
-        if rule.category not in known:
-            raise ConfigError(f"proxy policy references unknown category {rule.category!r}")
         if rule.label not in (0, 1):
             raise ConfigError(f"proxy label for {rule.category!r} must be 0 or 1")
     out = list(records)

@@ -1,13 +1,13 @@
 """Per-article sentiment extractor.
 
-Architecture: a pluggable text encoder produces a dense article vector; the
+Architecture: a bag-of-words text encoder produces a dense article vector; the
 article's week gets a vocab-by-lag polarity matrix, pooled over lags by a
 small attention (softmax(v' tanh(W M)) weights, pooled vector M a); the
 standardized pooled polarity vector is concatenated with the encoder output,
 passed through one rectified dense layer, and read out by two softmax heads:
 sentiment (negative/positive) and worthiness (irrelevant/relevant). A batch
 runs the attention once per distinct week matrix, not per article, and the
-reference encoder is one bag-of-words matrix product.
+encoder is one bag-of-words matrix product.
 
 Training minimizes a masked multitask objective: for articles with a
 worthiness label, lam * CE_sentiment + (1 - lam) * CE_worthiness; for the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -32,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import ExtractorConfig
 from .corpus import TokenizedDoc, Vocabulary
 from .errors import DataError, NumericError
 from .weeks import WeeklyLabel
@@ -40,6 +40,10 @@ PROB_FLOOR = 1e-12
 
 MODEL_MAGIC = "newstrend-extractor 1"
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
@@ -47,37 +51,9 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-class Encoder(ABC):
-    """Text encoder contract: documents in, fixed-width vectors out.
-
-    Parameters live in the owning model's parameter dict (prefixed "enc."),
-    so a trainable encoder exposes init_params/backward; a frozen one returns
-    empty dicts and the training loop simply has nothing of its to update.
-    """
-
-    dim: int
-
-    @abstractmethod
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]: ...
-
-    @abstractmethod
-    def forward(
-        self, docs: Sequence[TokenizedDoc], params: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, object]:
-        """Returns (B x dim output, cache for backward)."""
-
-    @abstractmethod
-    def backward(
-        self, cache: object, d_out: np.ndarray, params: Mapping[str, np.ndarray]
-    ) -> dict[str, np.ndarray]: ...
-
-    @abstractmethod
-    def to_config(self) -> dict: ...
-
-
-class ReferenceEncoder(Encoder):
-    """Trainable averaged-embedding encoder: desk-scale stand-in for a large
-    pretrained model behind the same interface.
+class ReferenceEncoder:
+    """Trainable averaged-embedding encoder, the desk-scale stand-in for a
+    pretrained text model.
 
     Token embeddings are pooled as sum / sqrt(n) (scale stays independent of
     document length and comparable to the standardized polarity features;
@@ -139,12 +115,6 @@ class ReferenceEncoder(Encoder):
             "dim": self.dim,
             "emb_dim": self.emb_dim,
         }
-
-
-def encoder_from_config(cfg: Mapping) -> Encoder:
-    if cfg.get("kind") == "reference":
-        return ReferenceEncoder(cfg["vocab"], dim=cfg["dim"], emb_dim=cfg["emb_dim"])
-    raise DataError(f"unknown encoder kind {cfg.get('kind')!r}")
 
 
 def pot_attention(
@@ -217,7 +187,7 @@ class ExtractorModel:
     def __init__(
         self,
         vocab: Vocabulary,
-        encoder: Encoder,
+        encoder: ReferenceEncoder,
         n_lags: int,
         hidden: int,
         lam: float,
@@ -343,10 +313,6 @@ class ExtractorModel:
             grads[f"enc.{name}"] = g
         return loss, grads
 
-    def sentiment_probs(self, docs, matrices) -> np.ndarray:
-        ps, _, _ = self.forward(docs, matrices)
-        return ps
-
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
@@ -374,7 +340,7 @@ def _week_table(batch: Sequence[TrainingExample]):
 
 def sentiment_score(model: ExtractorModel, doc: TokenizedDoc, matrix: np.ndarray) -> float:
     """P(positive market sentiment) for one article, in [0, 1]."""
-    ps = model.sentiment_probs([doc], np.asarray(matrix)[None, :, :])
+    ps, _, _ = model.forward([doc], np.asarray(matrix)[None, :, :])
     return float(ps[0, 1])
 
 
@@ -420,23 +386,6 @@ def gradient_check(
         errors[name] = worst
     max_error = max(errors.values())
     return (max_error, errors) if detail else max_error
-
-
-@dataclass
-class TrainSettings:
-    dim: int = 64
-    emb_dim: int = 64
-    encoder_vocab: int = 5000
-    hidden: int = 512
-    lam: float = 0.5
-    lr: float = 1e-3            # desk-scale default for the reference encoder
-    batch_size: int = 32
-    epochs: int = 8
-    seed: int = 0
-    dev_fraction: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 @dataclass
@@ -499,42 +448,39 @@ def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], bat
             if ex.worthiness is not None:
                 n_w += 1
                 hits_w += int(pred_w[i] == ex.worthiness)
-    acc_s = hits_s / len(examples) if examples else float("nan")
     acc_w = hits_w / n_w if n_w else None
-    mean_loss = loss_sum / len(examples) if examples else float("inf")
-    return acc_s, acc_w, mean_loss
+    return hits_s / len(examples), acc_w, loss_sum / len(examples)
 
 
 def train_extractor(
     examples: Sequence[TrainingExample],
-    settings: TrainSettings,
+    config: ExtractorConfig,
     vocab: Vocabulary,
-    encoder: Encoder | None = None,
+    dev_weeks: Sequence[date],
 ) -> TrainedExtractor:
-    """Mini-batch Adam training with whole-week dev holdout.
+    """Mini-batch Adam training with the caller's whole-week dev holdout.
 
     `vocab` is the polarity vocabulary the example matrices were built
-    against (rows of each matrix). Deterministic under a fixed seed and
-    fixed example order; the returned model carries the parameters of the
-    best dev-accuracy epoch.
+    against (rows of each matrix). Examples from `dev_weeks` only select the
+    best epoch; every other example trains. Deterministic under a fixed seed
+    and fixed example order; the returned model carries the parameters of
+    the best dev-accuracy epoch.
     """
     if not examples:
         raise DataError("no training examples")
-    train_weeks, dev_weeks = split_dev_weeks(
-        [ex.week for ex in examples], settings.dev_fraction, settings.seed
-    )
     dev_set = set(dev_weeks)
+    dev_weeks = tuple(sorted(dev_set))
     train_ex = [ex for ex in examples if ex.week not in dev_set]
     dev_ex = [ex for ex in examples if ex.week in dev_set]
+    if not dev_ex:
+        raise DataError("no training example falls in a dev week")
     for cls in (0, 1):
         if not any(ex.sentiment == cls for ex in train_ex):
             raise DataError(f"training data has no sentiment-class-{cls} examples")
+    train_weeks = tuple(sorted({ex.week for ex in train_ex}))
 
-    if encoder is None:
-        enc_vocab = ReferenceEncoder.frequency_vocab(
-            [ex.doc for ex in train_ex], settings.encoder_vocab
-        )
-        encoder = ReferenceEncoder(enc_vocab, dim=settings.dim, emb_dim=settings.emb_dim)
+    enc_vocab = ReferenceEncoder.frequency_vocab([ex.doc for ex in train_ex], config.encoder_vocab)
+    encoder = ReferenceEncoder(enc_vocab, dim=config.dim, emb_dim=config.emb_dim)
     n_lags = train_ex[0].matrix.shape[1]
     if train_ex[0].matrix.shape[0] != len(vocab):
         raise DataError(
@@ -543,11 +489,11 @@ def train_extractor(
         )
     model = ExtractorModel(
         vocab=vocab, encoder=encoder, n_lags=n_lags,
-        hidden=settings.hidden, lam=settings.lam, seed=settings.seed,
+        hidden=config.hidden, lam=config.lam, seed=config.seed,
     )
     model.fit_pot_scaler([ex.matrix for ex in train_ex])
 
-    rng = np.random.default_rng([settings.seed, 3])
+    rng = np.random.default_rng([config.seed, 3])
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
     step = 0
@@ -556,28 +502,28 @@ def train_extractor(
     best_key = (-1.0, -float("inf"))
     best_params = model.copy_params()
     history: list[dict] = []
-    for epoch in range(1, settings.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_ex))
         epoch_loss = 0.0
         n_batches = 0
-        for lo in range(0, len(order), settings.batch_size):
-            batch = [train_ex[i] for i in order[lo : lo + settings.batch_size]]
+        for lo in range(0, len(order), config.batch_size):
+            batch = [train_ex[i] for i in order[lo : lo + config.batch_size]]
             loss, grads = model.loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training diverged: loss={loss} at epoch {epoch} batch {n_batches}"
                 )
             step += 1
-            b1, b2 = settings.adam_beta1, settings.adam_beta2
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
             for name, g in grads.items():
                 adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
                 adam_v[name] = b2 * adam_v[name] + (1 - b2) * (g * g)
                 mhat = adam_m[name] / (1 - b1 ** step)
                 vhat = adam_v[name] / (1 - b2 ** step)
-                model.params[name] -= settings.lr * mhat / (np.sqrt(vhat) + settings.adam_eps)
+                model.params[name] -= config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             epoch_loss += loss
             n_batches += 1
-        acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, settings.batch_size)
+        acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, config.batch_size)
         history.append(
             {
                 "epoch": epoch,
@@ -667,7 +613,10 @@ def _parse_extractor(raw: bytes) -> TrainedExtractor:
         raise ValueError(
             f"{len(body)} parameter bytes where the header declares {8 * sum(counts)}"
         )
-    encoder = encoder_from_config(header["encoder"])
+    enc = header["encoder"]
+    if enc["kind"] != "reference":
+        raise ValueError(f"unknown encoder kind {enc['kind']!r}")
+    encoder = ReferenceEncoder(enc["vocab"], dim=enc["dim"], emb_dim=enc["emb_dim"])
     vocab = Vocabulary(words=tuple(header["vocab"]))
     model = ExtractorModel(
         vocab=vocab, encoder=encoder, n_lags=header["n_lags"],

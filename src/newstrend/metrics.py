@@ -111,10 +111,6 @@ class EvaluationReport:
     f1_per_class: dict[str, float]
     rows: list[dict] = field(default_factory=list)
 
-    @property
-    def any_undefined(self) -> bool:
-        return self.mcc_degenerate
-
 
 def report(
     predictions: Sequence[str],

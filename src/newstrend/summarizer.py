@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import SummarizerConfig
 from .errors import ConfigError, DataError
 from .weeks import CLASS_ORDER, WeeklyLabel
 
@@ -100,6 +101,9 @@ def build_summarizer_dataset(
     return SummarizerDataset(rows=rows, skipped=skipped)
 
 
+FEATURE_WIDTHS = {"scalar": 1, "extended": 4}
+
+
 def features_of(row: WeeklySentiment, spec: str) -> np.ndarray:
     if spec == "scalar":
         return np.array([row.overall_score])
@@ -118,7 +122,7 @@ class SummarizerModel:
     """
 
     classes: tuple[str, ...]
-    weights: np.ndarray           # (n_classes, n_features); one row when binary
+    weights: np.ndarray           # (n_classes, n_features); binary holds -w and w
     bias: np.ndarray
     feature_spec: str = "scalar"
 
@@ -157,34 +161,27 @@ def _fit_binary_hinge(
     return w[:d], float(w[d])
 
 
-@dataclass
-class SummarizerSettings:
-    train_weeks: int = 250        # chronological: the earliest weeks train
-    c: float = 1.0
-    epochs: int = 200
-    feature_spec: str = "scalar"
-
-
 def train_summarizer(
-    rows: Sequence[WeeklySentiment], settings: SummarizerSettings
+    rows: Sequence[WeeklySentiment], config: SummarizerConfig
 ) -> SummarizerModel:
-    """Fit on the chronologically earliest `train_weeks` rows."""
+    """Fit on the chronologically earliest `train_weeks` rows, with the
+    `features` spec, hinge constant `c` and `epochs` of `config`."""
     ordered = sorted(rows, key=lambda r: r.week)
-    if settings.train_weeks >= len(ordered):
+    if config.train_weeks >= len(ordered):
         raise DataError(
-            f"train split of {settings.train_weeks} weeks leaves no test weeks "
+            f"train split of {config.train_weeks} weeks leaves no test weeks "
             f"(dataset has {len(ordered)})"
         )
-    train = ordered[: settings.train_weeks]
+    train = ordered[: config.train_weeks]
     present = {r.label for r in train}
     classes = tuple(c for c in CLASS_ORDER if c in present)
     if len(classes) < 2:
         raise DataError(f"training split has a single class {present}; cannot fit")
-    x = np.stack([features_of(r, settings.feature_spec) for r in train])
+    x = np.stack([features_of(r, config.features) for r in train])
     labels = [r.label for r in train]
     if len(classes) == 2:
         y = np.array([1.0 if lab == classes[1] else -1.0 for lab in labels])
-        w, b = _fit_binary_hinge(x, y, settings.c, settings.epochs)
+        w, b = _fit_binary_hinge(x, y, config.c, config.epochs)
         weights = np.stack([-w, w])
         bias = np.array([-b, b])
     else:
@@ -192,9 +189,9 @@ def train_summarizer(
         bias = np.zeros(len(classes))
         for k, cls in enumerate(classes):
             y = np.array([1.0 if lab == cls else -1.0 for lab in labels])
-            weights[k], bias[k] = _fit_binary_hinge(x, y, settings.c, settings.epochs)
+            weights[k], bias[k] = _fit_binary_hinge(x, y, config.c, config.epochs)
     return SummarizerModel(
-        classes=classes, weights=weights, bias=bias, feature_spec=settings.feature_spec
+        classes=classes, weights=weights, bias=bias, feature_spec=config.features
     )
 
 
@@ -219,12 +216,28 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read summarizer model {path}: {exc}")
-    return SummarizerModel(
-        classes=tuple(payload["classes"]),
-        weights=np.array(payload["weights"], dtype=np.float64),
-        bias=np.array(payload["bias"], dtype=np.float64),
-        feature_spec=payload["feature_spec"],
-    )
+    if not isinstance(payload, dict):
+        raise DataError(f"summarizer model {path} must hold a JSON object")
+    for key in ("classes", "weights", "bias", "feature_spec"):
+        if key not in payload:
+            raise DataError(f"summarizer model {path} lacks key {key!r}")
+    classes, spec = payload["classes"], payload["feature_spec"]
+    if not isinstance(classes, list) or not all(c in CLASS_ORDER for c in classes):
+        raise DataError(f"summarizer model {path}: bad 'classes' {classes!r}")
+    if not isinstance(spec, str) or spec not in FEATURE_WIDTHS:
+        raise DataError(f"summarizer model {path}: bad 'feature_spec' {spec!r}")
+    shapes = {"weights": (len(classes), FEATURE_WIDTHS[spec]), "bias": (len(classes),)}
+    arrays = {}
+    for key, shape in shapes.items():
+        try:
+            arrays[key] = np.array(payload[key], dtype=np.float64)
+            if arrays[key].shape != shape:
+                raise ValueError(f"got shape {arrays[key].shape}")
+        except (TypeError, ValueError) as exc:
+            raise DataError(
+                f"summarizer model {path}: {key!r} must be numbers of shape {shape}: {exc}"
+            ) from None
+    return SummarizerModel(tuple(classes), arrays["weights"], arrays["bias"], spec)
 
 
 def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
@@ -251,6 +264,8 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
     for n, rec in enumerate(csv.DictReader(text.splitlines()), start=2):
         try:
             worth = rec["worthiness_mean"]
+            if rec["true_class"] not in CLASS_ORDER:
+                raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
             rows.append(
                 WeeklySentiment(
                     week=date.fromisoformat(rec["anchor"]),

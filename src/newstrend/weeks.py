@@ -314,6 +314,14 @@ def write_weeks_csv(labels: Sequence[WeeklyLabel], path: str | Path) -> None:
             )
 
 
+# every value each class column of weeks.csv can hold
+WEEK_CLASSES = {
+    "extractor_class": ("positive", "negative", "excluded"),
+    "pot_class": ("vpos", "pos", "neutral", "neg", "vneg"),
+    "summarizer_class": CLASS_ORDER + ("excluded",),
+}
+
+
 def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
     path = Path(path)
     try:
@@ -321,19 +329,24 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
     except OSError as exc:
         raise DataError(f"cannot read weeks file {path}: {exc}")
     labels = []
-    reader = csv.DictReader(text.splitlines())
-    for row in reader:
-        week = TradingWeek(
-            anchor=date.fromisoformat(row["anchor"]),
-            prev_anchor=date.fromisoformat(row["prev_anchor"]),
-            pct_change=float(row["pct_change"]),
-        )
-        labels.append(
-            WeeklyLabel(
-                week=week,
-                extractor_class=row["extractor_class"],
-                pot_class=row["pot_class"],
-                summarizer_class=row["summarizer_class"],
+    for n, row in enumerate(csv.DictReader(text.splitlines()), start=2):
+        try:
+            for key, allowed in WEEK_CLASSES.items():
+                if row[key] not in allowed:
+                    raise ValueError(f"{key} {row[key]!r} is not one of {allowed}")
+            week = TradingWeek(
+                anchor=date.fromisoformat(row["anchor"]),
+                prev_anchor=date.fromisoformat(row["prev_anchor"]),
+                pct_change=float(row["pct_change"]),
             )
-        )
+            labels.append(
+                WeeklyLabel(
+                    week=week,
+                    extractor_class=row["extractor_class"],
+                    pot_class=row["pot_class"],
+                    summarizer_class=row["summarizer_class"],
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"weeks file {path} line {n}: bad or missing field {exc}") from None
     return labels

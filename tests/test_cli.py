@@ -132,6 +132,16 @@ class TestSynthCommand:
         assert (a / "prices.csv").read_bytes() == (b / "prices.csv").read_bytes()
 
 
+class TestIngestCommand:
+    def test_corpus_lacking_a_proxy_category_ingests(self, tmp_path, capsys):
+        wd = tmp_path / "w"
+        small = ["--set", "synth.weeks=20", "--set", "synth.articles_per_week=5"]
+        assert run(["synth", "--workdir", wd, *small]) == 0
+        assert run(["ingest", "--workdir", wd, *small]) == 0
+        assert "basic-materials:0:250=0" in capsys.readouterr().out
+        assert (wd / "corpus.jsonl").exists()
+
+
 class TestPotCommand:
     def test_word_trajectory_with_month_range(self, tmp_path):
         config = write_config(tmp_path)
@@ -289,7 +299,7 @@ class TestErrors:
 def trained_workdir(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
     config = write_config(base)
-    run_pipeline(base / "w", config, stages=["ingest", "label", "pot", "train-extractor"])
+    run_pipeline(base / "w", config)
     return base / "w", config
 
 
@@ -311,19 +321,54 @@ def _garble_vocab(wd):
     return "vocab.json"
 
 
-def _rename_vocab_word(wd):
+def _edit_model_header(wd, edit):
     path = wd / "extractor.model"
     magic, size, rest = path.read_bytes().split(b"\n", 2)
     header = json.loads(rest[: int(size)])
-    header["vocab"][0] += "x"
+    edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
+
+
+def _rename_vocab_word(wd):
+    def edit(header):
+        header["vocab"][0] += "x"
+
+    _edit_model_header(wd, edit)
     return "sha256"
+
+
+def _other_encoder_kind(wd):
+    _edit_model_header(wd, lambda header: header["encoder"].update(kind="bert"))
+    return "extractor.model is corrupt: unknown encoder kind 'bert'"
+
+
+def _bad_weeks_anchor(wd):
+    path = wd / "weeks.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "20XX" + lines[2][4:]
+    path.write_text("".join(lines), encoding="utf-8")
+    return "weeks.csv line 3"
+
+
+def _bad_weeks_class(wd):
+    path = wd / "weeks.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[5] = "bogus"  # summarizer_class
+    lines[4] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    return "weeks.csv line 5"
+
+
+def _summarizer_without_classes(wd):
+    (wd / "summarizer.model").write_text('{"kind": "x"}')
+    return "summarizer.model lacks key 'classes'"
 
 
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("corrupt", [_garble_pot_line, _truncate_model, _rename_vocab_word,
-                                         _garble_vocab])
+                                         _garble_vocab, _other_encoder_kind])
     def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  corrupt):
         source, config = trained_workdir
@@ -332,6 +377,18 @@ class TestCorruptArtifacts:
         expected = corrupt(wd)
         assert run(["score", "--workdir", wd, "--config", config,
                     "--allow-config-drift"]) == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, corrupt", [("pot", _bad_weeks_anchor),
+                                                ("pot", _bad_weeks_class),
+                                                ("evaluate", _summarizer_without_classes)])
+    def test_stage_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
+                                                 stage, corrupt):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        expected = corrupt(wd)
+        assert run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"]) == 2
         assert expected in capsys.readouterr().err
 
 

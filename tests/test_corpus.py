@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend.config import CorpusConfig
 from newstrend.corpus import (
-    FilterRules, ProxyRule, Vocabulary, assign_worthiness_proxy,
+    ProxyRule, Vocabulary, assign_worthiness_proxy,
     build_vocabulary, clean_filter, ingest_news, tokenize, write_news_jsonl,
     write_rejects_csv,
 )
-from newstrend.errors import ConfigError, DataError
+from newstrend.errors import DataError
 
 from conftest import make_doc, make_record
 
@@ -86,7 +87,7 @@ class TestIngest:
 
 
 class TestCleanFilter:
-    rules = FilterRules()
+    rules = CorpusConfig()
 
     def test_short_content_removed(self):
         records = [make_record(rec_id="a", content="")]
@@ -107,7 +108,7 @@ class TestCleanFilter:
         assert clean_filter([a, b], self.rules) == [a]
 
     def test_url_blocklist(self):
-        rules = FilterRules(url_blocklist=(r"/video/",))
+        rules = CorpusConfig(url_blocklist=[r"/video/"])
         bad = make_record(rec_id="a", url="https://example.com/video/1")
         good = make_record(rec_id="b")
         assert clean_filter([bad, good], rules) == [good]
@@ -185,10 +186,12 @@ class TestWorthinessProxy:
         out = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
         assert out[0].worthiness == 0
 
-    def test_unknown_category_fatal(self):
+    def test_unknown_category_labels_nothing(self):
         records = [make_record(rec_id="a", categories=("us",))]
-        with pytest.raises(ConfigError):
-            assign_worthiness_proxy(records, [ProxyRule("no-such-tag", 1, 10)])
+        out = assign_worthiness_proxy(
+            records, [ProxyRule("no-such-tag", 1, 10), ProxyRule("us", 0, 10)]
+        )
+        assert [r.worthiness for r in out] == [0]
 
     def test_never_overwrites_even_across_rules(self):
         records = [make_record(rec_id="a", categories=("us", "healthcare"))]

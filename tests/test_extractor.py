@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from datetime import date, timedelta
@@ -5,10 +6,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from newstrend.config import ExtractorConfig
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.extractor import (
-    ExtractorModel, ReferenceEncoder, TrainSettings, TrainingExample,
+    ExtractorModel, ReferenceEncoder, TrainingExample,
     gradient_check, load_extractor, multitask_loss, pot_attention,
     save_extractor, select_extractor_weeks, sentiment_score, softmax,
     split_dev_weeks, train_extractor,
@@ -404,20 +406,25 @@ def planted_training_set(n_weeks=10, docs_per_week=6, seed=0):
     return vocab, examples
 
 
+def dev_weeks_of(examples):
+    """The pipeline's holdout: 10% of the example weeks, drawn with seed 0."""
+    return split_dev_weeks([e.week for e in examples], dev_fraction=0.1, seed=0)[1]
+
+
 class TestTraining:
-    settings = TrainSettings(dim=12, emb_dim=12, hidden=16, epochs=10,
-                             batch_size=8, seed=0, lr=3e-3)
+    settings = ExtractorConfig(dim=12, emb_dim=12, hidden=16, epochs=10,
+                               batch_size=8, seed=0, lr=3e-3)
 
     def test_separable_classes_reach_dev_accuracy(self):
         vocab, examples = planted_training_set()
-        trained = train_extractor(examples, self.settings, vocab)
+        trained = train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
         assert max(h["dev_acc_senti"] for h in trained.history) >= 0.95
         assert len(trained.history) == 10
 
     def test_same_seed_reproduces_parameters_exactly(self):
         vocab, examples = planted_training_set()
-        a = train_extractor(examples, self.settings, vocab)
-        b = train_extractor(examples, self.settings, vocab)
+        a = train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
+        b = train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
         assert a.train_weeks == b.train_weeks
         for name in a.model.params:
             assert np.array_equal(a.model.params[name], b.model.params[name])
@@ -429,9 +436,9 @@ class TestTraining:
                             sentiment=e.sentiment, worthiness=e.sentiment)
             for e in examples
         ]
-        settings = TrainSettings(dim=12, emb_dim=12, hidden=16, epochs=3,
-                                 batch_size=8, seed=0, lam=0.0)
-        trained = train_extractor(labeled, settings, vocab)
+        settings = ExtractorConfig(dim=12, emb_dim=12, hidden=16, epochs=3,
+                                   batch_size=8, seed=0, lam=0.0)
+        trained = train_extractor(labeled, settings, vocab, dev_weeks_of(labeled))
         assert np.all(trained.model.params["senti_w"] == 0.0)
         ps, _, _ = trained.model.forward([labeled[0].doc], labeled[0].matrix[None])
         assert ps[0].tolist() == [0.5, 0.5]
@@ -440,7 +447,33 @@ class TestTraining:
         vocab, examples = planted_training_set()
         ones = [e for e in examples if e.sentiment == 1]
         with pytest.raises(DataError):
-            train_extractor(ones, self.settings, vocab)
+            train_extractor(ones, self.settings, vocab, dev_weeks_of(ones))
+
+    def test_trains_only_outside_the_given_dev_weeks(self, monkeypatch):
+        vocab, examples = planted_training_set()
+        weeks = sorted({e.week for e in examples})
+        dev = (weeks[1], weeks[4], weeks[7])
+        assert set(dev) != set(dev_weeks_of(examples))
+        batch_weeks = []
+        loss_and_grads = ExtractorModel.loss_and_grads
+
+        def recording(model, batch):
+            batch_weeks.append({ex.week for ex in batch})
+            return loss_and_grads(model, batch)
+
+        monkeypatch.setattr(ExtractorModel, "loss_and_grads", recording)
+        trained = train_extractor(examples, self.settings, vocab, dev)
+        assert trained.dev_weeks == dev
+        assert trained.train_weeks == tuple(w for w in weeks if w not in dev)
+        assert len(batch_weeks) == self.settings.epochs * math.ceil(
+            sum(e.week not in dev for e in examples) / self.settings.batch_size
+        )
+        assert all(not seen & set(dev) for seen in batch_weeks)
+
+    def test_dev_weeks_without_examples_fatal(self):
+        vocab, examples = planted_training_set()
+        with pytest.raises(DataError, match="dev week"):
+            train_extractor(examples, self.settings, vocab, (date(1999, 1, 4),))
 
     def test_dev_split_holds_out_whole_weeks(self):
         weeks = [date(2020, 1, 6) + timedelta(days=7 * i) for i in range(20)]
@@ -463,8 +496,9 @@ class TestScoring:
     def test_trained_model_scores_planted_docs(self):
         vocab, examples = planted_training_set()
         trained = train_extractor(
-            examples, TrainSettings(dim=12, emb_dim=12, hidden=16, epochs=10,
-                                    batch_size=8, seed=0, lr=3e-3), vocab
+            examples, ExtractorConfig(dim=12, emb_dim=12, hidden=16, epochs=10,
+                                      batch_size=8, seed=0, lr=3e-3),
+            vocab, dev_weeks_of(examples),
         )
         pos = [e for e in examples if e.sentiment == 1][0]
         neg = [e for e in examples if e.sentiment == 0][0]
@@ -494,8 +528,8 @@ class TestSelection:
 class TestModelArtifact:
     def test_save_load_roundtrip_and_determinism(self, tmp_path):
         vocab, examples = planted_training_set()
-        settings = TrainSettings(dim=12, emb_dim=12, hidden=16, epochs=3, batch_size=8, seed=0)
-        trained = train_extractor(examples, settings, vocab)
+        settings = ExtractorConfig(dim=12, emb_dim=12, hidden=16, epochs=3, batch_size=8, seed=0)
+        trained = train_extractor(examples, settings, vocab, dev_weeks_of(examples))
         p1, p2 = tmp_path / "m1.model", tmp_path / "m2.model"
         save_extractor(trained, p1, config_echo={"extractor.seed": 0})
         save_extractor(trained, p2, config_echo={"extractor.seed": 0})
@@ -515,4 +549,17 @@ class TestModelArtifact:
         path = tmp_path / "bad.model"
         path.write_bytes(b"not a model")
         with pytest.raises(DataError):
+            load_extractor(path)
+
+    def test_unknown_encoder_kind_rejected(self, tmp_path):
+        vocab, examples = planted_training_set()
+        settings = ExtractorConfig(dim=4, emb_dim=4, hidden=4, epochs=1, batch_size=8, seed=0)
+        path = tmp_path / "m.model"
+        save_extractor(train_extractor(examples, settings, vocab, dev_weeks_of(examples)), path)
+        magic, size, rest = path.read_bytes().split(b"\n", 2)
+        header = json.loads(rest[: int(size)])
+        header["encoder"]["kind"] = "bert"
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
+        with pytest.raises(DataError, match="encoder kind 'bert'"):
             load_extractor(path)

@@ -1,3 +1,4 @@
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend.config import SummarizerConfig
 from newstrend.errors import DataError
 from newstrend.summarizer import (
-    SummarizerModel, SummarizerSettings, WeeklySentiment,
+    SummarizerModel, WeeklySentiment,
     build_summarizer_dataset, features_of, load_summarizer, predict_week,
     read_weekly_sentiment_csv, save_summarizer, train_summarizer,
     write_weekly_sentiment_csv,
@@ -141,26 +143,26 @@ def toy_rows(n, split_score=0.5, labels=None, seed=0):
 class TestTraining:
     def test_separable_data_fits_exactly(self):
         rows = toy_rows(30)
-        model = train_summarizer(rows, SummarizerSettings(train_weeks=20))
+        model = train_summarizer(rows, SummarizerConfig(train_weeks=20))
         train = sorted(rows, key=lambda r: r.week)[:20]
         assert all(predict_week(model, r) == r.label for r in train)
 
     def test_deterministic(self):
         rows = toy_rows(30)
-        a = train_summarizer(rows, SummarizerSettings(train_weeks=20))
-        b = train_summarizer(rows, SummarizerSettings(train_weeks=20))
+        a = train_summarizer(rows, SummarizerConfig(train_weeks=20))
+        b = train_summarizer(rows, SummarizerConfig(train_weeks=20))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_single_class_fatal(self):
         rows = toy_rows(10, labels=["up"] * 10)
         with pytest.raises(DataError):
-            train_summarizer(rows, SummarizerSettings(train_weeks=8))
+            train_summarizer(rows, SummarizerConfig(train_weeks=8))
 
     def test_split_leaving_no_test_weeks_fatal(self):
         rows = toy_rows(10)
         with pytest.raises(DataError):
-            train_summarizer(rows, SummarizerSettings(train_weeks=10))
+            train_summarizer(rows, SummarizerConfig(train_weeks=10))
 
     def test_three_way_one_vs_rest(self):
         labels = (["up", "preserve", "down"] * 10)
@@ -171,7 +173,7 @@ class TestTraining:
             rows.append(WeeklySentiment(week=MONDAY + timedelta(days=7 * i), n_sampled=5,
                                         overall_score=centers[lab] + rng.uniform(-0.05, 0.05),
                                         label=lab, sampled_ids=()))
-        model = train_summarizer(rows, SummarizerSettings(train_weeks=24))
+        model = train_summarizer(rows, SummarizerConfig(train_weeks=24))
         assert model.kind == "one-vs-rest-hinge"
         assert model.classes == ("down", "preserve", "up")
         train = sorted(rows, key=lambda r: r.week)[:24]
@@ -260,7 +262,7 @@ class TestLeakageGuard:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         rows = toy_rows(30)
-        model = train_summarizer(rows, SummarizerSettings(train_weeks=20))
+        model = train_summarizer(rows, SummarizerConfig(train_weeks=20))
         path = tmp_path / "s.model"
         save_summarizer(model, path)
         loaded = load_summarizer(path)
@@ -271,9 +273,25 @@ class TestSerialization:
 
     def test_save_deterministic(self, tmp_path):
         rows = toy_rows(30)
-        model = train_summarizer(rows, SummarizerSettings(train_weeks=20))
+        model = train_summarizer(rows, SummarizerConfig(train_weeks=20))
         save_summarizer(model, tmp_path / "a"); save_summarizer(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("bias"), "lacks key 'bias'"),
+        (lambda p: p.update(classes=["up", "sideways"]), "bad 'classes'"),
+        (lambda p: p.update(feature_spec=["scalar"]), "bad 'feature_spec'"),
+        (lambda p: p.update(feature_spec="extended"), "'weights' must be numbers of shape"),
+        (lambda p: p.update(bias=["x", 1.0]), "'bias' must be numbers of shape"),
+    ])
+    def test_corrupt_model_is_data_error_naming_the_key(self, tmp_path, edit, message):
+        path = tmp_path / "s.model"
+        save_summarizer(train_summarizer(toy_rows(30), SummarizerConfig(train_weeks=20)), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_summarizer(path)
 
     def test_weekly_sentiment_csv_keeps_extended_features_exactly(self, tmp_path):
         rows = [
@@ -290,6 +308,17 @@ class TestSerialization:
             for got, want in zip(loaded, rows):
                 assert np.array_equal(features_of(got, spec), features_of(want, spec))
         assert loaded[1].worthiness_mean is None
+
+    def test_weekly_sentiment_csv_unknown_class_is_data_error(self, tmp_path):
+        path = tmp_path / "weekly_sentiment.csv"
+        write_weekly_sentiment_csv(toy_rows(3), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "bogus"  # true_class
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 3: .*'bogus'"):
+            read_weekly_sentiment_csv(path)
 
     def test_weekly_sentiment_csv_without_feature_columns_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
