@@ -1,28 +1,91 @@
-"""Workdir bookkeeping: manifests, hashing, and the advisory lock."""
+"""Workdir bookkeeping: the array-file format, manifests, hashing, and the
+advisory lock.
+
+Every binary artifact (`pot.bin`, `extractor.model`) is one array file: a
+magic line, a line holding the header's length in bytes, a sorted-key JSON
+header whose `arrays` entry lists each array's name and shape, then those
+arrays in that order as raw little-endian float64.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
 VERSION = "0.1.0"
 
+T = TypeVar("T")
+
+
+def write_arrays(path: str | Path, magic: str, header: Mapping,
+                 arrays: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write `header` and the named `arrays` as one array file, through a
+    temporary file renamed over `path`, so a failed write leaves no part."""
+    path = Path(path)
+    header = {**header, "magic": magic,
+              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob))
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_arrays(path: str | Path, magic: str,
+                parse: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
+    """`parse(header, arrays)` of an array file. A wrong magic line or header,
+    a body whose length differs from the declared shapes, and a KeyError,
+    ValueError or TypeError in `parse` are DataErrors naming the file."""
+    try:
+        first, size, rest = Path(path).read_bytes().split(b"\n", 2)
+        if first != magic.encode("ascii"):
+            raise ValueError(f"expected magic {magic!r}, found {first[:40]!r}")
+        header, body = json.loads(rest[: int(size)]), memoryview(rest)[int(size):]
+        counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
+        if len(body) != 8 * sum(counts):
+            raise ValueError(f"{len(body)} array bytes where the header declares "
+                             f"{8 * sum(counts)}")
+        parts = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64),
+                         np.cumsum(counts)[:-1])
+        return parse(header, {spec["name"]: part.reshape(spec["shape"])
+                              for spec, part in zip(header["arrays"], parts)})
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path} is corrupt: header lacks key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{path} is corrupt: {exc}") from None
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of `path`; an unreadable or undecodable file is a
+    DataError naming `what` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
 
 def sha256_file(path: str | Path) -> str:
-    """Digest of a file, or of a directory's files read in name order."""
-    path = Path(path)
-    files = sorted(p for p in path.iterdir() if p.is_file()) if path.is_dir() else [path]
     h = hashlib.sha256()
-    for file in files:
-        with open(file, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -63,12 +126,8 @@ def config_drift(artifact: Path, config_flat: Mapping) -> list[str]:
         return []
     old = manifest.get("config", {})
     return sorted(
-        k for k, v in config_flat.items() if k in old and old[k] != _jsonish(v)
+        k for k, v in config_flat.items() if k in old and old[k] != json.loads(json.dumps(v))
     )
-
-
-def _jsonish(value):
-    return json.loads(json.dumps(value))
 
 
 @contextmanager

@@ -26,8 +26,8 @@ import numpy as np
 from . import artifacts, polarity, synth
 from .config import PipelineConfig, load_config
 from .corpus import (
-    ProxyRule, assign_worthiness_proxy, build_vocabulary, Vocabulary,
-    clean_filter, ingest_news, tokenize, write_news_jsonl, write_rejects_csv,
+    ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
+    ingest_news, read_news_jsonl, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .extractor import (
@@ -106,7 +106,7 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
 
 def _load_week_data(config: PipelineConfig, workdir: Path):
     """Corpus + weeks with news attached and documents tokenized."""
-    records = ingest_news(workdir / "corpus.jsonl").records
+    records = read_news_jsonl(workdir / "corpus.jsonl")
     labels = read_weeks_csv(workdir / "weeks.csv")
     attached = attach_news([lab.week for lab in labels], records)
     by_anchor = {w.anchor: w for w in attached}
@@ -143,9 +143,12 @@ def _load_models_and_vocab(workdir: Path):
     path = workdir / "vocab.json"
     try:
         words = json.loads(path.read_text(encoding="utf-8"))["words"]
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise TypeError("'words' must be a list of strings")
+        vocab = Vocabulary(words=tuple(words))  # checks that they are distinct
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read vocabulary {path}: {exc}") from None
-    return polarity.PolarityModelSet.load(workdir / "pot"), Vocabulary(words=tuple(words))
+    return polarity.PolarityModelSet.load(workdir / "pot.bin"), vocab
 
 
 def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
@@ -186,7 +189,7 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
     prices = load_prices(_path(config, workdir, "prices.csv"))
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
-    records = ingest_news(workdir / "corpus.jsonl").records
+    records = read_news_jsonl(workdir / "corpus.jsonl")
     weeks = attach_news(weeks, records)
     policy = make_policy(config.labels.policy, config.labels.up, config.labels.down)
     labels = label_weeks(
@@ -221,7 +224,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
         window_weeks=config.polarity.window_weeks,
         discount=config.polarity.discount,
     )
-    model_set.save(workdir / "pot")
+    model_set.save(workdir / "pot.bin")
     vocab_record = {
         "words": list(vocab.words),
         "ranking_head": [[w, s] for w, s in ranking[:50]],
@@ -380,7 +383,7 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
         written.append(out)
 
     if args.word:
-        model_set = polarity.PolarityModelSet.load(workdir / "pot")
+        model_set = polarity.PolarityModelSet.load(workdir / "pot.bin")
         for word in args.word:
             out = plots / f"trajectory_{word}.csv"
             polarity.write_trajectory_csv(model_set.trajectory(word), word, out)
@@ -405,13 +408,13 @@ STAGES = {
     "synth": Stage(run_synth, (), ("news.jsonl", "prices.csv")),
     "ingest": Stage(run_ingest, ("news.jsonl",), ("corpus.jsonl", "rejects.csv")),
     "label": Stage(run_label, ("prices.csv", "corpus.jsonl"), ("weeks.csv",)),
-    "pot": Stage(run_pot, ("corpus.jsonl", "weeks.csv"), ("pot", "vocab.json")),
+    "pot": Stage(run_pot, ("corpus.jsonl", "weeks.csv"), ("pot.bin", "vocab.json")),
     "train-extractor": Stage(
-        run_train_extractor, ("corpus.jsonl", "weeks.csv", "pot", "vocab.json"),
+        run_train_extractor, ("corpus.jsonl", "weeks.csv", "pot.bin", "vocab.json"),
         ("extractor.model", "train_log.csv"),
     ),
     "score": Stage(
-        run_score, ("corpus.jsonl", "weeks.csv", "pot", "vocab.json", "extractor.model"),
+        run_score, ("corpus.jsonl", "weeks.csv", "pot.bin", "vocab.json", "extractor.model"),
         ("weekly_sentiment.csv",),
     ),
     "train-summarizer": Stage(

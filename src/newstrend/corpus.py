@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import artifacts
 from .config import CorpusConfig
 from .errors import ConfigError, DataError
 
@@ -129,14 +130,9 @@ def ingest_news(path: str | Path) -> IngestResult:
     Malformed lines are skipped and counted (never silently dropped); an
     unreadable file is fatal.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read news file {path}: {exc}")
+    lines = artifacts.read_text(path, "news file").splitlines()
     records: list[NewsRecord] = []
     rejected: list[tuple[int, str]] = []
-    lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             rejected.append((lineno, "empty line"))
@@ -160,6 +156,16 @@ def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record_to_obj(record), sort_keys=True) + "\n")
+
+
+def read_news_jsonl(path: str | Path) -> list[NewsRecord]:
+    """Read a file that `write_news_jsonl` wrote; unlike `ingest_news`, which
+    skips bad lines of raw news, fail with a DataError naming file and line."""
+    result = ingest_news(path)
+    if result.rejected:
+        lineno, reason = result.rejected[0]
+        raise DataError(f"{path} line {lineno}: {reason}")
+    return result.records
 
 
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:

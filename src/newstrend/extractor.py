@@ -22,7 +22,6 @@ under a fixed seed.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -31,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .config import ExtractorConfig
 from .corpus import TokenizedDoc, Vocabulary
 from .errors import DataError, NumericError
@@ -557,15 +557,13 @@ def _sha256_words(words: Sequence[str]) -> str:
 def save_extractor(
     trained: TrainedExtractor, path: str | Path, config_echo: Mapping | None = None
 ) -> None:
-    """Single-file model artifact: versioned header, config echo, vocabulary
-    hashes, then raw little-endian float64 parameter arrays. Byte-identical
-    for identical seeds and inputs."""
+    """Single-file model artifact (`artifacts.write_arrays`): versioned header,
+    config echo, vocabulary hashes, then the parameter arrays in name order,
+    `pot_mu` and `pot_sigma`. Byte-identical for identical seeds and inputs."""
     model = trained.model
-    names = sorted(model.params)
-    arrays = [model.params[n] for n in names] + [model.pot_mu, model.pot_sigma]
-    names = names + ["pot_mu", "pot_sigma"]
+    arrays = [(n, model.params[n]) for n in sorted(model.params)]
+    arrays += [("pot_mu", model.pot_mu), ("pot_sigma", model.pot_sigma)]
     header = {
-        "magic": MODEL_MAGIC,
         "encoder": model.encoder.to_config(),
         "vocab": list(model.vocab.words),
         "vocab_sha256": _sha256_words(model.vocab.words),
@@ -575,44 +573,17 @@ def save_extractor(
         "train_weeks": [d.isoformat() for d in trained.train_weeks],
         "dev_weeks": [d.isoformat() for d in trained.dev_weeks],
         "config_echo": dict(config_echo) if config_echo else {},
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(f"{MODEL_MAGIC}\n{len(blob)}\n".encode("ascii"))
-        fh.write(blob)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    artifacts.write_arrays(path, MODEL_MAGIC, header, arrays)
 
 
 def load_extractor(path: str | Path) -> TrainedExtractor:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}")
-    try:
-        return _parse_extractor(raw)
-    except KeyError as exc:
-        raise DataError(f"model file {path} is corrupt: header lacks key {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"model file {path} is corrupt: {exc}") from None
+    return artifacts.read_arrays(path, MODEL_MAGIC, _parse_extractor)
 
 
-def _parse_extractor(raw: bytes) -> TrainedExtractor:
-    first, rest = raw.split(b"\n", 1)
-    if first.decode("ascii") != MODEL_MAGIC:
-        raise ValueError("bad magic")
-    size_line, rest = rest.split(b"\n", 1)
-    header = json.loads(rest[: int(size_line)])
-    body = rest[int(size_line):]
+def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtractor:
     if header["vocab_sha256"] != _sha256_words(header["vocab"]):
         raise ValueError("vocabulary does not match its recorded sha256")
-    counts = [int(np.prod(spec["shape"])) for spec in header["arrays"]]
-    if len(body) != 8 * sum(counts):
-        raise ValueError(
-            f"{len(body)} parameter bytes where the header declares {8 * sum(counts)}"
-        )
     enc = header["encoder"]
     if enc["kind"] != "reference":
         raise ValueError(f"unknown encoder kind {enc['kind']!r}")
@@ -622,15 +593,9 @@ def _parse_extractor(raw: bytes) -> TrainedExtractor:
         vocab=vocab, encoder=encoder, n_lags=header["n_lags"],
         hidden=header["hidden"], lam=header["lam"], seed=0,
     )
-    offset = 0
-    loaded: dict[str, np.ndarray] = {}
-    for spec, count in zip(header["arrays"], counts):
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        loaded[spec["name"]] = arr.reshape(spec["shape"]).astype(np.float64)
-        offset += count * 8
-    model.pot_mu = loaded.pop("pot_mu")
-    model.pot_sigma = loaded.pop("pot_sigma")
-    model.set_params(loaded)
+    model.pot_mu = arrays.pop("pot_mu")
+    model.pot_sigma = arrays.pop("pot_sigma")
+    model.set_params(arrays)
     return TrainedExtractor(
         model=model,
         train_weeks=tuple(date.fromisoformat(d) for d in header["train_weeks"]),

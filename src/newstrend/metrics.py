@@ -120,10 +120,6 @@ def report(
     rows: Sequence[dict] | None = None,
 ) -> EvaluationReport:
     """Assemble a full evaluation: confusion matrix, Acc, MCC, per-class F1."""
-    if len(predictions) != len(truths):
-        raise DataError(
-            f"got {len(truths)} truths but {len(predictions)} predictions"
-        )
     if not truths:
         raise DataError("nothing to evaluate: no aligned prediction/truth pairs")
     cm = ConfusionMatrix.from_pairs(truths, predictions, classes)

@@ -23,6 +23,10 @@ formula to two classes.
 
 Stacking a vocabulary's scores for weeks t, t-1, ... t-L+1 gives the
 per-article feature matrix consumed by the extractor's lag attention.
+
+A `PolarityModelSet` is stored as one array file, `pot.bin` (see
+`artifacts`): the header lists the anchors and the words, and the body is
+the weeks x words `scores` array, rounded through SCORE_FORMAT.
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import TokenizedDoc, Vocabulary
 from .errors import DataError
 from .weeks import POT_CLASSES, WeeklyLabel
 
 SCORE_FORMAT = "%.12e"
+POT_MAGIC = "newstrend-pot 1"
 
 
 def _count(groups: Sequence[Sequence[TokenizedDoc]], index: Mapping[str, int]):
@@ -96,7 +102,9 @@ class PolarityModelSet:
     """Weekly polarity scores over an ordered anchor sequence.
 
     Row i of `scores` holds week `anchors[i]`, column j the sorted word
-    `words[j]`; any other word scores 0.
+    `words[j]`; any other word scores 0. Anchors and words must be sorted
+    and distinct, and `scores` must have one row per anchor and one column
+    per word (ValueError otherwise).
     """
 
     anchors: tuple[date, ...]
@@ -106,6 +114,11 @@ class PolarityModelSet:
     _col: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, items in (("anchors", self.anchors), ("words", self.words)):
+            if list(items) != sorted(set(items)):
+                raise ValueError(f"{name} must be sorted and distinct")
+        if self.scores.shape != (len(self.anchors), len(self.words)):
+            raise ValueError(f"scores have shape {self.scores.shape}, not anchors x words")
         self._pos = {a: i for i, a in enumerate(self.anchors)}
         self._col = {w: j for j, w in enumerate(self.words)}
 
@@ -134,47 +147,22 @@ class PolarityModelSet:
             if (start is None or a >= start) and (end is None or a <= end)
         ]
 
-    def save(self, directory: str | Path) -> list[Path]:
-        """One `<anchor>.tsv` per week of `word<TAB>score` lines for the
-        nonzero scores, in word order; returns the written paths."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for anchor, row in zip(self.anchors, self.scores.tolist()):
-            path = directory / f"{anchor.isoformat()}.tsv"
-            with open(path, "w", encoding="utf-8") as fh:
-                for word, value in zip(self.words, row):
-                    if value != 0.0:
-                        fh.write(f"{word}\t{SCORE_FORMAT % value}\n")
-            written.append(path)
-        return written
+    def save(self, path: str | Path) -> list[Path]:
+        """Write the set as one array file (`artifacts.write_arrays`) whose
+        header lists the anchors and words and whose body is `scores`, each
+        nonzero score rounded through SCORE_FORMAT; returns `[path]`."""
+        scores = np.zeros_like(self.scores)
+        nonzero = self.scores != 0.0
+        scores[nonzero] = [float(SCORE_FORMAT % v) for v in self.scores[nonzero].tolist()]
+        header = {"anchors": [a.isoformat() for a in self.anchors], "words": list(self.words)}
+        artifacts.write_arrays(path, POT_MAGIC, header, [("scores", scores)])
+        return [Path(path)]
 
     @classmethod
-    def load(cls, directory: str | Path) -> PolarityModelSet:
-        directory = Path(directory)
-        paths = sorted(directory.glob("*.tsv"))
-        if not paths:
-            raise DataError(f"no polarity models found under {directory}")
-        anchors, rows = [], []
-        for path in paths:
-            try:
-                anchors.append(date.fromisoformat(path.stem))
-                lines = path.read_text(encoding="utf-8").splitlines()
-            except (OSError, ValueError) as exc:
-                raise DataError(f"polarity model {path} is unreadable: {exc}") from None
-            row = {}
-            for n, line in enumerate(lines, start=1):
-                try:
-                    word, value = line.split("\t")
-                    row[word] = float(value)
-                except ValueError:
-                    raise DataError(
-                        f"polarity model {path} line {n}: expected word<TAB>score, got {line!r}"
-                    ) from None
-            rows.append(row)
-        words = sorted(set().union(*rows))
-        scores = np.array([[row.get(w, 0.0) for w in words] for row in rows], dtype=np.float64)
-        return cls(anchors=tuple(anchors), words=tuple(words), scores=scores)
+    def load(cls, path: str | Path) -> PolarityModelSet:
+        return artifacts.read_arrays(path, POT_MAGIC, lambda header, arrays: cls(
+            anchors=tuple(map(date.fromisoformat, header["anchors"])),
+            words=tuple(header["words"]), scores=arrays["scores"]))
 
 
 def build_model_set(

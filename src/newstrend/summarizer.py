@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .config import SummarizerConfig
 from .errors import ConfigError, DataError
 from .weeks import CLASS_ORDER, WeeklyLabel
@@ -213,9 +214,9 @@ def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
 
 def load_summarizer(path: str | Path) -> SummarizerModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read summarizer model {path}: {exc}")
+        payload = json.loads(artifacts.read_text(path, "summarizer model"))
+    except ValueError as exc:
+        raise DataError(f"summarizer model {path} is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"summarizer model {path} must hold a JSON object")
     for key in ("classes", "weights", "bias", "feature_spec"):
@@ -255,11 +256,7 @@ def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path
 
 
 def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read weekly sentiment file {path}: {exc}")
+    text = artifacts.read_text(path, "weekly sentiment file")
     rows = []
     for n, rec in enumerate(csv.DictReader(text.splitlines()), start=2):
         try:

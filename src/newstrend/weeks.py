@@ -13,6 +13,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import artifacts
 from .corpus import NewsRecord
 from .errors import ConfigError, DataError
 
@@ -152,12 +153,7 @@ class WeeklyLabel:
 
 def load_prices(path: str | Path) -> PriceSeries:
     """Parse a `date,close` CSV into a validated price series."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read price file {path}: {exc}")
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(artifacts.read_text(path, "price file").splitlines())
     try:
         header = next(reader)
     except StopIteration:
@@ -315,19 +311,12 @@ def write_weeks_csv(labels: Sequence[WeeklyLabel], path: str | Path) -> None:
 
 
 # every value each class column of weeks.csv can hold
-WEEK_CLASSES = {
-    "extractor_class": ("positive", "negative", "excluded"),
-    "pot_class": ("vpos", "pos", "neutral", "neg", "vneg"),
-    "summarizer_class": CLASS_ORDER + ("excluded",),
-}
+WEEK_CLASSES = {"extractor_class": EXTRACTOR_CLASSES, "pot_class": POT_CLASSES,
+                "summarizer_class": SUMMARIZER_CLASSES}
 
 
 def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read weeks file {path}: {exc}")
+    text = artifacts.read_text(path, "weeks file")
     labels = []
     for n, row in enumerate(csv.DictReader(text.splitlines()), start=2):
         try:
@@ -339,14 +328,9 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
                 prev_anchor=date.fromisoformat(row["prev_anchor"]),
                 pct_change=float(row["pct_change"]),
             )
-            labels.append(
-                WeeklyLabel(
-                    week=week,
-                    extractor_class=row["extractor_class"],
-                    pot_class=row["pot_class"],
-                    summarizer_class=row["summarizer_class"],
-                )
-            )
+            if labels and week.anchor <= labels[-1].week.anchor:
+                raise ValueError(f"anchor {week.anchor} does not follow {labels[-1].week.anchor}")
+            labels.append(WeeklyLabel(week, **{key: row[key] for key in WEEK_CLASSES}))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"weeks file {path} line {n}: bad or missing field {exc}") from None
     return labels

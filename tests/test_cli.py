@@ -47,8 +47,7 @@ class TestFullPipeline:
                      "vocab.json", "extractor.model", "train_log.csv",
                      "weekly_sentiment.csv", "summarizer.model", "report.txt", "report.csv"):
             assert (wd / name).exists(), name
-        assert (wd / "pot").is_dir()
-        assert list((wd / "pot").glob("*.tsv"))
+        assert (wd / "pot.bin").is_file()
         report = (wd / "report.txt").read_text()
         assert "accuracy:" in report and "mcc:" in report
 
@@ -72,7 +71,7 @@ class TestFullPipeline:
         assert manifest["inputs"] == {
             "corpus": sha256_file(wd / "corpus.jsonl"),
             "weeks": sha256_file(wd / "weeks.csv"),
-            "pot": sha256_file(wd / "pot"),
+            "pot": sha256_file(wd / "pot.bin"),
             "vocab": sha256_file(wd / "vocab.json"),
             "extractor": sha256_file(wd / "extractor.model"),
         }
@@ -303,11 +302,17 @@ def trained_workdir(tmp_path_factory):
     return base / "w", config
 
 
-def _garble_pot_line(wd):
-    path = sorted((wd / "pot").glob("*.tsv"))[0]
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("no tab here\n")
-    return path.name
+def _truncate_pot(wd):
+    path = wd / "pot.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    return "pot.bin is corrupt"
+
+
+def _pot_directory_of_old_workdir(wd):
+    (wd / "pot.bin").unlink()
+    (wd / "pot").mkdir()
+    (wd / "pot" / "2020-01-06.tsv").write_text("gain\t1.0\n")
+    return "'pot.bin', which is missing"
 
 
 def _truncate_model(wd):
@@ -318,6 +323,16 @@ def _truncate_model(wd):
 
 def _garble_vocab(wd):
     (wd / "vocab.json").write_text("{not json")
+    return "vocab.json"
+
+
+def _vocab_words_not_a_list(wd):
+    (wd / "vocab.json").write_text('{"words": 5}')
+    return "vocab.json"
+
+
+def _vocab_words_repeated(wd):
+    (wd / "vocab.json").write_text('{"words": ["a", "a"]}')
     return "vocab.json"
 
 
@@ -361,14 +376,38 @@ def _bad_weeks_class(wd):
     return "weeks.csv line 5"
 
 
+def _garble_corpus_line(wd):
+    path = wd / "corpus.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "{not json\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return "corpus.jsonl line 3"
+
+
+def _repeated_weeks_row(wd):
+    path = wd / "weeks.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(3, lines[3])
+    path.write_text("".join(lines), encoding="utf-8")
+    return "weeks.csv line 5"
+
+
+def _weeks_not_utf8(wd):
+    path = wd / "weeks.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    return "cannot read weeks file"
+
+
 def _summarizer_without_classes(wd):
     (wd / "summarizer.model").write_text('{"kind": "x"}')
     return "summarizer.model lacks key 'classes'"
 
 
 class TestCorruptArtifacts:
-    @pytest.mark.parametrize("corrupt", [_garble_pot_line, _truncate_model, _rename_vocab_word,
-                                         _garble_vocab, _other_encoder_kind])
+    @pytest.mark.parametrize("corrupt", [_truncate_pot, _pot_directory_of_old_workdir,
+                                         _truncate_model, _rename_vocab_word,
+                                         _garble_vocab, _vocab_words_not_a_list,
+                                         _vocab_words_repeated, _other_encoder_kind])
     def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  corrupt):
         source, config = trained_workdir
@@ -381,6 +420,9 @@ class TestCorruptArtifacts:
 
     @pytest.mark.parametrize("stage, corrupt", [("pot", _bad_weeks_anchor),
                                                 ("pot", _bad_weeks_class),
+                                                ("pot", _garble_corpus_line),
+                                                ("pot", _repeated_weeks_row),
+                                                ("pot", _weeks_not_utf8),
                                                 ("evaluate", _summarizer_without_classes)])
     def test_stage_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  stage, corrupt):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from newstrend.config import CorpusConfig
 from newstrend.corpus import (
     ProxyRule, Vocabulary, assign_worthiness_proxy,
-    build_vocabulary, clean_filter, ingest_news, tokenize, write_news_jsonl,
-    write_rejects_csv,
+    build_vocabulary, clean_filter, ingest_news, read_news_jsonl, tokenize,
+    write_news_jsonl, write_rejects_csv,
 )
 from newstrend.errors import DataError
 
@@ -77,6 +77,23 @@ class TestIngest:
         back = ingest_news(path)
         assert back.rejected == []
         assert back.records == records
+        assert read_news_jsonl(path) == records
+
+    @pytest.mark.parametrize("bad, why", [
+        ("{not json", "invalid JSON"),
+        ("", "empty line"),
+        ("[1]", "not a JSON object"),
+        (json.dumps({"id": "x"}), "missing field 'url'"),
+    ])
+    def test_strict_read_names_file_and_line(self, tmp_path, bad, why):
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, [record_line(rec_id="a"), bad, record_line(rec_id="b")])
+        with pytest.raises(DataError, match=f"corpus.jsonl line 2: .*{why}"):
+            read_news_jsonl(path)
+
+    def test_strict_read_of_unreadable_file_fatal(self, tmp_path):
+        with pytest.raises(DataError, match="missing.jsonl"):
+            read_news_jsonl(tmp_path / "missing.jsonl")
 
     def test_rejects_csv(self, tmp_path):
         path = tmp_path / "rejects.csv"

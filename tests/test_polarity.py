@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from datetime import date, timedelta
@@ -7,7 +8,9 @@ import pytest
 
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
-from newstrend.polarity import PolarityModelSet, build_model_set, tfidf_difference_ranking
+from newstrend.polarity import (
+    SCORE_FORMAT, PolarityModelSet, build_model_set, tfidf_difference_ranking,
+)
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
 from conftest import make_doc
@@ -283,27 +286,52 @@ class TestModelSet:
     def test_save_load_roundtrip(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
         model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
-        model_set.save(tmp_path / "pot")
-        loaded = PolarityModelSet.load(tmp_path / "pot")
+        assert model_set.save(tmp_path / "pot.bin") == [tmp_path / "pot.bin"]
+        loaded = PolarityModelSet.load(tmp_path / "pot.bin")
         assert loaded.anchors == model_set.anchors
         for word in ("gain", "fall"):
             for (_, got), (_, want) in zip(loaded.trajectory(word), model_set.trajectory(word)):
                 assert got == pytest.approx(want, rel=1e-10)
 
+    def test_saved_scores_are_rounded_through_score_format(self, tmp_path):
+        labels, docs_by_week = weekly_fixture()
+        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set.scores[0, 0] = -0.0
+        model_set.save(tmp_path / "pot.bin")
+        loaded = PolarityModelSet.load(tmp_path / "pot.bin")
+        want = [float(SCORE_FORMAT % v) + 0.0 for v in model_set.scores.ravel().tolist()]
+        assert loaded.words == model_set.words
+        assert loaded.scores.ravel().tolist() == want
+        assert np.all(np.signbit(loaded.scores) == (loaded.scores < 0))
+
     def test_save_is_deterministic(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
         model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
-        model_set.save(tmp_path / "a")
-        model_set.save(tmp_path / "b")
-        for pa, pb in zip(sorted((tmp_path / "a").iterdir()), sorted((tmp_path / "b").iterdir())):
-            assert pa.read_bytes() == pb.read_bytes()
+        model_set.save(tmp_path / "a.bin")
+        model_set.save(tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
-    @pytest.mark.parametrize("name, line, where", [
-        ("2020-01-13.tsv", "fall 1.0", "2020-01-13.tsv line 2"),
-        ("2020-01-13.tsv", "fall\tlots", "2020-01-13.tsv line 2"),
-        ("notadate.tsv", "fall\t1.0", "notadate.tsv"),
+    @pytest.mark.parametrize("edit, why", [
+        pytest.param(lambda m, h, b: (b"newstrend-extractor 1", h, b), "expected magic",
+                     id="bad-magic"),
+        pytest.param(lambda m, h, b: (m, h, b[:-8]), "array bytes where the header declares",
+                     id="truncated-body"),
+        pytest.param(lambda m, h, b: (m, {**h, "anchors": h["anchors"][:-1]}, b),
+                     "scores have shape", id="shape-vs-anchors"),
+        pytest.param(lambda m, h, b: (m, {**h, "words": h["words"][1:]}, b),
+                     "scores have shape", id="shape-vs-words"),
+        pytest.param(lambda m, h, b: (m, {**h, "anchors": ["notadate"] + h["anchors"][1:]}, b),
+                     "notadate", id="non-date-anchor"),
+        pytest.param(lambda m, h, b: (m, {**h, "anchors": h["anchors"][::-1]}, b),
+                     "sorted", id="unsorted-anchors"),
     ])
-    def test_garbled_file_is_data_error_naming_file_and_line(self, tmp_path, name, line, where):
-        (tmp_path / name).write_text(f"gain\t1.0\n{line}\n", encoding="utf-8")
-        with pytest.raises(DataError, match=where):
-            PolarityModelSet.load(tmp_path)
+    def test_corrupt_file_is_data_error_naming_it(self, tmp_path, edit, why):
+        labels, docs_by_week = weekly_fixture()
+        path = tmp_path / "pot.bin"
+        build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3).save(path)
+        magic, size, rest = path.read_bytes().split(b"\n", 2)
+        magic, header, body = edit(magic, json.loads(rest[: int(size)]), rest[int(size):])
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, body))
+        with pytest.raises(DataError, match=f"pot.bin is corrupt: .*{why}"):
+            PolarityModelSet.load(path)
