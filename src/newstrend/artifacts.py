@@ -15,11 +15,12 @@ import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:  # numpy loads only where arrays are read or written
+    import numpy as np
 
 VERSION = "0.1.0"
 
@@ -30,6 +31,8 @@ def write_arrays(path: str | Path, magic: str, header: Mapping,
                  arrays: Sequence[tuple[str, np.ndarray]]) -> None:
     """Write `header` and the named `arrays` as one array file, through a
     temporary file renamed over `path`, so a failed write leaves no part."""
+    import numpy as np
+
     path = Path(path)
     header = {**header, "magic": magic,
               "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
@@ -51,6 +54,8 @@ def read_arrays(path: str | Path, magic: str,
     """`parse(header, arrays)` of an array file. A wrong magic line or header,
     a body whose length differs from the declared shapes, and a KeyError,
     ValueError or TypeError in `parse` are DataErrors naming the file."""
+    import numpy as np
+
     try:
         first, size, rest = Path(path).read_bytes().split(b"\n", 2)
         if first != magic.encode("ascii"):

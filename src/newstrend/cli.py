@@ -21,25 +21,16 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import artifacts, polarity, synth
+# numpy and the modules built on it (polarity, synth, extractor, metrics,
+# summarizer) are imported inside the stages that use them, so `ingest` and
+# `label` run without loading numpy
+from . import artifacts
 from .config import PipelineConfig, load_config
 from .corpus import (
     ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
     ingest_news, read_news_jsonl, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
-from .extractor import (
-    TrainingExample, load_extractor, save_extractor, select_extractor_weeks,
-    split_dev_weeks, train_extractor, write_train_log,
-)
-from .metrics import pearson, report, write_report_csv, write_report_text
-from .summarizer import (
-    build_summarizer_dataset, load_summarizer, predict_week,
-    read_weekly_sentiment_csv, save_summarizer, train_summarizer,
-    write_weekly_sentiment_csv,
-)
 from .weeks import (
     CLASS_ORDER, attach_news, label_weeks, load_prices, make_policy,
     monday_anchors, read_weeks_csv, weekly_changes, weekday_autocorrelation,
@@ -130,6 +121,8 @@ def _extractor_split(config: PipelineConfig, labels):
     the train weeks and `train_extractor` holds out the dev weeks; this is the
     one place that splits them.
     """
+    from .extractor import select_extractor_weeks, split_dev_weeks
+
     eligible = labels[config.polarity.n_lags - 1:]
     with_news = {lab.week.anchor for lab in eligible if lab.week.news_ids}
     picked = select_extractor_weeks(eligible, seed=config.extractor.seed,
@@ -140,6 +133,8 @@ def _extractor_split(config: PipelineConfig, labels):
 
 
 def _load_models_and_vocab(workdir: Path):
+    from . import polarity
+
     path = workdir / "vocab.json"
     try:
         words = json.loads(path.read_text(encoding="utf-8"))["words"]
@@ -152,6 +147,8 @@ def _load_models_and_vocab(workdir: Path):
 
 
 def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
+    from . import synth
+
     # SynthConfig names SynthSettings' fields; only the start date is parsed here
     settings = synth.SynthSettings(
         **{**vars(config.synth), "start": date.fromisoformat(config.synth.start)}
@@ -205,6 +202,8 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
+    from . import polarity
+
     start = _parse_date("--from", args.date_from) if args.date_from else None
     end = _parse_date("--to", args.date_to, end=True) if args.date_to else None
     labels, _, _, docs_by_week = _load_week_data(config, workdir)
@@ -245,6 +244,8 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
+    from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
+
     labels, records_by_id, docs_by_id, _ = _load_week_data(config, workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     selected, train_w, dev_w = _extractor_split(config, labels)
@@ -272,6 +273,11 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_score(config: PipelineConfig, workdir: Path, args) -> None:
+    import numpy as np
+
+    from .extractor import load_extractor
+    from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
+
     labels, _, docs_by_id, _ = _load_week_data(config, workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     trained = load_extractor(workdir / "extractor.model")
@@ -304,6 +310,8 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
+    from .summarizer import read_weekly_sentiment_csv, save_summarizer, train_summarizer
+
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
     model = train_summarizer(rows, config.summarizer)
     save_summarizer(model, workdir / "summarizer.model")
@@ -312,6 +320,9 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
+    from .metrics import report, write_report_csv, write_report_text
+    from .summarizer import load_summarizer, predict_week, read_weekly_sentiment_csv
+
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
     model = load_summarizer(workdir / "summarizer.model")
     ordered = sorted(rows, key=lambda r: r.week)
@@ -335,6 +346,10 @@ def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
+    from . import polarity
+    from .metrics import pearson
+    from .summarizer import read_weekly_sentiment_csv
+
     # outputs depend on which inputs exist, so this stage writes its own manifests
     plots = workdir / "plots"
     plots.mkdir(exist_ok=True)

@@ -145,7 +145,7 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")

@@ -23,8 +23,12 @@ from .config import CorpusConfig
 from .errors import ConfigError, DataError
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# the canonical spelling of TIMESTAMP_FORMAT, parsed without strptime
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+# byte table keeping a-z and 0-9 and turning every other byte into a space
+_TOKEN_BYTES = bytes(
+    c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for c in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,11 @@ class IngestResult:
 
 
 def parse_timestamp(value: str) -> datetime:
-    dt = datetime.strptime(value, TIMESTAMP_FORMAT)
-    return dt.replace(tzinfo=timezone.utc)
+    """A UTC datetime from TIMESTAMP_FORMAT; ValueError if `value` does not fit."""
+    m = _TIMESTAMP_RE.fullmatch(value)
+    if m is None:  # strptime also accepts `z`, one-digit fields and non-ASCII digits
+        return datetime.strptime(value, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+    return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -204,12 +211,15 @@ def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[Ne
 def tokenize(record: NewsRecord, max_tokens: int = 180) -> TokenizedDoc:
     """Lowercase word tokens of title then content, truncated to max_tokens.
 
-    Tokens are maximal alphanumeric runs; pure-digit tokens are dropped.
+    Tokens are maximal runs of a-z and 0-9 in the lowercased text; every
+    other character, non-ASCII included, separates them. Pure-digit tokens
+    are dropped.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     text = (record.title + " " + record.content).lower()
-    tokens = [t for t in _TOKEN_RE.findall(text) if not t.isdigit()]
+    words = text.encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
+    tokens = [t for t in words if not t.isdigit()]
     return TokenizedDoc(record_id=record.id, tokens=tuple(tokens[:max_tokens]))
 
 

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,13 @@ class TestErrors:
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         wd = tmp_path / "w"
         assert run(["synth", "--workdir", wd, "--set", "nonsense.key=1"]) == 1
+
+    def test_config_file_not_utf8_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff{")
+        assert run(["label", "--workdir", tmp_path / "w", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "bad.json" in err
 
     @pytest.mark.parametrize("override, key", [
         ("extractor.encoder=bert", "extractor.encoder"),
@@ -445,3 +456,31 @@ class TestTrainLog:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert 0.0 <= float(first[2]) <= 1.0
+
+
+class TestTracedStage:
+    """The benchmark's launcher wraps library functions in spans. A layer the
+    stage imports past those patches would read as 0 s rather than fail, so
+    check that a traced `score` records the layers it runs."""
+
+    def test_traced_score_records_its_layers(self, trained_workdir, tmp_path):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        spans_path = tmp_path / "score.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "launcher.py"), str(spans_path), "test-score",
+             "score", "--workdir", ".", "--config", str(config), "--allow-config-drift"],
+            cwd=wd, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(spans_path.read_text())
+        assert payload["missing"] == []
+        names = {span[0] for span in payload["spans"]}
+        for layer in ("corpus.tokenize", "corpus.ingest_news",
+                      "polarity.PolarityModelSet.matrix", "extractor.ExtractorModel.forward"):
+            assert layer in names, layer

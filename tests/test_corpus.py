@@ -1,4 +1,6 @@
 import json
+import re
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 
 from newstrend.config import CorpusConfig
 from newstrend.corpus import (
-    ProxyRule, Vocabulary, assign_worthiness_proxy,
-    build_vocabulary, clean_filter, ingest_news, read_news_jsonl, tokenize,
+    TIMESTAMP_FORMAT, ProxyRule, Vocabulary, assign_worthiness_proxy,
+    build_vocabulary, clean_filter, ingest_news, parse_timestamp, read_news_jsonl, tokenize,
     write_news_jsonl, write_rejects_csv,
 )
 from newstrend.errors import DataError
@@ -185,6 +187,97 @@ class TestTokenize:
         doc = tokenize(rec, max_tokens=100)
         again = tokenize(make_record(title="", content=" ".join(doc.tokens)), max_tokens=100)
         assert again.tokens == doc.tokens
+
+
+def reference_parse_timestamp(value):
+    """The strptime parser that `parse_timestamp` replaced."""
+    return datetime.strptime(value, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+
+
+def reference_tokens(text, max_tokens):
+    """The regex tokenizer that `tokenize` replaced."""
+    tokens = [t for t in re.findall(r"[a-z0-9]+", text.lower()) if not t.isdigit()]
+    return tuple(tokens[:max_tokens])
+
+
+def outcome(parse, value):
+    try:
+        return parse(value)
+    except ValueError:
+        return ValueError
+
+
+class TestParseTimestampMatchesStrptime:
+    @pytest.mark.parametrize("value", [
+        "2020-01-08T12:00:00Z",
+        "2020-02-29T00:00:00Z",       # leap year
+        "2019-02-29T00:00:00Z",       # common year
+        "2020-04-31T00:00:00Z",
+        "2020-01-01T24:00:00Z",
+        "2020-01-01T00:60:00Z",
+        "2020-01-01T00:00:60Z",
+        "2020-01-01T00:00:61Z",
+        "0000-01-01T00:00:00Z",
+        "0001-01-01T00:00:00Z",
+        "9999-12-31T23:59:59Z",
+        "2020-00-01T00:00:00Z",
+        "2020-13-01T00:00:00Z",
+        "2020-01-00T00:00:00Z",
+        "2020-1-1T1:2:3Z",
+        "2020-01- 1T00:00:00Z",
+        "2020-01-01 00:00:00Z",
+        "2020-01-01T00:00:00z",
+        "2020-01-01t00:00:00Z",
+        "２０２０-０１-０１T００:００:００Z",  # fullwidth digits
+        "2020-01-01T00:00:00+00:00",
+        "2020-01-01T00:00:00",
+        "2020-01-01T00:00:00Z\n",
+        " 2020-01-01T00:00:00Z",
+        "2020-W01-1T00:00:00Z",
+        "20200-01-01T00:00:00Z",
+        "",
+    ])
+    def test_same_value_or_both_reject(self, value):
+        expected = outcome(reference_parse_timestamp, value)
+        got = outcome(parse_timestamp, value)
+        assert got == expected
+        if expected is not ValueError:
+            assert got.tzinfo is timezone.utc
+
+    @given(st.integers(0, 10_000), st.integers(0, 13), st.integers(0, 32),
+           st.integers(0, 25), st.integers(0, 61), st.integers(0, 62))
+    @settings(max_examples=300, deadline=None)
+    def test_every_zero_padded_field_combination(self, y, mo, d, h, mi, s):
+        value = f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}Z"
+        assert outcome(parse_timestamp, value) == outcome(reference_parse_timestamp, value)
+
+
+class TestTokenizeMatchesRegex:
+    @pytest.mark.parametrize("text", [
+        "Stocks Rise!",
+        "\u212a is the Kelvin sign",      # lowercases to an ASCII k
+        "\u0130stanbul shares",            # dotted I lowercases to i + combining dot
+        "\uff21\uff22\uff23 \uff11\uff12 fullwidth",
+        "x\u00b2 and \u00b9\u00b2\u00b3 superscripts",
+        "\u0661\u0662\u0663 arabic-indic q\u0663",
+        "non\u00a0breaking\u00a0space",
+        "tabs\tand\nnewlines\r\nmixed",
+        "0123456789" * 20 + " long digit run a" + "9" * 50,
+        "caf\u00e9 na\u00efve \u00dfeta \u0153uvre",
+        "emoji \U0001F4C8 up",
+        "",
+    ])
+    @pytest.mark.parametrize("max_tokens", [1, 3, 180])
+    def test_same_tokens(self, text, max_tokens):
+        rec = make_record(title=text, content=text[::-1])
+        expected = reference_tokens(rec.title + " " + rec.content, max_tokens)
+        assert tokenize(rec, max_tokens).tokens == expected
+
+    @given(st.text(max_size=300), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_same_tokens_on_any_text(self, text, max_tokens):
+        rec = make_record(title="", content=text)
+        assert tokenize(rec, max_tokens).tokens == reference_tokens(" " + text, max_tokens)
 
 
 class TestWorthinessProxy:
