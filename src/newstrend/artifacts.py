@@ -1,5 +1,5 @@
-"""Workdir bookkeeping: the array-file format, manifests, hashing, and the
-advisory lock.
+"""Workdir bookkeeping: `write_bytes`, through which every file the pipeline
+writes goes, the array-file format, manifests, hashing, and the advisory lock.
 
 Every binary artifact (`pot.bin`, `extractor.model`) is one array file: a
 magic line, a line holding the header's length in bytes, a sorted-key JSON
@@ -9,13 +9,15 @@ arrays in that order as raw little-endian float64.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
 
@@ -27,26 +29,46 @@ VERSION = "0.1.0"
 T = TypeVar("T")
 
 
-def write_arrays(path: str | Path, magic: str, header: Mapping,
-                 arrays: Sequence[tuple[str, np.ndarray]]) -> None:
-    """Write `header` and the named `arrays` as one array file, through a
-    temporary file renamed over `path`, so a failed write leaves no part."""
-    import numpy as np
-
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write `data` to `.<name>.<pid>.tmp` beside `path` and rename it over
+    `path`; on any error the temporary file is removed."""
     path = Path(path)
-    header = {**header, "magic": magic,
-              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob))
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """`write_bytes` of the UTF-8 `text`, line ends as given."""
+    write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """`write_text` of `header` and `rows` as `csv.writer` spells them, CRLF
+    line ends included; an empty `header` writes no header line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
+
+
+def write_arrays(path: str | Path, magic: str, header: Mapping,
+                 arrays: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write `header` and the named `arrays` as one array file (`write_bytes`)."""
+    import numpy as np
+
+    header = {**header, "magic": magic,
+              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    write_bytes(path, b"".join(
+        [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)]
+        + [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays]))
 
 
 def read_arrays(path: str | Path, magic: str,
@@ -109,9 +131,7 @@ def write_manifest(
         "config": {k: v for k, v in sorted(config_flat.items())},
         "inputs": dict(sorted(inputs.items())),
     }
-    manifest_path(artifact).write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_text(manifest_path(artifact), json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def read_manifest(artifact: Path) -> dict | None:

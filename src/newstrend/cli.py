@@ -229,9 +229,8 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
         "ranking_head": [[w, s] for w, s in ranking[:50]],
         "n_train_weeks": len(train_w),
     }
-    (workdir / "vocab.json").write_text(
-        json.dumps(vocab_record, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    artifacts.write_text(workdir / "vocab.json",
+                         json.dumps(vocab_record, sort_keys=True, indent=1) + "\n")
     print(f"pot: {len(model_set.anchors)} weekly models over {len(tracked)} words; "
           f"vocabulary {len(vocab)} words from {len(train_w)} training weeks")
     for word in args.word:
@@ -281,6 +280,11 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     labels, _, docs_by_id, _ = _load_week_data(config, workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     trained = load_extractor(workdir / "extractor.model")
+    if vocab.words != trained.model.vocab.words:
+        raise DataError(
+            f"{workdir / 'vocab.json'} is not the vocabulary that {workdir / 'extractor.model'} "
+            f"was trained on; re-run `train-extractor`"
+        )
     excluded = set(trained.train_weeks) | set(trained.dev_weeks)
     n_lags = config.polarity.n_lags
     batch = config.extractor.batch_size
@@ -320,7 +324,7 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
-    from .metrics import report, write_report_csv, write_report_text
+    from .metrics import format_report_text, report, write_report_csv
     from .summarizer import load_summarizer, predict_week, read_weekly_sentiment_csv
 
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
@@ -340,9 +344,10 @@ def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
     ]
     rep = report(predictions, truths, policy=config.labels.policy,
                  classes=classes, rows=detail)
-    write_report_text(rep, workdir / "report.txt")
+    text = format_report_text(rep)
+    artifacts.write_text(workdir / "report.txt", text)
     write_report_csv(rep, workdir / "report.csv")
-    print((workdir / "report.txt").read_text(encoding="utf-8"), end="")
+    print(text, end="")
 
 
 def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
@@ -364,16 +369,15 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
         index = {lab.week.anchor: i for i, lab in enumerate(labels)}
         offset = config.summarizer.target_offset
         out = plots / "overlay.csv"
-        scores, pcts = [], []
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("anchor,overall_score,target_week_pct_change\n")
-            for row in rows:
-                j = index.get(row.week, -1) + offset
-                if row.week in index and 0 <= j < len(labels):
-                    pct = labels[j].week.pct_change
-                    scores.append(row.overall_score)
-                    pcts.append(pct)
-                    fh.write(f"{row.week.isoformat()},{row.overall_score!r},{'%.8f' % pct}\n")
+        scores, pcts, lines = [], [], ["anchor,overall_score,target_week_pct_change\n"]
+        for row in rows:
+            j = index.get(row.week, -1) + offset
+            if row.week in index and 0 <= j < len(labels):
+                pct = labels[j].week.pct_change
+                scores.append(row.overall_score)
+                pcts.append(pct)
+                lines.append(f"{row.week.isoformat()},{row.overall_score!r},{'%.8f' % pct}\n")
+        artifacts.write_text(out, "".join(lines))
         written.append(out)
         try:
             corr = pearson(scores, pcts)
@@ -386,15 +390,15 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
     if prices_path.exists():
         prices = load_prices(prices_path)
         out = plots / "weekday_autocorr.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("weekday,lag,autocorrelation\n")
-            for wd, name in enumerate(WEEKDAY_NAMES):
-                for lag in AUTOCORR_LAGS:
-                    try:
-                        value = weekday_autocorrelation(prices, wd, lag)
-                    except DataError:
-                        continue
-                    fh.write(f"{name},{lag},{'' if value is None else '%.6f' % value}\n")
+        lines = ["weekday,lag,autocorrelation\n"]
+        for wd, name in enumerate(WEEKDAY_NAMES):
+            for lag in AUTOCORR_LAGS:
+                try:
+                    value = weekday_autocorrelation(prices, wd, lag)
+                except DataError:
+                    continue
+                lines.append(f"{name},{lag},{'' if value is None else '%.6f' % value}\n")
+        artifacts.write_text(out, "".join(lines))
         written.append(out)
 
     if args.word:

@@ -203,6 +203,9 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(
             f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"
         ) from None
+    from .weeks import make_policy  # weeks imports this module through corpus
+
+    make_policy(config.labels.policy, config.labels.up, config.labels.down)
     if config.summarizer.features not in ("scalar", "extended"):
         raise ConfigError(
             f"summarizer.features must be 'scalar' or 'extended', "

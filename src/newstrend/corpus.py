@@ -10,7 +10,6 @@ The on-disk record format is JSONL, one object per line:
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass, replace
@@ -160,9 +159,8 @@ def ingest_news(path: str | Path) -> IngestResult:
 
 
 def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), sort_keys=True) + "\n")
+    artifacts.write_text(path, "".join(
+        json.dumps(record_to_obj(record), sort_keys=True) + "\n" for record in records))
 
 
 def read_news_jsonl(path: str | Path) -> list[NewsRecord]:
@@ -176,10 +174,7 @@ def read_news_jsonl(path: str | Path) -> list[NewsRecord]:
 
 
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line_number", "reason"])
-        writer.writerows(rejected)
+    artifacts.write_csv(path, ["line_number", "reason"], rejected)
 
 
 def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[NewsRecord]:

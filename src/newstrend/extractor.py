@@ -543,11 +543,11 @@ def train_extractor(
 
 
 def write_train_log(history: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,train_loss,dev_acc_senti,dev_acc_worth\n")
-        for row in history:
-            worth = "" if row["dev_acc_worth"] is None else repr(row["dev_acc_worth"])
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['dev_acc_senti']!r},{worth}\n")
+    lines = ["epoch,train_loss,dev_acc_senti,dev_acc_worth\n"]
+    for row in history:
+        worth = "" if row["dev_acc_worth"] is None else repr(row["dev_acc_worth"])
+        lines.append(f"{row['epoch']},{row['train_loss']!r},{row['dev_acc_senti']!r},{worth}\n")
+    artifacts.write_text(path, "".join(lines))
 
 
 def _sha256_words(words: Sequence[str]) -> str:

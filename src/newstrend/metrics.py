@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError, UndefinedMetricError
 
 
@@ -154,15 +154,6 @@ def format_report_text(rep: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_text(rep: EvaluationReport, path: str | Path) -> None:
-    Path(path).write_text(format_report_text(rep), encoding="utf-8")
-
-
 def write_report_csv(rep: EvaluationReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if rep.rows:
-            names = list(rep.rows[0])
-            writer.writerow(names)
-            for row in rep.rows:
-                writer.writerow([row[n] for n in names])
+    names = list(rep.rows[0]) if rep.rows else []
+    artifacts.write_csv(path, names, ([row[n] for n in names] for row in rep.rows))

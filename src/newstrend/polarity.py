@@ -202,7 +202,5 @@ def build_model_set(
 def write_trajectory_csv(
     rows: Sequence[tuple[date, float]], word: str, path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("anchor,word,score\n")
-        for anchor, score in rows:
-            fh.write(f"{anchor.isoformat()},{word},{SCORE_FORMAT % score}\n")
+    artifacts.write_text(path, "anchor,word,score\n" + "".join(
+        f"{anchor.isoformat()},{word},{SCORE_FORMAT % score}\n" for anchor, score in rows))

@@ -209,7 +209,7 @@ def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
         "bias": [float(v) for v in model.bias],
         "feature_spec": model.feature_spec,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    artifacts.write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_summarizer(path: str | Path) -> SummarizerModel:
@@ -243,16 +243,14 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
 
 def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
     # reprs read back bit for bit, so the extended features survive the file
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["anchor", "n_sampled", "overall_score", "true_class",
-                         "score_std", "frac_positive", "worthiness_mean"])
-        for row in rows:
-            writer.writerow(
-                [row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
-                 row.label, repr(row.score_std), repr(row.frac_positive),
-                 "" if row.worthiness_mean is None else repr(row.worthiness_mean)]
-            )
+    artifacts.write_csv(
+        path,
+        ["anchor", "n_sampled", "overall_score", "true_class",
+         "score_std", "frac_positive", "worthiness_mean"],
+        ([row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
+          row.label, repr(row.score_std), repr(row.frac_positive),
+          "" if row.worthiness_mean is None else repr(row.worthiness_mean)] for row in rows),
+    )
 
 
 def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:

@@ -15,7 +15,6 @@ categories, so the worthiness head has something real to learn.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .corpus import NewsRecord, write_news_jsonl
 
 POSITIVE_WORDS = (
@@ -180,11 +180,8 @@ def generate(settings: SynthSettings) -> tuple[list[NewsRecord], list[tuple[date
 
 
 def write_prices_csv(rows: list[tuple[date, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "close"])
-        for day, close in rows:
-            writer.writerow([day.isoformat(), "%.4f" % close])
+    artifacts.write_csv(path, ["date", "close"],
+                        ([day.isoformat(), "%.4f" % close] for day, close in rows))
 
 
 def write_outputs(settings: SynthSettings, news_path: str | Path, prices_path: str | Path) -> SynthTruth:

@@ -106,20 +106,25 @@ def binary_symmetric_policy(up: float = 0.6, down: float = 0.0) -> BinningPolicy
 
 
 def make_policy(name: str, up: float | None = None, down: float | None = None) -> BinningPolicy:
+    """The policy `name`, with the thresholds `up` and `down` (the
+    `labels.up`/`labels.down` keys) given both or neither."""
+    if (up is None) != (down is None):
+        raise ConfigError(f"policy {name!r} needs both labels.up and labels.down, or neither; "
+                          f"got up={up} down={down}")
     if name == "three_way":
         return three_way_policy() if up is None else three_way_policy(up, down)
     if name == "binary_asymmetric":
+        if up is not None:
+            raise ConfigError("policy 'binary_asymmetric' splits at 0 and takes no "
+                              "labels.up or labels.down")
         return binary_asymmetric_policy()
     if name == "binary_symmetric":
         return binary_symmetric_policy() if up is None else binary_symmetric_policy(up, down)
-    if name == "custom":
-        if up is None or down is None:
-            raise ConfigError("custom policy needs explicit up and down thresholds")
-        return BinningPolicy(kind="three_way", up=up, down=down, name="custom")
-    if name == "binary_custom":
-        if up is None or down is None:
-            raise ConfigError("binary_custom policy needs explicit up and down thresholds")
-        return BinningPolicy(kind="binary", up=up, down=down, name="binary_custom")
+    if name in ("custom", "binary_custom"):
+        if up is None:
+            raise ConfigError(f"{name} policy needs explicit up and down thresholds")
+        kind = "three_way" if name == "custom" else "binary"
+        return BinningPolicy(kind=kind, up=up, down=down, name=name)
     raise ConfigError(f"unknown binning policy {name!r}")
 
 
@@ -296,18 +301,14 @@ def weekday_autocorrelation(prices: PriceSeries, weekday: int, lag: int) -> floa
 
 
 def write_weeks_csv(labels: Sequence[WeeklyLabel], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["anchor", "prev_anchor", "pct_change", "extractor_class",
-             "pot_class", "summarizer_class", "n_news"]
-        )
-        for lab in labels:
-            writer.writerow(
-                [lab.week.anchor.isoformat(), lab.week.prev_anchor.isoformat(),
-                 "%.8f" % lab.week.pct_change, lab.extractor_class,
-                 lab.pot_class, lab.summarizer_class, len(lab.week.news_ids)]
-            )
+    artifacts.write_csv(
+        path,
+        ["anchor", "prev_anchor", "pct_change", "extractor_class",
+         "pot_class", "summarizer_class", "n_news"],
+        ([lab.week.anchor.isoformat(), lab.week.prev_anchor.isoformat(),
+          "%.8f" % lab.week.pct_change, lab.extractor_class,
+          lab.pot_class, lab.summarizer_class, len(lab.week.news_ids)] for lab in labels),
+    )
 
 
 # every value each class column of weeks.csv can hold

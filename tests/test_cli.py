@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from newstrend.cli import STAGES as CLI_STAGES
 from newstrend.cli import main
 
 
@@ -237,6 +238,7 @@ class TestErrors:
         ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
         ("synth.start=notadate", "synth.start"),
         ("synth.weeks=abc", "synth.weeks"),
+        ("labels.up=0.5", "labels.down"),
     ])
     def test_bad_config_value_exits_one_when_loaded(self, tmp_path, capsys, override, key):
         wd = tmp_path / "w"
@@ -409,6 +411,21 @@ def _weeks_not_utf8(wd):
     return "cannot read weeks file"
 
 
+def _vocab_of_a_rerun_pot(wd):
+    config = write_config(wd.parent, **{"polarity.vocab_size": 20})
+    assert run(["pot", "--workdir", wd, "--config", config, "--allow-config-drift"]) == 0
+    return (f"{wd / 'vocab.json'} is not the vocabulary that {wd / 'extractor.model'} "
+            f"was trained on; re-run `train-extractor`")
+
+
+def _swap_vocab_words(wd):
+    path = wd / "vocab.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["words"][:2] = record["words"][1::-1]
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return "vocab.json is not the vocabulary that"
+
+
 def _summarizer_without_classes(wd):
     (wd / "summarizer.model").write_text('{"kind": "x"}')
     return "summarizer.model lacks key 'classes'"
@@ -418,7 +435,8 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize("corrupt", [_truncate_pot, _pot_directory_of_old_workdir,
                                          _truncate_model, _rename_vocab_word,
                                          _garble_vocab, _vocab_words_not_a_list,
-                                         _vocab_words_repeated, _other_encoder_kind])
+                                         _vocab_words_repeated, _other_encoder_kind,
+                                         _vocab_of_a_rerun_pot, _swap_vocab_words])
     def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  corrupt):
         source, config = trained_workdir
@@ -443,6 +461,40 @@ class TestCorruptArtifacts:
         expected = corrupt(wd)
         assert run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"]) == 2
         assert expected in capsys.readouterr().err
+
+
+# input faults, each a function of the file's bytes
+FAULTS = {
+    "emptied": lambda data: b"",
+    "halved": lambda data: data[: len(data) // 2],
+    "garbled": lambda data: data[: len(data) // 2] + b"\xff{" + data[len(data) // 2:],
+}
+
+
+class TestFaultyInputs:
+    """Every declared input of every stage, emptied, cut in half or with
+    undecodable bytes inserted: the stage exits 0 or 2 and never raises.
+    Empty or truncated raw news and prices may still parse, so only the
+    inserted bytes must exit 2."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("stage, name", [(command, name)
+                                             for command, stage in CLI_STAGES.items()
+                                             for name in stage.inputs])
+    def test_stage_exits_zero_or_two(self, trained_workdir, tmp_path, capsys,
+                                     stage, name, fault):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        path = wd / name
+        path.write_bytes(FAULTS[fault](path.read_bytes()))
+        rc = run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), err
+        if fault == "garbled":
+            assert rc == 2
+            assert any(line.startswith("error: ") and name in line
+                       for line in err.splitlines()), err
 
 
 class TestTrainLog:

@@ -63,3 +63,23 @@ class TestLoading:
     def test_bad_override_fatal(self):
         with pytest.raises(ConfigError):
             load_config(None, ["no-equals-sign"])
+
+
+class TestLabelPolicy:
+    @pytest.mark.parametrize("overrides, match", [
+        (["labels.up=0.5"], "needs both labels.up and labels.down"),
+        (["labels.down=-0.5"], "needs both labels.up and labels.down"),
+        (["labels.policy=binary_asymmetric", "labels.up=5", "labels.down=-5"],
+         "takes no labels.up or labels.down"),
+        (["labels.policy=nonsense"], "unknown binning policy 'nonsense'"),
+        (["labels.policy=custom"], "custom policy needs explicit up and down"),
+        (["labels.up=-0.5", "labels.down=0.5"], "requires up > down"),
+    ], ids=["up_alone", "down_alone", "binary_asymmetric_thresholds", "unknown_policy",
+            "custom_without_thresholds", "inverted_thresholds"])
+    def test_bad_policy_fails_when_loaded(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(None, overrides)
+
+    def test_both_thresholds_load(self):
+        config = load_config(None, ["labels.up=0.5", "labels.down=-0.5"])
+        assert (config.labels.up, config.labels.down) == (0.5, -0.5)
