@@ -9,7 +9,8 @@ the most room for news sentiment to matter).
 Run:  python3 demos/01_weekly_calendar.py
 """
 
-from newstrend.synth import SynthSettings, generate
+from newstrend.config import SynthConfig
+from newstrend.synth import generate
 from newstrend.weeks import (
     PriceSeries, binary_asymmetric_policy, label_weeks, monday_anchors,
     three_way_policy, weekday_autocorrelation, weekly_changes,
@@ -23,7 +24,7 @@ def main():
     print("=" * 64)
     print("1. a price series (synthetic, 3 years of weekdays)")
     print("=" * 64)
-    _, price_rows, _ = generate(SynthSettings(weeks=156, seed=20))
+    _, price_rows, _ = generate(SynthConfig(weeks=156, seed=20, filler_vocab=300))
     prices = PriceSeries(entries=price_rows)
     print(f"{len(prices)} daily closes, {prices.first_date} .. {prices.last_date}")
 

@@ -10,7 +10,8 @@ Run:  python3 demos/02_polarity_lexicon.py
 
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
-from newstrend.synth import SynthSettings, generate
+from newstrend.config import SynthConfig
+from newstrend.synth import generate
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
     weekly_changes,
@@ -18,7 +19,7 @@ from newstrend.weeks import (
 
 
 def main():
-    settings = SynthSettings(weeks=80, articles_per_week=30, seed=20)
+    settings = SynthConfig(weeks=80, articles_per_week=30, seed=20, filler_vocab=300)
     records, price_rows, truth = generate(settings)
     prices = PriceSeries(entries=price_rows)
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)

@@ -7,14 +7,14 @@ finite-difference gradient check, and scoring of unseen articles.
 Run:  python3 demos/03_sentiment_extractor.py
 """
 
-from newstrend.config import ExtractorConfig
+from newstrend.config import ExtractorConfig, SynthConfig
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.extractor import (
     TrainingExample, gradient_check, sentiment_score, split_dev_weeks,
     train_extractor,
 )
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
-from newstrend.synth import SynthSettings, generate
+from newstrend.synth import generate
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
     weekly_changes,
@@ -22,7 +22,7 @@ from newstrend.weeks import (
 
 
 def main():
-    settings = SynthSettings(weeks=80, articles_per_week=30, seed=20)
+    settings = SynthConfig(weeks=80, articles_per_week=30, seed=20, filler_vocab=300)
     records, price_rows, _ = generate(settings)
     prices = PriceSeries(entries=price_rows)
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)

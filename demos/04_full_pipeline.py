@@ -23,6 +23,7 @@ CONFIG = {
     "extractor.epochs": 12, "extractor.max_weeks_per_class": 10,
     "summarizer.train_weeks": 45,
     "synth.weeks": 120, "synth.articles_per_week": 50, "synth.seed": 55,
+    "synth.filler_vocab": 300,
 }
 
 STAGES = ["synth", "ingest", "label", "pot", "train-extractor", "score",

@@ -17,7 +17,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "config": ("CorpusConfig", "ExtractorConfig", "SummarizerConfig"),
+    "config": ("CorpusConfig", "ExtractorConfig", "SummarizerConfig", "SynthConfig",
+               "SynthSettings"),
     "corpus": (
         "IngestResult", "NewsRecord", "ProxyRule", "TokenizedDoc", "Vocabulary",
         "assign_worthiness_proxy", "build_vocabulary", "clean_filter", "ingest_news",
@@ -38,7 +39,7 @@ _EXPORTS = {
         "SummarizerDataset", "SummarizerModel", "WeeklySentiment", "build_summarizer_dataset",
         "features_of", "load_summarizer", "predict_week", "save_summarizer", "train_summarizer",
     ),
-    "synth": ("SynthSettings", "SynthTruth", "generate", "write_outputs"),
+    "synth": ("SynthTruth", "generate", "write_outputs"),
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
         "autocorrelation", "binary_asymmetric_policy", "binary_symmetric_policy",

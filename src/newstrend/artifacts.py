@@ -73,15 +73,21 @@ def write_arrays(path: str | Path, magic: str, header: Mapping,
 
 def read_arrays(path: str | Path, magic: str,
                 parse: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
-    """`parse(header, arrays)` of an array file. A wrong magic line or header,
-    a body whose length differs from the declared shapes, and a KeyError,
-    ValueError or TypeError in `parse` are DataErrors naming the file."""
+    """`parse(header, arrays)` of an array file. A missing or wrong magic line,
+    header-length line or header, a body whose length differs from the
+    declared shapes, and a KeyError, ValueError or TypeError in `parse` are
+    DataErrors naming the file."""
     import numpy as np
 
     try:
-        first, size, rest = Path(path).read_bytes().split(b"\n", 2)
-        if first != magic.encode("ascii"):
-            raise ValueError(f"expected magic {magic!r}, found {first[:40]!r}")
+        lines = Path(path).read_bytes().split(b"\n", 2)
+        if lines == [b""]:
+            raise ValueError(f"the magic line {magic!r} is missing")
+        if lines[0] != magic.encode("ascii"):
+            raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}")
+        if len(lines) < 3 or not lines[1].isdigit():
+            raise ValueError("the header-length line is missing")
+        _, size, rest = lines
         header, body = json.loads(rest[: int(size)]), memoryview(rest)[int(size):]
         counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
         if len(body) != 8 * sum(counts):

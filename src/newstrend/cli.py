@@ -60,20 +60,21 @@ def build_parser() -> _Parser:
 
     parser = _Parser(prog="newstrend", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("synth", parents=[common], help="generate a planted-signal corpus")
-    p.add_argument("--seed", type=int, help="shorthand for --set synth.seed=N")
+    sub.add_parser("synth", parents=[common], help="generate a planted-signal corpus")
     sub.add_parser("ingest", parents=[common], help="parse, clean, and proxy-label the news")
     sub.add_parser("label", parents=[common], help="build the weekly Monday calendar")
     p = sub.add_parser("pot", parents=[common], help="build weekly polarity models + vocabulary")
-    p.add_argument("--word", action="append", default=[], help="also track this word (repeatable)")
-    p.add_argument("--from", dest="date_from", help="trajectory start (YYYY-MM or YYYY-MM-DD)")
-    p.add_argument("--to", dest="date_to", help="trajectory end (YYYY-MM or YYYY-MM-DD)")
+    p.add_argument("--word", action="append", default=[],
+                   help="also track this word in pot.bin (repeatable)")
     sub.add_parser("train-extractor", parents=[common], help="train the sentiment extractor")
     sub.add_parser("score", parents=[common], help="score weekly sentiment (leakage-guarded)")
     sub.add_parser("train-summarizer", parents=[common], help="train the weekly trend classifier")
     sub.add_parser("evaluate", parents=[common], help="evaluate on the chronological test split")
     p = sub.add_parser("export-plot-data", parents=[common], help="export plot-ready CSVs")
-    p.add_argument("--word", action="append", default=[], help="export this word's trajectory")
+    p.add_argument("--word", action="append", default=[],
+                   help="export this word's trajectory (repeatable; pot.bin must track it)")
+    p.add_argument("--from", dest="date_from", help="trajectory start (YYYY-MM or YYYY-MM-DD)")
+    p.add_argument("--to", dest="date_to", help="trajectory end (YYYY-MM or YYYY-MM-DD)")
     return parser
 
 
@@ -149,15 +150,12 @@ def _load_models_and_vocab(workdir: Path):
 def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
     from . import synth
 
-    # SynthConfig names SynthSettings' fields; only the start date is parsed here
-    settings = synth.SynthSettings(
-        **{**vars(config.synth), "start": date.fromisoformat(config.synth.start)}
-    )
+    s = config.synth
     news_path = _path(config, workdir, "news.jsonl")
     prices_path = _path(config, workdir, "prices.csv")
-    truth = synth.write_outputs(settings, news_path, prices_path)
-    print(f"synth: {settings.weeks} news weeks, {settings.articles_per_week} articles/week, "
-          f"rho={settings.rho} -> {news_path.name}, {prices_path.name}")
+    truth = synth.write_outputs(s, news_path, prices_path)
+    print(f"synth: {s.weeks} news weeks, {s.articles_per_week} articles/week, "
+          f"rho={s.rho} -> {news_path.name}, {prices_path.name}")
     print(f"synth: price series spans {truth.anchors[0]} .. {truth.anchors[-1]}")
 
 
@@ -204,8 +202,6 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
-    start = _parse_date("--from", args.date_from) if args.date_from else None
-    end = _parse_date("--to", args.date_to, end=True) if args.date_to else None
     labels, _, _, docs_by_week = _load_week_data(config, workdir)
     _, train_w, _ = _extractor_split(config, labels)
     train_set = set(train_w)
@@ -233,13 +229,6 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
                          json.dumps(vocab_record, sort_keys=True, indent=1) + "\n")
     print(f"pot: {len(model_set.anchors)} weekly models over {len(tracked)} words; "
           f"vocabulary {len(vocab)} words from {len(train_w)} training weeks")
-    for word in args.word:
-        rows = model_set.trajectory(word, start, end)
-        plots = workdir / "plots"
-        plots.mkdir(exist_ok=True)
-        out = plots / f"trajectory_{word}.csv"
-        polarity.write_trajectory_csv(rows, word, out)
-        print(f"pot: wrote {out} ({len(rows)} weeks)")
 
 
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
@@ -264,7 +253,7 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
                 )
             )
     trained = train_extractor(examples, config.extractor, vocab, dev_w)
-    save_extractor(trained, workdir / "extractor.model", config_echo=config.to_flat())
+    save_extractor(trained, workdir / "extractor.model")
     write_train_log(trained.history, workdir / "train_log.csv")
     best = max(h["dev_acc_senti"] for h in trained.history)
     print(f"train-extractor: {len(examples)} examples from {len(selected)} weeks "
@@ -355,11 +344,24 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
     from .metrics import pearson
     from .summarizer import read_weekly_sentiment_csv
 
-    # outputs depend on which inputs exist, so this stage writes its own manifests
+    start = _parse_date("--from", args.date_from) if args.date_from else None
+    end = _parse_date("--to", args.date_to, end=True) if args.date_to else None
+    if args.word:
+        pot_path = workdir / "pot.bin"
+        model_set = polarity.PolarityModelSet.load(pot_path)
+        for word in args.word:
+            if word not in model_set.words:
+                raise DataError(f"{pot_path} does not track the word {word!r}; "
+                                f"`pot --word {word}` tracks it")
+
+    def digests(*names):
+        return {Path(n).stem: artifacts.sha256_file(_path(config, workdir, n)) for n in names}
+
+    # outputs depend on which inputs exist, so this stage writes its own
+    # manifests; `written` maps each output to the digests of its inputs
     plots = workdir / "plots"
     plots.mkdir(exist_ok=True)
-    flat = config.to_flat()
-    written = []
+    written = {}
 
     sentiment_path = workdir / "weekly_sentiment.csv"
     weeks_path = workdir / "weeks.csv"
@@ -378,7 +380,7 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
                 pcts.append(pct)
                 lines.append(f"{row.week.isoformat()},{row.overall_score!r},{'%.8f' % pct}\n")
         artifacts.write_text(out, "".join(lines))
-        written.append(out)
+        written[out] = digests("weekly_sentiment.csv", "weeks.csv")
         try:
             corr = pearson(scores, pcts)
             print(f"export-plot-data: overlay correlation "
@@ -399,17 +401,16 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
                     continue
                 lines.append(f"{name},{lag},{'' if value is None else '%.6f' % value}\n")
         artifacts.write_text(out, "".join(lines))
-        written.append(out)
+        written[out] = digests("prices.csv")
 
-    if args.word:
-        model_set = polarity.PolarityModelSet.load(workdir / "pot.bin")
-        for word in args.word:
-            out = plots / f"trajectory_{word}.csv"
-            polarity.write_trajectory_csv(model_set.trajectory(word), word, out)
-            written.append(out)
+    for word in args.word:
+        out = plots / f"trajectory_{word}.csv"
+        polarity.write_trajectory_csv(model_set.trajectory(word, start, end), word, out)
+        written[out] = digests("pot.bin")
 
-    for path in written:
-        artifacts.write_manifest(path, "export-plot-data", flat, {})
+    flat = config.to_flat()
+    for path, inputs in written.items():
+        artifacts.write_manifest(path, "export-plot-data", flat, inputs)
     print(f"export-plot-data: wrote {', '.join(p.name for p in written) or 'nothing'}")
 
 
@@ -449,10 +450,7 @@ STAGES = {
 def _run_stage(command: str, args) -> None:
     """Run one stage inside the frame that every stage shares."""
     stage = STAGES[command]
-    overrides = list(args.set)
-    if getattr(args, "seed", None) is not None:  # synth's --seed shorthand
-        overrides.append(f"synth.seed={args.seed}")
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, args.set)
     workdir = Path(args.workdir) if args.workdir else Path(config.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     flat = config.to_flat()

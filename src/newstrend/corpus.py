@@ -165,11 +165,14 @@ def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
 
 def read_news_jsonl(path: str | Path) -> list[NewsRecord]:
     """Read a file that `write_news_jsonl` wrote; unlike `ingest_news`, which
-    skips bad lines of raw news, fail with a DataError naming file and line."""
+    skips bad lines of raw news, fail with a DataError naming file and line,
+    or naming the file when it holds no records."""
     result = ingest_news(path)
     if result.rejected:
         lineno, reason = result.rejected[0]
         raise DataError(f"{path} line {lineno}: {reason}")
+    if not result.records:
+        raise DataError(f"{path} holds no news records")
     return result.records
 
 

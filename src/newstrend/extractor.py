@@ -554,11 +554,9 @@ def _sha256_words(words: Sequence[str]) -> str:
     return hashlib.sha256("\n".join(words).encode("utf-8")).hexdigest()
 
 
-def save_extractor(
-    trained: TrainedExtractor, path: str | Path, config_echo: Mapping | None = None
-) -> None:
+def save_extractor(trained: TrainedExtractor, path: str | Path) -> None:
     """Single-file model artifact (`artifacts.write_arrays`): versioned header,
-    config echo, vocabulary hashes, then the parameter arrays in name order,
+    vocabulary hashes, then the parameter arrays in name order,
     `pot_mu` and `pot_sigma`. Byte-identical for identical seeds and inputs."""
     model = trained.model
     arrays = [(n, model.params[n]) for n in sorted(model.params)]
@@ -572,7 +570,6 @@ def save_extractor(
         "lam": model.lam,
         "train_weeks": [d.isoformat() for d in trained.train_weeks],
         "dev_weeks": [d.isoformat() for d in trained.dev_weeks],
-        "config_echo": dict(config_echo) if config_echo else {},
     }
     artifacts.write_arrays(path, MODEL_MAGIC, header, arrays)
 

@@ -277,4 +277,6 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
             raise DataError(
                 f"weekly sentiment file {path} line {n}: bad or missing field {exc}"
             ) from None
+    if not rows:
+        raise DataError(f"weekly sentiment file {path} holds no weeks")
     return rows

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .config import SynthConfig, SynthSettings  # noqa: F401 (bench/run.py calls SynthSettings)
 from .corpus import NewsRecord, write_news_jsonl
 
 POSITIVE_WORDS = (
@@ -46,19 +47,6 @@ _BASE_FILLERS = (
 )
 
 
-@dataclass(frozen=True)
-class SynthSettings:
-    weeks: int = 120
-    articles_per_week: int = 50
-    rho: float = 0.9
-    seed: int = 7
-    start: date = date(2015, 1, 5)   # a Monday
-    block_min_weeks: int = 15        # mood regimes alternate in blocks of this
-    block_max_weeks: int = 25        # .. to this many weeks (balanced, persistent)
-    pct_scale: float = 2.0
-    filler_vocab: int = 300
-
-
 @dataclass
 class SynthTruth:
     anchors: list[date]              # Monday anchors, index 0 = start
@@ -75,23 +63,24 @@ def _filler_words(size: int) -> list[str]:
     return words[:size]
 
 
-def generate(settings: SynthSettings) -> tuple[list[NewsRecord], list[tuple[date, float]], SynthTruth]:
+def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, float]], SynthTruth]:
     """Returns (news records, daily price rows, ground truth).
 
-    Week t: interval (anchor[t-1], anchor[t]]. News exists for weeks
-    1..weeks; prices run one extra week so the final news week still has a
-    next-week move to predict.
+    Week t: interval (anchor[t-1], anchor[t]], anchor[0] = `config.start`.
+    News exists for weeks 1..weeks; prices run one extra week so the final
+    news week still has a next-week move to predict.
     """
-    rng = np.random.default_rng(settings.seed)
-    n_price_weeks = settings.weeks + 1
-    anchors = [settings.start + timedelta(days=7 * t) for t in range(n_price_weeks + 1)]
+    rng = np.random.default_rng(config.seed)
+    n_price_weeks = config.weeks + 1
+    start = date.fromisoformat(config.start)
+    anchors = [start + timedelta(days=7 * t) for t in range(n_price_weeks + 1)]
 
     # alternating mood regimes: persistent (this week's mood usually still
     # holds next week) yet balanced over the run by construction
     moods = [0]  # index 0 unused
     mood = 1 if rng.random() < 0.5 else -1
     while len(moods) <= n_price_weeks:
-        block = int(rng.integers(settings.block_min_weeks, settings.block_max_weeks + 1))
+        block = int(rng.integers(config.block_min_weeks, config.block_max_weeks + 1))
         moods.extend([mood] * block)
         mood = -mood
     del moods[n_price_weeks + 1:]
@@ -103,7 +92,7 @@ def generate(settings: SynthSettings) -> tuple[list[NewsRecord], list[tuple[date
     for t in range(1, n_price_weeks + 1):
         driven = moods[t] * abs(rng.normal(0.0, 1.0))
         noise = rng.normal(0.0, 1.0)
-        pct = settings.pct_scale * (settings.rho * driven + (1.0 - settings.rho) * noise)
+        pct = config.pct_scale * (config.rho * driven + (1.0 - config.rho) * noise)
         if pct == 0.0:
             pct = 0.01
         pcts.append(pct)
@@ -126,13 +115,13 @@ def generate(settings: SynthSettings) -> tuple[list[NewsRecord], list[tuple[date
                 price_rows.append((day, math.exp(math.log(c0) + step * offset + jitter)))
     price_rows.append((anchors[n_price_weeks], closes[n_price_weeks]))
 
-    fillers = _filler_words(settings.filler_vocab)
+    fillers = _filler_words(config.filler_vocab)
     filler_p = np.array([1.0 / (i + 3.0) for i in range(len(fillers))])
     filler_p /= filler_p.sum()
 
     records: list[NewsRecord] = []
-    for t in range(1, settings.weeks + 1):
-        for i in range(settings.articles_per_week):
+    for t in range(1, config.weeks + 1):
+        for i in range(config.articles_per_week):
             intensity = int(rng.integers(3, 10))
             own = POSITIVE_WORDS if moods[t] > 0 else NEGATIVE_WORDS
             other = NEGATIVE_WORDS if moods[t] > 0 else POSITIVE_WORDS
@@ -184,8 +173,8 @@ def write_prices_csv(rows: list[tuple[date, float]], path: str | Path) -> None:
                         ([day.isoformat(), "%.4f" % close] for day, close in rows))
 
 
-def write_outputs(settings: SynthSettings, news_path: str | Path, prices_path: str | Path) -> SynthTruth:
-    records, price_rows, truth = generate(settings)
+def write_outputs(config: SynthConfig, news_path: str | Path, prices_path: str | Path) -> SynthTruth:
+    records, price_rows, truth = generate(config)
     write_news_jsonl(records, news_path)
     write_prices_csv(price_rows, prices_path)
     return truth

@@ -334,4 +334,6 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
             labels.append(WeeklyLabel(week, **{key: row[key] for key in WEEK_CLASSES}))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"weeks file {path} line {n}: bad or missing field {exc}") from None
+    if not labels:
+        raise DataError(f"weeks file {path} holds no weeks")
     return labels

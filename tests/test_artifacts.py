@@ -109,6 +109,19 @@ def test_parse_errors_are_data_errors_naming_the_file(tmp_path):
         read_arrays(tmp_path / "b.bin", MAGIC, arrays_of)
 
 
+@pytest.mark.parametrize("cut, why", [
+    (0, f"the magic line {MAGIC!r} is missing"),
+    (len(MAGIC), "the header-length line is missing"),
+    (len(MAGIC) + 3, "the header-length line is missing"),
+])
+def test_empty_or_cut_file_names_the_missing_line(tmp_path, cut, why):
+    path = tmp_path / "a.bin"
+    write_arrays(path, MAGIC, {}, [("x", np.arange(3.0))])
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(DataError, match=f"a.bin is corrupt: {why}"):
+        read_arrays(path, MAGIC, arrays_of)
+
+
 def test_read_text_of_undecodable_or_missing_file_is_data_error(tmp_path):
     path = tmp_path / "weeks.csv"
     path.write_bytes(b"anchor\n\xff\n")

@@ -18,6 +18,7 @@ BASE_CONFIG = {
     "extractor.epochs": 3,
     "summarizer.train_weeks": 12,
     "synth.weeks": 40, "synth.articles_per_week": 10, "synth.seed": 55,
+    "synth.filler_vocab": 300,
 }
 
 STAGES = ["ingest", "label", "pot", "train-extractor", "score",
@@ -95,6 +96,8 @@ class TestFullPipeline:
             assert (wd / name).read_bytes() == before[name], name
 
     def test_export_plot_data(self, tmp_path):
+        from newstrend.artifacts import sha256_file
+
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         run_pipeline(wd, config)
@@ -109,6 +112,16 @@ class TestFullPipeline:
         assert any(line.startswith("monday,1,") for line in autocorr)
         trajectory = (plots / "trajectory_surge.csv").read_text().splitlines()
         assert trajectory[0] == "anchor,word,score"
+
+        def inputs(name):
+            return json.loads((plots / f"{name}.manifest.json").read_text())["inputs"]
+
+        assert inputs("overlay.csv") == {
+            "weekly_sentiment": sha256_file(wd / "weekly_sentiment.csv"),
+            "weeks": sha256_file(wd / "weeks.csv"),
+        }
+        assert inputs("weekday_autocorr.csv") == {"prices": sha256_file(wd / "prices.csv")}
+        assert inputs("trajectory_surge.csv") == {"pot": sha256_file(wd / "pot.bin")}
 
 
 class TestExtendedFeatures:
@@ -130,16 +143,29 @@ class TestSynthCommand:
     def test_seed_flag_and_determinism(self, tmp_path):
         config = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["synth", "--workdir", a, "--config", config, "--seed", "7"]) == 0
-        assert run(["synth", "--workdir", b, "--config", config, "--seed", "7"]) == 0
+        assert run(["synth", "--workdir", a, "--config", config, "--set", "synth.seed=7"]) == 0
+        assert run(["synth", "--workdir", b, "--config", config, "--set", "synth.seed=7"]) == 0
         assert (a / "news.jsonl").read_bytes() == (b / "news.jsonl").read_bytes()
         assert (a / "prices.csv").read_bytes() == (b / "prices.csv").read_bytes()
+
+    def test_seed_is_only_a_config_key(self, tmp_path, capsys):
+        assert run(["synth", "--workdir", tmp_path / "w", "--seed", "7"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "w" / "news.jsonl").exists()
+
+    def test_default_corpus_runs_the_default_config_through_pot(self, tmp_path, capsys):
+        # the default corpus offers the default 512-word vocabulary enough words
+        wd = tmp_path / "w"
+        for stage in ("synth", "ingest", "label", "pot"):
+            assert run([stage, "--workdir", wd]) == 0, (stage, capsys.readouterr().err)
+        assert len(json.loads((wd / "vocab.json").read_text())["words"]) == 512
 
 
 class TestIngestCommand:
     def test_corpus_lacking_a_proxy_category_ingests(self, tmp_path, capsys):
         wd = tmp_path / "w"
-        small = ["--set", "synth.weeks=20", "--set", "synth.articles_per_week=5"]
+        small = ["--set", "synth.weeks=20", "--set", "synth.articles_per_week=5",
+                 "--set", "synth.filler_vocab=300"]
         assert run(["synth", "--workdir", wd, *small]) == 0
         assert run(["ingest", "--workdir", wd, *small]) == 0
         assert "basic-materials:0:250=0" in capsys.readouterr().out
@@ -147,29 +173,57 @@ class TestIngestCommand:
 
 
 class TestPotCommand:
+    """`pot --word` tracks a word in pot.bin; `export-plot-data` writes its
+    trajectory, optionally cut to a date range."""
+
     def test_word_trajectory_with_month_range(self, tmp_path):
+        from newstrend.artifacts import sha256_file
+
         config = write_config(tmp_path)
         wd = tmp_path / "w"
-        assert run(["synth", "--workdir", wd, "--config", config]) == 0
-        for stage in ("ingest", "label"):
-            assert run([stage, "--workdir", wd, "--config", config,
-                        "--allow-config-drift"]) == 0
+        run_pipeline(wd, config, stages=["ingest", "label"])
         assert run(["pot", "--workdir", wd, "--config", config, "--allow-config-drift",
-                    "--word", "plunge", "--from", "2015-02", "--to", "2015-06"]) == 0
-        rows = (wd / "plots/trajectory_plunge.csv").read_text().splitlines()[1:]
-        assert rows
-        for row in rows:
-            anchor = row.split(",")[0]
-            assert "2015-02-01" <= anchor <= "2015-06-30"
+                    "--word", "coronavirus"]) == 0
+        assert not (wd / "plots").exists()
+        assert run(["export-plot-data", "--workdir", wd, "--config", config,
+                    "--word", "plunge", "--word", "coronavirus",
+                    "--from", "2015-02", "--to", "2015-06"]) == 0
+        for word in ("plunge", "coronavirus"):
+            rows = (wd / f"plots/trajectory_{word}.csv").read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                anchor = row.split(",")[0]
+                assert "2015-02-01" <= anchor <= "2015-06-30"
+            manifest = json.loads((wd / f"plots/trajectory_{word}.csv.manifest.json").read_text())
+            assert manifest["inputs"] == {"pot": sha256_file(wd / "pot.bin")}
 
     def test_bad_month_exits_one_before_writing(self, tmp_path, capsys):
         config = write_config(tmp_path)
         wd = tmp_path / "w"
-        run_pipeline(wd, config, stages=["ingest", "label"])
-        assert run(["pot", "--workdir", wd, "--config", config, "--word", "plunge",
+        run_pipeline(wd, config, stages=["ingest", "label", "pot"])
+        assert run(["export-plot-data", "--workdir", wd, "--config", config, "--word", "plunge",
                     "--from", "2015-13"]) == 1
         assert "--from" in capsys.readouterr().err
-        assert not (wd / "pot").exists() and not (wd / "vocab.json").exists()
+        assert not (wd / "plots").exists()
+
+    def test_pot_takes_no_date_range(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label"])
+        assert run(["pot", "--workdir", wd, "--config", config, "--word", "plunge",
+                    "--from", "2015-02"]) == 1
+        assert "--from" in capsys.readouterr().err
+        assert not (wd / "pot.bin").exists()
+
+    def test_export_of_an_untracked_word_exits_two_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label", "pot"])
+        assert run(["export-plot-data", "--workdir", wd, "--config", config,
+                    "--word", "coronavirus"]) == 2
+        err = capsys.readouterr().err
+        assert "'coronavirus'" in err and "`pot --word coronavirus`" in err
+        assert not (wd / "plots").exists()
 
     def test_pot_ranks_only_the_extractor_training_weeks(self, tmp_path):
         # at synth seed 1 the extractor selection picks the last labeled week,
@@ -474,8 +528,9 @@ FAULTS = {
 class TestFaultyInputs:
     """Every declared input of every stage, emptied, cut in half or with
     undecodable bytes inserted: the stage exits 0 or 2 and never raises.
-    Empty or truncated raw news and prices may still parse, so only the
-    inserted bytes must exit 2."""
+    Truncated raw news and prices may still parse, and raw news may hold no
+    records, so inserted bytes must exit 2 naming the file, and so must every
+    other emptied input."""
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("stage, name", [(command, name)
@@ -491,7 +546,7 @@ class TestFaultyInputs:
         rc = run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"])
         err = capsys.readouterr().err
         assert rc in (0, 2), err
-        if fault == "garbled":
+        if fault == "garbled" or (fault == "emptied" and name != "news.jsonl"):
             assert rc == 2
             assert any(line.startswith("error: ") and name in line
                        for line in err.splitlines()), err

@@ -93,6 +93,12 @@ class TestIngest:
         with pytest.raises(DataError, match=f"corpus.jsonl line 2: .*{why}"):
             read_news_jsonl(path)
 
+    def test_strict_read_of_file_without_records_names_it(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match="corpus.jsonl holds no news records"):
+            read_news_jsonl(path)
+
     def test_strict_read_of_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(DataError, match="missing.jsonl"):
             read_news_jsonl(tmp_path / "missing.jsonl")

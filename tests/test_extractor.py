@@ -531,8 +531,8 @@ class TestModelArtifact:
         settings = ExtractorConfig(dim=12, emb_dim=12, hidden=16, epochs=3, batch_size=8, seed=0)
         trained = train_extractor(examples, settings, vocab, dev_weeks_of(examples))
         p1, p2 = tmp_path / "m1.model", tmp_path / "m2.model"
-        save_extractor(trained, p1, config_echo={"extractor.seed": 0})
-        save_extractor(trained, p2, config_echo={"extractor.seed": 0})
+        save_extractor(trained, p1)
+        save_extractor(trained, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
         loaded = load_extractor(p1)

@@ -36,7 +36,8 @@ def test_import_leaves_numpy_unloaded(module):
 
 def test_ingest_and_label_leave_numpy_unloaded(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"synth.weeks": 20, "synth.articles_per_week": 5}))
+    config.write_text(json.dumps({"synth.weeks": 20, "synth.articles_per_week": 5,
+                                  "synth.filler_vocab": 300}))
     wd = tmp_path / "w"
     assert main(["synth", "--workdir", str(wd), "--config", str(config)]) == 0
     for stage in ("ingest", "label"):

@@ -320,6 +320,12 @@ class TestSerialization:
         with pytest.raises(DataError, match="line 3: .*'bogus'"):
             read_weekly_sentiment_csv(path)
 
+    def test_weekly_sentiment_csv_without_rows_is_data_error(self, tmp_path):
+        path = tmp_path / "weekly_sentiment.csv"
+        write_weekly_sentiment_csv([], path)
+        with pytest.raises(DataError, match="weekly_sentiment.csv holds no weeks"):
+            read_weekly_sentiment_csv(path)
+
     def test_weekly_sentiment_csv_without_feature_columns_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
         path.write_text("anchor,n_sampled,overall_score,true_class,predicted_class\n"

@@ -3,13 +3,12 @@ from datetime import date
 import numpy as np
 import pytest
 
+from newstrend.config import SynthConfig
 from newstrend.corpus import tokenize
-from newstrend.synth import (
-    NEGATIVE_WORDS, POSITIVE_WORDS, SynthSettings, generate, write_outputs,
-)
+from newstrend.synth import NEGATIVE_WORDS, POSITIVE_WORDS, generate, write_outputs
 
 
-SMALL = SynthSettings(weeks=30, articles_per_week=8, seed=3)
+SMALL = SynthConfig(weeks=30, articles_per_week=8, seed=3)
 
 
 class TestGenerate:
@@ -18,7 +17,7 @@ class TestGenerate:
         assert len(records) == 30 * 8
         # one extra price week beyond the news range
         assert len(truth.anchors) == 32
-        assert truth.anchors[0] == SMALL.start
+        assert truth.anchors[0] == date.fromisoformat(SMALL.start)
         last_price_day = max(d for d, _ in prices)
         assert last_price_day == truth.anchors[-1]
 
@@ -43,7 +42,7 @@ class TestGenerate:
                 assert n_neg > n_pos
 
     def test_moods_alternate_in_balanced_blocks(self):
-        _, _, truth = generate(SynthSettings(weeks=120, seed=55))
+        _, _, truth = generate(SynthConfig(weeks=120, seed=55))
         moods = truth.moods[1:]
         frac_up = sum(1 for m in moods if m > 0) / len(moods)
         assert 0.3 <= frac_up <= 0.7
@@ -51,13 +50,13 @@ class TestGenerate:
         assert 3 <= flips <= 10
 
     def test_rho_couples_price_sign_to_mood(self):
-        _, _, strong = generate(SynthSettings(weeks=120, rho=0.9, seed=1))
+        _, _, strong = generate(SynthConfig(weeks=120, rho=0.9, seed=1))
         agree = np.mean([
             np.sign(strong.pct_changes[t]) == strong.moods[t]
             for t in range(1, len(strong.moods))
         ])
         assert agree > 0.9
-        _, _, none = generate(SynthSettings(weeks=120, rho=0.0, seed=1))
+        _, _, none = generate(SynthConfig(weeks=120, rho=0.0, seed=1))
         agree0 = np.mean([
             np.sign(none.pct_changes[t]) == none.moods[t]
             for t in range(1, len(none.moods))
@@ -65,7 +64,7 @@ class TestGenerate:
         assert 0.3 <= agree0 <= 0.7
 
     def test_big_moves_always_mood_aligned_at_high_rho(self):
-        _, _, truth = generate(SynthSettings(weeks=200, rho=0.9, seed=2))
+        _, _, truth = generate(SynthConfig(weeks=200, rho=0.9, seed=2))
         for t in range(1, len(truth.moods)):
             if abs(truth.pct_changes[t]) > 2.0:
                 assert np.sign(truth.pct_changes[t]) == truth.moods[t]
@@ -82,7 +81,7 @@ class TestGenerate:
             assert 100.0 * (c1 - c0) / c0 == pytest.approx(truth.pct_changes[t], abs=1e-6)
 
     def test_category_proxies_present(self):
-        records, _, _ = generate(SynthSettings(weeks=60, articles_per_week=30, seed=4))
+        records, _, _ = generate(SynthConfig(weeks=60, articles_per_week=30, seed=4))
         tagged = [r for r in records if r.categories]
         assert tagged
         manual = [r for r in records if r.worthiness is not None]
@@ -100,6 +99,6 @@ class TestDeterminism:
 
     def test_different_seed_differs(self, tmp_path):
         write_outputs(SMALL, tmp_path / "n1.jsonl", tmp_path / "p1.csv")
-        other = SynthSettings(weeks=30, articles_per_week=8, seed=4)
+        other = SynthConfig(weeks=30, articles_per_week=8, seed=4)
         write_outputs(other, tmp_path / "n2.jsonl", tmp_path / "p2.csv")
         assert (tmp_path / "n1.jsonl").read_bytes() != (tmp_path / "n2.jsonl").read_bytes()

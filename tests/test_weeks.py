@@ -275,6 +275,12 @@ class TestWeeksCsv:
         assert back[0].week.anchor == date(2020, 1, 13)
         assert back[0].week.pct_change == pytest.approx(2.5)
 
+    def test_file_without_weeks_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "weeks.csv"
+        write_weeks_csv([], path)
+        with pytest.raises(DataError, match="weeks.csv holds no weeks"):
+            read_weeks_csv(path)
+
     def test_weeks_tile_date_range(self):
         prices = series(
             [("2020-01-06", 100.0), ("2020-01-08", 100.5), ("2020-01-13", 101.0),
