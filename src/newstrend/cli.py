@@ -28,7 +28,7 @@ from . import artifacts
 from .config import PipelineConfig, load_config
 from .corpus import (
     ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
-    ingest_news, read_news_jsonl, tokenize, write_news_jsonl, write_rejects_csv,
+    ingest_news, is_token, read_news_jsonl, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .weeks import (
@@ -48,6 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _token_word(word: str) -> str:
+    # a word tokenize never returns would track all zeros and name a bad path
+    if not is_token(word):
+        raise argparse.ArgumentTypeError(
+            f"{word!r} is not a token: tokens are lowercase runs of a-z and 0-9, "
+            f"not all digits")
+    return word
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file of dotted keys")
@@ -64,14 +73,14 @@ def build_parser() -> _Parser:
     sub.add_parser("ingest", parents=[common], help="parse, clean, and proxy-label the news")
     sub.add_parser("label", parents=[common], help="build the weekly Monday calendar")
     p = sub.add_parser("pot", parents=[common], help="build weekly polarity models + vocabulary")
-    p.add_argument("--word", action="append", default=[],
+    p.add_argument("--word", action="append", default=[], type=_token_word,
                    help="also track this word in pot.bin (repeatable)")
     sub.add_parser("train-extractor", parents=[common], help="train the sentiment extractor")
     sub.add_parser("score", parents=[common], help="score weekly sentiment (leakage-guarded)")
     sub.add_parser("train-summarizer", parents=[common], help="train the weekly trend classifier")
     sub.add_parser("evaluate", parents=[common], help="evaluate on the chronological test split")
     p = sub.add_parser("export-plot-data", parents=[common], help="export plot-ready CSVs")
-    p.add_argument("--word", action="append", default=[],
+    p.add_argument("--word", action="append", default=[], type=_token_word,
                    help="export this word's trajectory (repeatable; pot.bin must track it)")
     p.add_argument("--from", dest="date_from", help="trajectory start (YYYY-MM or YYYY-MM-DD)")
     p.add_argument("--to", dest="date_to", help="trajectory end (YYYY-MM or YYYY-MM-DD)")
@@ -97,7 +106,12 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
 
 
 def _load_week_data(config: PipelineConfig, workdir: Path):
-    """Corpus + weeks with news attached and documents tokenized."""
+    """Weeks with news attached, and the corpus tokenized.
+
+    Returns the week labels in anchor order, each record's worthiness by id,
+    its tokenized document by id, and each week's documents by anchor. The
+    records themselves, title and content text included, are dropped.
+    """
     records = read_news_jsonl(workdir / "corpus.jsonl")
     labels = read_weeks_csv(workdir / "weeks.csv")
     attached = attach_news([lab.week for lab in labels], records)
@@ -106,12 +120,12 @@ def _load_week_data(config: PipelineConfig, workdir: Path):
         (replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels),
         key=lambda lab: lab.week.anchor,
     )
-    records_by_id = {r.id: r for r in records}
+    worthiness = {r.id: r.worthiness for r in records}
     docs_by_id = {r.id: tokenize(r, config.tokenizer.max_tokens) for r in records}
     docs_by_week = {
         lab.week.anchor: [docs_by_id[i] for i in lab.week.news_ids] for lab in labels
     }
-    return labels, records_by_id, docs_by_id, docs_by_week
+    return labels, worthiness, docs_by_id, docs_by_week
 
 
 def _extractor_split(config: PipelineConfig, labels):
@@ -234,7 +248,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
-    labels, records_by_id, docs_by_id, _ = _load_week_data(config, workdir)
+    labels, worthiness, docs_by_id, _ = _load_week_data(config, workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     selected, train_w, dev_w = _extractor_split(config, labels)
     selected_set = set(selected)
@@ -249,7 +263,7 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
             examples.append(
                 TrainingExample(
                     doc=docs_by_id[rid], matrix=matrix, week=anchor,
-                    sentiment=senti, worthiness=records_by_id[rid].worthiness,
+                    sentiment=senti, worthiness=worthiness[rid],
                 )
             )
     trained = train_extractor(examples, config.extractor, vocab, dev_w)

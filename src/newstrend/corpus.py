@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -206,19 +207,31 @@ def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[Ne
     return kept
 
 
+def _words(text: str) -> list[str]:
+    """The tokens of `text`, in order, before truncation and interning."""
+    words = text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii")
+    return [t for t in words.split() if not t.isdigit()]
+
+
 def tokenize(record: NewsRecord, max_tokens: int = 180) -> TokenizedDoc:
     """Lowercase word tokens of title then content, truncated to max_tokens.
 
     Tokens are maximal runs of a-z and 0-9 in the lowercased text; every
     other character, non-ASCII included, separates them. Pure-digit tokens
-    are dropped.
+    are dropped. Equal tokens are one shared string object (`sys.intern`)
+    throughout the process, so a corpus holds one string per distinct word
+    rather than one per occurrence; that object lives while any document
+    holds it.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    text = (record.title + " " + record.content).lower()
-    words = text.encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
-    tokens = [t for t in words if not t.isdigit()]
-    return TokenizedDoc(record_id=record.id, tokens=tuple(tokens[:max_tokens]))
+    tokens = _words(record.title + " " + record.content)[:max_tokens]
+    return TokenizedDoc(record_id=record.id, tokens=tuple(map(sys.intern, tokens)))
+
+
+def is_token(word: str) -> bool:
+    """Whether `tokenize` can return `word` unchanged, as one whole token."""
+    return _words(word) == [word]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
 
+from newstrend.cli import main
 from newstrend.corpus import NewsRecord, TokenizedDoc
 
 
@@ -33,3 +35,46 @@ def make_doc(rec_id, tokens):
 @pytest.fixture
 def record_factory():
     return make_record
+
+
+# a small pipeline, run end to end by the CLI tests
+BASE_CONFIG = {
+    "labels.policy": "binary_asymmetric",
+    "polarity.vocab_size": 24,
+    "extractor.dim": 16, "extractor.emb_dim": 16, "extractor.hidden": 24,
+    "extractor.epochs": 3,
+    "summarizer.train_weeks": 12,
+    "synth.weeks": 40, "synth.articles_per_week": 10, "synth.seed": 55,
+    "synth.filler_vocab": 300,
+}
+
+STAGES = ["ingest", "label", "pot", "train-extractor", "score",
+          "train-summarizer", "evaluate"]
+
+
+def write_config(tmp_path, **overrides):
+    cfg = dict(BASE_CONFIG)
+    cfg.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def run_pipeline(workdir, config, stages=STAGES):
+    assert run(["synth", "--workdir", workdir, "--config", config]) == 0
+    for stage in stages:
+        rc = run([stage, "--workdir", workdir, "--config", config, "--allow-config-drift"])
+        assert rc == 0, f"stage {stage} exited {rc}"
+
+
+@pytest.fixture(scope="session")
+def trained_workdir(tmp_path_factory):
+    """A workdir after every pipeline stage, and its config; copy it to modify it."""
+    base = tmp_path_factory.mktemp("trained")
+    config = write_config(base)
+    run_pipeline(base / "w", config)
+    return base / "w", config

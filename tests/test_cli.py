@@ -8,40 +8,8 @@ from pathlib import Path
 import pytest
 
 from newstrend.cli import STAGES as CLI_STAGES
-from newstrend.cli import main
 
-
-BASE_CONFIG = {
-    "labels.policy": "binary_asymmetric",
-    "polarity.vocab_size": 24,
-    "extractor.dim": 16, "extractor.emb_dim": 16, "extractor.hidden": 24,
-    "extractor.epochs": 3,
-    "summarizer.train_weeks": 12,
-    "synth.weeks": 40, "synth.articles_per_week": 10, "synth.seed": 55,
-    "synth.filler_vocab": 300,
-}
-
-STAGES = ["ingest", "label", "pot", "train-extractor", "score",
-          "train-summarizer", "evaluate"]
-
-
-def write_config(tmp_path, **overrides):
-    cfg = dict(BASE_CONFIG)
-    cfg.update(overrides)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
-def run(args):
-    return main([str(a) for a in args])
-
-
-def run_pipeline(workdir, config, stages=STAGES):
-    assert run(["synth", "--workdir", workdir, "--config", config]) == 0
-    for stage in stages:
-        rc = run([stage, "--workdir", workdir, "--config", config, "--allow-config-drift"])
-        assert rc == 0, f"stage {stage} exited {rc}"
+from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
 
 
 class TestFullPipeline:
@@ -225,6 +193,24 @@ class TestPotCommand:
         assert "'coronavirus'" in err and "`pot --word coronavirus`" in err
         assert not (wd / "plots").exists()
 
+    @pytest.mark.parametrize("stage", ["pot", "export-plot-data"])
+    @pytest.mark.parametrize("word", ["a/b", "Surge", "2020", "two words", ""])
+    def test_word_tokenize_cannot_produce_exits_one_before_writing(
+            self, trained_workdir, tmp_path, capsys, stage, word):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in wd.rglob("*")}
+
+        before = tree()
+        assert run([stage, "--workdir", wd, "--config", config, "--allow-config-drift",
+                    "--word", "plunge", "--word", word]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{word!r} is not a token" in err
+        assert tree() == before
+
     def test_pot_ranks_only_the_extractor_training_weeks(self, tmp_path):
         # at synth seed 1 the extractor selection picks the last labeled week,
         # which has no news; it must not shift the train/dev split pot ranks on
@@ -359,14 +345,6 @@ class TestErrors:
         monkeypatch.setitem(cli.STAGES, "evaluate", cli.Stage(explode))
         assert run(["evaluate", "--workdir", tmp_path]) == 3
         assert "diverged" in capsys.readouterr().err
-
-
-@pytest.fixture(scope="module")
-def trained_workdir(tmp_path_factory):
-    base = tmp_path_factory.mktemp("trained")
-    config = write_config(base)
-    run_pipeline(base / "w", config)
-    return base / "w", config
 
 
 def _truncate_pot(wd):

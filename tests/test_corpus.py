@@ -195,6 +195,27 @@ class TestTokenize:
         assert again.tokens == doc.tokens
 
 
+class TestTokenObjects:
+    """Equal tokens are one string object, so a corpus holds one per word."""
+
+    def test_records_sharing_words_share_token_objects(self):
+        a = tokenize(make_record(rec_id="a", title="Markets rally", content="oil prices surge"))
+        b = tokenize(make_record(rec_id="b", title="Oil prices", content="markets fall"))
+        assert a.tokens[0] == b.tokens[2] == "markets"
+        assert a.tokens[0] is b.tokens[2]
+        assert a.tokens[2] is b.tokens[0] and a.tokens[3] is b.tokens[1]
+
+    def test_loaded_corpus_holds_one_object_per_distinct_token(self, trained_workdir):
+        from newstrend.cli import _load_week_data
+        from newstrend.config import load_config
+
+        workdir, config = trained_workdir
+        _, _, docs_by_id, _ = _load_week_data(load_config(config, []), workdir)
+        tokens = [t for doc in docs_by_id.values() for t in doc.tokens]
+        assert len(tokens) > 10 * len(set(tokens))
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
 def reference_parse_timestamp(value):
     """The strptime parser that `parse_timestamp` replaced."""
     return datetime.strptime(value, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
