@@ -12,6 +12,7 @@ from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.config import SynthConfig
 from newstrend.synth import generate
+from newstrend.tokens import encode_docs
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
     weekly_changes,
@@ -23,13 +24,13 @@ def main():
     records, price_rows, truth = generate(settings)
     prices = PriceSeries(entries=price_rows)
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
-    weeks = attach_news(weekly_changes(prices, anchors), records)
+    weeks = attach_news(weekly_changes(prices, anchors),
+                        ((r.id, r.published.date()) for r in records))
     labels = label_weeks(weeks, three_way_policy())
-    by_id = {r.id: r for r in records}
-    docs_by_week = {
-        lab.week.anchor: [tokenize(by_id[rid]) for rid in lab.week.news_ids]
-        for lab in labels
-    }
+    # every document as token ids into one shared, sorted word table
+    docs = {doc.record_id: doc for doc in encode_docs([tokenize(r) for r in records])}
+    docs_by_week = {lab.week.anchor: [docs[rid] for rid in lab.week.news_ids]
+                    for lab in labels}
 
     print("=" * 64)
     print("1. TF-IDF difference ranking (positive vs negative weeks)")

@@ -15,6 +15,7 @@ from newstrend.extractor import (
 )
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.synth import generate
+from newstrend.tokens import encode_docs
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
     weekly_changes,
@@ -26,13 +27,14 @@ def main():
     records, price_rows, _ = generate(settings)
     prices = PriceSeries(entries=price_rows)
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
-    weeks = attach_news(weekly_changes(prices, anchors), records)
+    weeks = attach_news(weekly_changes(prices, anchors),
+                        ((r.id, r.published.date()) for r in records))
     labels = label_weeks(weeks, three_way_policy())
-    by_id = {r.id: r for r in records}
-    docs_by_week = {
-        lab.week.anchor: [tokenize(by_id[rid]) for rid in lab.week.news_ids]
-        for lab in labels
-    }
+    # every document as token ids into one shared, sorted word table
+    docs = {doc.record_id: doc for doc in encode_docs([tokenize(r) for r in records])}
+    docs_by_week = {lab.week.anchor: [docs[rid] for rid in lab.week.news_ids]
+                    for lab in labels}
+    worthiness = {r.id: r.worthiness for r in records}
 
     print("=" * 64)
     print("1. training examples from the big-move weeks")
@@ -51,8 +53,8 @@ def main():
         sentiment = 1 if lab.extractor_class == "positive" else 0
         for rid in lab.week.news_ids:
             examples.append(TrainingExample(
-                doc=tokenize(by_id[rid]), matrix=matrix, week=lab.week.anchor,
-                sentiment=sentiment, worthiness=by_id[rid].worthiness,
+                doc=docs[rid], matrix=matrix, week=lab.week.anchor,
+                sentiment=sentiment, worthiness=worthiness[rid],
             ))
     n_labeled = sum(1 for e in examples if e.worthiness is not None)
     print(f"{len(examples)} examples from {len(big)} weeks "
@@ -90,7 +92,7 @@ def main():
     for lab in unseen:
         matrix = model_set.matrix(vocab, lab.week.anchor, 4)
         rid = sorted(lab.week.news_ids)[0]
-        score = sentiment_score(trained.model, tokenize(by_id[rid]), matrix)
+        score = sentiment_score(trained.model, docs[rid], matrix)
         print(f"  week {lab.week.anchor} ({lab.week.pct_change:+5.2f}%)  "
               f"first article score {score:.3f}")
     print("\nscores near 1 read as bullish, near 0 as bearish; the weekly")

@@ -40,6 +40,7 @@ _EXPORTS = {
         "features_of", "load_summarizer", "predict_week", "save_summarizer", "train_summarizer",
     ),
     "synth": ("SynthTruth", "generate", "write_outputs"),
+    "tokens": ("EncodedDoc", "TokenizedCorpus", "encode_docs", "read_tokens", "write_tokens"),
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
         "autocorrelation", "binary_asymmetric_policy", "binary_symmetric_policy",

@@ -1,10 +1,12 @@
 """Workdir bookkeeping: `write_bytes`, through which every file the pipeline
 writes goes, the array-file format, manifests, hashing, and the advisory lock.
 
-Every binary artifact (`pot.bin`, `extractor.model`) is one array file: a
-magic line, a line holding the header's length in bytes, a sorted-key JSON
-header whose `arrays` entry lists each array's name and shape, then those
-arrays in that order as raw little-endian float64.
+Every binary artifact (`tokens.bin`, `pot.bin`, `extractor.model`) is one
+array file: a magic line, a line holding the header's length in bytes, a
+sorted-key JSON header whose `arrays` entry lists each array's name and
+shape, then those arrays in that order as raw little-endian float64.
+`tokens.bin` holds integers in those float64 values (token ids, document
+offsets, day ordinals), all exact below 2**53.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import io
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
 
-if TYPE_CHECKING:  # numpy loads only where arrays are read or written
+if TYPE_CHECKING:  # numpy and the stdlib array load only where arrays are read or written
+    from array import array
+
     import numpy as np
 
 VERSION = "0.1.0"
@@ -59,16 +64,36 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 
 
 def write_arrays(path: str | Path, magic: str, header: Mapping,
-                 arrays: Sequence[tuple[str, np.ndarray]]) -> None:
-    """Write `header` and the named `arrays` as one array file (`write_bytes`)."""
-    import numpy as np
+                 arrays: Sequence[tuple[str, np.ndarray | array]]) -> None:
+    """Write `header` and the named `arrays` as one array file (`write_bytes`).
+    An array is a numpy array, or a stdlib `array("d")`, taken as
+    one-dimensional and packed without importing numpy."""
+    from array import array
 
-    header = {**header, "magic": magic,
-              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
+    header = {**header, "magic": magic, "arrays": [
+        {"name": name, "shape": [len(a)] if isinstance(a, array) else list(a.shape)}
+        for name, a in arrays]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     write_bytes(path, b"".join(
         [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)]
-        + [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays]))
+        + [_f8_buffer(a) for _, a in arrays]))
+
+
+def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:
+    """`a` as a contiguous buffer of little-endian float64, copied only when
+    its type or byte order differ."""
+    from array import array
+
+    if isinstance(a, array):
+        if a.typecode != "d":
+            raise TypeError(f"an array file stores float64, not array({a.typecode!r})")
+        if sys.byteorder == "big":
+            a = array("d", a)
+            a.byteswap()
+        return a
+    import numpy as np
+
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def read_arrays(path: str | Path, magic: str,
@@ -77,32 +102,40 @@ def read_arrays(path: str | Path, magic: str,
     header-length line or header, a body whose length differs from the
     declared shapes, and a KeyError, ValueError or TypeError in `parse` are
     DataErrors naming the file."""
-    import numpy as np
-
     try:
-        lines = Path(path).read_bytes().split(b"\n", 2)
-        if lines == [b""]:
-            raise ValueError(f"the magic line {magic!r} is missing")
-        if lines[0] != magic.encode("ascii"):
-            raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}")
-        if len(lines) < 3 or not lines[1].isdigit():
-            raise ValueError("the header-length line is missing")
-        _, size, rest = lines
-        header, body = json.loads(rest[: int(size)]), memoryview(rest)[int(size):]
-        counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
-        if len(body) != 8 * sum(counts):
-            raise ValueError(f"{len(body)} array bytes where the header declares "
-                             f"{8 * sum(counts)}")
-        parts = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64),
-                         np.cumsum(counts)[:-1])
-        return parse(header, {spec["name"]: part.reshape(spec["shape"])
-                              for spec, part in zip(header["arrays"], parts)})
+        # the file's bytes are dropped before `parse` runs
+        return parse(*_decode(Path(path).read_bytes(), magic))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except KeyError as exc:
         raise DataError(f"{path} is corrupt: header lacks key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise DataError(f"{path} is corrupt: {exc}") from None
+
+
+def _decode(data: bytes, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named arrays (copies) of an array file's bytes."""
+    import numpy as np
+
+    # the magic and header-length lines, split off without copying the rest
+    lines = data[: len(magic) + 32].split(b"\n", 2)
+    if lines == [b""]:
+        raise ValueError(f"the magic line {magic!r} is missing")
+    if lines[0] != magic.encode("ascii"):
+        raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}")
+    if len(lines) < 3 or not lines[1].isdigit():
+        raise ValueError("the header-length line is missing")
+    start = len(lines[0]) + len(lines[1]) + 2
+    end = start + int(lines[1])
+    header, body = json.loads(data[start:end]), memoryview(data)[end:]
+    counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
+    if len(body) != 8 * sum(counts):
+        raise ValueError(f"{len(body)} array bytes where the header declares "
+                         f"{8 * sum(counts)}")
+    parts = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64),
+                     np.cumsum(counts)[:-1])
+    return header, {spec["name"]: part.reshape(spec["shape"])
+                    for spec, part in zip(header["arrays"], parts)}
 
 
 def read_text(path: str | Path, what: str) -> str:

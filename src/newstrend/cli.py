@@ -28,9 +28,10 @@ from . import artifacts
 from .config import PipelineConfig, load_config
 from .corpus import (
     ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
-    ingest_news, is_token, read_news_jsonl, tokenize, write_news_jsonl, write_rejects_csv,
+    ingest_news, is_token, read_news_jsonl, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
+from .tokens import read_tokens, write_tokens
 from .weeks import (
     CLASS_ORDER, attach_news, label_weeks, load_prices, make_policy,
     monday_anchors, read_weeks_csv, weekly_changes, weekday_autocorrelation,
@@ -105,23 +106,23 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
         raise ConfigError(f"{flag} {value!r} must look like YYYY-MM or YYYY-MM-DD") from None
 
 
-def _load_week_data(config: PipelineConfig, workdir: Path):
-    """Weeks with news attached, and the corpus tokenized.
+def _load_week_data(workdir: Path):
+    """Weeks with news attached, from `tokens.bin` and `weeks.csv` alone.
 
     Returns the week labels in anchor order, each record's worthiness by id,
-    its tokenized document by id, and each week's documents by anchor. The
-    records themselves, title and content text included, are dropped.
+    its document (`EncodedDoc`) by id, and each week's documents by anchor.
     """
-    records = read_news_jsonl(workdir / "corpus.jsonl")
+    corpus = read_tokens(workdir / "tokens.bin")
     labels = read_weeks_csv(workdir / "weeks.csv")
-    attached = attach_news([lab.week for lab in labels], records)
+    record_ids = [doc.record_id for doc in corpus.docs]
+    attached = attach_news([lab.week for lab in labels], zip(record_ids, corpus.days))
     by_anchor = {w.anchor: w for w in attached}
     labels = sorted(
         (replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels),
         key=lambda lab: lab.week.anchor,
     )
-    worthiness = {r.id: r.worthiness for r in records}
-    docs_by_id = {r.id: tokenize(r, config.tokenizer.max_tokens) for r in records}
+    worthiness = dict(zip(record_ids, corpus.worthiness))
+    docs_by_id = dict(zip(record_ids, corpus.docs))
     docs_by_week = {
         lab.week.anchor: [docs_by_id[i] for i in lab.week.news_ids] for lab in labels
     }
@@ -185,6 +186,7 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
         n = sum(a.worthiness != b.worthiness for a, b in zip(before, labeled))
         per_rule.append(f"{item}={n}")
     write_news_jsonl(labeled, workdir / "corpus.jsonl")
+    write_tokens(labeled, workdir / "tokens.bin", config.tokenizer.max_tokens)
     write_rejects_csv(result.rejected, workdir / "rejects.csv")
     n_pos = sum(1 for r in labeled if r.worthiness == 1)
     n_neg = sum(1 for r in labeled if r.worthiness == 0)
@@ -199,7 +201,7 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
     records = read_news_jsonl(workdir / "corpus.jsonl")
-    weeks = attach_news(weeks, records)
+    weeks = attach_news(weeks, ((r.id, r.published.date()) for r in records))
     policy = make_policy(config.labels.policy, config.labels.up, config.labels.down)
     labels = label_weeks(
         weeks, policy,
@@ -216,7 +218,7 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
-    labels, _, _, docs_by_week = _load_week_data(config, workdir)
+    labels, _, _, docs_by_week = _load_week_data(workdir)
     _, train_w, _ = _extractor_split(config, labels)
     train_set = set(train_w)
     pos_docs, neg_docs = [], []
@@ -248,7 +250,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
-    labels, worthiness, docs_by_id, _ = _load_week_data(config, workdir)
+    labels, worthiness, docs_by_id, _ = _load_week_data(workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     selected, train_w, dev_w = _extractor_split(config, labels)
     selected_set = set(selected)
@@ -280,7 +282,7 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import load_extractor
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
-    labels, _, docs_by_id, _ = _load_week_data(config, workdir)
+    labels, _, docs_by_id, _ = _load_week_data(workdir)
     model_set, vocab = _load_models_and_vocab(workdir)
     trained = load_extractor(workdir / "extractor.model")
     if vocab.words != trained.model.vocab.words:
@@ -440,15 +442,15 @@ class Stage:
 
 STAGES = {
     "synth": Stage(run_synth, (), ("news.jsonl", "prices.csv")),
-    "ingest": Stage(run_ingest, ("news.jsonl",), ("corpus.jsonl", "rejects.csv")),
+    "ingest": Stage(run_ingest, ("news.jsonl",), ("corpus.jsonl", "tokens.bin", "rejects.csv")),
     "label": Stage(run_label, ("prices.csv", "corpus.jsonl"), ("weeks.csv",)),
-    "pot": Stage(run_pot, ("corpus.jsonl", "weeks.csv"), ("pot.bin", "vocab.json")),
+    "pot": Stage(run_pot, ("tokens.bin", "weeks.csv"), ("pot.bin", "vocab.json")),
     "train-extractor": Stage(
-        run_train_extractor, ("corpus.jsonl", "weeks.csv", "pot.bin", "vocab.json"),
+        run_train_extractor, ("tokens.bin", "weeks.csv", "pot.bin", "vocab.json"),
         ("extractor.model", "train_log.csv"),
     ),
     "score": Stage(
-        run_score, ("corpus.jsonl", "weeks.csv", "pot.bin", "vocab.json", "extractor.model"),
+        run_score, ("tokens.bin", "weeks.csv", "pot.bin", "vocab.json", "extractor.model"),
         ("weekly_sentiment.csv",),
     ),
     "train-summarizer": Stage(

@@ -213,7 +213,7 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(
             f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"
         ) from None
-    from .weeks import make_policy  # weeks imports this module through corpus
+    from .weeks import make_policy  # here, so that importing config loads no weeks code
 
     make_policy(config.labels.policy, config.labels.up, config.labels.down)
     if config.summarizer.features not in ("scalar", "extended"):
@@ -221,6 +221,9 @@ def _validate(config: PipelineConfig) -> None:
             f"summarizer.features must be 'scalar' or 'extended', "
             f"got {config.summarizer.features!r}"
         )
+    if config.tokenizer.max_tokens < 1:
+        raise ConfigError(f"tokenizer.max_tokens must be an integer >= 1, "
+                          f"got {config.tokenizer.max_tokens!r}")
     if config.summarizer.target_offset < 1:
         raise ConfigError(
             f"summarizer.target_offset must be an integer >= 1 (at 0 the lag-0 "

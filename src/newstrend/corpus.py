@@ -16,11 +16,14 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import artifacts
 from .config import CorpusConfig
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:
+    from .tokens import EncodedDoc
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 # the canonical spelling of TIMESTAMP_FORMAT, parsed without strptime
@@ -266,7 +269,7 @@ def assign_worthiness_proxy(
 
 
 def build_vocabulary(
-    docs: Sequence[TokenizedDoc],
+    docs: Sequence[EncodedDoc],
     ranking: Sequence[tuple[str, float]],
     size: int,
 ) -> Vocabulary:
@@ -275,9 +278,12 @@ def build_vocabulary(
     `ranking` carries signed polarity scores; selection is by absolute
     magnitude, descending, ties broken lexicographically.
     """
-    present: set[str] = set()
-    for doc in docs:
-        present.update(doc.tokens)
+    import numpy as np
+
+    from .tokens import concat_ids  # here, since `tokens` imports this module
+
+    words, ids, _ = concat_ids(docs)
+    present = {words[i] for i in np.unique(ids).tolist()}
     seen: set[str] = set()
     candidates = []
     for word, score in ranking:

@@ -16,13 +16,15 @@ examples contribute exactly zero gradient to the worthiness head).
 
 All gradients are hand-derived and checked against central finite
 differences (see gradient_check). Everything is float64 and deterministic
-under a fixed seed.
+under a fixed seed. The parameters are named views into one flat buffer,
+and gradients and Adam moments are buffers of the same layout, so one Adam
+step is a few in-place array operations over all of them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -32,8 +34,9 @@ import numpy as np
 
 from . import artifacts
 from .config import ExtractorConfig
-from .corpus import TokenizedDoc, Vocabulary
+from .corpus import Vocabulary
 from .errors import DataError, NumericError
+from .tokens import EncodedDoc, concat_ids
 from .weeks import WeeklyLabel
 
 PROB_FLOOR = 1e-12
@@ -67,14 +70,16 @@ class ReferenceEncoder:
         self.dim = dim
         self.emb_dim = emb_dim
         self.index = {w: i + 1 for i, w in enumerate(self.vocab)}  # 0 = UNK
+        self._table: tuple[str, ...] | None = None  # the word table `_rows` maps
+        self._rows = np.zeros(0, dtype=np.int64)
 
     @classmethod
-    def frequency_vocab(cls, docs: Sequence[TokenizedDoc], size: int = 5000) -> tuple[str, ...]:
-        counts = Counter()
-        for doc in docs:
-            counts.update(doc.tokens)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return tuple(w for w, _ in ranked[:size])
+    def frequency_vocab(cls, docs: Sequence[EncodedDoc], size: int = 5000) -> tuple[str, ...]:
+        """The `size` most frequent words of `docs`, ties in word order."""
+        words, ids, _ = concat_ids(docs)
+        counts = np.bincount(ids, minlength=len(words))
+        ranked = np.argsort(-counts, kind="stable")[: min(size, np.count_nonzero(counts))]
+        return tuple(words[i] for i in ranked.tolist())
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         k = 1.0 / np.sqrt(self.emb_dim)
@@ -84,16 +89,15 @@ class ReferenceEncoder:
             "b": np.zeros(self.dim),
         }
 
-    def _bag(self, docs: Sequence[TokenizedDoc]) -> np.ndarray:
+    def _bag(self, docs: Sequence[EncodedDoc]) -> np.ndarray:
         """B x (|vocab|+1) bag of words holding count / sqrt(n) per token."""
         width = len(self.vocab) + 1
-        lengths = np.array([len(d.tokens) for d in docs], dtype=np.int64)
-        ids = np.fromiter(
-            (self.index.get(t, 0) for d in docs for t in d.tokens),
-            dtype=np.int64, count=int(lengths.sum()),
-        )
-        rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-        counts = np.bincount(rows * width + ids, minlength=len(docs) * width)
+        table, ids, lengths = concat_ids(docs)
+        if table is not self._table:  # each word of the docs' table as its embedding row
+            self._table = table
+            self._rows = np.array([self.index.get(w, 0) for w in table], dtype=np.int64)
+        docs_of = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+        counts = np.bincount(docs_of * width + self._rows[ids], minlength=len(docs) * width)
         return counts.reshape(len(docs), width) / np.sqrt(np.maximum(lengths, 1))[:, None]
 
     def forward(self, docs, params):
@@ -102,11 +106,14 @@ class ReferenceEncoder:
         out = np.tanh(xbar @ params["w"] + params["b"])
         return out, (bag, xbar, out)
 
-    def backward(self, cache, d_out, params):
+    def backward(self, cache, d_out, params, grads):
+        """Write the gradient of each of `params` into the array of that name in `grads`."""
         bag, xbar, out = cache
         dpre = d_out * (1.0 - out * out)
         dxbar = dpre @ params["w"].T
-        return {"emb": bag.T @ dxbar, "w": xbar.T @ dpre, "b": dpre.sum(axis=0)}
+        np.matmul(bag.T, dxbar, out=grads["emb"])
+        np.matmul(xbar.T, dpre, out=grads["w"])
+        dpre.sum(axis=0, out=grads["b"])
 
     def to_config(self) -> dict:
         return {
@@ -169,7 +176,7 @@ def multitask_loss(
 
 @dataclass
 class TrainingExample:
-    doc: TokenizedDoc
+    doc: EncodedDoc
     matrix: np.ndarray          # vocab x lags polarity matrix of the doc's week
     week: date
     sentiment: int              # 0 negative, 1 positive (the week's class)
@@ -180,8 +187,10 @@ class ExtractorModel:
     """Parameter container plus forward/backward passes.
 
     Parameter blocks: enc.* (encoder), att_w, att_v, dense_w, dense_b,
-    senti_w, senti_b, worth_w, worth_b. pot_mu/pot_sigma are fixed
-    standardization buffers, not trained.
+    senti_w, senti_b, worth_w, worth_b. `params` maps each name to a view
+    into the one flat buffer `flat`; write a block in place (`[...] =`) to
+    keep it there. pot_mu/pot_sigma are fixed standardization buffers, not
+    trained.
     """
 
     def __init__(
@@ -215,9 +224,20 @@ class ExtractorModel:
         params["senti_b"] = np.zeros(2)
         params["worth_w"] = np.zeros((hidden, 2))
         params["worth_b"] = np.zeros(2)
-        self.params = params
+        self.shapes = {name: arr.shape for name, arr in params.items()}
+        self.flat = np.concatenate([arr.reshape(-1) for arr in params.values()])
+        self.params = self.views(self.flat)
         self.pot_mu = np.zeros(v)
         self.pot_sigma = np.ones(v)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter block's view into `flat`, a buffer of this model's layout."""
+        out, lo = {}, 0
+        for name, shape in self.shapes.items():
+            hi = lo + math.prod(shape)
+            out[name] = flat[lo:hi].reshape(shape)
+            lo = hi
+        return out
 
     def fit_pot_scaler(self, matrices: Sequence[np.ndarray]) -> None:
         """Standardization statistics for the pooled polarity vector.
@@ -232,7 +252,7 @@ class ExtractorModel:
         self.pot_sigma = sigma
 
     def forward(
-        self, docs: Sequence[TokenizedDoc], matrices: np.ndarray, week: np.ndarray | None = None
+        self, docs: Sequence[EncodedDoc], matrices: np.ndarray, week: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Batch forward over a (W, V, L) table of week matrices; `week` is each
         document's (B,) index into it, None meaning one matrix per document.
@@ -272,10 +292,13 @@ class ExtractorModel:
         return total / n, cache, clamped
 
     def loss_and_grads(
-        self, batch: Sequence[TrainingExample]
+        self, batch: Sequence[TrainingExample], out: np.ndarray | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
+        """The batch loss and its gradient blocks, views into `out` (a new
+        buffer of the `flat` layout when None), which they fill."""
         loss, cache, _ = self._loss_forward(batch)
         p = self.params
+        grads = self.views(np.empty_like(self.flat) if out is None else out)
         n = len(batch)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
         m, week, a = cache["m"], cache["week"], cache["a"]
@@ -288,15 +311,14 @@ class ExtractorModel:
         dls = (ps - ys) * cs[:, None] / n
         dlw = (pw - yw) * cw[:, None] / n
 
-        grads: dict[str, np.ndarray] = {}
-        grads["senti_w"] = r.T @ dls
-        grads["senti_b"] = dls.sum(axis=0)
-        grads["worth_w"] = r.T @ dlw
-        grads["worth_b"] = dlw.sum(axis=0)
+        np.matmul(r.T, dls, out=grads["senti_w"])
+        dls.sum(axis=0, out=grads["senti_b"])
+        np.matmul(r.T, dlw, out=grads["worth_w"])
+        dlw.sum(axis=0, out=grads["worth_b"])
         dr = dls @ p["senti_w"].T + dlw @ p["worth_w"].T
         dq = dr * (q > 0.0)
-        grads["dense_w"] = u.T @ dq
-        grads["dense_b"] = dq.sum(axis=0)
+        np.matmul(u.T, dq, out=grads["dense_w"])
+        dq.sum(axis=0, out=grads["dense_b"])
         du = dq @ p["dense_w"].T
         d = self.encoder.dim
         dvcls = du[:, :d]
@@ -306,19 +328,11 @@ class ExtractorModel:
         da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
         t = np.tanh(p["att_w"] @ m)
-        grads["att_v"] = _lag_columns(t) @ ds.reshape(-1)
+        np.matmul(_lag_columns(t), ds.reshape(-1), out=grads["att_v"])
         dz = p["att_v"][:, None] * ds[:, None, :] * (1.0 - t * t)
-        grads["att_w"] = _lag_columns(dz) @ _lag_columns(m).T
-        for name, g in self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc.")).items():
-            grads[f"enc.{name}"] = g
+        np.matmul(_lag_columns(dz), _lag_columns(m).T, out=grads["att_w"])
+        self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."), _sub(grads, "enc."))
         return loss, grads
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    def set_params(self, params: Mapping[str, np.ndarray]) -> None:
-        for k in self.params:
-            self.params[k][...] = params[k]
 
 
 def _sub(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -338,7 +352,7 @@ def _week_table(batch: Sequence[TrainingExample]):
     return [ex.doc for ex in batch], np.stack(list(table.values())), week
 
 
-def sentiment_score(model: ExtractorModel, doc: TokenizedDoc, matrix: np.ndarray) -> float:
+def sentiment_score(model: ExtractorModel, doc: EncodedDoc, matrix: np.ndarray) -> float:
     """P(positive market sentiment) for one article, in [0, 1]."""
     ps, _, _ = model.forward([doc], np.asarray(matrix)[None, :, :])
     return float(ps[0, 1])
@@ -432,6 +446,36 @@ def select_extractor_weeks(
     return tuple(sorted(selected))
 
 
+class Adam:
+    """Adam over one flat parameter buffer, updated in place: the moments and
+    two scratch buffers match its size, and a step is a few ufunc calls with
+    `out=`, each rounding as the per-array expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g) and
+    params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) do."""
+
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat, self.lr, self.t = flat, lr, 0
+        self.m, self.v, self.tmp, self.tmp2 = (np.zeros_like(flat) for _ in range(4))
+
+    def step(self, grad: np.ndarray) -> None:
+        b1, b2, m, v, tmp, tmp2 = ADAM_BETA1, ADAM_BETA2, self.m, self.v, self.tmp, self.tmp2
+        self.t += 1
+        np.multiply(m, b1, out=m)
+        np.multiply(grad, 1 - b1, out=tmp)
+        np.add(m, tmp, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(grad, grad, out=tmp)
+        np.multiply(tmp, 1 - b2, out=tmp)
+        np.add(v, tmp, out=v)
+        np.divide(m, 1 - b1 ** self.t, out=tmp)
+        np.multiply(tmp, self.lr, out=tmp)
+        np.divide(v, 1 - b2 ** self.t, out=tmp2)
+        np.sqrt(tmp2, out=tmp2)
+        np.add(tmp2, ADAM_EPS, out=tmp2)
+        np.divide(tmp, tmp2, out=tmp)
+        np.subtract(self.flat, tmp, out=self.flat)
+
+
 def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], batch_size: int):
     hits_s = 0
     hits_w = 0
@@ -494,13 +538,12 @@ def train_extractor(
     model.fit_pot_scaler([ex.matrix for ex in train_ex])
 
     rng = np.random.default_rng([config.seed, 3])
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
-    step = 0
+    grad = np.zeros_like(model.flat)
+    adam = Adam(model.flat, config.lr)
     # best by dev accuracy; accuracy ties broken by lower dev loss, so a
     # model that keeps gaining margin after accuracy saturates still wins
     best_key = (-1.0, -float("inf"))
-    best_params = model.copy_params()
+    best_flat = model.flat.copy()
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_ex))
@@ -508,19 +551,12 @@ def train_extractor(
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train_ex[i] for i in order[lo : lo + config.batch_size]]
-            loss, grads = model.loss_and_grads(batch)
+            loss, _ = model.loss_and_grads(batch, out=grad)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training diverged: loss={loss} at epoch {epoch} batch {n_batches}"
                 )
-            step += 1
-            b1, b2 = ADAM_BETA1, ADAM_BETA2
-            for name, g in grads.items():
-                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
-                adam_v[name] = b2 * adam_v[name] + (1 - b2) * (g * g)
-                mhat = adam_m[name] / (1 - b1 ** step)
-                vhat = adam_v[name] / (1 - b2 ** step)
-                model.params[name] -= config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            adam.step(grad)
             epoch_loss += loss
             n_batches += 1
         acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, config.batch_size)
@@ -535,8 +571,8 @@ def train_extractor(
         key = (acc_s, -dev_loss)
         if key > best_key:
             best_key = key
-            best_params = model.copy_params()
-    model.set_params(best_params)
+            best_flat[...] = model.flat
+    model.flat[...] = best_flat
     return TrainedExtractor(
         model=model, train_weeks=train_weeks, dev_weeks=dev_weeks, history=history
     )
@@ -592,7 +628,8 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
     )
     model.pot_mu = arrays.pop("pot_mu")
     model.pot_sigma = arrays.pop("pot_sigma")
-    model.set_params(arrays)
+    for name, view in model.params.items():
+        view[...] = arrays[name]
     return TrainedExtractor(
         model=model,
         train_weeks=tuple(date.fromisoformat(d) for d in header["train_weeks"]),

@@ -14,7 +14,8 @@ zero. Positive scores mean the word tracks rising weeks.
 
 The formula is coded once, in `_weights`, over integer counts: per class,
 each word's token count and document frequency, and the class token and
-document totals. `build_model_set` lays them out as a table of
+document totals. `_count` takes them from the documents' token ids with
+`bincount` and `unique`. `build_model_set` lays them out as a table of
 (window + weeks) x class x word: `window_weeks` zero rows, then one row per
 week. The window ending at week i is row window + i minus row i of its
 cumulative sum, so every window is scored at once. The counts are int64, so
@@ -39,29 +40,41 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from . import artifacts
-from .corpus import TokenizedDoc, Vocabulary
+from .corpus import Vocabulary
 from .errors import DataError
+from .tokens import EncodedDoc, concat_ids
 from .weeks import POT_CLASSES, WeeklyLabel
 
 SCORE_FORMAT = "%.12e"
 POT_MAGIC = "newstrend-pot 1"
 
 
-def _count(groups: Sequence[Sequence[TokenizedDoc]], index: Mapping[str, int]):
+def _count(groups: Sequence[Sequence[EncodedDoc]], words: Sequence[str]):
     """int64 counts of each group of documents: per-word token counts and
-    document frequencies over the words in `index` (groups x words), and the
-    token and document totals (groups), which include all other words too."""
-    counts = np.zeros((len(groups), len(index)), dtype=np.int64)
+    document frequencies over `words` (groups x words), and the token and
+    document totals (groups), which include all other words too. The
+    documents of a group share one word table."""
+    index = {word: j for j, word in enumerate(words)}
+    width = len(index)
+    counts = np.zeros((len(groups), width), dtype=np.int64)
     df = np.zeros_like(counts)
+    tokens = np.zeros(len(groups), dtype=np.int64)
+    table, column_of = None, np.zeros(0, dtype=np.int64)
     for g, docs in enumerate(groups):
-        ids, present = [], []
-        for doc in docs:
-            row = [index[t] for t in doc.tokens if t in index]
-            ids += row
-            present += set(row)
-        counts[g] = np.bincount(np.array(ids, dtype=np.int64), minlength=len(index))
-        df[g] = np.bincount(np.array(present, dtype=np.int64), minlength=len(index))
-    tokens = np.array([sum(len(d.tokens) for d in docs) for docs in groups], dtype=np.int64)
+        if not docs:
+            continue
+        words_g, ids, lengths = concat_ids(docs)
+        if words_g is not table:  # each word of the table as its column, -1 if untracked
+            table = words_g
+            column_of = np.array([index.get(word, -1) for word in table], dtype=np.int64)
+        column = column_of[ids]
+        kept = column >= 0
+        column = column[kept]
+        doc = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)[kept]
+        counts[g] = np.bincount(column, minlength=width)
+        # each (document, word) pair once
+        df[g] = np.bincount(np.unique(doc * width + column) % width, minlength=width)
+        tokens[g] = lengths.sum()
     n_docs = np.array([len(docs) for docs in groups], dtype=np.int64)
     return counts, df, tokens, n_docs
 
@@ -80,7 +93,7 @@ def _weights(counts: np.ndarray, df: np.ndarray, tokens: np.ndarray, n_docs: np.
 
 
 def tfidf_difference_ranking(
-    pos_docs: Sequence[TokenizedDoc], neg_docs: Sequence[TokenizedDoc]
+    pos_docs: Sequence[EncodedDoc], neg_docs: Sequence[EncodedDoc]
 ) -> list[tuple[str, float]]:
     """Words of the two classes scored by normalized TF-IDF gap, descending.
 
@@ -90,8 +103,9 @@ def tfidf_difference_ranking(
     """
     if not pos_docs or not neg_docs:
         raise DataError("tfidf_difference_ranking needs nonempty positive and negative classes")
-    words = sorted({t for docs in (pos_docs, neg_docs) for doc in docs for t in doc.tokens})
-    w = _weights(*_count([pos_docs, neg_docs], {word: j for j, word in enumerate(words)}))
+    table, ids, _ = concat_ids([*pos_docs, *neg_docs])
+    words = [table[i] for i in np.unique(ids).tolist()]  # sorted, as the table is
+    w = _weights(*_count([pos_docs, neg_docs], words))
     scored = list(zip(words, (w[0] - w[1]).tolist()))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
@@ -167,7 +181,7 @@ class PolarityModelSet:
 
 def build_model_set(
     labels: Sequence[WeeklyLabel],
-    docs_by_week: Mapping[date, Sequence[TokenizedDoc]],
+    docs_by_week: Mapping[date, Sequence[EncodedDoc]],
     words: Collection[str],
     window_weeks: int = 13,
     discount: float = 0.5,
@@ -179,8 +193,7 @@ def build_model_set(
     """
     ordered = sorted(labels, key=lambda lab: lab.week.anchor)
     word_list = sorted(set(words))
-    index = {word: j for j, word in enumerate(word_list)}
-    weekly = _count([docs_by_week.get(lab.week.anchor, ()) for lab in ordered], index)
+    weekly = _count([docs_by_week.get(lab.week.anchor, ()) for lab in ordered], word_list)
     n_weeks = len(ordered)
     classes = [POT_CLASSES.index(lab.pot_class) for lab in ordered]
 

@@ -1,0 +1,162 @@
+"""Token ids: the `tokens.bin` file that `ingest` writes and the documents
+that `pot`, `train-extractor` and `score` read from it.
+
+`ingest` tokenizes each kept record once and writes `tokens.bin`, an array
+file (see `artifacts`) whose header holds the sorted distinct words and the
+record ids in corpus order, and whose arrays hold each record's published
+UTC day ordinal (`day`), its worthiness (-1 for none), the document
+`offsets` and the token ids (`tokens`, positions in the words). Writing it
+needs no numpy. Readers get each document as an `EncodedDoc`: an int32 view
+of its ids plus the one shared word table, so a corpus holds no per-token
+Python objects, and counting words is `bincount` and `unique` over ids.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from datetime import date
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+from . import artifacts, corpus
+from .corpus import NewsRecord, TokenizedDoc
+
+if TYPE_CHECKING:  # numpy and the stdlib array load only where they are used
+    from array import array
+
+    import numpy as np
+
+TOKENS_MAGIC = "newstrend-tokens 1"
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class EncodedDoc:
+    """A document as `ids`, positions in `words`, the sorted word table that
+    every document of one corpus shares."""
+
+    record_id: str
+    ids: np.ndarray
+    words: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class TokenizedCorpus:
+    """What `tokens.bin` holds, record by record in corpus order."""
+
+    words: tuple[str, ...]
+    docs: tuple[EncodedDoc, ...]
+    days: tuple[date, ...]                # published UTC day
+    worthiness: tuple[int | None, ...]
+
+
+def _id_table(token_seqs: Iterable[Sequence[str]],
+              typecode: str) -> tuple[tuple[str, ...], array, array]:
+    """The sorted distinct words of `token_seqs`, every token as its position
+    among them (an `array` of `typecode`), and a leading 0 then the offset at
+    which each sequence ends. Only the table holds a string; each sequence
+    may be dropped once read."""
+    from array import array
+
+    first_seen: dict[str, int] = {}
+    ids, offsets = array("q"), array("q", [0])
+    for tokens in token_seqs:
+        ids.extend([first_seen.setdefault(t, len(first_seen)) for t in tokens])
+        offsets.append(len(ids))
+    words = sorted(first_seen)
+    rank = [0] * len(words)
+    for r, word in enumerate(words):
+        rank[first_seen[word]] = r
+    return tuple(words), array(typecode, map(rank.__getitem__, ids)), offsets
+
+
+def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
+    """`docs` as EncodedDocs sharing one table, the sorted distinct words of them all."""
+    import numpy as np
+
+    words, ids, offsets = _id_table((d.tokens for d in docs), "q")
+    flat = np.frombuffer(ids, dtype=np.int64)
+    return [EncodedDoc(d.record_id, flat[lo:hi], words)
+            for d, lo, hi in zip(docs, offsets, offsets[1:])]
+
+
+def concat_ids(docs: Sequence[EncodedDoc]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The word table `docs` share, their ids end to end, and each document's
+    length (int64); ValueError if two documents index different tables."""
+    import numpy as np
+
+    words = docs[0].words if docs else ()
+    if any(d.words is not words and d.words != words for d in docs):
+        raise ValueError("documents must share one word table")
+    lengths = np.array([len(d.ids) for d in docs], dtype=np.int64)
+    ids = np.concatenate([d.ids for d in docs]) if docs else np.zeros(0, dtype=np.int64)
+    return words, ids, lengths
+
+
+def write_tokens(records: Sequence[NewsRecord], path: str | Path, max_tokens: int) -> None:
+    """Write `tokens.bin` (see the module docstring), tokenizing each record
+    once with `tokenize`; needs no numpy."""
+    from array import array
+
+    # through the module, so that a wrapper installed on `corpus.tokenize` sees each call
+    words, ids, offsets = _id_table((corpus.tokenize(r, max_tokens).tokens for r in records), "d")
+    header = {"words": list(words), "record_ids": [r.id for r in records]}
+    artifacts.write_arrays(path, TOKENS_MAGIC, header, [
+        ("day", array("d", (r.published.toordinal() for r in records))),
+        ("worthiness", array("d", (-1 if r.worthiness is None else r.worthiness
+                                   for r in records))),
+        ("offsets", array("d", offsets)),
+        ("tokens", ids),
+    ])
+
+
+def read_tokens(path: str | Path) -> TokenizedCorpus:
+    """Read `tokens.bin`. Words that are not sorted and distinct, repeated
+    record ids, an array whose length does not fit the record count, a value
+    that is not an integer in its range (a token id of at least the word
+    count included), and offsets that are not a rise from 0 to the token
+    count are DataErrors naming the file, as is a file of no records."""
+    return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens)
+
+
+def _integers(arrays: dict, name: str, low: int, high: int, count: int | None,
+              dtype: str = "int64") -> np.ndarray:
+    """`arrays[name]` as `dtype`; ValueError unless it is one-dimensional, of
+    `count` values (any count for None), each an integer in [low, high)."""
+    import numpy as np
+
+    a = arrays[name]
+    if a.ndim != 1 or count is not None and len(a) != count:
+        raise ValueError(f"{name} has shape {list(a.shape)}, not [{count}]")
+    if not (np.all((a >= low) & (a < high)) and np.all(np.floor(a) == a)):
+        raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
+    return a.astype(dtype)
+
+
+def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
+    import numpy as np
+
+    words, record_ids = header["words"], header["record_ids"]
+    for name, items in (("words", words), ("record_ids", record_ids)):
+        if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+            raise TypeError(f"{name} must be a list of strings")
+    if any(a >= b for a, b in zip(words, words[1:])):
+        raise ValueError("words must be sorted and distinct")
+    if not record_ids:
+        raise ValueError("it holds no news records")
+    if len(set(record_ids)) != len(record_ids):
+        raise ValueError("record ids must be distinct")
+    n, words = len(record_ids), tuple(words)
+    days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n).tolist()
+    worthiness = _integers(arrays, "worthiness", -1, 2, n).tolist()
+    offsets = _integers(arrays, "offsets", 0, 2**53, n + 1)
+    tokens = _integers(arrays, "tokens", 0, len(words), None, "int32")  # half of int64
+    if offsets[0] != 0 or offsets[-1] != len(tokens) or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"offsets must rise from 0 to the token count {len(tokens)}")
+    bounds = offsets.tolist()
+    return TokenizedCorpus(
+        words=words,
+        docs=tuple(EncodedDoc(rid, tokens[lo:hi], words)
+                   for rid, lo, hi in zip(record_ids, bounds, bounds[1:])),
+        days=tuple(map(date.fromordinal, days)),
+        worthiness=tuple(None if w < 0 else w for w in worthiness),
+    )

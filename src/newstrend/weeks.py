@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import artifacts
-from .corpus import NewsRecord
 from .errors import ConfigError, DataError
 
 EXTRACTOR_CLASSES = ("positive", "negative", "excluded")
@@ -250,10 +249,11 @@ def label_weeks(
     ]
 
 
-def attach_news(weeks: Sequence[TradingWeek], records: Iterable[NewsRecord]) -> list[TradingWeek]:
-    """Assign each record to the week containing its publication date.
+def attach_news(weeks: Sequence[TradingWeek],
+                news: Iterable[tuple[str, date]]) -> list[TradingWeek]:
+    """Assign each (record id, published UTC day) pair to the week holding the day.
 
-    A record belongs to the week with prev_anchor < published date <= anchor;
+    A record belongs to the week with prev_anchor < published day <= anchor;
     records outside every week stay unassigned.
     """
     ordered = sorted(weeks, key=lambda w: w.anchor)
@@ -262,13 +262,12 @@ def attach_news(weeks: Sequence[TradingWeek], records: Iterable[NewsRecord]) -> 
     # after the day, so one of them holds it only if this floor is before it
     floor = list(accumulate(reversed([w.prev_anchor for w in ordered]), min))[::-1]
     ids: list[list[str]] = [[] for _ in ordered]
-    for record in records:
-        day = record.published.date()
+    for record_id, day in news:
         i = bisect_left(anchors, day)
         if i < len(ordered) and floor[i] < day:
             while not ordered[i].prev_anchor < day:
                 i += 1
-            ids[i].append(record.id)
+            ids[i].append(record_id)
     return [replace(w, news_ids=tuple(chunk)) for w, chunk in zip(ordered, ids)]
 
 

@@ -1,10 +1,12 @@
 import json
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from newstrend.cli import main
 from newstrend.corpus import NewsRecord, TokenizedDoc
+from newstrend.tokens import EncodedDoc, encode_docs
 
 
 def make_record(
@@ -30,6 +32,24 @@ def make_record(
 
 def make_doc(rec_id, tokens):
     return TokenizedDoc(record_id=rec_id, tokens=tuple(tokens))
+
+
+def encoded(*groups):
+    """Each group of TokenizedDocs as a list of EncodedDocs, all groups over
+    one shared word table."""
+    docs = iter(encode_docs([doc for group in groups for doc in group]))
+    return [[next(docs) for _ in group] for group in groups]
+
+
+def encoded_weeks(docs_by_week):
+    """A mapping of TokenizedDoc lists as EncodedDoc lists over one table."""
+    return dict(zip(docs_by_week, encoded(*docs_by_week.values())))
+
+
+def doc_over(words, rec_id, tokens):
+    """An EncodedDoc of `tokens` over the sorted table `words`, which holds each."""
+    words = tuple(words)
+    return EncodedDoc(rec_id, np.array([words.index(t) for t in tokens], dtype=np.int64), words)
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from newstrend.extractor import gradient_check, load_extractor, multitask_loss, 
 from newstrend.metrics import ConfusionMatrix, accuracy, f1, mcc
 from newstrend.polarity import PolarityModelSet, build_model_set
 from newstrend.summarizer import build_summarizer_dataset
+from newstrend.tokens import encode_docs
 from newstrend.weeks import (
     POT_CLASSES, TradingWeek, WeeklyLabel, label_weeks, load_prices,
     monday_anchors, three_way_policy, weekday_autocorrelation, weekly_changes,
@@ -81,7 +82,7 @@ def _extractor_test_accuracy(workdir: Path) -> float:
     level away from 0.5.
     """
     config = load_config(workdir.parent / f"{workdir.name}.json")
-    labels, _, docs_by_id, _ = _load_week_data(config, workdir)
+    labels, _, docs_by_id, _ = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
     vocab = Vocabulary(words=tuple(
         json.loads((workdir / "vocab.json").read_text())["words"]
@@ -311,7 +312,7 @@ def test_07_planted_signal_end_to_end(pipeline_runs):
 
 def test_08_determinism_byte_identical(pipeline_runs):
     a, b = pipeline_runs["signal_a"], pipeline_runs["signal_b"]
-    tracked = ["news.jsonl", "prices.csv", "corpus.jsonl", "weeks.csv", "pot.bin",
+    tracked = ["news.jsonl", "prices.csv", "corpus.jsonl", "tokens.bin", "weeks.csv", "pot.bin",
                "vocab.json", "extractor.model", "train_log.csv", "weekly_sentiment.csv",
                "summarizer.model", "report.txt", "report.csv"]
     diffs = [n for n in tracked if (a / n).read_bytes() != (b / n).read_bytes()]
@@ -351,14 +352,13 @@ def test_09_real_data_calibration():
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
     labels = label_weeks(weeks, three_way_policy())
-    attached = attach_news(weeks, result.records)
+    attached = attach_news(weeks, ((r.id, r.published.date()) for r in result.records))
     by_anchor = {w.anchor: w for w in attached}
     labels = [dc_replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels]
-    by_id = {r.id: r for r in result.records}
-    docs_by_week = {
-        lab.week.anchor: [tokenize(by_id[rid]) for rid in lab.week.news_ids]
-        for lab in labels
-    }
+    docs = encode_docs([tokenize(r) for r in result.records])
+    by_id = {doc.record_id: doc for doc in docs}
+    docs_by_week = {lab.week.anchor: [by_id[rid] for rid in lab.week.news_ids]
+                    for lab in labels}
     model_set = build_model_set(labels, docs_by_week, {"coronavirus"})
     trajectory = model_set.trajectory("coronavirus", date(2020, 2, 1), date(2020, 3, 31))
     corona_ok = bool(trajectory) and all(score < 0 for _, score in trajectory)

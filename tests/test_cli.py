@@ -17,8 +17,8 @@ class TestFullPipeline:
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         run_pipeline(wd, config)
-        for name in ("news.jsonl", "prices.csv", "corpus.jsonl", "rejects.csv", "weeks.csv",
-                     "vocab.json", "extractor.model", "train_log.csv",
+        for name in ("news.jsonl", "prices.csv", "corpus.jsonl", "tokens.bin", "rejects.csv",
+                     "weeks.csv", "vocab.json", "extractor.model", "train_log.csv",
                      "weekly_sentiment.csv", "summarizer.model", "report.txt", "report.csv"):
             assert (wd / name).exists(), name
         assert (wd / "pot.bin").is_file()
@@ -43,7 +43,7 @@ class TestFullPipeline:
         manifest = json.loads((wd / "weekly_sentiment.csv.manifest.json").read_text())
         assert manifest["command"] == "score"
         assert manifest["inputs"] == {
-            "corpus": sha256_file(wd / "corpus.jsonl"),
+            "tokens": sha256_file(wd / "tokens.bin"),
             "weeks": sha256_file(wd / "weeks.csv"),
             "pot": sha256_file(wd / "pot.bin"),
             "vocab": sha256_file(wd / "vocab.json"),
@@ -54,7 +54,7 @@ class TestFullPipeline:
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         run_pipeline(wd, config)
-        tracked = ["corpus.jsonl", "weeks.csv", "vocab.json", "extractor.model",
+        tracked = ["corpus.jsonl", "tokens.bin", "weeks.csv", "vocab.json", "extractor.model",
                    "weekly_sentiment.csv", "summarizer.model", "report.txt", "report.csv"]
         before = {n: (wd / n).read_bytes() for n in tracked}
         for stage in STAGES:
@@ -238,9 +238,9 @@ class TestErrors:
     @pytest.mark.parametrize("stage, missing, producer", [
         ("ingest", "news.jsonl", "synth"),
         ("label", "corpus.jsonl", "ingest"),
-        ("pot", "corpus.jsonl", "ingest"),
-        ("train-extractor", "corpus.jsonl", "ingest"),
-        ("score", "corpus.jsonl", "ingest"),
+        ("pot", "tokens.bin", "ingest"),
+        ("train-extractor", "tokens.bin", "ingest"),
+        ("score", "tokens.bin", "ingest"),
         ("train-summarizer", "weekly_sentiment.csv", "score"),
         ("evaluate", "weekly_sentiment.csv", "score"),
     ])
@@ -275,6 +275,7 @@ class TestErrors:
         ("extractor.encoder=bert", "extractor.encoder"),
         ("summarizer.features=fancy", "summarizer.features"),
         ("summarizer.target_offset=0", "summarizer.target_offset"),
+        ("tokenizer.max_tokens=0", "tokenizer.max_tokens"),
         ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
         ("synth.start=notadate", "synth.start"),
         ("synth.weeks=abc", "synth.weeks"),
@@ -481,7 +482,7 @@ class TestCorruptArtifacts:
 
     @pytest.mark.parametrize("stage, corrupt", [("pot", _bad_weeks_anchor),
                                                 ("pot", _bad_weeks_class),
-                                                ("pot", _garble_corpus_line),
+                                                ("label", _garble_corpus_line),
                                                 ("pot", _repeated_weeks_row),
                                                 ("pot", _weeks_not_utf8),
                                                 ("evaluate", _summarizer_without_classes)])
@@ -546,9 +547,9 @@ class TestTrainLog:
 class TestTracedStage:
     """The benchmark's launcher wraps library functions in spans. A layer the
     stage imports past those patches would read as 0 s rather than fail, so
-    check that a traced `score` records the layers it runs."""
+    check that a traced stage records the layers it runs."""
 
-    def test_traced_score_records_its_layers(self, trained_workdir, tmp_path):
+    def traced_span_names(self, trained_workdir, tmp_path, stage):
         source, config = trained_workdir
         wd = tmp_path / "w"
         shutil.copytree(source, wd)
@@ -556,16 +557,27 @@ class TestTracedStage:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        spans_path = tmp_path / "score.spans.json"
+        spans_path = tmp_path / f"{stage}.spans.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "bench" / "launcher.py"), str(spans_path), "test-score",
-             "score", "--workdir", ".", "--config", str(config), "--allow-config-drift"],
+            [sys.executable, str(root / "bench" / "launcher.py"), str(spans_path),
+             f"test-{stage}", stage, "--workdir", ".", "--config", str(config),
+             "--allow-config-drift"],
             cwd=wd, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(spans_path.read_text())
         assert payload["missing"] == []
-        names = {span[0] for span in payload["spans"]}
-        for layer in ("corpus.tokenize", "corpus.ingest_news",
-                      "polarity.PolarityModelSet.matrix", "extractor.ExtractorModel.forward"):
+        return [span[0] for span in payload["spans"]]
+
+    def test_traced_ingest_records_its_layers(self, trained_workdir, tmp_path):
+        names = self.traced_span_names(trained_workdir, tmp_path, "ingest")
+        assert names.count("corpus.ingest_news") == 1
+        # every kept record is tokenized exactly once
+        n_records = len((tmp_path / "w" / "corpus.jsonl").read_text().splitlines())
+        assert names.count("corpus.tokenize") == n_records
+
+    def test_traced_score_records_its_layers(self, trained_workdir, tmp_path):
+        names = self.traced_span_names(trained_workdir, tmp_path, "score")
+        for layer in ("polarity.PolarityModelSet.matrix", "extractor.ExtractorModel.forward"):
             assert layer in names, layer
+        assert "corpus.tokenize" not in names

@@ -2,6 +2,7 @@ import json
 import re
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from newstrend.corpus import (
 )
 from newstrend.errors import DataError
 
-from conftest import make_doc, make_record
+from conftest import encoded, make_doc, make_record
 
 
 def write_lines(path, lines):
@@ -207,13 +208,17 @@ class TestTokenObjects:
 
     def test_loaded_corpus_holds_one_object_per_distinct_token(self, trained_workdir):
         from newstrend.cli import _load_week_data
-        from newstrend.config import load_config
 
-        workdir, config = trained_workdir
-        _, _, docs_by_id, _ = _load_week_data(load_config(config, []), workdir)
-        tokens = [t for doc in docs_by_id.values() for t in doc.tokens]
-        assert len(tokens) > 10 * len(set(tokens))
-        assert len({id(t) for t in tokens}) == len(set(tokens))
+        # every document indexes one shared table of the distinct words, and
+        # holds int32 ids rather than strings
+        workdir, _ = trained_workdir
+        _, _, docs_by_id, _ = _load_week_data(workdir)
+        docs = list(docs_by_id.values())
+        words = docs[0].words
+        assert all(doc.words is words for doc in docs)
+        assert list(words) == sorted(set(words))
+        assert all(isinstance(doc.ids, np.ndarray) and doc.ids.dtype == np.int32 for doc in docs)
+        assert sum(len(doc.ids) for doc in docs) > 10 * len(words)
 
 
 def reference_parse_timestamp(value):
@@ -340,27 +345,27 @@ class TestWorthinessProxy:
 
 class TestVocabulary:
     def test_top_one(self):
-        docs = [make_doc("d1", ["gain", "loss"])]
+        docs, = encoded([make_doc("d1", ["gain", "loss"])])
         vocab = build_vocabulary(docs, [("gain", 2.0), ("loss", -1.0)], 1)
         assert vocab.words == ("gain",)
 
     def test_absolute_magnitude_ranking(self):
-        docs = [make_doc("d1", ["gain", "loss", "flat"])]
+        docs, = encoded([make_doc("d1", ["gain", "loss", "flat"])])
         vocab = build_vocabulary(docs, [("gain", 0.5), ("loss", -2.0), ("flat", 0.1)], 2)
         assert vocab.words == ("loss", "gain")
 
     def test_tie_breaks_lexicographic(self):
-        docs = [make_doc("d1", ["beta", "alpha"])]
+        docs, = encoded([make_doc("d1", ["beta", "alpha"])])
         vocab = build_vocabulary(docs, [("beta", 1.0), ("alpha", -1.0)], 2)
         assert vocab.words == ("alpha", "beta")
 
     def test_words_absent_from_docs_skipped(self):
-        docs = [make_doc("d1", ["gain"])]
+        docs, = encoded([make_doc("d1", ["gain"])])
         vocab = build_vocabulary(docs, [("missing", 9.0), ("gain", 1.0)], 1)
         assert vocab.words == ("gain",)
 
     def test_insufficient_candidates_fatal(self):
-        docs = [make_doc("d1", ["gain"])]
+        docs, = encoded([make_doc("d1", ["gain"])])
         with pytest.raises(DataError, match="vocabulary"):
             build_vocabulary(docs, [("gain", 1.0)], 2)
 

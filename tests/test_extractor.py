@@ -10,13 +10,17 @@ from newstrend.config import ExtractorConfig
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.extractor import (
-    ExtractorModel, ReferenceEncoder, TrainingExample,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder, TrainingExample,
     gradient_check, load_extractor, multitask_loss, pot_attention,
     save_extractor, select_extractor_weeks, sentiment_score, softmax,
     split_dev_weeks, train_extractor,
 )
 
-from conftest import make_doc
+from conftest import doc_over
+
+# the word tables of the toy documents below
+TINY_WORDS = tuple(sorted(f"t{i}" for i in range(34)))
+PLANTED_WORDS = tuple(sorted(["the", "market", "report", "week", "gain", "surge", "fall", "drop"]))
 
 
 def tiny_model(v=6, n_lags=3, dim=5, emb_dim=6, hidden=8, lam=0.5, seed=0):
@@ -30,7 +34,7 @@ def tiny_model(v=6, n_lags=3, dim=5, emb_dim=6, hidden=8, lam=0.5, seed=0):
 def tiny_example(model, rng, worthiness=None, sentiment=1):
     v, n_lags = len(model.vocab), model.n_lags
     tokens = [f"t{i}" for i in rng.integers(0, 14, size=rng.integers(2, 8))]  # some OOV
-    doc = make_doc("d", tokens)
+    doc = doc_over(TINY_WORDS, "d", tokens)
     matrix = rng.normal(0.0, 0.02, size=(v, n_lags))
     return TrainingExample(doc=doc, matrix=matrix, week=date(2020, 1, 6),
                            sentiment=sentiment, worthiness=worthiness)
@@ -39,7 +43,7 @@ def tiny_example(model, rng, worthiness=None, sentiment=1):
 def randomize(model, rng):
     """Nonzero heads, attention gate and scaler, so every block gets gradient."""
     for name in ("att_v", "senti_w", "senti_b", "worth_w", "worth_b", "dense_b"):
-        model.params[name] = rng.normal(0, 0.5, size=model.params[name].shape)
+        model.params[name][...] = rng.normal(0, 0.5, size=model.params[name].shape)
     model.pot_mu = rng.normal(0, 0.1, size=len(model.vocab))
     model.pot_sigma = rng.uniform(0.5, 2.0, size=len(model.vocab))
 
@@ -55,7 +59,8 @@ def reference_forward(model, docs, mats):
     """Per-article forward: per-document encoder loop, one attention per row
     through einsum. Kept as an independent reference for the batched code."""
     p, enc = model.params, model.encoder
-    ids = [np.array([enc.index.get(t, 0) for t in d.tokens], dtype=np.int64) for d in docs]
+    ids = [np.array([enc.index.get(d.words[i], 0) for i in d.ids], dtype=np.int64)
+           for d in docs]
     xbar = np.zeros((len(docs), enc.emb_dim))
     for i, row in enumerate(ids):
         if len(row):
@@ -200,7 +205,7 @@ class TestForward:
         # independent chain: plain numpy, no model code
         p = model.params
         enc = model.encoder
-        ids = [enc.index.get(t, 0) for t in ex.doc.tokens]
+        ids = [enc.index.get(ex.doc.words[i], 0) for i in ex.doc.ids]
         pooled = p["enc.emb"][ids].sum(axis=0) / math.sqrt(len(ids))
         vcls = np.tanh(pooled @ p["enc.w"] + p["enc.b"])
         scores = p["att_v"] @ np.tanh(p["att_w"] @ ex.matrix)
@@ -229,7 +234,8 @@ class TestForward:
         week = rng.integers(0, 7, size=32)
         batch = [
             TrainingExample(
-                doc=make_doc(f"d{i}", [f"t{j}" for j in rng.integers(34, size=rng.integers(12))]),
+                doc=doc_over(TINY_WORDS, f"d{i}",
+                             [f"t{j}" for j in rng.integers(34, size=rng.integers(12))]),
                 matrix=matrices[w], week=date(2020, 1, 6) + timedelta(days=7 * int(w)),
                 sentiment=int(rng.integers(0, 2)),
                 worthiness=[None, 0, 1][int(rng.integers(0, 3))],
@@ -262,7 +268,7 @@ class TestForward:
 
     def test_empty_document_encodes(self):
         model = tiny_model()
-        ex = TrainingExample(doc=make_doc("d", []), matrix=np.zeros((6, 3)),
+        ex = TrainingExample(doc=doc_over(TINY_WORDS, "d", []), matrix=np.zeros((6, 3)),
                              week=date(2020, 1, 6), sentiment=0)
         ps, _, _ = model.forward([ex.doc], ex.matrix[None])
         assert np.isfinite(ps).all()
@@ -400,7 +406,7 @@ def planted_training_set(n_weeks=10, docs_per_week=6, seed=0):
             rng.shuffle(tokens)
             worthiness = int(rng.integers(0, 2)) if rng.random() < 0.3 else None
             examples.append(
-                TrainingExample(doc=make_doc(f"d{i}-{j}", tokens), matrix=base,
+                TrainingExample(doc=doc_over(PLANTED_WORDS, f"d{i}-{j}", tokens), matrix=base,
                                 week=anchor, sentiment=sentiment, worthiness=worthiness)
             )
     return vocab, examples
@@ -409,6 +415,38 @@ def planted_training_set(n_weeks=10, docs_per_week=6, seed=0):
 def dev_weeks_of(examples):
     """The pipeline's holdout: 10% of the example weeks, drawn with seed 0."""
     return split_dev_weeks([e.week for e in examples], dev_fraction=0.1, seed=0)[1]
+
+
+class TestFlatAdam:
+    def test_bitwise_equal_to_the_per_block_update_over_60_steps(self):
+        """Adam on the one flat buffer against the per-block update it replaced."""
+        model = tiny_model(seed=3)
+        rng = np.random.default_rng(9)
+        randomize(model, rng)
+        batch = [tiny_example(model, rng, worthiness=[None, 0, 1][i % 3], sentiment=i % 2)
+                 for i in range(6)]
+        lr = 0.05
+        adam = Adam(model.flat, lr)
+        params = {name: p.copy() for name, p in model.params.items()}
+        adam_m = {name: np.zeros_like(p) for name, p in params.items()}
+        adam_v = {name: np.zeros_like(p) for name, p in params.items()}
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        grad, start = np.empty_like(model.flat), model.flat.copy()
+        for step in range(1, 61):
+            _, grads = model.loss_and_grads(batch, out=grad)
+            assert all(np.shares_memory(g, grad) for g in grads.values())
+            for name, g in grads.items():
+                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
+                adam_v[name] = b2 * adam_v[name] + (1 - b2) * (g * g)
+                mhat = adam_m[name] / (1 - b1 ** step)
+                vhat = adam_v[name] / (1 - b2 ** step)
+                params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            adam.step(grad)
+            for name, p in model.params.items():
+                assert np.array_equal(p, params[name]), (step, name)
+                assert np.shares_memory(p, model.flat)
+        before = model.views(start)
+        assert all(np.any(p != before[name]) for name, p in model.params.items())
 
 
 class TestTraining:
@@ -457,9 +495,9 @@ class TestTraining:
         batch_weeks = []
         loss_and_grads = ExtractorModel.loss_and_grads
 
-        def recording(model, batch):
+        def recording(model, batch, *args, **kwargs):
             batch_weeks.append({ex.week for ex in batch})
-            return loss_and_grads(model, batch)
+            return loss_and_grads(model, batch, *args, **kwargs)
 
         monkeypatch.setattr(ExtractorModel, "loss_and_grads", recording)
         trained = train_extractor(examples, self.settings, vocab, dev)

@@ -13,7 +13,7 @@ from newstrend.polarity import (
 )
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
-from conftest import make_doc
+from conftest import encoded, encoded_weeks, make_doc
 
 
 # --- independent oracle -----------------------------------------------------
@@ -44,6 +44,11 @@ def oracle_polarity(word, window, alpha):
     return term("vpos") - term("vneg") + alpha * (term("pos") - term("neg"))
 
 
+def build(labels, docs_by_week, words, **kwargs):
+    """`build_model_set` of TokenizedDoc weeks, encoded over one word table."""
+    return build_model_set(labels, encoded_weeks(docs_by_week), words, **kwargs)
+
+
 def window_scores(window, words, discount=0.5):
     """Polarity of `words` over one window given as class -> token lists.
 
@@ -59,7 +64,7 @@ def window_scores(window, words, discount=0.5):
                                   pot_class=cls, summarizer_class="up"))
         docs_by_week[anchor] = [make_doc(f"{cls}{j}", toks)
                                 for j, toks in enumerate(window.get(cls, []))]
-    model_set = build_model_set(labels, docs_by_week, words, window_weeks=5, discount=discount)
+    model_set = build(labels, docs_by_week, words, window_weeks=5, discount=discount)
     column = model_set.matrix(Vocabulary(words=tuple(words)), labels[-1].week.anchor, 1)[:, 0]
     return dict(zip(words, column.tolist()))
 
@@ -94,17 +99,18 @@ class TestTfidf:
 
 class TestDifferenceRanking:
     def test_word_only_in_positive_scores_positive(self):
-        ranking = dict(tfidf_difference_ranking(docs([["gain", "up"]]), docs([["fall", "down"]])))
+        pos, neg = encoded(docs([["gain", "up"]]), docs([["fall", "down"]]))
+        ranking = dict(tfidf_difference_ranking(pos, neg))
         assert ranking["gain"] > 0
         assert ranking["fall"] < 0
 
     def test_identical_corpora_all_zero(self):
         text = [["gain", "fall", "x"]]
-        ranking = tfidf_difference_ranking(docs(text), docs(text))
+        ranking = tfidf_difference_ranking(*encoded(docs(text), docs(text)))
         assert all(score == pytest.approx(0.0) for _, score in ranking)
 
     def test_sorted_descending_with_lexicographic_ties(self):
-        ranking = tfidf_difference_ranking(docs([["bb", "aa"]]), docs([["zz"]]))
+        ranking = tfidf_difference_ranking(*encoded(docs([["bb", "aa"]]), docs([["zz"]])))
         words = [w for w, _ in ranking]
         scores = [s for _, s in ranking]
         assert scores == sorted(scores, reverse=True)
@@ -112,13 +118,13 @@ class TestDifferenceRanking:
 
     def test_empty_class_fatal(self):
         with pytest.raises(DataError):
-            tfidf_difference_ranking(docs([["x"]]), [])
+            tfidf_difference_ranking(*encoded(docs([["x"]]), []))
 
     def test_matches_oracle(self):
         pos = [["gain", "up"], ["gain", "fall", "gain"]]
         neg = [["flat", "down"], ["drop", "gain"]]
         universe = pos + neg
-        for word, score in tfidf_difference_ranking(docs(pos), docs(neg)):
+        for word, score in tfidf_difference_ranking(*encoded(docs(pos), docs(neg))):
             want = (oracle_tfidf(universe, pos, word) - oracle_tfidf(universe, neg, word)) / math.sqrt(2)
             assert score == pytest.approx(want, abs=1e-12)
 
@@ -224,7 +230,7 @@ class TestModelSet:
         }
         docs_by_week = {a: [make_doc(f"{a}{j}", t) for j, t in enumerate(d)]
                         for a, d in plain.items()}
-        model_set = build_model_set(labels, docs_by_week, vocab, window_weeks=4, discount=0.3)
+        model_set = build(labels, docs_by_week, vocab, window_weeks=4, discount=0.3)
         for idx, lab in enumerate(labels):
             window = {cls: [] for cls in POT_CLASSES}
             for old in labels[max(0, idx - 3): idx + 1]:
@@ -235,14 +241,14 @@ class TestModelSet:
 
     def test_planted_word_signs(self):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         last = labels[-1].week.anchor
         assert score_at(model_set, last, "gain") > 0
         assert score_at(model_set, last, "fall") < 0
 
     def test_matrix_assembly(self):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         vocab = Vocabulary(words=("gain", "fall", "unseen"))
         anchor = labels[3].week.anchor
         m = model_set.matrix(vocab, anchor, 2)
@@ -256,7 +262,7 @@ class TestModelSet:
 
     def test_matrix_missing_history_fatal_names_week(self):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain"}, window_weeks=3)
         vocab = Vocabulary(words=("gain",))
         with pytest.raises(DataError, match="trailing"):
             model_set.matrix(vocab, labels[0].week.anchor, 2)
@@ -265,7 +271,7 @@ class TestModelSet:
 
     def test_trajectory_zero_for_unknown_word(self):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain"}, window_weeks=3)
         rows = model_set.trajectory("nonexistent")
         assert len(rows) == len(labels)
         assert all(score == 0.0 for _, score in rows)
@@ -278,14 +284,14 @@ class TestModelSet:
                 docs = list(docs_by_week[lab.week.anchor])
                 docs.append(make_doc(f"late{i}", ["breakthrough", "x"]))
                 docs_by_week[lab.week.anchor] = docs
-        model_set = build_model_set(labels, docs_by_week, {"breakthrough"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"breakthrough"}, window_weeks=3)
         rows = model_set.trajectory("breakthrough")
         assert all(score == 0.0 for (_, score) in rows[:6])
         assert all(score > 0.0 for (_, score) in rows[6:])
 
     def test_save_load_roundtrip(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         assert model_set.save(tmp_path / "pot.bin") == [tmp_path / "pot.bin"]
         loaded = PolarityModelSet.load(tmp_path / "pot.bin")
         assert loaded.anchors == model_set.anchors
@@ -295,7 +301,7 @@ class TestModelSet:
 
     def test_saved_scores_are_rounded_through_score_format(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         model_set.scores[0, 0] = -0.0
         model_set.save(tmp_path / "pot.bin")
         loaded = PolarityModelSet.load(tmp_path / "pot.bin")
@@ -306,7 +312,7 @@ class TestModelSet:
 
     def test_save_is_deterministic(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
-        model_set = build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         model_set.save(tmp_path / "a.bin")
         model_set.save(tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -328,7 +334,7 @@ class TestModelSet:
     def test_corrupt_file_is_data_error_naming_it(self, tmp_path, edit, why):
         labels, docs_by_week = weekly_fixture()
         path = tmp_path / "pot.bin"
-        build_model_set(labels, docs_by_week, {"gain", "fall"}, window_weeks=3).save(path)
+        build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3).save(path)
         magic, size, rest = path.read_bytes().split(b"\n", 2)
         magic, header, body = edit(magic, json.loads(rest[: int(size)]), rest[int(size):])
         blob = json.dumps(header, sort_keys=True).encode("utf-8")

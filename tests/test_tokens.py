@@ -1,0 +1,209 @@
+"""`tokens.bin`, and the word counting over token ids that reads it.
+
+The string-keyed references below are the implementations the id-based
+code replaced: the encoder's bag of words, the TF-IDF count tables, the
+difference ranking, the vocabulary selection and the encoder's frequency
+vocabulary. A hypothesis test checks that both agree exactly.
+"""
+
+from collections import Counter
+from datetime import date
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from newstrend.artifacts import write_arrays
+from newstrend.corpus import build_vocabulary, tokenize
+from newstrend.errors import DataError
+from newstrend.extractor import ReferenceEncoder
+from newstrend.polarity import _count, _weights, tfidf_difference_ranking
+from newstrend.tokens import TOKENS_MAGIC, read_tokens, write_tokens
+
+from conftest import encoded, make_doc, make_record
+
+RECORDS = [
+    make_record(rec_id="a", title="Markets rally", content="oil prices surge 2020 on oil",
+                published="2020-01-08T23:59:59Z", worthiness=1),
+    make_record(rec_id="b", title="Oil prices", content="markets fall",
+                published="2020-01-09T00:00:00Z"),
+    make_record(rec_id="c", title="", content="!! 42 ??", published="2019-12-31T12:00:00Z",
+                worthiness=0),
+]
+
+
+class TestRoundTrip:
+    def test_read_gives_back_what_ingest_tokenized(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        write_tokens(RECORDS, path, max_tokens=5)
+        corpus = read_tokens(path)
+        docs = [tokenize(r, 5) for r in RECORDS]
+        assert corpus.words == tuple(sorted({t for d in docs for t in d.tokens}))
+        assert [d.record_id for d in corpus.docs] == ["a", "b", "c"]
+        for doc, want in zip(corpus.docs, docs):
+            assert doc.words is corpus.words
+            assert [corpus.words[i] for i in doc.ids] == list(want.tokens)
+        assert len(corpus.docs[2].ids) == 0
+        assert corpus.days == (date(2020, 1, 8), date(2020, 1, 9), date(2019, 12, 31))
+        assert corpus.worthiness == (1, None, 0)
+
+    def test_write_is_byte_identical_on_rerun(self, tmp_path):
+        write_tokens(RECORDS, tmp_path / "a.bin", max_tokens=180)
+        write_tokens(list(RECORDS), tmp_path / "b.bin", max_tokens=180)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+# a valid file: "a" says gain oil, "b" says fall
+VALID = {
+    "words": ["fall", "gain", "oil"],
+    "record_ids": ["a", "b"],
+    "day": [737432, 737433],
+    "worthiness": [1, -1],
+    "offsets": [0, 2, 3],
+    "tokens": [1, 2, 0],
+}
+ARRAYS = ("day", "worthiness", "offsets", "tokens")
+
+
+def write_parts(path, **changes):
+    parts = {**VALID, **changes}
+    header = {key: parts[key] for key in ("words", "record_ids")}
+    arrays = [(name, np.array(parts[name], dtype=float)) for name in ARRAYS if name in parts]
+    write_arrays(path, TOKENS_MAGIC, header, arrays)
+
+
+CORRUPT = {
+    "id at the word count": ({"tokens": [1, 3, 0]}, "tokens holds a value"),
+    "negative id": ({"tokens": [1, -1, 0]}, "tokens holds a value"),
+    "fractional id": ({"tokens": [1, 1.5, 0]}, "tokens holds a value that is not an integer"),
+    "nan id": ({"tokens": [1, float("nan"), 0]}, "tokens holds a value"),
+    "fractional day": ({"day": [737432.5, 737433]}, "day holds a value"),
+    "worthiness of 2": ({"worthiness": [2, -1]}, "worthiness holds a value"),
+    "decreasing offsets": ({"offsets": [0, 4, 3]}, "offsets must rise from 0"),
+    "offsets short of the token count": ({"offsets": [0, 2, 2]}, "offsets must rise from 0"),
+    "offsets not from 0": ({"offsets": [1, 2, 3]}, "offsets must rise from 0"),
+    "one offset too few": ({"offsets": [0, 3]}, "offsets has shape [2], not [3]"),
+    "one day too many": ({"day": [737432, 737433, 737434]}, "day has shape [3], not [2]"),
+    "unsorted words": ({"words": ["gain", "fall", "oil"]}, "words must be sorted and distinct"),
+    "repeated words": ({"words": ["fall", "fall", "oil"]}, "words must be sorted and distinct"),
+    "words not strings": ({"words": [1, 2, 3]}, "words must be a list of strings"),
+    "repeated record ids": ({"record_ids": ["a", "a"]}, "record ids must be distinct"),
+    "no records": ({"record_ids": [], "day": [], "worthiness": [], "offsets": [0],
+                    "tokens": []}, "holds no news records"),
+}
+
+
+class TestCorruptFile:
+    @pytest.mark.parametrize("case", sorted(CORRUPT))
+    def test_is_a_data_error_naming_the_file(self, tmp_path, case):
+        changes, reason = CORRUPT[case]
+        path = tmp_path / "tokens.bin"
+        write_parts(path, **changes)
+        with pytest.raises(DataError) as info:
+            read_tokens(path)
+        assert f"{path} is corrupt: " in str(info.value)
+        assert reason in str(info.value)
+
+    def test_missing_array_names_it(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        header = {key: VALID[key] for key in ("words", "record_ids")}
+        write_arrays(path, TOKENS_MAGIC, header,
+                     [(name, np.array(VALID[name], dtype=float)) for name in ARRAYS[:3]])
+        with pytest.raises(DataError, match="lacks key 'tokens'"):
+            read_tokens(path)
+
+    def test_valid_parts_read(self, tmp_path):
+        write_parts(tmp_path / "tokens.bin")
+        corpus = read_tokens(tmp_path / "tokens.bin")
+        assert [d.ids.tolist() for d in corpus.docs] == [[1, 2], [0]]
+        assert corpus.worthiness == (1, None)
+
+
+# --- string-keyed references -------------------------------------------------
+
+def reference_bag(encoder, token_lists):
+    width = len(encoder.vocab) + 1
+    out = np.zeros((len(token_lists), width))
+    for row, tokens in enumerate(token_lists):
+        for t in tokens:
+            out[row, encoder.index.get(t, 0)] += 1
+        out[row] /= np.sqrt(max(len(tokens), 1))
+    return out
+
+
+def reference_count(groups, words):
+    index = {word: j for j, word in enumerate(words)}
+    counts = np.zeros((len(groups), len(index)), dtype=np.int64)
+    df = np.zeros_like(counts)
+    for g, docs in enumerate(groups):
+        for tokens in docs:
+            for t in tokens:
+                if t in index:
+                    counts[g, index[t]] += 1
+            for t in set(tokens) & set(index):
+                df[g, index[t]] += 1
+    tokens = np.array([sum(map(len, docs)) for docs in groups], dtype=np.int64)
+    n_docs = np.array([len(docs) for docs in groups], dtype=np.int64)
+    return counts, df, tokens, n_docs
+
+
+def reference_ranking(pos, neg):
+    words = sorted({t for docs in (pos, neg) for tokens in docs for t in tokens})
+    w = _weights(*reference_count([pos, neg], words))
+    return sorted(zip(words, (w[0] - w[1]).tolist()), key=lambda item: (-item[1], item[0]))
+
+
+def reference_vocabulary(token_lists, ranking, size):
+    present = {t for tokens in token_lists for t in tokens}
+    candidates = sorted({(-abs(score), word) for word, score in ranking if word in present})
+    return None if len(candidates) < size else tuple(word for _, word in candidates[:size])
+
+
+def reference_frequency_vocab(token_lists, size):
+    counts = Counter(t for tokens in token_lists for t in tokens)
+    return tuple(w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size])
+
+
+# lexicographic order differs from first-seen order, and some words are
+# never seen by the encoder
+WORDS = ["zeta", "a", "ab", "b1", "q", "mid", "aa"]
+doc_lists = st.lists(st.lists(st.sampled_from(WORDS), max_size=6), max_size=6)
+
+
+class TestIdsMatchStringReferences:
+    @given(pos=doc_lists, neg=doc_lists, other=doc_lists,
+           tracked=st.sets(st.sampled_from(WORDS + ["none"])), size=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_ranking_vocabularies_and_bag(self, pos, neg, other, tracked, size):
+        # `other` documents share the word table but are never counted
+        pos_docs, neg_docs, _ = encoded(*([make_doc(f"{i}", t) for i, t in enumerate(docs)]
+                                          for docs in (pos, neg, other)))
+        words = sorted(tracked)
+        got, want = _count([pos_docs, neg_docs], words), reference_count([pos, neg], words)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+        if pos and neg:
+            ranking = tfidf_difference_ranking(pos_docs, neg_docs)
+            assert ranking == reference_ranking(pos, neg)
+            # the positive documents alone use only part of the shared table
+            want_vocab = reference_vocabulary(pos, ranking, size)
+            if want_vocab is None:
+                with pytest.raises(DataError):
+                    build_vocabulary(pos_docs, ranking, size)
+            else:
+                assert build_vocabulary(pos_docs, ranking, size).words == want_vocab
+        else:
+            with pytest.raises(DataError):
+                tfidf_difference_ranking(pos_docs, neg_docs)
+
+        vocab = ReferenceEncoder.frequency_vocab(neg_docs, size)
+        assert vocab == reference_frequency_vocab(neg, size)
+        encoder = ReferenceEncoder(vocab[: size // 2] + ("unseen",), dim=2, emb_dim=2)
+        all_docs, all_tokens = pos_docs + neg_docs, pos + neg
+        assert np.array_equal(encoder._bag(all_docs), reference_bag(encoder, all_tokens))
+
+    def test_documents_of_two_tables_are_refused(self):
+        [[a]], [[b]] = encoded([make_doc("a", ["x"])]), encoded([make_doc("b", ["y"])])
+        with pytest.raises(ValueError, match="one word table"):
+            ReferenceEncoder(["x"], dim=2, emb_dim=2)._bag([a, b])

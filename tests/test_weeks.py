@@ -155,6 +155,11 @@ class TestLabels:
             make_policy("nonsense")
 
 
+def news(records):
+    """The (record id, published UTC day) pairs that `attach_news` takes."""
+    return [(r.id, r.published.date()) for r in records]
+
+
 class TestAttachNews:
     weeks = [
         week("2020-01-13", "2020-01-06", 1.0),
@@ -163,23 +168,23 @@ class TestAttachNews:
 
     def test_midweek_article(self):
         rec = make_record(rec_id="a", published="2020-01-08T10:00:00Z")  # Wednesday
-        out = attach_news(self.weeks, [rec])
+        out = attach_news(self.weeks, news([rec]))
         assert out[0].news_ids == ("a",)
         assert out[1].news_ids == ()
 
     def test_anchor_monday_belongs_to_ending_week(self):
         rec = make_record(rec_id="a", published="2020-01-13T09:00:00Z")
-        out = attach_news(self.weeks, [rec])
+        out = attach_news(self.weeks, news([rec]))
         assert out[0].news_ids == ("a",)
 
     def test_day_after_anchor_goes_to_next_week(self):
         rec = make_record(rec_id="a", published="2020-01-14T09:00:00Z")
-        out = attach_news(self.weeks, [rec])
+        out = attach_news(self.weeks, news([rec]))
         assert out[1].news_ids == ("a",)
 
     def test_outside_ranges_unassigned(self):
         rec = make_record(rec_id="a", published="2020-03-01T09:00:00Z")
-        out = attach_news(self.weeks, [rec])
+        out = attach_news(self.weeks, news([rec]))
         assert all(w.news_ids == () for w in out)
 
     def test_each_record_in_exactly_one_week(self):
@@ -187,7 +192,7 @@ class TestAttachNews:
             make_record(rec_id=f"r{i}", published=f"2020-01-{7 + i:02d}T10:00:00Z")
             for i in range(13)
         ]
-        out = attach_news(self.weeks, records)
+        out = attach_news(self.weeks, news(records))
         assigned = [rid for w in out for rid in w.news_ids]
         assert len(assigned) == len(set(assigned))
         assert set(assigned) == {f"r{i}" for i in range(13)}
@@ -218,7 +223,7 @@ class TestAttachNews:
                     if w.prev_anchor < day <= w.anchor:
                         want[i].append(rec.id)
                         break
-            got = attach_news(weeks, records)
+            got = attach_news(weeks, news(records))
             assert [w.anchor for w in got] == [w.anchor for w in ordered]
             assert [w.prev_anchor for w in got] == [w.prev_anchor for w in ordered]
             assert [w.news_ids for w in got] == [tuple(ids) for ids in want]
