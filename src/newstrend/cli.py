@@ -17,7 +17,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Callable
 
@@ -25,10 +25,10 @@ from typing import Callable
 # summarizer) are imported inside the stages that use them, so `ingest` and
 # `label` run without loading numpy
 from . import artifacts
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_date
 from .corpus import (
     ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
-    ingest_news, is_token, read_news_jsonl, write_news_jsonl, write_rejects_csv,
+    ingest_news, is_token, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .tokens import read_tokens, write_tokens
@@ -95,13 +95,8 @@ def _path(config: PipelineConfig, workdir: Path, name: str) -> Path:
 
 
 def _parse_date(flag: str, value: str, end: bool = False) -> date:
-    """YYYY-MM-DD, or YYYY-MM as the month's first (or with `end`, last) day."""
     try:
-        if len(value) != 7:
-            return date.fromisoformat(value)
-        y, m = int(value[:4]), int(value[5:7])
-        first = date(y, m, 1)  # also rejects a month outside 1..12
-        return date(y + m // 12, m % 12 + 1, 1) - timedelta(days=1) if end else first
+        return parse_date(value, end)
     except ValueError:
         raise ConfigError(f"{flag} {value!r} must look like YYYY-MM or YYYY-MM-DD") from None
 
@@ -113,14 +108,11 @@ def _load_week_data(workdir: Path):
     its document (`EncodedDoc`) by id, and each week's documents by anchor.
     """
     corpus = read_tokens(workdir / "tokens.bin")
-    labels = read_weeks_csv(workdir / "weeks.csv")
+    labels = read_weeks_csv(workdir / "weeks.csv")  # anchors strictly increase
     record_ids = [doc.record_id for doc in corpus.docs]
     attached = attach_news([lab.week for lab in labels], zip(record_ids, corpus.days))
-    by_anchor = {w.anchor: w for w in attached}
-    labels = sorted(
-        (replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels),
-        key=lambda lab: lab.week.anchor,
-    )
+    # attach_news returns anchor order, so the two lists pair by position
+    labels = [replace(lab, week=week) for lab, week in zip(labels, attached)]
     worthiness = dict(zip(record_ids, corpus.worthiness))
     docs_by_id = dict(zip(record_ids, corpus.docs))
     docs_by_week = {
@@ -186,8 +178,9 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
         n = sum(a.worthiness != b.worthiness for a, b in zip(before, labeled))
         per_rule.append(f"{item}={n}")
     write_news_jsonl(labeled, workdir / "corpus.jsonl")
-    write_tokens(labeled, workdir / "tokens.bin", config.tokenizer.max_tokens)
     write_rejects_csv(result.rejected, workdir / "rejects.csv")
+    # last, so the one output later stages read is replaced after the others
+    write_tokens(labeled, workdir / "tokens.bin", config.tokenizer.max_tokens)
     n_pos = sum(1 for r in labeled if r.worthiness == 1)
     n_neg = sum(1 for r in labeled if r.worthiness == 0)
     print(f"ingest: {result.total} lines, {result.parsed} parsed, "
@@ -200,8 +193,6 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
     prices = load_prices(_path(config, workdir, "prices.csv"))
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
-    records = read_news_jsonl(workdir / "corpus.jsonl")
-    weeks = attach_news(weeks, ((r.id, r.published.date()) for r in records))
     policy = make_policy(config.labels.policy, config.labels.up, config.labels.down)
     labels = label_weeks(
         weeks, policy,
@@ -443,7 +434,7 @@ class Stage:
 STAGES = {
     "synth": Stage(run_synth, (), ("news.jsonl", "prices.csv")),
     "ingest": Stage(run_ingest, ("news.jsonl",), ("corpus.jsonl", "tokens.bin", "rejects.csv")),
-    "label": Stage(run_label, ("prices.csv", "corpus.jsonl"), ("weeks.csv",)),
+    "label": Stage(run_label, ("prices.csv",), ("weeks.csv",)),
     "pot": Stage(run_pot, ("tokens.bin", "weeks.csv"), ("pot.bin", "vocab.json")),
     "train-extractor": Stage(
         run_train_extractor, ("tokens.bin", "weeks.csv", "pot.bin", "vocab.json"),

@@ -13,7 +13,7 @@ import json
 import re
 import typing
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import ConfigError
@@ -192,6 +192,25 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, hint)
 
 
+# ASCII YYYY-MM or YYYY-MM-DD; `date.fromisoformat` takes more spellings on
+# Python 3.11 than on 3.10 (20150101, 2015-W01-1)
+_DATE_RE = re.compile(r"(\d{4})-(\d\d)(?:-(\d\d))?", re.ASCII)
+
+
+def parse_date(value: str, end: bool = False) -> date:
+    """YYYY-MM-DD, or YYYY-MM as the month's first (or with `end`, last) day;
+    ValueError for any other spelling."""
+    m = _DATE_RE.fullmatch(value)
+    if m is None:
+        raise ValueError(f"{value!r} is not YYYY-MM or YYYY-MM-DD")
+    y, mo, d = m.groups()
+    y, mo = int(y), int(mo)
+    if d is not None:
+        return date(y, mo, int(d))
+    first = date(y, mo, 1)  # also rejects a month outside 1..12
+    return date(y + mo // 12, mo % 12 + 1, 1) - timedelta(days=1) if end else first
+
+
 def _validate(config: PipelineConfig) -> None:
     """Reject values the pipeline would otherwise ignore, misuse or crash on."""
     for section in dataclasses.fields(config):
@@ -208,7 +227,8 @@ def _validate(config: PipelineConfig) -> None:
             f"with label 0 or 1 and a non-negative integer cap"
         )
     try:
-        date.fromisoformat(config.synth.start)
+        if parse_date(config.synth.start).isoformat() != config.synth.start:
+            raise ValueError("a month, not a day")
     except ValueError:
         raise ConfigError(
             f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"

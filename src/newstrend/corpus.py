@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -167,19 +166,6 @@ def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
         json.dumps(record_to_obj(record), sort_keys=True) + "\n" for record in records))
 
 
-def read_news_jsonl(path: str | Path) -> list[NewsRecord]:
-    """Read a file that `write_news_jsonl` wrote; unlike `ingest_news`, which
-    skips bad lines of raw news, fail with a DataError naming file and line,
-    or naming the file when it holds no records."""
-    result = ingest_news(path)
-    if result.rejected:
-        lineno, reason = result.rejected[0]
-        raise DataError(f"{path} line {lineno}: {reason}")
-    if not result.records:
-        raise DataError(f"{path} holds no news records")
-    return result.records
-
-
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:
     artifacts.write_csv(path, ["line_number", "reason"], rejected)
 
@@ -211,7 +197,7 @@ def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[Ne
 
 
 def _words(text: str) -> list[str]:
-    """The tokens of `text`, in order, before truncation and interning."""
+    """The tokens of `text`, in order, before truncation."""
     words = text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii")
     return [t for t in words.split() if not t.isdigit()]
 
@@ -221,15 +207,12 @@ def tokenize(record: NewsRecord, max_tokens: int = 180) -> TokenizedDoc:
 
     Tokens are maximal runs of a-z and 0-9 in the lowercased text; every
     other character, non-ASCII included, separates them. Pure-digit tokens
-    are dropped. Equal tokens are one shared string object (`sys.intern`)
-    throughout the process, so a corpus holds one string per distinct word
-    rather than one per occurrence; that object lives while any document
-    holds it.
+    are dropped.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     tokens = _words(record.title + " " + record.content)[:max_tokens]
-    return TokenizedDoc(record_id=record.id, tokens=tuple(map(sys.intern, tokens)))
+    return TokenizedDoc(record_id=record.id, tokens=tuple(tokens))
 
 
 def is_token(word: str) -> bool:

@@ -303,10 +303,10 @@ def write_weeks_csv(labels: Sequence[WeeklyLabel], path: str | Path) -> None:
     artifacts.write_csv(
         path,
         ["anchor", "prev_anchor", "pct_change", "extractor_class",
-         "pot_class", "summarizer_class", "n_news"],
+         "pot_class", "summarizer_class"],
         ([lab.week.anchor.isoformat(), lab.week.prev_anchor.isoformat(),
           "%.8f" % lab.week.pct_change, lab.extractor_class,
-          lab.pot_class, lab.summarizer_class, len(lab.week.news_ids)] for lab in labels),
+          lab.pot_class, lab.summarizer_class] for lab in labels),
     )
 
 

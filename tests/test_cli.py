@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from newstrend.cli import STAGES as CLI_STAGES
+from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES
 
 from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
 
@@ -32,7 +32,7 @@ class TestFullPipeline:
         manifest = json.loads((wd / "weeks.csv.manifest.json").read_text())
         assert manifest["command"] == "label"
         assert manifest["config"]["polarity.vocab_size"] == 24
-        assert set(manifest["inputs"]) == {"prices", "corpus"}
+        assert set(manifest["inputs"]) == {"prices"}
 
     def test_score_manifest_hashes_every_input(self, tmp_path):
         from newstrend.artifacts import sha256_file
@@ -129,6 +129,18 @@ class TestSynthCommand:
         assert len(json.loads((wd / "vocab.json").read_text())["words"]) == 512
 
 
+class TestLabelCommand:
+    def test_label_reads_only_prices_and_may_run_before_ingest(self, tmp_path):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["label"])
+        assert not (wd / "corpus.jsonl").exists() and not (wd / "tokens.bin").exists()
+        header = (wd / "weeks.csv").read_text().splitlines()[0]
+        assert header == "anchor,prev_anchor,pct_change,extractor_class,pot_class,summarizer_class"
+        for stage in ("ingest", "pot"):
+            assert run([stage, "--workdir", wd, "--config", config]) == 0
+
+
 class TestIngestCommand:
     def test_corpus_lacking_a_proxy_category_ingests(self, tmp_path, capsys):
         wd = tmp_path / "w"
@@ -169,9 +181,12 @@ class TestPotCommand:
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         run_pipeline(wd, config, stages=["ingest", "label", "pot"])
-        assert run(["export-plot-data", "--workdir", wd, "--config", config, "--word", "plunge",
-                    "--from", "2015-13"]) == 1
-        assert "--from" in capsys.readouterr().err
+        # 20150101 and 2015-W01-1 are ISO dates that only some Pythons parse
+        for bad in ("2015-13", "2015/01", "2015x03", "+201-01", "20150101", "2015-W01-1"):
+            for flag in ("--from", "--to"):
+                assert run(["export-plot-data", "--workdir", wd, "--config", config,
+                            "--word", "plunge", flag, bad]) == 1
+                assert f"{flag} {bad!r}" in capsys.readouterr().err
         assert not (wd / "plots").exists()
 
     def test_pot_takes_no_date_range(self, tmp_path, capsys):
@@ -237,7 +252,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("stage, missing, producer", [
         ("ingest", "news.jsonl", "synth"),
-        ("label", "corpus.jsonl", "ingest"),
+        ("label", "prices.csv", "synth"),
         ("pot", "tokens.bin", "ingest"),
         ("train-extractor", "tokens.bin", "ingest"),
         ("score", "tokens.bin", "ingest"),
@@ -249,12 +264,14 @@ class TestErrors:
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         wd.mkdir()
-        if stage != "ingest":
-            assert run(["synth", "--workdir", wd, "--config", config]) == 0
+        assert run(["synth", "--workdir", wd, "--config", config]) == 0
+        (wd / missing).unlink(missing_ok=True)
         capsys.readouterr()
         assert run([stage, "--workdir", wd, "--config", config]) == 2
         err = capsys.readouterr().err
         assert repr(missing) in err and f"`{producer}`" in err
+        if missing in CONFIG_PATHS:
+            assert f"(or set paths.{CONFIG_PATHS[missing]})" in err
         assert not (wd / ".lock").exists()
 
     def test_usage_error_exits_one(self, tmp_path, capsys):
@@ -278,6 +295,11 @@ class TestErrors:
         ("tokenizer.max_tokens=0", "tokenizer.max_tokens"),
         ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
         ("synth.start=notadate", "synth.start"),
+        ("synth.start=2015W021", "synth.start"),
+        ('synth.start="20150101"', "synth.start"),  # quoted: unquoted is an int
+        ("synth.start=2015-W01-1", "synth.start"),
+        ("synth.start=+201-01-01", "synth.start"),
+        ("synth.start=2015-01", "synth.start"),
         ("synth.weeks=abc", "synth.weeks"),
         ("labels.up=0.5", "labels.down"),
     ])
@@ -312,10 +334,10 @@ class TestErrors:
     def test_corrupt_input_manifest_exits_two_naming_it(self, tmp_path, capsys):
         config = write_config(tmp_path)
         wd = tmp_path / "w"
-        run_pipeline(wd, config, stages=["ingest"])
-        (wd / "corpus.jsonl.manifest.json").write_text("{broken")
+        run_pipeline(wd, config, stages=[])
+        (wd / "prices.csv.manifest.json").write_text("{broken")
         assert run(["label", "--workdir", wd, "--config", config]) == 2
-        assert "corpus.jsonl.manifest.json" in capsys.readouterr().err
+        assert "prices.csv.manifest.json" in capsys.readouterr().err
 
     def test_lock_blocks_second_writer(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -422,14 +444,6 @@ def _bad_weeks_class(wd):
     return "weeks.csv line 5"
 
 
-def _garble_corpus_line(wd):
-    path = wd / "corpus.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[2] = "{not json\n"
-    path.write_text("".join(lines), encoding="utf-8")
-    return "corpus.jsonl line 3"
-
-
 def _repeated_weeks_row(wd):
     path = wd / "weeks.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -482,7 +496,6 @@ class TestCorruptArtifacts:
 
     @pytest.mark.parametrize("stage, corrupt", [("pot", _bad_weeks_anchor),
                                                 ("pot", _bad_weeks_class),
-                                                ("label", _garble_corpus_line),
                                                 ("pot", _repeated_weeks_row),
                                                 ("pot", _weeks_not_utf8),
                                                 ("evaluate", _summarizer_without_classes)])

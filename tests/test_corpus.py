@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from newstrend.config import CorpusConfig
 from newstrend.corpus import (
     TIMESTAMP_FORMAT, ProxyRule, Vocabulary, assign_worthiness_proxy,
-    build_vocabulary, clean_filter, ingest_news, parse_timestamp, read_news_jsonl, tokenize,
+    build_vocabulary, clean_filter, ingest_news, parse_timestamp, tokenize,
     write_news_jsonl, write_rejects_csv,
 )
 from newstrend.errors import DataError
+from newstrend.tokens import encode_docs
 
 from conftest import encoded, make_doc, make_record
 
@@ -80,29 +81,6 @@ class TestIngest:
         back = ingest_news(path)
         assert back.rejected == []
         assert back.records == records
-        assert read_news_jsonl(path) == records
-
-    @pytest.mark.parametrize("bad, why", [
-        ("{not json", "invalid JSON"),
-        ("", "empty line"),
-        ("[1]", "not a JSON object"),
-        (json.dumps({"id": "x"}), "missing field 'url'"),
-    ])
-    def test_strict_read_names_file_and_line(self, tmp_path, bad, why):
-        path = tmp_path / "corpus.jsonl"
-        write_lines(path, [record_line(rec_id="a"), bad, record_line(rec_id="b")])
-        with pytest.raises(DataError, match=f"corpus.jsonl line 2: .*{why}"):
-            read_news_jsonl(path)
-
-    def test_strict_read_of_file_without_records_names_it(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_bytes(b"")
-        with pytest.raises(DataError, match="corpus.jsonl holds no news records"):
-            read_news_jsonl(path)
-
-    def test_strict_read_of_unreadable_file_fatal(self, tmp_path):
-        with pytest.raises(DataError, match="missing.jsonl"):
-            read_news_jsonl(tmp_path / "missing.jsonl")
 
     def test_rejects_csv(self, tmp_path):
         path = tmp_path / "rejects.csv"
@@ -197,14 +175,20 @@ class TestTokenize:
 
 
 class TestTokenObjects:
-    """Equal tokens are one string object, so a corpus holds one per word."""
+    """Documents index one table of the distinct words, so a corpus holds one
+    string per word rather than one per occurrence."""
 
     def test_records_sharing_words_share_token_objects(self):
-        a = tokenize(make_record(rec_id="a", title="Markets rally", content="oil prices surge"))
-        b = tokenize(make_record(rec_id="b", title="Oil prices", content="markets fall"))
-        assert a.tokens[0] == b.tokens[2] == "markets"
-        assert a.tokens[0] is b.tokens[2]
-        assert a.tokens[2] is b.tokens[0] and a.tokens[3] is b.tokens[1]
+        a, b = encode_docs([
+            tokenize(make_record(rec_id="a", title="Markets rally", content="oil prices surge")),
+            tokenize(make_record(rec_id="b", title="Oil prices", content="markets fall")),
+        ])
+        assert a.words is b.words
+        assert a.words == ("fall", "markets", "oil", "prices", "rally", "surge")
+        tokens_a, tokens_b = [a.words[i] for i in a.ids], [b.words[i] for i in b.ids]
+        assert tokens_a[0] == tokens_b[2] == "markets"
+        assert tokens_a[0] is tokens_b[2]
+        assert tokens_a[2] is tokens_b[0] and tokens_a[3] is tokens_b[1]
 
     def test_loaded_corpus_holds_one_object_per_distinct_token(self, trained_workdir):
         from newstrend.cli import _load_week_data
