@@ -211,6 +211,14 @@ def parse_date(value: str, end: bool = False) -> date:
     return date(y + mo // 12, mo % 12 + 1, 1) - timedelta(days=1) if end else first
 
 
+def parse_day(value: str) -> date:
+    """YYYY-MM-DD only; ValueError for any other spelling."""
+    m = _DATE_RE.fullmatch(value)
+    if m is None or m.group(3) is None:
+        raise ValueError(f"{value!r} is not YYYY-MM-DD")
+    return date(*map(int, m.groups()))
+
+
 def _validate(config: PipelineConfig) -> None:
     """Reject values the pipeline would otherwise ignore, misuse or crash on."""
     for section in dataclasses.fields(config):
@@ -227,8 +235,7 @@ def _validate(config: PipelineConfig) -> None:
             f"with label 0 or 1 and a non-negative integer cap"
         )
     try:
-        if parse_date(config.synth.start).isoformat() != config.synth.start:
-            raise ValueError("a month, not a day")
+        parse_day(config.synth.start)
     except ValueError:
         raise ConfigError(
             f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"

@@ -161,9 +161,13 @@ def ingest_news(path: str | Path) -> IngestResult:
     return IngestResult(records=records, total=len(lines), rejected=rejected)
 
 
+# what json.dumps(obj, sort_keys=True) builds on every call, built once
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
-    artifacts.write_text(path, "".join(
-        json.dumps(record_to_obj(record), sort_keys=True) + "\n" for record in records))
+    encode = _RECORD_ENCODER.encode
+    artifacts.write_text(path, "".join(encode(record_to_obj(record)) + "\n" for record in records))
 
 
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:

@@ -15,17 +15,22 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
+from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import artifacts
-from .config import SummarizerConfig
+from .config import SummarizerConfig, parse_day
 from .errors import ConfigError, DataError
 from .weeks import CLASS_ORDER, WeeklyLabel
+
+if TYPE_CHECKING:  # numpy loads only where articles are scored, so fitting runs without it
+    import numpy as np
 
 @dataclass
 class WeeklySentiment:
@@ -60,6 +65,8 @@ def build_summarizer_dataset(
     seeded per week, so week order cannot change a week's sample. Skipped
     weeks are reported with a reason, never silently dropped.
     """
+    import numpy as np
+
     ordered = sorted(week_labels, key=lambda lab: lab.week.anchor)
     rows: list[WeeklySentiment] = []
     skipped: list[tuple[date, str]] = []
@@ -105,13 +112,31 @@ def build_summarizer_dataset(
 FEATURE_WIDTHS = {"scalar": 1, "extended": 4}
 
 
-def features_of(row: WeeklySentiment, spec: str) -> np.ndarray:
+def features_of(row: WeeklySentiment, spec: str) -> list[float]:
     if spec == "scalar":
-        return np.array([row.overall_score])
+        return [row.overall_score]
     if spec == "extended":
         worth = 0.5 if row.worthiness_mean is None else row.worthiness_mean
-        return np.array([row.overall_score, row.score_std, row.frac_positive, worth])
+        return [row.overall_score, row.score_std, row.frac_positive, worth]
     raise ConfigError(f"unknown feature spec {spec!r}")
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    # left to right; the builtin sum() compensates floats from Python 3.12 on
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+def _norm(w: Sequence[float]) -> float:
+    """|w|, adding each square in one rounding (a fused multiply-add), as the
+    BLAS dot behind `np.linalg.norm` does on FMA hardware; exact Fractions
+    make that the same on every machine."""
+    sq = 0.0
+    for v in w:
+        sq = float(Fraction(v) ** 2 + Fraction(sq))
+    return math.sqrt(sq)
 
 
 @dataclass
@@ -123,21 +148,21 @@ class SummarizerModel:
     """
 
     classes: tuple[str, ...]
-    weights: np.ndarray           # (n_classes, n_features); binary holds -w and w
-    bias: np.ndarray
+    weights: list[list[float]]    # (n_classes, n_features); binary holds -w and w
+    bias: list[float]
     feature_spec: str = "scalar"
 
     @property
     def kind(self) -> str:
         return "binary-hinge" if len(self.classes) == 2 else "one-vs-rest-hinge"
 
-    def decision_scores(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.bias
+    def decision_scores(self, x: Sequence[float]) -> list[float]:
+        return [_dot(w, x) + b for w, b in zip(self.weights, self.bias)]
 
 
 def _fit_binary_hinge(
-    x: np.ndarray, y: np.ndarray, c: float, epochs: int
-) -> tuple[np.ndarray, float]:
+    x: Sequence[Sequence[float]], y: Sequence[float], c: float, epochs: int
+) -> tuple[list[float], float]:
     """Full-batch projected subgradient descent on the soft-margin objective
 
         (lam / 2) |w|^2 + (1/n) sum hinge(y_i, w . x_i),  lam = 1 / (c * n),
@@ -146,20 +171,26 @@ def _fit_binary_hinge(
     1/(lam*t) steps, projection onto the |w| <= 1/sqrt(lam) ball: fully
     deterministic.
     """
-    n, d = x.shape
+    n = len(x)
     lam = 1.0 / (c * n)
-    xa = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros(d + 1)
-    radius = 1.0 / np.sqrt(lam)
+    # y is +-1, so y_i * x_ij is exact and the margin y_i (w . x_i) is w . (y_i x_i)
+    cols = [[yi * v for yi, v in zip(y, col)] for col in (*zip(*x), [1.0] * n)]
+    w = [0.0] * len(cols)
+    radius = 1.0 / math.sqrt(lam)
     for t in range(1, epochs + 1):
-        margins = y * (xa @ w)
-        active = margins < 1.0
-        grad = lam * w - (y[active, None] * xa[active]).sum(axis=0) / n
-        w -= grad / (lam * t)
-        norm = float(np.linalg.norm(w))
+        margins = [0.0] * n
+        for col, wj in zip(cols, w):
+            margins = [m + v * wj for m, v in zip(margins, col)]
+        active = [i for i, m in enumerate(margins) if m < 1.0]
+        # as numpy's axis-0 sum: row by row from the first active row, 0.0 if none
+        total = [reduce(add, [col[i] for i in active]) if active else 0.0 for col in cols]
+        step = lam * t
+        w = [wj - (lam * wj - s / n) / step for wj, s in zip(w, total)]
+        norm = _norm(w)
         if norm > radius:
-            w *= radius / norm
-    return w[:d], float(w[d])
+            scale = radius / norm
+            w = [wj * scale for wj in w]
+    return w[:-1], w[-1]
 
 
 def train_summarizer(
@@ -178,19 +209,19 @@ def train_summarizer(
     classes = tuple(c for c in CLASS_ORDER if c in present)
     if len(classes) < 2:
         raise DataError(f"training split has a single class {present}; cannot fit")
-    x = np.stack([features_of(r, config.features) for r in train])
+    x = [features_of(r, config.features) for r in train]
     labels = [r.label for r in train]
+
+    def fit(cls: str) -> tuple[list[float], float]:
+        y = [1.0 if lab == cls else -1.0 for lab in labels]
+        return _fit_binary_hinge(x, y, config.c, config.epochs)
+
     if len(classes) == 2:
-        y = np.array([1.0 if lab == classes[1] else -1.0 for lab in labels])
-        w, b = _fit_binary_hinge(x, y, config.c, config.epochs)
-        weights = np.stack([-w, w])
-        bias = np.array([-b, b])
+        w, b = fit(classes[1])
+        weights, bias = [[-v for v in w], w], [-b, b]
     else:
-        weights = np.zeros((len(classes), x.shape[1]))
-        bias = np.zeros(len(classes))
-        for k, cls in enumerate(classes):
-            y = np.array([1.0 if lab == cls else -1.0 for lab in labels])
-            weights[k], bias[k] = _fit_binary_hinge(x, y, config.c, config.epochs)
+        fits = [fit(cls) for cls in classes]
+        weights, bias = [w for w, _ in fits], [b for _, b in fits]
     return SummarizerModel(
         classes=classes, weights=weights, bias=bias, feature_spec=config.features
     )
@@ -198,7 +229,7 @@ def train_summarizer(
 
 def predict_week(model: SummarizerModel, row: WeeklySentiment) -> str:
     scores = model.decision_scores(features_of(row, model.feature_spec))
-    return model.classes[int(np.argmax(scores))]
+    return model.classes[scores.index(max(scores))]
 
 
 def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
@@ -223,22 +254,32 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
         if key not in payload:
             raise DataError(f"summarizer model {path} lacks key {key!r}")
     classes, spec = payload["classes"], payload["feature_spec"]
-    if not isinstance(classes, list) or not all(c in CLASS_ORDER for c in classes):
+    if (not isinstance(classes, list) or len(classes) < 2
+            or not all(c in CLASS_ORDER for c in classes)):
         raise DataError(f"summarizer model {path}: bad 'classes' {classes!r}")
     if not isinstance(spec, str) or spec not in FEATURE_WIDTHS:
         raise DataError(f"summarizer model {path}: bad 'feature_spec' {spec!r}")
-    shapes = {"weights": (len(classes), FEATURE_WIDTHS[spec]), "bias": (len(classes),)}
-    arrays = {}
-    for key, shape in shapes.items():
-        try:
-            arrays[key] = np.array(payload[key], dtype=np.float64)
-            if arrays[key].shape != shape:
-                raise ValueError(f"got shape {arrays[key].shape}")
-        except (TypeError, ValueError) as exc:
-            raise DataError(
-                f"summarizer model {path}: {key!r} must be numbers of shape {shape}: {exc}"
-            ) from None
-    return SummarizerModel(tuple(classes), arrays["weights"], arrays["bias"], spec)
+    n, width = len(classes), FEATURE_WIDTHS[spec]
+    rows = payload["weights"]
+    weights = [_floats(row, width) for row in rows] if isinstance(rows, list) else []
+    if len(weights) != n or None in weights:
+        raise DataError(f"summarizer model {path}: 'weights' must be numbers of shape {(n, width)}")
+    bias = _floats(payload["bias"], n)
+    if bias is None:
+        raise DataError(f"summarizer model {path}: 'bias' must be numbers of shape {(n,)}")
+    return SummarizerModel(tuple(classes), weights, bias, spec)
+
+
+def _floats(value, length: int) -> list[float] | None:
+    """`value` as floats if it is a list of `length` JSON numbers, else None."""
+    if not isinstance(value, list) or len(value) != length or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        return None
+    try:
+        return [float(v) for v in value]
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
@@ -263,7 +304,7 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
                 raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
             rows.append(
                 WeeklySentiment(
-                    week=date.fromisoformat(rec["anchor"]),
+                    week=parse_day(rec["anchor"]),
                     n_sampled=int(rec["n_sampled"]),
                     overall_score=float(rec["overall_score"]),
                     label=rec["true_class"],

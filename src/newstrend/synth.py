@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .config import SynthConfig, SynthSettings  # noqa: F401 (bench/run.py calls SynthSettings)
+from .config import SynthSettings  # noqa: F401 (bench/run.py calls SynthSettings)
+from .config import SynthConfig, parse_day
 from .corpus import NewsRecord, write_news_jsonl
 
 POSITIVE_WORDS = (
@@ -63,6 +64,23 @@ def _filler_words(size: int) -> list[str]:
     return words[:size]
 
 
+def _filler_cdf(size: int) -> np.ndarray:
+    """Cumulative distribution of `size` filler words, word i drawn with
+    probability proportional to 1 / (i + 3)."""
+    p = np.array([1.0 / (i + 3.0) for i in range(size)])
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, words: list[str], cdf: np.ndarray, n: int) -> list[str]:
+    """`rng.choice(words, size=n, p=p).tolist()` for `cdf` built from `p` by
+    `_filler_cdf`: one uniform per word searched in the cdf, as `choice` does
+    after it has converted `words` and checked and summed `p` again."""
+    return [words[k] for k in cdf.searchsorted(rng.random(n), side="right").tolist()]
+
+
 def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, float]], SynthTruth]:
     """Returns (news records, daily price rows, ground truth).
 
@@ -72,7 +90,7 @@ def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, fl
     """
     rng = np.random.default_rng(config.seed)
     n_price_weeks = config.weeks + 1
-    start = date.fromisoformat(config.start)
+    start = parse_day(config.start)
     anchors = [start + timedelta(days=7 * t) for t in range(n_price_weeks + 1)]
 
     # alternating mood regimes: persistent (this week's mood usually still
@@ -116,8 +134,7 @@ def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, fl
     price_rows.append((anchors[n_price_weeks], closes[n_price_weeks]))
 
     fillers = _filler_words(config.filler_vocab)
-    filler_p = np.array([1.0 / (i + 3.0) for i in range(len(fillers))])
-    filler_p /= filler_p.sum()
+    filler_cdf = _filler_cdf(len(fillers))
 
     records: list[NewsRecord] = []
     for t in range(1, config.weeks + 1):
@@ -129,7 +146,7 @@ def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, fl
             if rng.random() < 0.25:
                 tokens.append(other[int(rng.integers(0, len(other)))])
             n_fill = int(rng.integers(45, 70))
-            tokens.extend(rng.choice(fillers, size=n_fill, p=filler_p).tolist())
+            tokens.extend(_draw(rng, fillers, filler_cdf, n_fill))
             rng.shuffle(tokens)
             title = " ".join(tokens[:6])
             body_tokens = tokens[6:]

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import artifacts
+from .config import parse_day
 from .errors import ConfigError, DataError
 
 EXTRACTOR_CLASSES = ("positive", "negative", "excluded")
@@ -169,7 +170,7 @@ def load_prices(path: str | Path) -> PriceSeries:
         if not row or not "".join(row).strip():
             continue
         try:
-            day = date.fromisoformat(row[0].strip())
+            day = parse_day(row[0].strip())
             close = float(row[1])
         except (ValueError, IndexError):
             raise DataError(f"price file {path} row {rownum}: bad row {row!r}")
@@ -324,8 +325,8 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
                 if row[key] not in allowed:
                     raise ValueError(f"{key} {row[key]!r} is not one of {allowed}")
             week = TradingWeek(
-                anchor=date.fromisoformat(row["anchor"]),
-                prev_anchor=date.fromisoformat(row["prev_anchor"]),
+                anchor=parse_day(row["anchor"]),
+                prev_anchor=parse_day(row["prev_anchor"]),
                 pct_change=float(row["pct_change"]),
             )
             if labels and week.anchor <= labels[-1].week.anchor:

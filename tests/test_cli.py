@@ -141,6 +141,18 @@ class TestLabelCommand:
             assert run([stage, "--workdir", wd, "--config", config]) == 0
 
 
+    @pytest.mark.parametrize("day", ["20150105", "2015-W02-1"])
+    def test_price_date_other_than_yyyy_mm_dd_exits_two_naming_the_row(self, tmp_path,
+                                                                       capsys, day):
+        wd = tmp_path / "w"
+        wd.mkdir()
+        (wd / "prices.csv").write_text(f"date,close\n2015-01-02,100.0\n{day},101.0\n")
+        assert run(["label", "--workdir", wd]) == 2
+        err = capsys.readouterr().err
+        assert "prices.csv row 3" in err and repr(day) in err
+        assert not (wd / "weeks.csv").exists()
+
+
 class TestIngestCommand:
     def test_corpus_lacking_a_proxy_category_ingests(self, tmp_path, capsys):
         wd = tmp_path / "w"

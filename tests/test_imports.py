@@ -1,5 +1,5 @@
 """What importing the package costs: the package root resolves its public
-names lazily, and only the stages that do numeric work load numpy.
+names lazily, and only the stages that do array work load numpy.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -51,6 +51,31 @@ def test_ingest_and_label_leave_numpy_unloaded(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False", (stage, proc.stdout)
     assert (wd / "weeks.csv").is_file()
+
+
+def test_train_summarizer_leaves_numpy_unloaded(tmp_path):
+    from datetime import date, timedelta
+
+    from newstrend.summarizer import WeeklySentiment, write_weekly_sentiment_csv
+
+    (tmp_path / "config.json").write_text(json.dumps({"summarizer.train_weeks": 20}))
+    (tmp_path / "w").mkdir()
+    write_weekly_sentiment_csv(
+        [WeeklySentiment(week=date(2020, 1, 6) + timedelta(days=7 * i), n_sampled=3,
+                         overall_score=0.2 + 0.6 * (i % 2), label=("down", "up")[i % 2],
+                         sampled_ids=()) for i in range(30)],
+        tmp_path / "w" / "weekly_sentiment.csv",
+    )
+    proc = python(
+        "import sys\n"
+        "from newstrend.cli import main\n"
+        "rc = main(['train-summarizer', '--workdir', 'w', '--config', 'config.json'])\n"
+        "print(rc, 'numpy' in sys.modules)\n",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout
+    assert (tmp_path / "w" / "summarizer.model").is_file()
 
 
 def readme_library_names() -> list[str]:

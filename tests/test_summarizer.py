@@ -187,6 +187,82 @@ class TestTraining:
         assert overall >= 2 / 3 - 1e-9
 
 
+def numpy_fit_binary_hinge(x, y, c, epochs):
+    """The fit as it was written with numpy, kept as the oracle."""
+    n, d = x.shape
+    lam = 1.0 / (c * n)
+    xa = np.hstack([x, np.ones((n, 1))])
+    w = np.zeros(d + 1)
+    radius = 1.0 / np.sqrt(lam)
+    for t in range(1, epochs + 1):
+        margins = y * (xa @ w)
+        active = margins < 1.0
+        grad = lam * w - (y[active, None] * xa[active]).sum(axis=0) / n
+        w -= grad / (lam * t)
+        norm = float(np.linalg.norm(w))
+        if norm > radius:
+            w *= radius / norm
+    return w[:d], float(w[d])
+
+
+def random_rows(rng, n, classes, spec):
+    labels = rng.permutation([classes[i % len(classes)] for i in range(n)])
+    rows = []
+    for i in range(n):
+        rows.append(WeeklySentiment(
+            week=MONDAY + timedelta(days=7 * i), n_sampled=10,
+            overall_score=float(rng.uniform(0, 1)), label=str(labels[i]),
+            sampled_ids=(), score_std=float(rng.uniform(0, 0.5)),
+            frac_positive=float(rng.uniform(0, 1)),
+            worthiness_mean=float(rng.uniform(0, 1)) if spec == "extended" else None))
+    return rows
+
+
+def max_difference_from_numpy_fit(rows, config):
+    """Largest |new - oracle| over the weights and biases of one model."""
+    model = train_summarizer(rows, config)
+    train = sorted(rows, key=lambda r: r.week)[: config.train_weeks]
+    x = np.array([features_of(r, config.features) for r in train])
+    fitted = model.classes[1:] if len(model.classes) == 2 else model.classes
+    diff = 0.0
+    for k, cls in enumerate(fitted, start=len(model.classes) - len(fitted)):
+        y = np.array([1.0 if r.label == cls else -1.0 for r in train])
+        w, b = numpy_fit_binary_hinge(x, y, config.c, config.epochs)
+        diff = max(diff, *np.abs(np.array(model.weights[k]) - w), abs(model.bias[k] - b))
+    return diff
+
+
+class TestFitMatchesNumpyOracle:
+    """The pure-Python fit against the numpy fit it replaced, on random data.
+
+    The numpy fit takes |w| from a BLAS dot, which adds with fused
+    multiply-adds on FMA hardware; `_norm` does the same, so the scalar fits
+    agree bit for bit where that dot fuses."""
+
+    @pytest.mark.parametrize("classes", [("down", "up"), ("down", "preserve", "up")])
+    def test_scalar_fit_is_bit_for_bit(self, classes):
+        rng = np.random.default_rng(len(classes))
+        for _ in range(40):
+            n = int(rng.integers(20, 120))
+            config = SummarizerConfig(train_weeks=n - 5, c=float(rng.choice([0.1, 1.0, 10.0])),
+                                      epochs=int(rng.integers(1, 300)))
+            assert max_difference_from_numpy_fit(random_rows(rng, n, classes, "scalar"),
+                                                 config) == 0.0
+
+    def test_extended_fit_stays_within_rounding(self):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for classes in [("down", "up"), ("down", "preserve", "up")]:
+            for _ in range(20):
+                n = int(rng.integers(20, 120))
+                config = SummarizerConfig(train_weeks=n - 5, features="extended",
+                                          epochs=int(rng.integers(1, 300)))
+                worst = max(worst, max_difference_from_numpy_fit(
+                    random_rows(rng, n, classes, "extended"), config))
+        print(f"extended: max |pure-Python - numpy| = {worst:.3g}")
+        assert worst <= 1e-12
+
+
 class TestPrediction:
     def test_monotone_binary_decision(self):
         model = SummarizerModel(classes=("down", "up"),
@@ -283,6 +359,10 @@ class TestSerialization:
         (lambda p: p.update(feature_spec=["scalar"]), "bad 'feature_spec'"),
         (lambda p: p.update(feature_spec="extended"), "'weights' must be numbers of shape"),
         (lambda p: p.update(bias=["x", 1.0]), "'bias' must be numbers of shape"),
+        (lambda p: p.update(bias=[True, False]), "'bias' must be numbers of shape"),
+        (lambda p: p.update(weights=[[1.0], [10 ** 400]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[[1.0], [1.0, 2.0]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(classes=["up"], weights=[[1.0]], bias=[0.0]), "bad 'classes'"),
     ])
     def test_corrupt_model_is_data_error_naming_the_key(self, tmp_path, edit, message):
         path = tmp_path / "s.model"

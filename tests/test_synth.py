@@ -5,7 +5,9 @@ import pytest
 
 from newstrend.config import SynthConfig
 from newstrend.corpus import tokenize
-from newstrend.synth import NEGATIVE_WORDS, POSITIVE_WORDS, generate, write_outputs
+from newstrend.synth import (
+    NEGATIVE_WORDS, POSITIVE_WORDS, _draw, _filler_cdf, _filler_words, generate, write_outputs,
+)
 
 
 SMALL = SynthConfig(weeks=30, articles_per_week=8, seed=3)
@@ -86,6 +88,21 @@ class TestGenerate:
         assert tagged
         manual = [r for r in records if r.worthiness is not None]
         assert manual
+
+
+class TestFillerDraws:
+    @pytest.mark.parametrize("size", [40, 300, 800])
+    def test_draw_is_generator_choice(self, size):
+        # guards the hoisted sampler against a numpy whose `choice` changes
+        words = _filler_words(size)
+        p = np.array([1.0 / (i + 3.0) for i in range(size)])
+        p /= p.sum()
+        cdf = _filler_cdf(size)
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (1, 45, 69, 500):
+                assert _draw(ours, words, cdf, n) == theirs.choice(words, size=n, p=p).tolist()
+            assert ours.random() == theirs.random()  # the same stream was consumed
 
 
 class TestDeterminism:

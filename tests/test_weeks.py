@@ -53,6 +53,15 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="header"):
             load_prices(path)
 
+    # spellings that date.fromisoformat accepts on some Python versions only
+    @pytest.mark.parametrize("day", ["20200113", "2020-W03-1", "2020-01-13T00:00", "2020-1-13",
+                                     "\uff12\uff10\uff12\uff10-01-13"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, day):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,close\n2020-01-06,100.0\n{day},101.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 3"):
+            load_prices(path)
+
 
 class TestMondayAnchors:
     # 2020-01-06 and 2020-01-13 are Mondays
@@ -279,6 +288,20 @@ class TestWeeksCsv:
         assert [l.extractor_class for l in back] == [l.extractor_class for l in labels]
         assert back[0].week.anchor == date(2020, 1, 13)
         assert back[0].week.pct_change == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("column", ["anchor", "prev_anchor"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, column):
+        weeks = [week("2020-01-13", "2020-01-06", 2.5), week("2020-01-20", "2020-01-13", -0.4)]
+        path = tmp_path / "weeks.csv"
+        write_weeks_csv(label_weeks(weeks, three_way_policy()), path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[2].split(",")
+        fields[header.index(column)] = fields[header.index(column)].replace("-", "")
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_weeks_csv(path)
 
     def test_file_without_weeks_is_data_error_naming_it(self, tmp_path):
         path = tmp_path / "weeks.csv"
