@@ -25,6 +25,7 @@ from newstrend.weeks import (
 def main():
     settings = SynthConfig(weeks=80, articles_per_week=30, seed=20, filler_vocab=300)
     records, price_rows, _ = generate(settings)
+    records = list(records)
     prices = PriceSeries(entries=price_rows)
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = attach_news(weekly_changes(prices, anchors),

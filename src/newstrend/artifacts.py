@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import itertools
 import json
 import math
 import os
@@ -34,13 +34,16 @@ VERSION = "0.1.0"
 T = TypeVar("T")
 
 
-def write_bytes(path: str | Path, data: bytes) -> None:
-    """Write `data` to `.<name>.<pid>.tmp` beside `path` and rename it over
-    `path`; on any error the temporary file is removed."""
+def write_bytes(path: str | Path, chunks: Iterable[bytes | np.ndarray | array]) -> None:
+    """Write each of `chunks` in turn to `.<name>.<pid>.tmp` beside `path`,
+    then rename it over `path`; on any error, one raised while the chunks
+    are produced included, the temporary file is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -49,34 +52,40 @@ def write_bytes(path: str | Path, data: bytes) -> None:
 
 def write_text(path: str | Path, text: str) -> None:
     """`write_bytes` of the UTF-8 `text`, line ends as given."""
-    write_bytes(path, text.encode("utf-8"))
+    write_bytes(path, [text.encode("utf-8")])
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """`write_text` of `header` and `rows` as `csv.writer` spells them, CRLF
-    line ends included; an empty `header` writes no header line."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if header:
-        writer.writerow(header)
-    writer.writerows(rows)
-    write_text(path, buf.getvalue())
+    """`write_bytes` of `header` and `rows` as `csv.writer` spells them in
+    UTF-8, CRLF line ends included, one row a chunk; an empty `header`
+    writes no header line."""
+    writer = csv.writer(_Echo())  # `writerow` returns the line it wrote
+    rows = itertools.chain([header] if header else [], rows)
+    write_bytes(path, (writer.writerow(row).encode("utf-8") for row in rows))
+
+
+class _Echo:
+    """A file whose `write` returns what it is given."""
+
+    def write(self, text: str) -> str:
+        return text
 
 
 def write_arrays(path: str | Path, magic: str, header: Mapping,
                  arrays: Sequence[tuple[str, np.ndarray | array]]) -> None:
-    """Write `header` and the named `arrays` as one array file (`write_bytes`).
-    An array is a numpy array, or a stdlib `array("d")`, taken as
-    one-dimensional and packed without importing numpy."""
+    """Write `header` and the named `arrays` as one array file (`write_bytes`),
+    each array's buffer a chunk of its own. An array is a numpy array, or a
+    stdlib `array("d")`, taken as one-dimensional and packed without
+    importing numpy."""
     from array import array
 
     header = {**header, "magic": magic, "arrays": [
         {"name": name, "shape": [len(a)] if isinstance(a, array) else list(a.shape)}
         for name, a in arrays]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    write_bytes(path, b"".join(
-        [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)]
-        + [_f8_buffer(a) for _, a in arrays]))
+    write_bytes(path, itertools.chain(
+        [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)],
+        (_f8_buffer(a) for _, a in arrays)))
 
 
 def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:

@@ -21,9 +21,9 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
-# numpy and the modules built on it (polarity, synth, extractor, metrics,
-# summarizer) are imported inside the stages that use them, so `ingest` and
-# `label` run without loading numpy
+# numpy and the modules built on it (polarity, synth, extractor) are imported
+# inside the stages that use them, so `ingest`, `label`, `train-summarizer`
+# and `evaluate` run without loading numpy
 from . import artifacts
 from .config import PipelineConfig, load_config, parse_date
 from .corpus import (

@@ -166,8 +166,11 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
+    """Write `records` as JSONL, one line a chunk, so a generator of records
+    is written as it runs and no more than one line is held at a time."""
     encode = _RECORD_ENCODER.encode
-    artifacts.write_text(path, "".join(encode(record_to_obj(record)) + "\n" for record in records))
+    artifacts.write_bytes(path, ((encode(record_to_obj(record)) + "\n").encode("utf-8")
+                                 for record in records))
 
 
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import artifacts
-from .config import ExtractorConfig
+from .config import ExtractorConfig, parse_day
 from .corpus import Vocabulary
 from .errors import DataError, NumericError
 from .tokens import EncodedDoc, concat_ids
@@ -132,6 +132,15 @@ def pot_attention(
     Weights a = softmax(att_v' tanh(att_w m)) form a probability simplex over
     the lags; the pooled vector is m a.
     """
+    a, pooled, _ = _attend(m, att_w, att_v)
+    return a, pooled
+
+
+def _attend(
+    m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`pot_attention`'s weights and pooled vector, and tanh(att_w m), which
+    the backward pass reuses."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
         raise ValueError(f"m must be (..., V, L), got {m.shape}")
@@ -140,8 +149,9 @@ def pot_attention(
         raise ValueError(f"att_w must be {v_size}x{v_size}, got {att_w.shape}")
     if att_v.shape != (v_size,):
         raise ValueError(f"att_v must have length {v_size}, got {att_v.shape}")
-    a = softmax(att_v @ np.tanh(att_w @ m))
-    return a, (m @ a[..., None])[..., 0]
+    t = np.tanh(att_w @ m)
+    a = softmax(att_v @ t)
+    return a, (m @ a[..., None])[..., 0], t
 
 
 def multitask_loss(
@@ -265,14 +275,14 @@ class ExtractorModel:
             )
         week = np.arange(len(m)) if week is None else np.asarray(week, dtype=np.intp)
         vcls, enc_cache = self.encoder.forward(docs, _sub(p, "enc."))
-        a, pooled = pot_attention(m, p["att_w"], p["att_v"])
+        a, pooled, t = _attend(m, p["att_w"], p["att_v"])
         vpot = (pooled[week] - self.pot_mu) / self.pot_sigma
         u = np.concatenate([vcls, vpot], axis=1)
         q = u @ p["dense_w"] + p["dense_b"]
         r = np.maximum(q, 0.0)
         ps = softmax(r @ p["senti_w"] + p["senti_b"], axis=1)
         pw = softmax(r @ p["worth_w"] + p["worth_b"], axis=1)
-        cache = {"m": m, "week": week, "a": a, "enc_cache": enc_cache,
+        cache = {"m": m, "week": week, "a": a, "t": t, "enc_cache": enc_cache,
                  "u": u, "q": q, "r": r, "ps": ps, "pw": pw}
         return ps, pw, cache
 
@@ -301,7 +311,7 @@ class ExtractorModel:
         grads = self.views(np.empty_like(self.flat) if out is None else out)
         n = len(batch)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
-        m, week, a = cache["m"], cache["week"], cache["a"]
+        m, week, a, t = cache["m"], cache["week"], cache["a"], cache["t"]
 
         labeled = np.array([ex.worthiness is not None for ex in batch])
         ys = np.eye(2)[[ex.sentiment for ex in batch]]
@@ -327,7 +337,6 @@ class ExtractorModel:
         np.add.at(dpooled, week, du[:, d:] / self.pot_sigma)
         da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
-        t = np.tanh(p["att_w"] @ m)
         np.matmul(_lag_columns(t), ds.reshape(-1), out=grads["att_v"])
         dz = p["att_v"][:, None] * ds[:, None, :] * (1.0 - t * t)
         np.matmul(_lag_columns(dz), _lag_columns(m).T, out=grads["att_w"])
@@ -632,7 +641,7 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
         view[...] = arrays[name]
     return TrainedExtractor(
         model=model,
-        train_weeks=tuple(date.fromisoformat(d) for d in header["train_weeks"]),
-        dev_weeks=tuple(date.fromisoformat(d) for d in header["dev_weeks"]),
+        train_weeks=tuple(parse_day(d) for d in header["train_weeks"]),
+        dev_weeks=tuple(parse_day(d) for d in header["dev_weeks"]),
         history=[],
     )

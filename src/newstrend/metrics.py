@@ -1,4 +1,7 @@
-"""Evaluation metrics over confusion matrices, plus report assembly."""
+"""Evaluation metrics over confusion matrices, plus report assembly.
+
+Counts are plain ints and every metric is computed from integer sums, so
+`evaluate` runs without numpy."""
 
 from __future__ import annotations
 
@@ -7,18 +10,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import artifacts
 from .errors import DataError, UndefinedMetricError
 
 
 @dataclass
 class ConfusionMatrix:
-    """K x K count table; rows are true classes, columns predicted."""
+    """K x K count table; rows are true classes, columns predicted. `counts`
+    is held as a tuple of rows of ints, whatever nested sequence it is given as."""
 
     classes: tuple[str, ...]
-    counts: np.ndarray
+    counts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        self.counts = tuple(tuple(int(v) for v in row) for row in self.counts)
 
     @classmethod
     def from_pairs(
@@ -32,20 +37,24 @@ class ConfusionMatrix:
         if classes is None:
             classes = sorted(set(truths) | set(predictions))
         index = {c: i for i, c in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        counts = [[0] * len(classes) for _ in classes]
         for t, p in zip(truths, predictions):
-            counts[index[t], index[p]] += 1
+            counts[index[t]][index[p]] += 1
         return cls(classes=tuple(classes), counts=counts)
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(map(sum, self.counts))
+
+    @property
+    def trace(self) -> int:
+        return sum(row[i] for i, row in enumerate(self.counts))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
     if cm.total == 0:
         raise UndefinedMetricError("accuracy undefined for an empty confusion matrix")
-    return float(np.trace(cm.counts)) / cm.total
+    return cm.trace / cm.total
 
 
 def mcc(cm: ConfusionMatrix, with_flag: bool = False):
@@ -56,13 +65,12 @@ def mcc(cm: ConfusionMatrix, with_flag: bool = False):
     """
     if cm.total == 0:
         raise UndefinedMetricError("MCC undefined for an empty confusion matrix")
-    c = cm.counts.astype(np.float64)
-    s = c.sum()
-    trace = np.trace(c)
-    t = c.sum(axis=1)  # true-class counts
-    p = c.sum(axis=0)  # predicted-class counts
-    num = trace * s - float(t @ p)
-    den = math.sqrt(s * s - float(p @ p)) * math.sqrt(s * s - float(t @ t))
+    s = cm.total
+    t = [sum(row) for row in cm.counts]  # true-class counts
+    p = [sum(col) for col in zip(*cm.counts)]  # predicted-class counts
+    num = cm.trace * s - sum(x * y for x, y in zip(t, p))
+    den = (math.sqrt(s * s - sum(x * x for x in p))
+           * math.sqrt(s * s - sum(x * x for x in t)))
     degenerate = den == 0.0
     value = 0.0 if degenerate else num / den
     return (value, degenerate) if with_flag else value
@@ -75,10 +83,10 @@ def f1(cm: ConfusionMatrix, positive_class: str) -> float:
     if positive_class not in cm.classes:
         raise DataError(f"class {positive_class!r} not in confusion matrix")
     i = cm.classes.index(positive_class)
-    tp = float(cm.counts[i, i])
-    fp = float(cm.counts[:, i].sum() - tp)
-    fn = float(cm.counts[i, :].sum() - tp)
-    if tp == 0.0:
+    tp = cm.counts[i][i]
+    fp = sum(row[i] for row in cm.counts) - tp
+    fn = sum(cm.counts[i]) - tp
+    if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
@@ -149,7 +157,7 @@ def format_report_text(rep: EvaluationReport) -> str:
     header = "  true\\pred " + " ".join(f"{c:>10}" for c in rep.cm.classes)
     lines.append(header)
     for i, c in enumerate(rep.cm.classes):
-        row = " ".join(f"{int(v):>10}" for v in rep.cm.counts[i])
+        row = " ".join(f"{v:>10}" for v in rep.cm.counts[i])
         lines.append(f"  {c:>9} {row}")
     return "\n".join(lines) + "\n"
 

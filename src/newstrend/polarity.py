@@ -40,6 +40,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from . import artifacts
+from .config import parse_day
 from .corpus import Vocabulary
 from .errors import DataError
 from .tokens import EncodedDoc, concat_ids
@@ -175,7 +176,7 @@ class PolarityModelSet:
     @classmethod
     def load(cls, path: str | Path) -> PolarityModelSet:
         return artifacts.read_arrays(path, POT_MAGIC, lambda header, arrays: cls(
-            anchors=tuple(map(date.fromisoformat, header["anchors"])),
+            anchors=tuple(map(parse_day, header["anchors"])),
             words=tuple(header["words"]), scores=arrays["scores"]))
 
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -81,12 +82,17 @@ def _draw(rng: np.random.Generator, words: list[str], cdf: np.ndarray, n: int) -
     return [words[k] for k in cdf.searchsorted(rng.random(n), side="right").tolist()]
 
 
-def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, float]], SynthTruth]:
+def generate(config: SynthConfig) -> tuple[Iterator[NewsRecord], list[tuple[date, float]],
+                                          SynthTruth]:
     """Returns (news records, daily price rows, ground truth).
 
     Week t: interval (anchor[t-1], anchor[t]], anchor[0] = `config.start`.
     News exists for weeks 1..weeks; prices run one extra week so the final
     news week still has a next-week move to predict.
+
+    The prices are drawn here. The records are a generator that draws each
+    record when it is taken, after the prices, so a writer holds one record
+    at a time; `list()` keeps them all.
     """
     rng = np.random.default_rng(config.seed)
     n_price_weeks = config.weeks + 1
@@ -133,10 +139,15 @@ def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, fl
                 price_rows.append((day, math.exp(math.log(c0) + step * offset + jitter)))
     price_rows.append((anchors[n_price_weeks], closes[n_price_weeks]))
 
+    truth = SynthTruth(anchors=anchors, moods=moods, pct_changes=pcts)
+    return _records(config, rng, anchors, moods), price_rows, truth
+
+
+def _records(config: SynthConfig, rng: np.random.Generator, anchors: list[date],
+             moods: list[int]) -> Iterator[NewsRecord]:
+    """The news records of weeks 1..`config.weeks`, drawn from `rng` one at a time."""
     fillers = _filler_words(config.filler_vocab)
     filler_cdf = _filler_cdf(len(fillers))
-
-    records: list[NewsRecord] = []
     for t in range(1, config.weeks + 1):
         for i in range(config.articles_per_week):
             intensity = int(rng.integers(3, 10))
@@ -169,20 +180,15 @@ def generate(config: SynthConfig) -> tuple[list[NewsRecord], list[tuple[date, fl
                 seconds=seconds
             )
             rec_id = f"synth-{t:04d}-{i:04d}"
-            records.append(
-                NewsRecord(
-                    id=rec_id,
-                    url=f"synth://news/{rec_id}",
-                    title=title,
-                    content=content,
-                    published=published,
-                    categories=frozenset(categories),
-                    worthiness=worthiness,
-                )
+            yield NewsRecord(
+                id=rec_id,
+                url=f"synth://news/{rec_id}",
+                title=title,
+                content=content,
+                published=published,
+                categories=frozenset(categories),
+                worthiness=worthiness,
             )
-
-    truth = SynthTruth(anchors=anchors, moods=moods, pct_changes=pcts)
-    return records, price_rows, truth
 
 
 def write_prices_csv(rows: list[tuple[date, float]], path: str | Path) -> None:
@@ -191,6 +197,7 @@ def write_prices_csv(rows: list[tuple[date, float]], path: str | Path) -> None:
 
 
 def write_outputs(config: SynthConfig, news_path: str | Path, prices_path: str | Path) -> SynthTruth:
+    """Write `news.jsonl`, each record's line as the record is drawn, then `prices.csv`."""
     records, price_rows, truth = generate(config)
     write_news_jsonl(records, news_path)
     write_prices_csv(price_rows, prices_path)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,6 +29,21 @@ def make_record(
         categories=frozenset(categories),
         worthiness=worthiness,
     )
+
+
+# A streaming writer holds about one record, not the file: its tracemalloc
+# peak must stay below this share of the bytes it writes.
+WRITE_PEAK_SHARE = 1 / 20
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of `fn(*args)`."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_doc(rec_id, tokens):

@@ -54,6 +54,27 @@ WRITERS = {
 }
 
 
+class SmallDisk:
+    """A file opened for writing on a disk that fills after `room` bytes."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data) -> int:
+        data = memoryview(data).cast("B")
+        self.fh.write(data[: self.room])
+        if len(data) > self.room:
+            raise OSError("disk full")
+        self.room -= len(data)
+        return len(data)
+
+
 @pytest.mark.parametrize("where", ["formatting", "writing", "renaming"])
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_every_writer_keeps_the_previous_file_when_a_write_fails(tmp_path, monkeypatch,
@@ -66,22 +87,38 @@ def test_every_writer_keeps_the_previous_file_when_a_write_fails(tmp_path, monke
         with pytest.raises((ValueError, UnicodeEncodeError)):
             bad(path)
     else:
-        real_write_bytes = Path.write_bytes
+        real_open = Path.open
 
-        def write_half(self, data):  # the disk fills after half the bytes
-            real_write_bytes(self, data[: len(data) // 2])
-            raise OSError("disk full")
+        def open_on_small_disk(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return SmallDisk(fh, len(before) // 2) if "w" in mode else fh
 
         def refuse(src, dst):
             raise OSError("disk full")
 
         if where == "writing":
-            monkeypatch.setattr(Path, "write_bytes", write_half)
+            monkeypatch.setattr(Path, "open", open_on_small_disk)
         else:
             monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
             good(path)
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_chunks_that_fail_midway_keep_the_previous_file_and_leave_no_temp_file(tmp_path):
+    path = tmp_path / "a.out"
+    artifacts.write_bytes(path, [b"old\n"])
+
+    def chunks():
+        yield b"new line\n" * 2000  # larger than the file buffer, so on disk now
+        (tmp,) = set(tmp_path.iterdir()) - {path}
+        assert tmp.name == f".a.out.{os.getpid()}.tmp" and tmp.stat().st_size == 18000
+        raise ValueError("line 2001 cannot be encoded")
+
+    with pytest.raises(ValueError, match="line 2001"):
+        artifacts.write_bytes(path, chunks())
+    assert path.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -16,7 +16,7 @@ from newstrend.corpus import (
 from newstrend.errors import DataError
 from newstrend.tokens import encode_docs
 
-from conftest import encoded, make_doc, make_record
+from conftest import WRITE_PEAK_SHARE, encoded, make_doc, make_record, traced_peak
 
 
 def write_lines(path, lines):
@@ -81,6 +81,14 @@ class TestIngest:
         back = ingest_news(path)
         assert back.rejected == []
         assert back.records == records
+
+    def test_write_holds_one_line_not_the_file(self, tmp_path):
+        records = [make_record(rec_id=f"r{i}", content="market " * 150) for i in range(5000)]
+        path = tmp_path / "out.jsonl"
+        write_news_jsonl(records[:1], path)  # warm up
+        peak = traced_peak(write_news_jsonl, records, path)
+        assert path.stat().st_size > 5_000_000
+        assert peak < WRITE_PEAK_SHARE * path.stat().st_size
 
     def test_rejects_csv(self, tmp_path):
         path = tmp_path / "rejects.csv"

@@ -589,15 +589,28 @@ class TestModelArtifact:
         with pytest.raises(DataError):
             load_extractor(path)
 
-    def test_unknown_encoder_kind_rejected(self, tmp_path):
+    def saved_with_header_edit(self, tmp_path, edit):
+        """A saved model whose header `edit` has changed in place."""
         vocab, examples = planted_training_set()
         settings = ExtractorConfig(dim=4, emb_dim=4, hidden=4, epochs=1, batch_size=8, seed=0)
         path = tmp_path / "m.model"
         save_extractor(train_extractor(examples, settings, vocab, dev_weeks_of(examples)), path)
         magic, size, rest = path.read_bytes().split(b"\n", 2)
         header = json.loads(rest[: int(size)])
-        header["encoder"]["kind"] = "bert"
+        edit(header)
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
+        return path
+
+    def test_unknown_encoder_kind_rejected(self, tmp_path):
+        path = self.saved_with_header_edit(
+            tmp_path, lambda header: header["encoder"].update(kind="bert"))
         with pytest.raises(DataError, match="encoder kind 'bert'"):
+            load_extractor(path)
+
+    @pytest.mark.parametrize("key", ["train_weeks", "dev_weeks"])
+    def test_week_not_spelled_yyyy_mm_dd_rejected(self, tmp_path, key):
+        path = self.saved_with_header_edit(
+            tmp_path, lambda header: header[key].__setitem__(0, "20150302"))
+        with pytest.raises(DataError, match="m.model is corrupt: '20150302' is not YYYY-MM-DD"):
             load_extractor(path)

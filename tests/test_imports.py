@@ -41,19 +41,13 @@ def test_ingest_and_label_leave_numpy_unloaded(tmp_path):
     wd = tmp_path / "w"
     assert main(["synth", "--workdir", str(wd), "--config", str(config)]) == 0
     for stage in ("ingest", "label"):
-        proc = python(
-            "import sys\n"
-            "from newstrend.cli import main\n"
-            f"rc = main([{stage!r}, '--workdir', 'w', '--config', 'config.json'])\n"
-            "print(rc, 'numpy' in sys.modules)\n",
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False", (stage, proc.stdout)
+        run_stage_in_fresh_python(tmp_path, stage)
     assert (wd / "weeks.csv").is_file()
 
 
-def test_train_summarizer_leaves_numpy_unloaded(tmp_path):
+def weekly_sentiment_workdir(tmp_path):
+    """A workdir holding only a `weekly_sentiment.csv` of 30 weeks, and a
+    config that trains the summarizer on the first 20."""
     from datetime import date, timedelta
 
     from newstrend.summarizer import WeeklySentiment, write_weekly_sentiment_csv
@@ -66,16 +60,32 @@ def test_train_summarizer_leaves_numpy_unloaded(tmp_path):
                          sampled_ids=()) for i in range(30)],
         tmp_path / "w" / "weekly_sentiment.csv",
     )
+
+
+def run_stage_in_fresh_python(tmp_path, stage):
     proc = python(
         "import sys\n"
         "from newstrend.cli import main\n"
-        "rc = main(['train-summarizer', '--workdir', 'w', '--config', 'config.json'])\n"
+        f"rc = main([{stage!r}, '--workdir', 'w', '--config', 'config.json'])\n"
         "print(rc, 'numpy' in sys.modules)\n",
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False", (stage, proc.stdout)
+
+
+def test_train_summarizer_leaves_numpy_unloaded(tmp_path):
+    weekly_sentiment_workdir(tmp_path)
+    run_stage_in_fresh_python(tmp_path, "train-summarizer")
     assert (tmp_path / "w" / "summarizer.model").is_file()
+
+
+def test_evaluate_leaves_numpy_unloaded(tmp_path):
+    weekly_sentiment_workdir(tmp_path)
+    assert main(["train-summarizer", "--workdir", str(tmp_path / "w"),
+                 "--config", str(tmp_path / "config.json")]) == 0
+    run_stage_in_fresh_python(tmp_path, "evaluate")
+    assert (tmp_path / "w" / "report.txt").read_text().startswith("evaluation report\n")
 
 
 def readme_library_names() -> list[str]:

@@ -125,8 +125,8 @@ class TestAgainstBruteForce:
             preds = ["pos" if b else "neg" for b in rng.integers(0, 2, n)]
             cm = ConfusionMatrix.from_pairs(truths, preds, classes=("neg", "pos"))
             tp, tn, fp, fn = brute_force_binary(truths, preds)
-            assert cm.counts[1, 1] == tp and cm.counts[0, 0] == tn
-            assert cm.counts[0, 1] == fp and cm.counts[1, 0] == fn
+            assert cm.counts[1][1] == tp and cm.counts[0][0] == tn
+            assert cm.counts[0][1] == fp and cm.counts[1][0] == fn
             assert accuracy(cm) == pytest.approx((tp + tn) / n, abs=1e-12)
             denom = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
             expected_mcc = 0.0 if denom == 0 else (tp * tn - fp * fn) / denom

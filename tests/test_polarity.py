@@ -328,6 +328,8 @@ class TestModelSet:
                      "scores have shape", id="shape-vs-words"),
         pytest.param(lambda m, h, b: (m, {**h, "anchors": ["notadate"] + h["anchors"][1:]}, b),
                      "notadate", id="non-date-anchor"),
+        pytest.param(lambda m, h, b: (m, {**h, "anchors": ["20150302"] + h["anchors"][1:]}, b),
+                     "'20150302' is not YYYY-MM-DD", id="basic-format-anchor"),
         pytest.param(lambda m, h, b: (m, {**h, "anchors": h["anchors"][::-1]}, b),
                      "sorted", id="unsorted-anchors"),
     ])

@@ -1,3 +1,4 @@
+import itertools
 from datetime import date
 
 import numpy as np
@@ -9,6 +10,8 @@ from newstrend.synth import (
     NEGATIVE_WORDS, POSITIVE_WORDS, _draw, _filler_cdf, _filler_words, generate, write_outputs,
 )
 
+from conftest import WRITE_PEAK_SHARE, traced_peak
+
 
 SMALL = SynthConfig(weeks=30, articles_per_week=8, seed=3)
 
@@ -16,7 +19,7 @@ SMALL = SynthConfig(weeks=30, articles_per_week=8, seed=3)
 class TestGenerate:
     def test_counts_and_week_coverage(self):
         records, prices, truth = generate(SMALL)
-        assert len(records) == 30 * 8
+        assert len(list(records)) == 30 * 8
         # one extra price week beyond the news range
         assert len(truth.anchors) == 32
         assert truth.anchors[0] == date.fromisoformat(SMALL.start)
@@ -33,7 +36,7 @@ class TestGenerate:
     def test_articles_lean_their_weeks_mood(self):
         records, _, truth = generate(SMALL)
         pos, neg = set(POSITIVE_WORDS), set(NEGATIVE_WORDS)
-        for rec in records[:50]:
+        for rec in itertools.islice(records, 50):
             week_idx = int(rec.id.split("-")[1])
             toks = tokenize(rec, 400).tokens
             n_pos = sum(1 for t in toks if t in pos)
@@ -84,6 +87,7 @@ class TestGenerate:
 
     def test_category_proxies_present(self):
         records, _, _ = generate(SynthConfig(weeks=60, articles_per_week=30, seed=4))
+        records = list(records)
         tagged = [r for r in records if r.categories]
         assert tagged
         manual = [r for r in records if r.worthiness is not None]
@@ -119,3 +123,16 @@ class TestDeterminism:
         other = SynthConfig(weeks=30, articles_per_week=8, seed=4)
         write_outputs(other, tmp_path / "n2.jsonl", tmp_path / "p2.csv")
         assert (tmp_path / "n1.jsonl").read_bytes() != (tmp_path / "n2.jsonl").read_bytes()
+
+
+class TestBoundedMemory:
+    def test_write_outputs_holds_one_record_not_the_corpus(self, tmp_path):
+        # numpy.random imports its generator modules on first use
+        write_outputs(SynthConfig(weeks=2, articles_per_week=2),
+                      tmp_path / "w.jsonl", tmp_path / "w.csv")
+        config = SynthConfig(weeks=20, articles_per_week=400, seed=7,
+                             block_min_weeks=2, block_max_weeks=4)
+        news = tmp_path / "news.jsonl"
+        peak = traced_peak(write_outputs, config, news, tmp_path / "prices.csv")
+        assert news.stat().st_size > 5_000_000
+        assert peak < WRITE_PEAK_SHARE * news.stat().st_size
