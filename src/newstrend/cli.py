@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Callable
+
+# One BLAS thread unless the user chose a count. At this pipeline's matrix
+# sizes a second thread saves no wall time but spins between calls, doubling
+# a stage's CPU time, and artifacts no longer depend on the core count. Set
+# on import, before any stage loads numpy.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # numpy and the modules built on it (polarity, synth, extractor) are imported
 # inside the stages that use them, so `ingest`, `label`, `train-summarizer`
@@ -167,8 +176,13 @@ def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
-    result = ingest_news(_path(config, workdir, "news.jsonl"))
+    news_path = _path(config, workdir, "news.jsonl")
+    result = ingest_news(news_path)
     cleaned = clean_filter(result.records, config.corpus)
+    counts = (f"{result.total} lines, {result.parsed} parsed, "
+              f"{len(result.rejected)} rejected, {len(cleaned)} after cleaning")
+    if not cleaned:
+        raise DataError(f"no news record of {news_path} survives ingest: {counts}")
     # one rule at a time, which labels exactly as all rules at once, to count each
     labeled, per_rule = cleaned, []
     for item in config.corpus.proxy_rules:  # shape checked by load_config
@@ -183,8 +197,7 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
     write_tokens(labeled, workdir / "tokens.bin", config.tokenizer.max_tokens)
     n_pos = sum(1 for r in labeled if r.worthiness == 1)
     n_neg = sum(1 for r in labeled if r.worthiness == 0)
-    print(f"ingest: {result.total} lines, {result.parsed} parsed, "
-          f"{len(result.rejected)} rejected, {len(cleaned)} after cleaning")
+    print(f"ingest: {counts}")
     print(f"ingest: worthiness labels: {n_pos} positive, {n_neg} negative")
     print(f"ingest: records labeled per proxy rule: {', '.join(per_rule) or 'no rules'}")
 

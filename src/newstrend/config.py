@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import re
 import typing
 from dataclasses import dataclass, field
@@ -17,6 +18,17 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import ConfigError
+
+# a bound a numeric field declares as `bounded(default, min=...)`: the check
+# and how a message spells it
+BOUNDS = {"min": (operator.ge, ">="), "max": (operator.le, "<="),
+          "above": (operator.gt, ">"), "below": (operator.lt, "<")}
+
+
+def bounded(default, why: str = "", **bounds):
+    """A field whose value must lie within `bounds` (keys of BOUNDS); `why`,
+    if given, ends the message that rejects a value outside them."""
+    return field(default=default, metadata={"bounds": bounds, "why": why})
 
 
 @dataclass
@@ -49,43 +61,45 @@ class CorpusConfig:
 
 @dataclass
 class TokenizerConfig:
-    max_tokens: int = 180
+    max_tokens: int = bounded(180, min=1)
 
 
 @dataclass
 class PolarityConfig:
-    vocab_size: int = 512
-    n_lags: int = 4
+    vocab_size: int = bounded(512, min=1)
+    n_lags: int = bounded(4, min=1)
     discount: float = 0.5
-    window_weeks: int = 13
+    window_weeks: int = bounded(13, min=1)
     very_threshold: float = 2.0
     mild_threshold: float = 0.5
 
 
 @dataclass
 class ExtractorConfig:
-    dim: int = 64
-    emb_dim: int = 64
-    encoder_vocab: int = 5000
-    hidden: int = 512
-    lam: float = 0.5
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 8
-    seed: int = 0
-    dev_fraction: float = 0.1
-    max_weeks_per_class: int | None = None
+    dim: int = bounded(64, min=1)
+    emb_dim: int = bounded(64, min=1)
+    encoder_vocab: int = bounded(5000, min=1)
+    hidden: int = bounded(512, min=1)
+    lam: float = bounded(0.5, min=0.0, max=1.0)
+    lr: float = bounded(1e-3, above=0.0)
+    batch_size: int = bounded(32, min=1)
+    epochs: int = bounded(8, min=1)
+    seed: int = bounded(0, min=0)
+    # at 1 every selected week is held out and none is left to train on
+    dev_fraction: float = bounded(0.1, min=0.0, below=1.0)
+    max_weeks_per_class: int | None = bounded(None, min=1)
     threshold: float = 2.0         # |pct| bound selecting training weeks
 
 
 @dataclass
 class SummarizerConfig:
-    n_sample: int = 100
-    train_weeks: int = 250
-    seed: int = 0
-    target_offset: int = 1
-    c: float = 1.0
-    epochs: int = 200
+    n_sample: int = bounded(100, min=1)
+    train_weeks: int = bounded(250, min=1)
+    seed: int = bounded(0, min=0)
+    target_offset: int = bounded(1, min=1, why="at 0 the lag-0 polarity column "
+                                 "sees the target week's own class")
+    c: float = bounded(1.0, above=0.0)
+    epochs: int = bounded(200, min=1)
     features: str = "scalar"
 
 
@@ -101,15 +115,18 @@ class SynthConfig:
     # sized so that the default config runs end to end: 24 polar and 500
     # filler words give `pot` 524 candidates for its 512, and `score` leaves
     # 36-49 test weeks past the summarizer's 250 at seeds 1, 2, 3, 7 and 55
-    weeks: int = 400
-    articles_per_week: int = 50
-    rho: float = 0.9
-    seed: int = 7
+    weeks: int = bounded(400, min=0)
+    articles_per_week: int = bounded(50, min=0)
+    # a change follows the mood with probability (1 + rho) / 2
+    rho: float = bounded(0.9, min=-1.0, max=1.0)
+    seed: int = bounded(7, min=0)
     start: str = "2015-01-05"      # a Monday
-    block_min_weeks: int = 15      # mood regimes alternate in blocks of this
-    block_max_weeks: int = 25      # .. to this many weeks (balanced, persistent)
-    pct_scale: float = 2.0
-    filler_vocab: int = 500
+    # mood regimes alternate in blocks of block_min_weeks to block_max_weeks
+    # weeks (balanced, persistent)
+    block_min_weeks: int = bounded(15, min=1)
+    block_max_weeks: int = bounded(25, min=1)
+    pct_scale: float = bounded(2.0, above=0.0)
+    filler_vocab: int = bounded(500, min=1)
 
 
 # the library name for the `synth` section, kept because callers such as
@@ -226,8 +243,20 @@ def _validate(config: PipelineConfig) -> None:
         hints = typing.get_type_hints(type(obj))
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
+            key = f"{section.name}.{f.name}"
             if not _accepts(hints[f.name], value):
-                raise ConfigError(f"{section.name}.{f.name} must be {f.type}, got {value!r}")
+                raise ConfigError(f"{key} must be {f.type}, got {value!r}")
+            for kind, bound in f.metadata.get("bounds", {}).items():
+                test, sign = BOUNDS[kind]
+                if value is not None and not test(value, bound):
+                    why = f.metadata["why"]
+                    raise ConfigError(f"{key} must be {sign} {bound}"
+                                      f"{f' ({why})' if why else ''}, got {value!r}")
+    if config.synth.block_min_weeks > config.synth.block_max_weeks:
+        raise ConfigError(
+            f"synth.block_min_weeks ({config.synth.block_min_weeks}) must be <= "
+            f"synth.block_max_weeks ({config.synth.block_max_weeks})"
+        )
     bad = [r for r in config.corpus.proxy_rules if not re.fullmatch(r"[^:]+:[01]:[0-9]+", r)]
     if bad:
         raise ConfigError(
@@ -247,13 +276,4 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(
             f"summarizer.features must be 'scalar' or 'extended', "
             f"got {config.summarizer.features!r}"
-        )
-    if config.tokenizer.max_tokens < 1:
-        raise ConfigError(f"tokenizer.max_tokens must be an integer >= 1, "
-                          f"got {config.tokenizer.max_tokens!r}")
-    if config.summarizer.target_offset < 1:
-        raise ConfigError(
-            f"summarizer.target_offset must be an integer >= 1 (at 0 the lag-0 "
-            f"polarity column sees the target week's own class), "
-            f"got {config.summarizer.target_offset!r}"
         )

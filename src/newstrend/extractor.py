@@ -6,8 +6,9 @@ small attention (softmax(v' tanh(W M)) weights, pooled vector M a); the
 standardized pooled polarity vector is concatenated with the encoder output,
 passed through one rectified dense layer, and read out by two softmax heads:
 sentiment (negative/positive) and worthiness (irrelevant/relevant). A batch
-runs the attention once per distinct week matrix, not per article, and the
-encoder is one bag-of-words matrix product.
+runs the attention once per distinct week matrix, not per article: W M for
+all of them is one matrix product over every lag column of every matrix,
+which reads W once. The encoder is one bag-of-words matrix product.
 
 Training minimizes a masked multitask objective: for articles with a
 worthiness label, lam * CE_sentiment + (1 - lam) * CE_worthiness; for the
@@ -139,8 +140,10 @@ def pot_attention(
 def _attend(
     m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`pot_attention`'s weights and pooled vector, and tanh(att_w m), which
-    the backward pass reuses."""
+    """`pot_attention`'s weights and pooled vector, and tanh(att_w m) as the
+    (V, N*L) lag columns of the N stacked matrices, which the backward pass
+    reuses. One product over all lag columns reads `att_w` once, not once
+    per matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
         raise ValueError(f"m must be (..., V, L), got {m.shape}")
@@ -149,8 +152,8 @@ def _attend(
         raise ValueError(f"att_w must be {v_size}x{v_size}, got {att_w.shape}")
     if att_v.shape != (v_size,):
         raise ValueError(f"att_v must have length {v_size}, got {att_v.shape}")
-    t = np.tanh(att_w @ m)
-    a = softmax(att_v @ t)
+    t = np.tanh(att_w @ _lag_columns(m))
+    a = softmax((att_v @ t).reshape(m.shape[:-2] + m.shape[-1:]))
     return a, (m @ a[..., None])[..., 0], t
 
 
@@ -337,9 +340,9 @@ class ExtractorModel:
         np.add.at(dpooled, week, du[:, d:] / self.pot_sigma)
         da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
-        np.matmul(_lag_columns(t), ds.reshape(-1), out=grads["att_v"])
-        dz = p["att_v"][:, None] * ds[:, None, :] * (1.0 - t * t)
-        np.matmul(_lag_columns(dz), _lag_columns(m).T, out=grads["att_w"])
+        np.matmul(t, ds.reshape(-1), out=grads["att_v"])
+        dz = p["att_v"][:, None] * ds.reshape(-1) * (1.0 - t * t)
+        np.matmul(dz, _lag_columns(m).T, out=grads["att_w"])
         self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."), _sub(grads, "enc."))
         return loss, grads
 
@@ -349,8 +352,10 @@ def _sub(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
 
 
 def _lag_columns(x: np.ndarray) -> np.ndarray:
-    """(W, V, L) -> (V, W*L): every lag column of every table entry."""
-    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    """(..., V, L) -> (V, N*L): every lag column of each of the N stacked
+    matrices, matrix by matrix."""
+    v_size, n_lags = x.shape[-2:]
+    return x.reshape(-1, v_size, n_lags).transpose(1, 0, 2).reshape(v_size, -1)
 
 
 def _week_table(batch: Sequence[TrainingExample]):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,8 +10,30 @@ from pathlib import Path
 import pytest
 
 from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES
+from newstrend.config import BOUNDS, PipelineConfig
 
 from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
+
+
+def declared_bounds():
+    """(key, bound kind, first value outside it) for every bound that a config
+    field declares: one past an int bound, the next float past an inclusive
+    float bound, the bound itself when it is exclusive."""
+    config = PipelineConfig()
+    cases = []
+    for section in dataclasses.fields(config):
+        for f in dataclasses.fields(getattr(config, section.name)):
+            for kind, bound in f.metadata.get("bounds", {}).items():
+                down = kind in ("min", "above")
+                if kind in ("above", "below"):
+                    value = bound
+                elif isinstance(bound, int):
+                    value = bound - 1 if down else bound + 1
+                else:
+                    value = math.nextafter(bound, -math.inf if down else math.inf)
+                cases.append(pytest.param(f"{section.name}.{f.name}", kind, value,
+                                          id=f"{section.name}.{f.name}-{kind}"))
+    return cases
 
 
 class TestFullPipeline:
@@ -303,8 +327,6 @@ class TestErrors:
     @pytest.mark.parametrize("override, key", [
         ("extractor.encoder=bert", "extractor.encoder"),
         ("summarizer.features=fancy", "summarizer.features"),
-        ("summarizer.target_offset=0", "summarizer.target_offset"),
-        ("tokenizer.max_tokens=0", "tokenizer.max_tokens"),
         ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
         ("synth.start=notadate", "synth.start"),
         ("synth.start=2015W021", "synth.start"),
@@ -314,12 +336,32 @@ class TestErrors:
         ("synth.start=2015-01", "synth.start"),
         ("synth.weeks=abc", "synth.weeks"),
         ("labels.up=0.5", "labels.down"),
+        ("synth.block_min_weeks=30", "synth.block_min_weeks"),
     ])
     def test_bad_config_value_exits_one_when_loaded(self, tmp_path, capsys, override, key):
         wd = tmp_path / "w"
         assert run(["synth", "--workdir", wd, "--set", override]) == 1
         assert key in capsys.readouterr().err
         assert not (wd / "news.jsonl").exists()
+
+    @pytest.mark.parametrize("key, kind, value", declared_bounds())
+    def test_value_past_a_declared_bound_exits_one_when_loaded(self, tmp_path, capsys,
+                                                               key, kind, value):
+        wd = tmp_path / "w"
+        assert run(["synth", "--workdir", wd, "--set", f"{key}={value!r}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be {BOUNDS[kind][1]} ") and repr(value) in err
+        assert not wd.exists()
+
+    def test_ingest_keeping_no_record_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        wd = tmp_path / "w"
+        assert run(["synth", "--workdir", wd, "--set", "synth.weeks=0"]) == 0
+        assert (wd / "news.jsonl").read_bytes() == b""
+        assert run(["ingest", "--workdir", wd, "--set", "synth.weeks=0"]) == 2
+        err = capsys.readouterr().err
+        assert "news.jsonl" in err and "0 lines, 0 parsed, 0 rejected, 0 after cleaning" in err
+        assert sorted(p.name for p in wd.iterdir()) == [
+            "news.jsonl", "news.jsonl.manifest.json", "prices.csv", "prices.csv.manifest.json"]
 
     def test_vocab_larger_than_corpus_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, **{"polarity.vocab_size": 50_000})
@@ -532,9 +574,8 @@ FAULTS = {
 class TestFaultyInputs:
     """Every declared input of every stage, emptied, cut in half or with
     undecodable bytes inserted: the stage exits 0 or 2 and never raises.
-    Truncated raw news and prices may still parse, and raw news may hold no
-    records, so inserted bytes must exit 2 naming the file, and so must every
-    other emptied input."""
+    Truncated raw news and prices may still parse, so inserted bytes must
+    exit 2 naming the file, and so must every emptied input."""
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("stage, name", [(command, name)
@@ -550,7 +591,7 @@ class TestFaultyInputs:
         rc = run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"])
         err = capsys.readouterr().err
         assert rc in (0, 2), err
-        if fault == "garbled" or (fault == "emptied" and name != "news.jsonl"):
+        if fault in ("garbled", "emptied"):
             assert rc == 2
             assert any(line.startswith("error: ") and name in line
                        for line in err.splitlines()), err

@@ -161,6 +161,23 @@ class TestAttention:
                 assert np.allclose(a[i, j], a1, atol=1e-14)
                 assert np.allclose(vpot[i, j], v1, atol=1e-14)
 
+    @pytest.mark.parametrize("v_size", [64, 128, 512])
+    def test_stack_of_weeks_matches_each_week_alone(self, v_size):
+        # a stack is one product over all of its lag columns, a single matrix
+        # a product of its own: bit for bit equal at V = 512, and within a few
+        # units in the last place below, where the BLAS kernel may round the
+        # wider product differently
+        rng = np.random.default_rng(v_size)
+        stack = rng.normal(size=(12, v_size, 4))
+        att_w = np.eye(v_size) + rng.normal(0.0, 0.05, size=(v_size, v_size))
+        att_v = rng.normal(0.0, 0.1, size=v_size)
+        a, vpot = pot_attention(stack, att_w, att_v)
+        ulps = 0 if v_size == 512 else 8
+        for week, m in enumerate(stack):
+            a1, v1 = pot_attention(m, att_w, att_v)
+            assert np.abs(a[week] - a1).max() <= ulps * np.spacing(1.0)
+            assert np.abs(vpot[week] - v1).max() <= ulps * np.spacing(np.abs(v1).max())
+
     def test_weights_form_simplex_on_random_inputs(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

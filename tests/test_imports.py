@@ -1,5 +1,6 @@
 """What importing the package costs: the package root resolves its public
-names lazily, and only the stages that do array work load numpy.
+names lazily, only the stages that do array work load numpy, and importing
+the CLI gives those stages one BLAS thread unless the user chose a count.
 
 Each check runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -8,6 +9,7 @@ loaded already.
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +17,20 @@ from pathlib import Path
 import pytest
 
 import newstrend
-from newstrend.cli import main
+from newstrend.cli import BLAS_THREAD_VARS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def python(code: str, cwd=None) -> subprocess.CompletedProcess:
+def python(code: str, cwd=None, threads=None) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter; `threads`, when given, replaces
+    every BLAS thread variable of the environment."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if threads is not None:
+        for name in BLAS_THREAD_VARS:
+            env.pop(name, None)
+        env.update(threads)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -32,6 +40,58 @@ def test_import_leaves_numpy_unloaded(module):
     proc = python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def after_cli_import(threads: dict) -> list:
+    """The BLAS thread variables, and whether numpy is loaded, once a fresh
+    interpreter whose thread variables are `threads` imports `newstrend.cli`."""
+    proc = python("import json, os, sys, newstrend.cli\n"
+                  "env = {k: os.environ.get(k) for k in %r}\n"
+                  "print(json.dumps([env, 'numpy' in sys.modules]))" % (BLAS_THREAD_VARS,),
+                  threads=threads)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_sets_one_blas_thread_before_numpy_loads():
+    env, numpy_loaded = after_cli_import({})
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                   "MKL_NUM_THREADS": None}
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+def test_cli_import_keeps_a_thread_count_the_user_set(name):
+    env, _ = after_cli_import({name: "2"})
+    assert env == {k: "2" if k == name else None for k in BLAS_THREAD_VARS}
+
+
+def test_extractor_artifacts_do_not_depend_on_the_thread_default(tmp_path):
+    """At a 512-word polarity vocabulary and hidden size 512, two BLAS threads
+    round some products differently from one, so `extractor.model` and
+    `weekly_sentiment.csv` would depend on the machine's core count if the
+    stages ran the BLAS default of one thread per core."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth.weeks": 60, "synth.articles_per_week": 10, "synth.filler_vocab": 500,
+        "synth.seed": 55, "polarity.vocab_size": 512, "extractor.epochs": 2,
+        "summarizer.train_weeks": 12, "labels.policy": "binary_asymmetric",
+    }))
+    base = tmp_path / "base"
+    for stage in ("synth", "ingest", "label", "pot"):
+        assert main([stage, "--workdir", str(base), "--config", str(config)]) == 0
+    outputs = {}
+    for label, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        wd = tmp_path / label
+        shutil.copytree(base, wd)
+        for stage in ("train-extractor", "score"):
+            proc = python("import sys\nfrom newstrend.cli import main\n"
+                          f"sys.exit(main([{stage!r}, '--workdir', {str(wd)!r}, "
+                          f"'--config', {str(config)!r}]))", threads=threads)
+            assert proc.returncode == 0, proc.stderr
+        outputs[label] = [(wd / n).read_bytes()
+                          for n in ("extractor.model", "weekly_sentiment.csv")]
+    assert outputs["unset"] == outputs["one"]
 
 
 def test_ingest_and_label_leave_numpy_unloaded(tmp_path):
