@@ -183,14 +183,10 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
               f"{len(result.rejected)} rejected, {len(cleaned)} after cleaning")
     if not cleaned:
         raise DataError(f"no news record of {news_path} survives ingest: {counts}")
-    # one rule at a time, which labels exactly as all rules at once, to count each
-    labeled, per_rule = cleaned, []
-    for item in config.corpus.proxy_rules:  # shape checked by load_config
-        cat, label, cap = item.split(":")
-        before = labeled
-        labeled = assign_worthiness_proxy(before, [ProxyRule(cat, int(label), int(cap))])
-        n = sum(a.worthiness != b.worthiness for a, b in zip(before, labeled))
-        per_rule.append(f"{item}={n}")
+    items = config.corpus.proxy_rules  # shape checked by load_config
+    rules = [ProxyRule(cat, int(label), int(cap))
+             for cat, label, cap in (item.split(":") for item in items)]
+    labeled, per_rule = assign_worthiness_proxy(cleaned, rules)
     write_news_jsonl(labeled, workdir / "corpus.jsonl")
     write_rejects_csv(result.rejected, workdir / "rejects.csv")
     # last, so the one output later stages read is replaced after the others
@@ -199,7 +195,8 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
     n_neg = sum(1 for r in labeled if r.worthiness == 0)
     print(f"ingest: {counts}")
     print(f"ingest: worthiness labels: {n_pos} positive, {n_neg} negative")
-    print(f"ingest: records labeled per proxy rule: {', '.join(per_rule) or 'no rules'}")
+    tally = ", ".join(f"{item}={n}" for item, n in zip(items, per_rule))
+    print(f"ingest: records labeled per proxy rule: {tally or 'no rules'}")
 
 
 def run_label(config: PipelineConfig, workdir: Path, args) -> None:
@@ -301,13 +298,12 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
 
     def score_articles(anchor, ids):
         matrix = model_set.matrix(vocab, anchor, n_lags)
-        out = np.empty((len(ids), 2))
+        out = np.empty(len(ids))
         for lo in range(0, len(ids), batch):
             chunk = ids[lo : lo + batch]
             docs = [docs_by_id[i] for i in chunk]
-            ps, pw, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
-            out[lo : lo + len(chunk), 0] = ps[:, 1]
-            out[lo : lo + len(chunk), 1] = pw[:, 1]
+            ps, _, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
+            out[lo : lo + len(chunk)] = ps[:, 1]
         return out
 
     dataset = build_summarizer_dataset(
@@ -334,14 +330,13 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
 
 def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
     from .metrics import format_report_text, report, write_report_csv
-    from .summarizer import load_summarizer, predict_week, read_weekly_sentiment_csv
+    from .summarizer import (
+        chronological_split, load_summarizer, predict_week, read_weekly_sentiment_csv,
+    )
 
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
     model = load_summarizer(workdir / "summarizer.model")
-    ordered = sorted(rows, key=lambda r: r.week)
-    test = ordered[config.summarizer.train_weeks:]
-    if not test:
-        raise DataError("no test weeks beyond the training split; nothing to evaluate")
+    _, test = chronological_split(rows, config.summarizer.train_weeks)
     predictions = [predict_week(model, r) for r in test]
     truths = [r.label for r in test]
     classes = [c for c in CLASS_ORDER if c in set(truths) | set(predictions)]

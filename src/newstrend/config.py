@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 import re
 import typing
@@ -100,7 +101,6 @@ class SummarizerConfig:
                                  "sees the target week's own class")
     c: float = bounded(1.0, above=0.0)
     epochs: int = bounded(200, min=1)
-    features: str = "scalar"
 
 
 @dataclass
@@ -236,6 +236,14 @@ def parse_day(value: str) -> date:
     return date(*map(int, m.groups()))
 
 
+def parse_finite(value: str) -> float:
+    """A finite float; ValueError for nan, inf or any spelling `float` rejects."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _validate(config: PipelineConfig) -> None:
     """Reject values the pipeline would otherwise ignore, misuse or crash on."""
     for section in dataclasses.fields(config):
@@ -272,8 +280,3 @@ def _validate(config: PipelineConfig) -> None:
     from .weeks import make_policy  # here, so that importing config loads no weeks code
 
     make_policy(config.labels.policy, config.labels.up, config.labels.down)
-    if config.summarizer.features not in ("scalar", "extended"):
-        raise ConfigError(
-            f"summarizer.features must be 'scalar' or 'extended', "
-            f"got {config.summarizer.features!r}"
-        )

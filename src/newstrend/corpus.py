@@ -236,26 +236,30 @@ class ProxyRule:
 
 def assign_worthiness_proxy(
     records: Sequence[NewsRecord], rules: Sequence[ProxyRule]
-) -> list[NewsRecord]:
-    """Attach worthiness labels from category proxies, respecting per-rule caps.
+) -> tuple[list[NewsRecord], list[int]]:
+    """Attach worthiness labels from category proxies, respecting per-rule caps;
+    also returns how many records each rule labeled.
 
     Existing labels (manual annotation) are never overwritten. Rules apply in
     order; within a rule, records are labeled in corpus order until the cap.
+    In one pass, an unlabeled record takes the first rule whose category it
+    carries and whose cap is not yet reached, which labels the same records.
     A rule whose category no record carries labels nothing.
     """
     for rule in rules:
         if rule.label not in (0, 1):
             raise ConfigError(f"proxy label for {rule.category!r} must be 0 or 1")
-    out = list(records)
-    for rule in rules:
-        assigned = 0
-        for i, record in enumerate(out):
-            if assigned >= rule.cap:
-                break
-            if record.worthiness is None and rule.category in record.categories:
-                out[i] = replace(record, worthiness=rule.label)
-                assigned += 1
-    return out
+    counts = [0] * len(rules)
+    out = []
+    for record in records:
+        if record.worthiness is None:
+            for k, rule in enumerate(rules):
+                if counts[k] < rule.cap and rule.category in record.categories:
+                    record = replace(record, worthiness=rule.label)
+                    counts[k] += 1
+                    break
+        out.append(record)
+    return out, counts
 
 
 def build_vocabulary(

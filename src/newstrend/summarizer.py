@@ -6,9 +6,10 @@ class of the week `target_offset` ahead (default 1: this week's news calls
 next Monday's move). Weeks whose articles trained the extractor are excluded
 outright, which is the leakage guard.
 
-The classifier is a hinge-loss linear model fit by deterministic full-batch
-subgradient descent (one-vs-rest for more than two classes); the default
-feature is the scalar overall score alone.
+The classifier reads that one overall score. It is a hinge-loss linear model
+fit by deterministic full-batch subgradient descent (one-vs-rest for more
+than two classes) on the chronologically earliest `train_weeks` rows, which
+`chronological_split` cuts for both training and evaluation.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import artifacts
-from .config import SummarizerConfig, parse_day
-from .errors import ConfigError, DataError
+from .config import SummarizerConfig, parse_day, parse_finite
+from .errors import DataError
 from .weeks import CLASS_ORDER, WeeklyLabel
 
 if TYPE_CHECKING:  # numpy loads only where articles are scored, so fitting runs without it
@@ -39,9 +40,6 @@ class WeeklySentiment:
     overall_score: float
     label: str                     # trend class of the target week
     sampled_ids: tuple[str, ...]
-    score_std: float = 0.0
-    frac_positive: float = 0.0
-    worthiness_mean: float | None = None
 
 
 @dataclass
@@ -60,10 +58,10 @@ def build_summarizer_dataset(
 ) -> SummarizerDataset:
     """One scored row per usable week.
 
-    `score_articles(anchor, ids)` returns either sentiment scores (n,) or
-    sentiment/worthiness pairs (n, 2). Sampling is without replacement and
-    seeded per week, so week order cannot change a week's sample. Skipped
-    weeks are reported with a reason, never silently dropped.
+    `score_articles(anchor, ids)` returns each article's sentiment score,
+    shape (n,). Sampling is without replacement and seeded per week, so week
+    order cannot change a week's sample. Skipped weeks are reported with a
+    reason, never silently dropped.
     """
     import numpy as np
 
@@ -92,33 +90,10 @@ def build_summarizer_dataset(
             picked = rng.choice(len(ids), size=n_sample, replace=False)
             ids = [ids[k] for k in picked]
         scores = np.asarray(score_articles(anchor, ids), dtype=np.float64)
-        senti = scores[:, 0] if scores.ndim == 2 else scores
-        worth = float(scores[:, 1].mean()) if scores.ndim == 2 else None
-        rows.append(
-            WeeklySentiment(
-                week=anchor,
-                n_sampled=len(ids),
-                overall_score=float(senti.mean()),
-                label=label,
-                sampled_ids=tuple(ids),
-                score_std=float(senti.std()),
-                frac_positive=float((senti > 0.5).mean()),
-                worthiness_mean=worth,
-            )
-        )
+        rows.append(WeeklySentiment(week=anchor, n_sampled=len(ids),
+                                    overall_score=float(scores.mean()), label=label,
+                                    sampled_ids=tuple(ids)))
     return SummarizerDataset(rows=rows, skipped=skipped)
-
-
-FEATURE_WIDTHS = {"scalar": 1, "extended": 4}
-
-
-def features_of(row: WeeklySentiment, spec: str) -> list[float]:
-    if spec == "scalar":
-        return [row.overall_score]
-    if spec == "extended":
-        worth = 0.5 if row.worthiness_mean is None else row.worthiness_mean
-        return [row.overall_score, row.score_std, row.frac_positive, worth]
-    raise ConfigError(f"unknown feature spec {spec!r}")
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -148,9 +123,8 @@ class SummarizerModel:
     """
 
     classes: tuple[str, ...]
-    weights: list[list[float]]    # (n_classes, n_features); binary holds -w and w
+    weights: list[list[float]]    # (n_classes, 1); binary holds -w and w
     bias: list[float]
-    feature_spec: str = "scalar"
 
     @property
     def kind(self) -> str:
@@ -193,23 +167,28 @@ def _fit_binary_hinge(
     return w[:-1], w[-1]
 
 
+def chronological_split(
+    rows: Sequence[WeeklySentiment], train_weeks: int
+) -> tuple[list[WeeklySentiment], list[WeeklySentiment]]:
+    """The earliest `train_weeks` rows by week, and the later rows to test on."""
+    ordered = sorted(rows, key=lambda r: r.week)
+    if train_weeks >= len(ordered):
+        raise DataError(f"train split of {train_weeks} weeks leaves no test weeks "
+                        f"(dataset has {len(ordered)})")
+    return ordered[:train_weeks], ordered[train_weeks:]
+
+
 def train_summarizer(
     rows: Sequence[WeeklySentiment], config: SummarizerConfig
 ) -> SummarizerModel:
-    """Fit on the chronologically earliest `train_weeks` rows, with the
-    `features` spec, hinge constant `c` and `epochs` of `config`."""
-    ordered = sorted(rows, key=lambda r: r.week)
-    if config.train_weeks >= len(ordered):
-        raise DataError(
-            f"train split of {config.train_weeks} weeks leaves no test weeks "
-            f"(dataset has {len(ordered)})"
-        )
-    train = ordered[: config.train_weeks]
+    """Fit on the training split of `config.train_weeks` rows, with the hinge
+    constant `c` and `epochs` of `config`."""
+    train, _ = chronological_split(rows, config.train_weeks)
     present = {r.label for r in train}
     classes = tuple(c for c in CLASS_ORDER if c in present)
     if len(classes) < 2:
         raise DataError(f"training split has a single class {present}; cannot fit")
-    x = [features_of(r, config.features) for r in train]
+    x = [[r.overall_score] for r in train]
     labels = [r.label for r in train]
 
     def fit(cls: str) -> tuple[list[float], float]:
@@ -222,13 +201,11 @@ def train_summarizer(
     else:
         fits = [fit(cls) for cls in classes]
         weights, bias = [w for w, _ in fits], [b for _, b in fits]
-    return SummarizerModel(
-        classes=classes, weights=weights, bias=bias, feature_spec=config.features
-    )
+    return SummarizerModel(classes=classes, weights=weights, bias=bias)
 
 
 def predict_week(model: SummarizerModel, row: WeeklySentiment) -> str:
-    scores = model.decision_scores(features_of(row, model.feature_spec))
+    scores = model.decision_scores([row.overall_score])
     return model.classes[scores.index(max(scores))]
 
 
@@ -238,7 +215,6 @@ def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
         "classes": list(model.classes),
         "weights": [[float(v) for v in row] for row in model.weights],
         "bias": [float(v) for v in model.bias],
-        "feature_spec": model.feature_spec,
     }
     artifacts.write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
@@ -250,48 +226,43 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
         raise DataError(f"summarizer model {path} is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"summarizer model {path} must hold a JSON object")
-    for key in ("classes", "weights", "bias", "feature_spec"):
+    for key in ("classes", "weights", "bias"):
         if key not in payload:
             raise DataError(f"summarizer model {path} lacks key {key!r}")
-    classes, spec = payload["classes"], payload["feature_spec"]
+    classes = payload["classes"]
     if (not isinstance(classes, list) or len(classes) < 2
             or not all(c in CLASS_ORDER for c in classes)):
         raise DataError(f"summarizer model {path}: bad 'classes' {classes!r}")
-    if not isinstance(spec, str) or spec not in FEATURE_WIDTHS:
-        raise DataError(f"summarizer model {path}: bad 'feature_spec' {spec!r}")
-    n, width = len(classes), FEATURE_WIDTHS[spec]
-    rows = payload["weights"]
-    weights = [_floats(row, width) for row in rows] if isinstance(rows, list) else []
+    n, rows = len(classes), payload["weights"]
+    weights = [_floats(row, 1) for row in rows] if isinstance(rows, list) else []
     if len(weights) != n or None in weights:
-        raise DataError(f"summarizer model {path}: 'weights' must be numbers of shape {(n, width)}")
+        raise DataError(f"summarizer model {path}: 'weights' must be numbers of shape "
+                        f"{(n, 1)}, all finite")
     bias = _floats(payload["bias"], n)
     if bias is None:
-        raise DataError(f"summarizer model {path}: 'bias' must be numbers of shape {(n,)}")
-    return SummarizerModel(tuple(classes), weights, bias, spec)
+        raise DataError(f"summarizer model {path}: 'bias' must be numbers of shape "
+                        f"{(n,)}, all finite")
+    return SummarizerModel(tuple(classes), weights, bias)
 
 
 def _floats(value, length: int) -> list[float] | None:
-    """`value` as floats if it is a list of `length` JSON numbers, else None."""
+    """`value` as floats if it is a list of `length` finite JSON numbers, else
+    None; `json` reads NaN and Infinity as floats."""
     if not isinstance(value, list) or len(value) != length or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
         return None
     try:
-        return [float(v) for v in value]
+        floats = [float(v) for v in value]
     except OverflowError:  # an integer beyond the float range
         return None
+    return floats if all(map(math.isfinite, floats)) else None
 
 
 def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path) -> None:
-    # reprs read back bit for bit, so the extended features survive the file
-    artifacts.write_csv(
-        path,
-        ["anchor", "n_sampled", "overall_score", "true_class",
-         "score_std", "frac_positive", "worthiness_mean"],
-        ([row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
-          row.label, repr(row.score_std), repr(row.frac_positive),
-          "" if row.worthiness_mean is None else repr(row.worthiness_mean)] for row in rows),
-    )
+    artifacts.write_csv(path, ["anchor", "n_sampled", "overall_score", "true_class"],
+                        ([row.week.isoformat(), row.n_sampled, "%.10f" % row.overall_score,
+                          row.label] for row in rows))
 
 
 def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
@@ -299,21 +270,12 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
     rows = []
     for n, rec in enumerate(csv.DictReader(text.splitlines()), start=2):
         try:
-            worth = rec["worthiness_mean"]
             if rec["true_class"] not in CLASS_ORDER:
                 raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
-            rows.append(
-                WeeklySentiment(
-                    week=parse_day(rec["anchor"]),
-                    n_sampled=int(rec["n_sampled"]),
-                    overall_score=float(rec["overall_score"]),
-                    label=rec["true_class"],
-                    sampled_ids=(),
-                    score_std=float(rec["score_std"]),
-                    frac_positive=float(rec["frac_positive"]),
-                    worthiness_mean=float(worth) if worth else None,
-                )
-            )
+            rows.append(WeeklySentiment(
+                week=parse_day(rec["anchor"]), n_sampled=int(rec["n_sampled"]),
+                overall_score=parse_finite(rec["overall_score"]), label=rec["true_class"],
+                sampled_ids=()))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(
                 f"weekly sentiment file {path} line {n}: bad or missing field {exc}"

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import artifacts
-from .config import parse_day
+from .config import parse_day, parse_finite
 from .errors import ConfigError, DataError
 
 EXTRACTOR_CLASSES = ("positive", "negative", "excluded")
@@ -171,7 +171,7 @@ def load_prices(path: str | Path) -> PriceSeries:
             continue
         try:
             day = parse_day(row[0].strip())
-            close = float(row[1])
+            close = parse_finite(row[1])
         except (ValueError, IndexError):
             raise DataError(f"price file {path} row {rownum}: bad row {row!r}")
         if close <= 0:
@@ -327,7 +327,7 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
             week = TradingWeek(
                 anchor=parse_day(row["anchor"]),
                 prev_anchor=parse_day(row["prev_anchor"]),
-                pct_change=float(row["pct_change"]),
+                pct_change=parse_finite(row["pct_change"]),
             )
             if labels and week.anchor <= labels[-1].week.anchor:
                 raise ValueError(f"anchor {week.anchor} does not follow {labels[-1].week.anchor}")

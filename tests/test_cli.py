@@ -116,19 +116,25 @@ class TestFullPipeline:
         assert inputs("trajectory_surge.csv") == {"pot": sha256_file(wd / "pot.bin")}
 
 
-class TestExtendedFeatures:
-    def test_extended_feature_pipeline(self, tmp_path):
-        config = write_config(tmp_path, **{"summarizer.features": "extended"})
-        wd = tmp_path / "w"
-        run_pipeline(wd, config)
+class TestSummarizerArtifacts:
+    def test_summarizer_reads_one_weekly_score(self, trained_workdir):
+        wd, _ = trained_workdir
         lines = (wd / "weekly_sentiment.csv").read_text().splitlines()
-        assert lines[0].split(",")[-3:] == ["score_std", "frac_positive", "worthiness_mean"]
-        assert len(lines) > 10
-        assert not (wd / "weekly_features.csv").exists()
+        assert lines[0] == "anchor,n_sampled,overall_score,true_class"
         model = json.loads((wd / "summarizer.model").read_text())
-        assert model["feature_spec"] == "extended"
-        assert len(model["weights"][0]) == 4
-        assert "accuracy:" in (wd / "report.txt").read_text()
+        assert sorted(model) == ["bias", "classes", "kind", "weights"]
+        assert [len(row) for row in model["weights"]] == [1, 1]
+
+    def test_evaluate_without_a_test_week_names_the_split(self, trained_workdir, tmp_path,
+                                                           capsys):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        n_rows = len((wd / "weekly_sentiment.csv").read_text().splitlines()) - 1
+        assert run(["evaluate", "--workdir", wd, "--config", config, "--allow-config-drift",
+                    "--set", f"summarizer.train_weeks={n_rows}"]) == 2
+        assert (f"train split of {n_rows} weeks leaves no test weeks (dataset has {n_rows})"
+                in capsys.readouterr().err)
 
 
 class TestSynthCommand:
@@ -327,6 +333,7 @@ class TestErrors:
     @pytest.mark.parametrize("override, key", [
         ("extractor.encoder=bert", "extractor.encoder"),
         ("summarizer.features=fancy", "summarizer.features"),
+        ("summarizer.features=extended", "unknown config key 'summarizer.features'"),
         ('corpus.proxy_rules=["us:x:3"]', "corpus.proxy_rules"),
         ("synth.start=notadate", "synth.start"),
         ("synth.start=2015W021", "synth.start"),
@@ -532,6 +539,60 @@ def _summarizer_without_classes(wd):
     return "summarizer.model lacks key 'classes'"
 
 
+def _set_csv_field(path, line, column, value):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _nan_close(wd):
+    _set_csv_field(wd / "prices.csv", 3, 1, "nan\n")
+    return "prices.csv row 3"
+
+
+def _inf_close(wd):
+    _set_csv_field(wd / "prices.csv", 4, 1, "inf\n")
+    return "prices.csv row 4"
+
+
+def _nan_pct_change(wd):
+    _set_csv_field(wd / "weeks.csv", 3, 2, "nan")
+    return "weeks.csv line 3"
+
+
+def _inf_pct_change(wd):
+    _set_csv_field(wd / "weeks.csv", 4, 2, "-inf")
+    return "weeks.csv line 4"
+
+
+def _nan_overall_score(wd):
+    _set_csv_field(wd / "weekly_sentiment.csv", 3, 2, "nan")
+    return "weekly_sentiment.csv line 3"
+
+
+def _inf_overall_score(wd):
+    _set_csv_field(wd / "weekly_sentiment.csv", 4, 2, "inf")
+    return "weekly_sentiment.csv line 4"
+
+
+def _edit_summarizer(wd, key, value):
+    path = wd / "summarizer.model"
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    return f"summarizer.model: '{key}' must be numbers of shape"
+
+
+def _nan_summarizer_weights(wd):
+    return _edit_summarizer(wd, "weights", [[math.nan], [math.nan]])
+
+
+def _inf_summarizer_bias(wd):
+    return _edit_summarizer(wd, "bias", [math.inf, -math.inf])
+
+
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("corrupt", [_truncate_pot, _pot_directory_of_old_workdir,
                                          _truncate_model, _rename_vocab_word,
@@ -552,7 +613,15 @@ class TestCorruptArtifacts:
                                                 ("pot", _bad_weeks_class),
                                                 ("pot", _repeated_weeks_row),
                                                 ("pot", _weeks_not_utf8),
-                                                ("evaluate", _summarizer_without_classes)])
+                                                ("evaluate", _summarizer_without_classes),
+                                                ("label", _nan_close),
+                                                ("label", _inf_close),
+                                                ("pot", _nan_pct_change),
+                                                ("train-extractor", _inf_pct_change),
+                                                ("train-summarizer", _nan_overall_score),
+                                                ("evaluate", _inf_overall_score),
+                                                ("evaluate", _nan_summarizer_weights),
+                                                ("evaluate", _inf_summarizer_bias)])
     def test_stage_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  stage, corrupt):
         source, config = trained_workdir

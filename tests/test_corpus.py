@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -304,35 +305,70 @@ class TestTokenizeMatchesRegex:
         assert tokenize(rec, max_tokens).tokens == reference_tokens(" " + text, max_tokens)
 
 
+def rule_at_a_time(records, rules):
+    """Proxy labels applied one rule at a time, as `assign_worthiness_proxy`
+    was first written, with each rule's count taken from the change it made."""
+    out, counts = list(records), []
+    for rule in rules:
+        assigned = 0
+        for i, record in enumerate(out):
+            if assigned >= rule.cap:
+                break
+            if record.worthiness is None and rule.category in record.categories:
+                out[i] = replace(record, worthiness=rule.label)
+                assigned += 1
+        counts.append(assigned)
+    return out, counts
+
+
+CATEGORIES = ("us", "tech", "health", "euro")
+
+
 class TestWorthinessProxy:
     def test_cap_respected_in_corpus_order(self):
         records = [make_record(rec_id=f"r{i}", categories=("basic-materials",)) for i in range(5)]
-        out = assign_worthiness_proxy(records, [ProxyRule("basic-materials", 0, 3)])
+        out, counts = assign_worthiness_proxy(records, [ProxyRule("basic-materials", 0, 3)])
         assert [r.worthiness for r in out] == [0, 0, 0, None, None]
+        assert counts == [3]
 
     def test_positive_proxy(self):
         records = [make_record(rec_id="a", categories=("top-companies",))]
-        out = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
+        out, _ = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
         assert out[0].worthiness == 1
 
     def test_manual_label_wins(self):
         records = [make_record(rec_id="a", categories=("top-companies",), worthiness=0)]
-        out = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
+        out, counts = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
         assert out[0].worthiness == 0
+        assert counts == [0]
 
     def test_unknown_category_labels_nothing(self):
         records = [make_record(rec_id="a", categories=("us",))]
-        out = assign_worthiness_proxy(
+        out, counts = assign_worthiness_proxy(
             records, [ProxyRule("no-such-tag", 1, 10), ProxyRule("us", 0, 10)]
         )
         assert [r.worthiness for r in out] == [0]
+        assert counts == [0, 1]
 
     def test_never_overwrites_even_across_rules(self):
         records = [make_record(rec_id="a", categories=("us", "healthcare"))]
-        out = assign_worthiness_proxy(
+        out, _ = assign_worthiness_proxy(
             records, [ProxyRule("us", 1, 10), ProxyRule("healthcare", 0, 10)]
         )
         assert out[0].worthiness == 1
+
+    @given(
+        st.lists(st.tuples(st.sets(st.sampled_from(CATEGORIES)),
+                           st.sampled_from([None, None, 0, 1])), max_size=40),
+        st.lists(st.tuples(st.sampled_from(CATEGORIES + ("none",)), st.sampled_from([0, 1]),
+                           st.integers(min_value=0, max_value=8)), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_labels_and_counts_as_rule_at_a_time(self, specs, rule_specs):
+        records = [make_record(rec_id=f"r{i}", categories=cats, worthiness=worth)
+                   for i, (cats, worth) in enumerate(specs)]
+        rules = [ProxyRule(*spec) for spec in rule_specs]
+        assert assign_worthiness_proxy(records, rules) == rule_at_a_time(records, rules)
 
 
 class TestVocabulary:

@@ -1,11 +1,14 @@
 """The README quick start runs as written: its config file is written and
-every `newstrend ...` line of the block exits 0 without a warning."""
+every `newstrend ...` line of the block exits 0 without a warning. Every
+config key the README names exists."""
 
 import re
 import shlex
 from pathlib import Path
 
-from newstrend.cli import main
+import newstrend
+from newstrend.cli import STAGES, main
+from newstrend.config import PipelineConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,29 @@ def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
     assert capsys.readouterr().err == ""
     assert (tmp_path / "work" / "plots" / "trajectory_surge.csv").is_file()
+
+
+def unknown_config_keys(text: str) -> list[str]:
+    """The backticked `section.key` names of `text` whose section is a config
+    section but which are no config key. Artifact names (`extractor.model`)
+    and library names (`synth.generate`) that start with a section are not
+    keys."""
+    flat = PipelineConfig().to_flat()
+    sections = {key.split(".", 1)[0] for key in flat}
+    artifacts = {name for stage in STAGES.values() for name in stage.outputs}
+
+    def library(section, name):
+        value = getattr(newstrend, name, None)
+        return getattr(value, "__module__", None) == f"newstrend.{section}"
+
+    return sorted({f"{section}.{name}"
+                   for section, name in re.findall(r"`([a-z_]+)\.([a-z_]+)`", text)
+                   if section in sections and f"{section}.{name}" not in flat
+                   and f"{section}.{name}" not in artifacts and not library(section, name)})
+
+
+def test_readme_names_only_config_keys_that_exist():
+    assert unknown_config_keys(README.read_text(encoding="utf-8")) == []
+    # the check sees a removed key, and passes keys, artifacts and library names
+    assert unknown_config_keys("`summarizer.features` `summarizer.c` `summarizer.model` "
+                               "`synth.generate` `synth.start`") == ["summarizer.features"]

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -10,7 +12,7 @@ from newstrend.config import SummarizerConfig
 from newstrend.errors import DataError
 from newstrend.summarizer import (
     SummarizerModel, WeeklySentiment,
-    build_summarizer_dataset, features_of, load_summarizer, predict_week,
+    build_summarizer_dataset, chronological_split, load_summarizer, predict_week,
     read_weekly_sentiment_csv, save_summarizer, train_summarizer,
     write_weekly_sentiment_csv,
 )
@@ -115,16 +117,6 @@ class TestDatasetBuild:
         for row in ds1.rows + ds3.rows:
             assert 0.1 - 1e-9 <= row.overall_score <= 0.9 + 1e-9
 
-    def test_worthiness_mean_captured_from_two_column_scorer(self):
-        labels = make_labels(3)
-
-        def pair_scorer(anchor, ids):
-            return np.column_stack([np.full(len(ids), 0.7), np.full(len(ids), 0.2)])
-
-        ds = build_summarizer_dataset(labels, set(), pair_scorer, n_sample=5, seed=0)
-        assert all(row.overall_score == pytest.approx(0.7) for row in ds.rows)
-        assert all(row.worthiness_mean == pytest.approx(0.2) for row in ds.rows)
-
 
 def toy_rows(n, split_score=0.5, labels=None, seed=0):
     rng = np.random.default_rng(seed)
@@ -187,6 +179,20 @@ class TestTraining:
         assert overall >= 2 / 3 - 1e-9
 
 
+class TestChronologicalSplit:
+    def test_earliest_weeks_train_and_the_rest_test(self):
+        rows = toy_rows(12)
+        shuffled = [rows[i] for i in np.random.default_rng(2).permutation(12)]
+        train, test = chronological_split(shuffled, 9)
+        assert train == rows[:9] and test == rows[9:]
+
+    @pytest.mark.parametrize("train_weeks", [10, 11])
+    def test_split_leaving_no_test_week_is_one_data_error(self, train_weeks):
+        with pytest.raises(DataError, match=f"train split of {train_weeks} weeks leaves no "
+                                            r"test weeks \(dataset has 10\)"):
+            chronological_split(toy_rows(10), train_weeks)
+
+
 def numpy_fit_binary_hinge(x, y, c, epochs):
     """The fit as it was written with numpy, kept as the oracle."""
     n, d = x.shape
@@ -205,16 +211,13 @@ def numpy_fit_binary_hinge(x, y, c, epochs):
     return w[:d], float(w[d])
 
 
-def random_rows(rng, n, classes, spec):
+def random_rows(rng, n, classes):
     labels = rng.permutation([classes[i % len(classes)] for i in range(n)])
     rows = []
     for i in range(n):
         rows.append(WeeklySentiment(
             week=MONDAY + timedelta(days=7 * i), n_sampled=10,
-            overall_score=float(rng.uniform(0, 1)), label=str(labels[i]),
-            sampled_ids=(), score_std=float(rng.uniform(0, 0.5)),
-            frac_positive=float(rng.uniform(0, 1)),
-            worthiness_mean=float(rng.uniform(0, 1)) if spec == "extended" else None))
+            overall_score=float(rng.uniform(0, 1)), label=str(labels[i]), sampled_ids=()))
     return rows
 
 
@@ -222,7 +225,7 @@ def max_difference_from_numpy_fit(rows, config):
     """Largest |new - oracle| over the weights and biases of one model."""
     model = train_summarizer(rows, config)
     train = sorted(rows, key=lambda r: r.week)[: config.train_weeks]
-    x = np.array([features_of(r, config.features) for r in train])
+    x = np.array([[r.overall_score] for r in train])
     fitted = model.classes[1:] if len(model.classes) == 2 else model.classes
     diff = 0.0
     for k, cls in enumerate(fitted, start=len(model.classes) - len(fitted)):
@@ -246,21 +249,7 @@ class TestFitMatchesNumpyOracle:
             n = int(rng.integers(20, 120))
             config = SummarizerConfig(train_weeks=n - 5, c=float(rng.choice([0.1, 1.0, 10.0])),
                                       epochs=int(rng.integers(1, 300)))
-            assert max_difference_from_numpy_fit(random_rows(rng, n, classes, "scalar"),
-                                                 config) == 0.0
-
-    def test_extended_fit_stays_within_rounding(self):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for classes in [("down", "up"), ("down", "preserve", "up")]:
-            for _ in range(20):
-                n = int(rng.integers(20, 120))
-                config = SummarizerConfig(train_weeks=n - 5, features="extended",
-                                          epochs=int(rng.integers(1, 300)))
-                worst = max(worst, max_difference_from_numpy_fit(
-                    random_rows(rng, n, classes, "extended"), config))
-        print(f"extended: max |pure-Python - numpy| = {worst:.3g}")
-        assert worst <= 1e-12
+            assert max_difference_from_numpy_fit(random_rows(rng, n, classes), config) == 0.0
 
 
 class TestPrediction:
@@ -294,18 +283,15 @@ class TestPrediction:
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(11)
-        weights = rng.normal(size=(3, 4))
+        weights = rng.normal(size=(3, 1))
         bias = rng.normal(size=3)
-        model = SummarizerModel(classes=("down", "preserve", "up"), weights=weights,
-                                bias=bias, feature_spec="extended")
+        model = SummarizerModel(classes=("down", "preserve", "up"), weights=weights, bias=bias)
         scaled = SummarizerModel(classes=("down", "preserve", "up"), weights=7.0 * weights,
-                                 bias=7.0 * bias, feature_spec="extended")
+                                 bias=7.0 * bias)
         for _ in range(50):
             row = WeeklySentiment(week=MONDAY, n_sampled=5,
                                   overall_score=float(rng.uniform(0, 1)), label="up",
-                                  sampled_ids=(), score_std=float(rng.uniform(0, 0.5)),
-                                  frac_positive=float(rng.uniform(0, 1)),
-                                  worthiness_mean=float(rng.uniform(0, 1)))
+                                  sampled_ids=())
             assert predict_week(model, row) == predict_week(scaled, row)
 
 
@@ -356,13 +342,17 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("bias"), "lacks key 'bias'"),
         (lambda p: p.update(classes=["up", "sideways"]), "bad 'classes'"),
-        (lambda p: p.update(feature_spec=["scalar"]), "bad 'feature_spec'"),
-        (lambda p: p.update(feature_spec="extended"), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[[1.0], [math.nan]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[[1.0, 2.0], [1.0, 2.0]]),
+         "'weights' must be numbers of shape"),
         (lambda p: p.update(bias=["x", 1.0]), "'bias' must be numbers of shape"),
         (lambda p: p.update(bias=[True, False]), "'bias' must be numbers of shape"),
         (lambda p: p.update(weights=[[1.0], [10 ** 400]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(weights=[[1.0], [1.0, 2.0]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(classes=["up"], weights=[[1.0]], bias=[0.0]), "bad 'classes'"),
+        (lambda p: p.update(weights=[[-math.inf], [1.0]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(bias=[math.inf, 0.0]), "'bias' must be numbers of shape"),
+        (lambda p: p.update(bias=[0.0, -math.nan]), "'bias' must be numbers of shape"),
     ])
     def test_corrupt_model_is_data_error_naming_the_key(self, tmp_path, edit, message):
         path = tmp_path / "s.model"
@@ -373,21 +363,21 @@ class TestSerialization:
         with pytest.raises(DataError, match=message):
             load_summarizer(path)
 
-    def test_weekly_sentiment_csv_keeps_extended_features_exactly(self, tmp_path):
+    def test_weekly_sentiment_csv_holds_the_four_columns_read(self, tmp_path):
         rows = [
             WeeklySentiment(week=MONDAY, n_sampled=3, overall_score=0.25, label="up",
-                            sampled_ids=("a", "b", "c"), score_std=0.1 / 3,
-                            frac_positive=1 / 3, worthiness_mean=2 / 3),
+                            sampled_ids=("a", "b", "c")),
             WeeklySentiment(week=MONDAY + timedelta(days=7), n_sampled=1,
                             overall_score=0.75, label="down", sampled_ids=("d",)),
         ]
         path = tmp_path / "weekly_sentiment.csv"
         write_weekly_sentiment_csv(rows, path)
-        loaded = read_weekly_sentiment_csv(path)
-        for spec in ("scalar", "extended"):
-            for got, want in zip(loaded, rows):
-                assert np.array_equal(features_of(got, spec), features_of(want, spec))
-        assert loaded[1].worthiness_mean is None
+        assert path.read_text().splitlines() == [
+            "anchor,n_sampled,overall_score,true_class",
+            "2020-01-06,3,0.2500000000,up",
+            "2020-01-13,1,0.7500000000,down",
+        ]
+        assert read_weekly_sentiment_csv(path) == [replace(r, sampled_ids=()) for r in rows]
 
     def test_weekly_sentiment_csv_unknown_class_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
@@ -408,7 +398,7 @@ class TestSerialization:
 
     def test_weekly_sentiment_csv_without_feature_columns_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
-        path.write_text("anchor,n_sampled,overall_score,true_class,predicted_class\n"
-                        "2020-01-06,3,0.2500000000,up,\n")
+        path.write_text("anchor,n_sampled,true_class,predicted_class\n"
+                        "2020-01-06,3,up,\n")
         with pytest.raises(DataError, match="line 2"):
             read_weekly_sentiment_csv(path)
