@@ -37,8 +37,8 @@ _EXPORTS = {
     "polarity": ("PolarityModelSet", "build_model_set", "tfidf_difference_ranking"),
     "summarizer": (
         "SummarizerDataset", "SummarizerModel", "WeeklySentiment", "build_summarizer_dataset",
-        "chronological_split", "load_summarizer", "predict_week", "save_summarizer",
-        "train_summarizer",
+        "chronological_split", "load_summarizer", "predict_week", "rows_after_training",
+        "save_summarizer", "train_summarizer",
     ),
     "synth": ("SynthTruth", "generate", "write_outputs"),
     "tokens": ("EncodedDoc", "TokenizedCorpus", "encode_docs", "read_tokens", "write_tokens"),

@@ -331,12 +331,12 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
 def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
     from .metrics import format_report_text, report, write_report_csv
     from .summarizer import (
-        chronological_split, load_summarizer, predict_week, read_weekly_sentiment_csv,
+        load_summarizer, predict_week, read_weekly_sentiment_csv, rows_after_training,
     )
 
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
     model = load_summarizer(workdir / "summarizer.model")
-    _, test = chronological_split(rows, config.summarizer.train_weeks)
+    test = rows_after_training(rows, model)
     predictions = [predict_week(model, r) for r in test]
     truths = [r.label for r in test]
     classes = [c for c in CLASS_ORDER if c in set(truths) | set(predictions)]

@@ -19,7 +19,8 @@ All gradients are hand-derived and checked against central finite
 differences (see gradient_check). Everything is float64 and deterministic
 under a fixed seed. The parameters are named views into one flat buffer,
 and gradients and Adam moments are buffers of the same layout, so one Adam
-step is a few in-place array operations over all of them.
+step is a few in-place array operations over all of them, run one
+cache-sized slice at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ MODEL_MAGIC = "newstrend-extractor 1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per slice of an Adam step: the slice's six arrays (parameters,
+# gradient, two moments, two scratch) take 1.5 MB, inside a 2 MB L2 cache
+ADAM_BLOCK = 32_768
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -256,11 +260,19 @@ class ExtractorModel:
         """Standardization statistics for the pooled polarity vector.
 
         Computed under the initial uniform attention (the pooled vector is
-        then the per-word lag mean), over the training matrices only.
+        then the per-word lag mean), over the training matrices only, one
+        row per entry of `matrices`. Each distinct matrix (by identity) is
+        pooled once, and the sums run row by row in the order of `matrices`,
+        as numpy's axis-0 `mean` and `std` of the stacked rows do for two or
+        more words, without holding a row per entry.
         """
-        pooled = np.stack([np.asarray(m, dtype=np.float64).mean(axis=1) for m in matrices])
-        self.pot_mu = pooled.mean(axis=0)
-        sigma = pooled.std(axis=0)
+        pooled: dict[int, np.ndarray] = {}
+        for m in matrices:
+            if id(m) not in pooled:
+                pooled[id(m)] = np.asarray(m, dtype=np.float64).mean(axis=1)
+        zero, n = np.zeros(len(self.vocab)), len(matrices)
+        self.pot_mu = sum((pooled[id(m)] for m in matrices), zero) / n
+        sigma = np.sqrt(sum(((pooled[id(m)] - self.pot_mu) ** 2 for m in matrices), zero) / n)
         sigma[sigma < 1e-12] = 1.0
         self.pot_sigma = sigma
 
@@ -461,33 +473,40 @@ def select_extractor_weeks(
 
 
 class Adam:
-    """Adam over one flat parameter buffer, updated in place: the moments and
-    two scratch buffers match its size, and a step is a few ufunc calls with
-    `out=`, each rounding as the per-array expressions
+    """Adam over one flat parameter buffer, updated in place: the moments
+    match its size, and a step walks the buffer in slices of ADAM_BLOCK
+    elements, each a few ufunc calls with `out=` into two scratch buffers of
+    one slice. Each element rounds as the per-array expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g) and
     params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) do."""
 
     def __init__(self, flat: np.ndarray, lr: float):
         self.flat, self.lr, self.t = flat, lr, 0
-        self.m, self.v, self.tmp, self.tmp2 = (np.zeros_like(flat) for _ in range(4))
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+        self.tmp, self.tmp2 = (np.empty_like(flat[:ADAM_BLOCK]) for _ in range(2))
 
     def step(self, grad: np.ndarray) -> None:
-        b1, b2, m, v, tmp, tmp2 = ADAM_BETA1, ADAM_BETA2, self.m, self.v, self.tmp, self.tmp2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
-        np.multiply(m, b1, out=m)
-        np.multiply(grad, 1 - b1, out=tmp)
-        np.add(m, tmp, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(grad, grad, out=tmp)
-        np.multiply(tmp, 1 - b2, out=tmp)
-        np.add(v, tmp, out=v)
-        np.divide(m, 1 - b1 ** self.t, out=tmp)
-        np.multiply(tmp, self.lr, out=tmp)
-        np.divide(v, 1 - b2 ** self.t, out=tmp2)
-        np.sqrt(tmp2, out=tmp2)
-        np.add(tmp2, ADAM_EPS, out=tmp2)
-        np.divide(tmp, tmp2, out=tmp)
-        np.subtract(self.flat, tmp, out=self.flat)
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for lo in range(0, self.flat.size, ADAM_BLOCK):
+            part = slice(lo, lo + ADAM_BLOCK)
+            flat, g, m, v = self.flat[part], grad[part], self.m[part], self.v[part]
+            tmp, tmp2 = self.tmp[: flat.size], self.tmp2[: flat.size]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=tmp)
+            np.add(m, tmp, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=tmp)
+            np.multiply(tmp, 1 - b2, out=tmp)
+            np.add(v, tmp, out=v)
+            np.divide(m, c1, out=tmp)
+            np.multiply(tmp, self.lr, out=tmp)
+            np.divide(v, c2, out=tmp2)
+            np.sqrt(tmp2, out=tmp2)
+            np.add(tmp2, ADAM_EPS, out=tmp2)
+            np.divide(tmp, tmp2, out=tmp)
+            np.subtract(flat, tmp, out=flat)
 
 
 def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], batch_size: int):

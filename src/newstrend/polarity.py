@@ -12,13 +12,16 @@ over the pooled class tokens, smoothed IDF over the individual window
 documents) and N_c is the class document count. An empty class contributes
 zero. Positive scores mean the word tracks rising weeks.
 
-The formula is coded once, in `_weights`, over integer counts: per class,
-each word's token count and document frequency, and the class token and
-document totals. `_count` takes them from the documents' token ids with
-`bincount` and `unique`. `build_model_set` lays them out as a table of
-(window + weeks) x class x word: `window_weeks` zero rows, then one row per
-week. The window ending at week i is row window + i minus row i of its
-cumulative sum, so every window is scored at once. The counts are int64, so
+The formula is coded once, in `_weights` and `_idf`, over integer counts:
+per class, each word's token count and document frequency, and the class
+token and document totals. `_count` takes them from the documents' token
+ids with `bincount` and `unique`. `build_model_set` lays the weekly counts
+out as a (window + weeks) x word table: `window_weeks` zero rows, then one
+row per week. The window ending at week i is row window + i minus row i of
+its cumulative sum, so every window is scored at once. The IDF universe
+takes the table of every week; each class's weights take a table of that
+class's weeks alone, built and scored one class at a time, so a build holds
+a few weeks x words arrays, never one per class. The counts are int64, so
 these differences are exact. `tfidf_difference_ranking` applies the same
 formula to two classes.
 
@@ -80,15 +83,20 @@ def _count(groups: Sequence[Sequence[EncodedDoc]], words: Sequence[str]):
     return counts, df, tokens, n_docs
 
 
-def _weights(counts: np.ndarray, df: np.ndarray, tokens: np.ndarray, n_docs: np.ndarray):
-    """W(x, c)/sqrt(N_c) for every class c and word x, from `_count` results
-    with classes on axis -2 of the per-word arrays and axis -1 of the totals
-    (leading axes broadcast). All classes together are the IDF universe. An
-    empty class has no tokens, so every count and weight in it is 0.
+def _idf(df: np.ndarray, n_docs: np.ndarray) -> np.ndarray:
+    """Smoothed IDF of each word over a universe of `n_docs` documents, `df`
+    of which hold it (words on axis -1 of `df`; leading axes broadcast)."""
+    return np.log((1 + n_docs)[..., None] / (1 + df)) + 1.0
+
+
+def _weights(counts: np.ndarray, tokens: np.ndarray, n_docs: np.ndarray, idf: np.ndarray):
+    """W(x, c)/sqrt(N_c) for each class c and word x, from a class's `_count`
+    results (words on axis -1 of `counts`, one total per row of it) and the
+    `_idf` of the universe of every class. An empty class has no tokens, so
+    every count and weight in it is 0.
     """
-    idf = np.log((1 + n_docs.sum(axis=-1))[..., None] / (1 + df.sum(axis=-2))) + 1.0
     w = counts / np.maximum(tokens, 1)[..., None]  # TF, scaled in place to save memory
-    w *= idf[..., None, :]
+    w *= idf
     w /= np.sqrt(np.maximum(n_docs, 1))[..., None]
     return w
 
@@ -106,7 +114,8 @@ def tfidf_difference_ranking(
         raise DataError("tfidf_difference_ranking needs nonempty positive and negative classes")
     table, ids, _ = concat_ids([*pos_docs, *neg_docs])
     words = [table[i] for i in np.unique(ids).tolist()]  # sorted, as the table is
-    w = _weights(*_count([pos_docs, neg_docs], words))
+    counts, df, tokens, n_docs = _count([pos_docs, neg_docs], words)
+    w = _weights(counts, tokens, n_docs, _idf(df.sum(axis=0), n_docs.sum()))
     scored = list(zip(words, (w[0] - w[1]).tolist()))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
@@ -194,22 +203,29 @@ def build_model_set(
     """
     ordered = sorted(labels, key=lambda lab: lab.week.anchor)
     word_list = sorted(set(words))
-    weekly = _count([docs_by_week.get(lab.week.anchor, ()) for lab in ordered], word_list)
+    counts, df, tokens, n_docs = _count(
+        [docs_by_week.get(lab.week.anchor, ()) for lab in ordered], word_list)
     n_weeks = len(ordered)
-    classes = [POT_CLASSES.index(lab.pot_class) for lab in ordered]
+    classes = np.array([POT_CLASSES.index(lab.pot_class) for lab in ordered], dtype=np.int64)
 
-    def window_sums(counts: np.ndarray) -> np.ndarray:
-        table = np.zeros((window_weeks + n_weeks, len(POT_CLASSES)) + counts.shape[1:],
-                         dtype=np.int64)
-        table[window_weeks + np.arange(n_weeks), classes] = counts
+    def window_sums(weekly: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Each week's window sum of the `kept` weeks' rows of `weekly`."""
+        table = np.zeros((window_weeks + n_weeks,) + weekly.shape[1:], dtype=np.int64)
+        table[window_weeks:][kept] = weekly[kept]
         np.cumsum(table, axis=0, out=table)
         return table[window_weeks:] - table[:n_weeks]
 
-    w = dict(zip(POT_CLASSES, np.moveaxis(_weights(*map(window_sums, weekly)), 1, 0)))
+    every = np.ones(n_weeks, dtype=bool)
+    idf = _idf(window_sums(df, every), window_sums(n_docs, every))
+
+    def weights(cls: str) -> np.ndarray:
+        kept = classes == POT_CLASSES.index(cls)
+        return _weights(*(window_sums(x, kept) for x in (counts, tokens, n_docs)), idf)
+
     return PolarityModelSet(
         anchors=tuple(lab.week.anchor for lab in ordered),
         words=tuple(word_list),
-        scores=w["vpos"] - w["vneg"] + discount * (w["pos"] - w["neg"]),
+        scores=weights("vpos") - weights("vneg") + discount * (weights("pos") - weights("neg")),
     )
 
 

@@ -9,7 +9,9 @@ outright, which is the leakage guard.
 The classifier reads that one overall score. It is a hinge-loss linear model
 fit by deterministic full-batch subgradient descent (one-vs-rest for more
 than two classes) on the chronologically earliest `train_weeks` rows, which
-`chronological_split` cuts for both training and evaluation.
+`chronological_split` cuts. The model records the week of its last training
+row, and `evaluate` tests only on later weeks (`rows_after_training`), so a
+changed `train_weeks` cannot score weeks the model was fit on.
 """
 
 from __future__ import annotations
@@ -125,6 +127,7 @@ class SummarizerModel:
     classes: tuple[str, ...]
     weights: list[list[float]]    # (n_classes, 1); binary holds -w and w
     bias: list[float]
+    last_train_week: date         # the latest week of the training split
 
     @property
     def kind(self) -> str:
@@ -178,6 +181,17 @@ def chronological_split(
     return ordered[:train_weeks], ordered[train_weeks:]
 
 
+def rows_after_training(
+    rows: Sequence[WeeklySentiment], model: SummarizerModel
+) -> list[WeeklySentiment]:
+    """The rows of weeks after `model`'s training split, by week: the ones to test on."""
+    test = sorted((r for r in rows if r.week > model.last_train_week), key=lambda r: r.week)
+    if not test:
+        raise DataError(f"no test weeks after the training split, which ends "
+                        f"{model.last_train_week.isoformat()} (dataset has {len(rows)})")
+    return test
+
+
 def train_summarizer(
     rows: Sequence[WeeklySentiment], config: SummarizerConfig
 ) -> SummarizerModel:
@@ -201,7 +215,8 @@ def train_summarizer(
     else:
         fits = [fit(cls) for cls in classes]
         weights, bias = [w for w, _ in fits], [b for _, b in fits]
-    return SummarizerModel(classes=classes, weights=weights, bias=bias)
+    return SummarizerModel(classes=classes, weights=weights, bias=bias,
+                           last_train_week=train[-1].week)
 
 
 def predict_week(model: SummarizerModel, row: WeeklySentiment) -> str:
@@ -215,6 +230,7 @@ def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
         "classes": list(model.classes),
         "weights": [[float(v) for v in row] for row in model.weights],
         "bias": [float(v) for v in model.bias],
+        "last_train_week": model.last_train_week.isoformat(),
     }
     artifacts.write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
@@ -226,9 +242,10 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
         raise DataError(f"summarizer model {path} is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"summarizer model {path} must hold a JSON object")
-    for key in ("classes", "weights", "bias"):
+    for key in ("classes", "weights", "bias", "last_train_week"):
         if key not in payload:
-            raise DataError(f"summarizer model {path} lacks key {key!r}")
+            raise DataError(f"summarizer model {path} lacks key {key!r}; "
+                            f"re-run `train-summarizer`")
     classes = payload["classes"]
     if (not isinstance(classes, list) or len(classes) < 2
             or not all(c in CLASS_ORDER for c in classes)):
@@ -242,7 +259,11 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
     if bias is None:
         raise DataError(f"summarizer model {path}: 'bias' must be numbers of shape "
                         f"{(n,)}, all finite")
-    return SummarizerModel(tuple(classes), weights, bias)
+    try:
+        last_train_week = parse_day(payload["last_train_week"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"summarizer model {path}: bad 'last_train_week': {exc}") from None
+    return SummarizerModel(tuple(classes), weights, bias, last_train_week)
 
 
 def _floats(value, length: int) -> list[float] | None:

@@ -122,19 +122,38 @@ class TestSummarizerArtifacts:
         lines = (wd / "weekly_sentiment.csv").read_text().splitlines()
         assert lines[0] == "anchor,n_sampled,overall_score,true_class"
         model = json.loads((wd / "summarizer.model").read_text())
-        assert sorted(model) == ["bias", "classes", "kind", "weights"]
+        assert sorted(model) == ["bias", "classes", "kind", "last_train_week", "weights"]
         assert [len(row) for row in model["weights"]] == [1, 1]
+        train_rows = lines[1:1 + BASE_CONFIG["summarizer.train_weeks"]]
+        assert model["last_train_week"] == train_rows[-1].split(",")[0]
 
     def test_evaluate_without_a_test_week_names_the_split(self, trained_workdir, tmp_path,
                                                            capsys):
         source, config = trained_workdir
         wd = tmp_path / "w"
         shutil.copytree(source, wd)
-        n_rows = len((wd / "weekly_sentiment.csv").read_text().splitlines()) - 1
+        path = wd / "weekly_sentiment.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        n_train = BASE_CONFIG["summarizer.train_weeks"]
+        path.write_text("".join(lines[:1 + n_train]))  # the training rows alone
+        last = lines[n_train].split(",")[0]
+        assert run(["evaluate", "--workdir", wd, "--config", config,
+                    "--allow-config-drift"]) == 2
+        assert (f"no test weeks after the training split, which ends {last} "
+                f"(dataset has {n_train})" in capsys.readouterr().err)
+
+    def test_evaluate_scores_only_weeks_after_the_trained_split(self, trained_workdir,
+                                                                tmp_path):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
         assert run(["evaluate", "--workdir", wd, "--config", config, "--allow-config-drift",
-                    "--set", f"summarizer.train_weeks={n_rows}"]) == 2
-        assert (f"train split of {n_rows} weeks leaves no test weeks (dataset has {n_rows})"
-                in capsys.readouterr().err)
+                    "--set", "summarizer.train_weeks=10"]) == 0
+        assert (wd / "report.csv").read_bytes() == (source / "report.csv").read_bytes()
+        assert (wd / "report.txt").read_bytes() == (source / "report.txt").read_bytes()
+        n_rows = len((wd / "weekly_sentiment.csv").read_text().splitlines()) - 1
+        n_test = n_rows - BASE_CONFIG["summarizer.train_weeks"]
+        assert f"\nn: {n_test}\n" in (wd / "report.txt").read_text()
 
 
 class TestSynthCommand:
@@ -539,6 +558,14 @@ def _summarizer_without_classes(wd):
     return "summarizer.model lacks key 'classes'"
 
 
+def _summarizer_without_last_train_week(wd):
+    path = wd / "summarizer.model"
+    payload = json.loads(path.read_text())
+    del payload["last_train_week"]  # a model written before the key existed
+    path.write_text(json.dumps(payload))
+    return "summarizer.model lacks key 'last_train_week'; re-run `train-summarizer`"
+
+
 def _set_csv_field(path, line, column, value):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     fields = lines[line - 1].split(",")
@@ -614,6 +641,8 @@ class TestCorruptArtifacts:
                                                 ("pot", _repeated_weeks_row),
                                                 ("pot", _weeks_not_utf8),
                                                 ("evaluate", _summarizer_without_classes),
+                                                ("evaluate",
+                                                 _summarizer_without_last_train_week),
                                                 ("label", _nan_close),
                                                 ("label", _inf_close),
                                                 ("pot", _nan_pct_change),

@@ -5,18 +5,20 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newstrend.config import ExtractorConfig
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.extractor import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder, TrainingExample,
-    gradient_check, load_extractor, multitask_loss, pot_attention,
+    ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder,
+    TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
     save_extractor, select_extractor_weeks, sentiment_score, softmax,
     split_dev_weeks, train_extractor,
 )
 
-from conftest import doc_over
+from conftest import doc_over, traced_peak
 
 # the word tables of the toy documents below
 TINY_WORDS = tuple(sorted(f"t{i}" for i in range(34)))
@@ -464,6 +466,90 @@ class TestFlatAdam:
                 assert np.shares_memory(p, model.flat)
         before = model.views(start)
         assert all(np.any(p != before[name]) for name, p in model.params.items())
+
+    @pytest.mark.parametrize("size", [3 * ADAM_BLOCK + 1234, ADAM_BLOCK // 3])
+    def test_blocked_step_equals_the_whole_buffer_update(self, size):
+        """Slice by slice, over three slices and a ragged tail or within one
+        slice, against the 14 ufuncs run once over the whole buffer."""
+        rng = np.random.default_rng(size)
+        flat, lr = rng.normal(size=size), 0.01
+        adam = Adam(flat, lr)
+        want, m, v = flat.copy(), np.zeros(size), np.zeros(size)
+        for step in range(1, 61):
+            grad = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+            whole_buffer_adam_step(want, m, v, grad, lr, step)
+            adam.step(grad)
+            assert flat.tobytes() == want.tobytes(), step
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
+        assert adam.tmp.size <= ADAM_BLOCK and adam.tmp2.size <= ADAM_BLOCK
+
+
+def whole_buffer_adam_step(flat, m, v, grad, lr, t):
+    """One Adam step as 14 ufuncs over whole buffers, with two scratch
+    buffers of the full size: the reference for the blocked step."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    tmp, tmp2 = np.empty_like(flat), np.empty_like(flat)
+    np.multiply(m, b1, out=m)
+    np.multiply(grad, 1 - b1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(grad, grad, out=tmp)
+    np.multiply(tmp, 1 - b2, out=tmp)
+    np.add(v, tmp, out=v)
+    np.divide(m, 1 - b1 ** t, out=tmp)
+    np.multiply(tmp, lr, out=tmp)
+    np.divide(v, 1 - b2 ** t, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    np.add(tmp2, ADAM_EPS, out=tmp2)
+    np.divide(tmp, tmp2, out=tmp)
+    np.subtract(flat, tmp, out=flat)
+
+
+def stacked_pot_scaler(matrices):
+    """The scaler's statistics from one stacked row per example, through
+    numpy's axis-0 mean and std: the reference for the streamed scaler."""
+    pooled = np.stack([np.asarray(m, dtype=np.float64).mean(axis=1) for m in matrices])
+    mu, sigma = pooled.mean(axis=0), pooled.std(axis=0)
+    sigma[sigma < 1e-12] = 1.0
+    return mu, sigma
+
+
+# numpy sums an axis-0 reduction row by row when the rows have two or more
+# entries; a single column is summed pairwise, so the oracle's vocabularies
+# have at least two words
+scaler_layouts = st.integers(2, 6).flatmap(lambda v: st.integers(1, 4).flatmap(
+    lambda lags: st.tuples(
+        st.lists(st.lists(st.floats(-1e6, 1e6, width=64), min_size=v * lags,
+                          max_size=v * lags), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.just((v, lags)))))
+
+
+class TestPotScaler:
+    @given(layout=scaler_layouts)
+    @settings(max_examples=150, deadline=None)
+    def test_streamed_statistics_equal_the_stacked_reference(self, layout):
+        values, picks, shape = layout
+        distinct = [np.array(vals).reshape(shape) for vals in values]
+        for m in distinct:  # word 0 has one score in every matrix: zero variance
+            m[0] = 0.25
+        matrices = [distinct[i % len(distinct)] for i in picks]  # shared, in any order
+        model = tiny_model(v=shape[0], n_lags=shape[1])
+        model.fit_pot_scaler(matrices)
+        mu, sigma = stacked_pot_scaler(matrices)
+        assert model.pot_mu.tobytes() == mu.tobytes()
+        assert model.pot_sigma.tobytes() == sigma.tobytes()
+        assert model.pot_sigma[0] == 1.0
+
+    def test_peak_holds_one_row_per_matrix_not_per_example(self):
+        v, n_matrices, n_examples = 512, 10, 5000
+        rng = np.random.default_rng(0)
+        distinct = [rng.normal(size=(v, 4)) for _ in range(n_matrices)]
+        matrices = [distinct[i % n_matrices] for i in range(n_examples)]
+        model = tiny_model(v=v, n_lags=4)
+        peak = traced_peak(model.fit_pot_scaler, matrices)
+        # a pooled row per matrix, and room for ten more rows of working space
+        assert peak < (n_matrices + 10) * v * 8
 
 
 class TestTraining:

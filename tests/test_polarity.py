@@ -5,15 +5,17 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.polarity import (
-    SCORE_FORMAT, PolarityModelSet, build_model_set, tfidf_difference_ranking,
+    SCORE_FORMAT, PolarityModelSet, _count, build_model_set, tfidf_difference_ranking,
 )
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
-from conftest import encoded, encoded_weeks, make_doc
+from conftest import encoded, encoded_weeks, make_doc, traced_peak
 
 
 # --- independent oracle -----------------------------------------------------
@@ -49,21 +51,26 @@ def build(labels, docs_by_week, words, **kwargs):
     return build_model_set(labels, encoded_weeks(docs_by_week), words, **kwargs)
 
 
+def labeled_weeks(pot_classes):
+    """One labeled week per class of `pot_classes`, consecutive from 2020-01-13."""
+    monday = date(2020, 1, 6)
+    return [WeeklyLabel(week=TradingWeek(anchor=monday + timedelta(days=7 * (i + 1)),
+                                         prev_anchor=monday + timedelta(days=7 * i),
+                                         pct_change=0.0),
+                        extractor_class="excluded", pot_class=cls, summarizer_class="up")
+            for i, cls in enumerate(pot_classes)]
+
+
 def window_scores(window, words, discount=0.5):
     """Polarity of `words` over one window given as class -> token lists.
 
     The window is laid out as five consecutive weeks, one per class, and
     the scores are read from the last week of a five-week rolling build.
     """
-    monday = date(2020, 1, 6)
-    labels, docs_by_week = [], {}
-    for i, cls in enumerate(POT_CLASSES):
-        anchor = monday + timedelta(days=7 * (i + 1))
-        week = TradingWeek(anchor=anchor, prev_anchor=anchor - timedelta(days=7), pct_change=0.0)
-        labels.append(WeeklyLabel(week=week, extractor_class="excluded",
-                                  pot_class=cls, summarizer_class="up"))
-        docs_by_week[anchor] = [make_doc(f"{cls}{j}", toks)
-                                for j, toks in enumerate(window.get(cls, []))]
+    labels = labeled_weeks(POT_CLASSES)
+    docs_by_week = {lab.week.anchor: [make_doc(f"{lab.pot_class}{j}", toks) for j, toks
+                                      in enumerate(window.get(lab.pot_class, []))]
+                    for lab in labels}
     model_set = build(labels, docs_by_week, words, window_weeks=5, discount=discount)
     column = model_set.matrix(Vocabulary(words=tuple(words)), labels[-1].week.anchor, 1)[:, 0]
     return dict(zip(words, column.tolist()))
@@ -213,7 +220,65 @@ def score_at(model_set, anchor, word):
     return dict(model_set.trajectory(word))[anchor]
 
 
+def all_classes_scores(labels, docs_by_week, words, window_weeks, discount):
+    """The scores of `build_model_set` from one (window + weeks) x class x
+    word table per count, every class's window sums and weights at once:
+    the reference for the class-at-a-time builder."""
+    ordered = sorted(labels, key=lambda lab: lab.week.anchor)
+    weekly = _count([docs_by_week.get(lab.week.anchor, ()) for lab in ordered],
+                    sorted(set(words)))
+    n_weeks = len(ordered)
+    classes = [POT_CLASSES.index(lab.pot_class) for lab in ordered]
+
+    def window_sums(counts):
+        table = np.zeros((window_weeks + n_weeks, len(POT_CLASSES)) + counts.shape[1:],
+                         dtype=np.int64)
+        table[window_weeks + np.arange(n_weeks), classes] = counts
+        np.cumsum(table, axis=0, out=table)
+        return table[window_weeks:] - table[:n_weeks]
+
+    counts, df, tokens, n_docs = map(window_sums, weekly)
+    idf = np.log((1 + n_docs.sum(axis=-1))[..., None] / (1 + df.sum(axis=-2))) + 1.0
+    w = counts / np.maximum(tokens, 1)[..., None]
+    w *= idf[..., None, :]
+    w /= np.sqrt(np.maximum(n_docs, 1))[..., None]
+    w = dict(zip(POT_CLASSES, np.moveaxis(w, 1, 0)))
+    return w["vpos"] - w["vneg"] + discount * (w["pos"] - w["neg"])
+
+
+ORACLE_WORDS = ["gain", "fall", "x", "y", "z"]
+week_texts = st.lists(st.lists(st.sampled_from(ORACLE_WORDS), max_size=5), max_size=4)
+
+
 class TestModelSet:
+    @given(weeks=st.lists(st.tuples(st.sampled_from(POT_CLASSES), week_texts),
+                          min_size=1, max_size=12),
+           tracked=st.sets(st.sampled_from(ORACLE_WORDS + ["unseen"]), min_size=1),
+           window_weeks=st.integers(1, 5), discount=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_class_at_a_time_equals_the_all_classes_table(self, weeks, tracked,
+                                                          window_weeks, discount):
+        labels = labeled_weeks([cls for cls, _ in weeks])
+        docs_by_week = encoded_weeks({
+            lab.week.anchor: [make_doc(f"{i}-{j}", t) for j, t in enumerate(texts)]
+            for i, (lab, (_, texts)) in enumerate(zip(labels, weeks))})
+        got = build_model_set(labels[::-1], docs_by_week, tracked, window_weeks, discount)
+        want = all_classes_scores(labels, docs_by_week, tracked, window_weeks, discount)
+        assert got.scores.tobytes() == want.tobytes()
+
+    def test_peak_stays_under_a_few_weeks_by_words_tables(self):
+        n_weeks, n_words = 400, 300
+        words = [f"w{j:03d}" for j in range(n_words)]
+        rng = np.random.default_rng(3)
+        labels = labeled_weeks(rng.choice(POT_CLASSES, size=n_weeks).tolist())
+        docs_by_week = encoded_weeks({
+            lab.week.anchor: [make_doc(f"{i}-{j}", rng.choice(words, size=20).tolist())
+                              for j in range(3)]
+            for i, lab in enumerate(labels)})
+        peak = traced_peak(build_model_set, labels, docs_by_week, words)
+        # the all-classes tables alone are 5 x 3 such arrays
+        assert peak < 8 * n_weeks * n_words * 8
+
     def test_rolling_builder_matches_direct_evaluation(self):
         # random classes and texts over 12 weeks with a 4-week window, so
         # every class occurs and weeks leave the window

@@ -13,7 +13,7 @@ from newstrend.errors import DataError
 from newstrend.summarizer import (
     SummarizerModel, WeeklySentiment,
     build_summarizer_dataset, chronological_split, load_summarizer, predict_week,
-    read_weekly_sentiment_csv, save_summarizer, train_summarizer,
+    read_weekly_sentiment_csv, rows_after_training, save_summarizer, train_summarizer,
     write_weekly_sentiment_csv,
 )
 from newstrend.weeks import TradingWeek, WeeklyLabel
@@ -192,6 +192,16 @@ class TestChronologicalSplit:
                                             r"test weeks \(dataset has 10\)"):
             chronological_split(toy_rows(10), train_weeks)
 
+    def test_the_model_tests_on_the_weeks_after_its_training_split(self):
+        rows = toy_rows(12)
+        model = train_summarizer(rows, SummarizerConfig(train_weeks=9))
+        assert model.last_train_week == rows[8].week
+        shuffled = [rows[i] for i in np.random.default_rng(3).permutation(12)]
+        assert rows_after_training(shuffled, model) == rows[9:]
+        with pytest.raises(DataError, match=f"no test weeks after the training split, which "
+                                            rf"ends {rows[8].week} \(dataset has 9\)"):
+            rows_after_training(rows[:9], model)
+
 
 def numpy_fit_binary_hinge(x, y, c, epochs):
     """The fit as it was written with numpy, kept as the oracle."""
@@ -256,7 +266,7 @@ class TestPrediction:
     def test_monotone_binary_decision(self):
         model = SummarizerModel(classes=("down", "up"),
                                 weights=np.array([[-2.0], [2.0]]),
-                                bias=np.array([1.0, -1.0]))
+                                bias=np.array([1.0, -1.0]), last_train_week=MONDAY)
         high = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=1.0,
                                label="up", sampled_ids=())
         low = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.0,
@@ -267,7 +277,7 @@ class TestPrediction:
     def test_tie_goes_to_lower_class_index(self):
         model = SummarizerModel(classes=("down", "up"),
                                 weights=np.array([[-2.0], [2.0]]),
-                                bias=np.array([1.0, -1.0]))
+                                bias=np.array([1.0, -1.0]), last_train_week=MONDAY)
         boundary = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.5,
                                    label="up", sampled_ids=())
         assert predict_week(model, boundary) == "down"
@@ -276,7 +286,7 @@ class TestPrediction:
         # scores: down = -3*x + 1.2, up = 3*x - 1.2 -> boundary x = 0.4
         model = SummarizerModel(classes=("down", "up"),
                                 weights=np.array([[-3.0], [3.0]]),
-                                bias=np.array([1.2, -1.2]))
+                                bias=np.array([1.2, -1.2]), last_train_week=MONDAY)
         row = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.45,
                               label="up", sampled_ids=())
         assert predict_week(model, row) == "up"
@@ -285,9 +295,10 @@ class TestPrediction:
         rng = np.random.default_rng(11)
         weights = rng.normal(size=(3, 1))
         bias = rng.normal(size=3)
-        model = SummarizerModel(classes=("down", "preserve", "up"), weights=weights, bias=bias)
+        model = SummarizerModel(classes=("down", "preserve", "up"), weights=weights, bias=bias,
+                                last_train_week=MONDAY)
         scaled = SummarizerModel(classes=("down", "preserve", "up"), weights=7.0 * weights,
-                                 bias=7.0 * bias)
+                                 bias=7.0 * bias, last_train_week=MONDAY)
         for _ in range(50):
             row = WeeklySentiment(week=MONDAY, n_sampled=5,
                                   overall_score=float(rng.uniform(0, 1)), label="up",
@@ -330,6 +341,7 @@ class TestSerialization:
         loaded = load_summarizer(path)
         assert loaded.classes == model.classes
         assert np.allclose(loaded.weights, model.weights)
+        assert loaded.last_train_week == model.last_train_week == rows[19].week
         for row in rows:
             assert predict_week(loaded, row) == predict_week(model, row)
 
@@ -341,6 +353,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("bias"), "lacks key 'bias'"),
+        (lambda p: p.pop("last_train_week"),
+         "lacks key 'last_train_week'; re-run `train-summarizer`"),
+        (lambda p: p.update(last_train_week="2020-13-01"), "bad 'last_train_week'"),
+        (lambda p: p.update(last_train_week=20200106), "bad 'last_train_week'"),
         (lambda p: p.update(classes=["up", "sideways"]), "bad 'classes'"),
         (lambda p: p.update(weights=[[1.0], [math.nan]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(weights=[[1.0, 2.0], [1.0, 2.0]]),

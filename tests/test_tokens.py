@@ -18,7 +18,7 @@ from newstrend.artifacts import write_arrays
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.errors import DataError
 from newstrend.extractor import ReferenceEncoder
-from newstrend.polarity import _count, _weights, tfidf_difference_ranking
+from newstrend.polarity import _count, _idf, _weights, tfidf_difference_ranking
 from newstrend.tokens import TOKENS_MAGIC, read_tokens, write_tokens
 
 from conftest import encoded, make_doc, make_record
@@ -150,7 +150,8 @@ def reference_count(groups, words):
 
 def reference_ranking(pos, neg):
     words = sorted({t for docs in (pos, neg) for tokens in docs for t in tokens})
-    w = _weights(*reference_count([pos, neg], words))
+    counts, df, tokens, n_docs = reference_count([pos, neg], words)
+    w = _weights(counts, tokens, n_docs, _idf(df.sum(axis=0), n_docs.sum()))
     return sorted(zip(words, (w[0] - w[1]).tolist()), key=lambda item: (-item[1], item[0]))
 
 
