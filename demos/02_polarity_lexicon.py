@@ -48,9 +48,9 @@ def main():
 
     print()
     print("=" * 64)
-    print("2. vocabulary = the most polar words present in the corpus")
+    print("2. vocabulary = the most polar words of the ranking")
     print("=" * 64)
-    vocab = build_vocabulary(pos_docs + neg_docs, ranking, 32)
+    vocab = build_vocabulary(ranking, 32)
     print(f"{len(vocab)} words, first 12: {', '.join(vocab.words[:12])}")
 
     print()

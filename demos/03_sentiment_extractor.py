@@ -46,7 +46,7 @@ def main():
     neg_docs = [d for lab in big if lab.extractor_class == "negative"
                 for d in docs_by_week[lab.week.anchor]]
     ranking = tfidf_difference_ranking(pos_docs, neg_docs)
-    vocab = build_vocabulary(pos_docs + neg_docs, ranking, 32)
+    vocab = build_vocabulary(ranking, 32)
     model_set = build_model_set(labels, docs_by_week, set(vocab.words))
     examples = []
     for lab in big:

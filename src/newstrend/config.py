@@ -105,7 +105,7 @@ class SummarizerConfig:
 
 @dataclass
 class LabelsConfig:
-    policy: str = "three_way"      # three_way | binary_asymmetric | binary_symmetric | custom
+    policy: str = "three_way"      # three_way | binary_asymmetric | binary_symmetric
     up: float | None = None
     down: float | None = None
 
@@ -254,6 +254,9 @@ def _validate(config: PipelineConfig) -> None:
             key = f"{section.name}.{f.name}"
             if not _accepts(hints[f.name], value):
                 raise ConfigError(f"{key} must be {f.type}, got {value!r}")
+            # JSON reads NaN, Infinity and 1e309 as floats
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
             for kind, bound in f.metadata.get("bounds", {}).items():
                 test, sign = BOUNDS[kind]
                 if value is not None and not test(value, bound):
@@ -271,6 +274,12 @@ def _validate(config: PipelineConfig) -> None:
             f"corpus.proxy_rules entries {bad} must look like category:label:cap "
             f"with label 0 or 1 and a non-negative integer cap"
         )
+    for pattern in config.corpus.url_blocklist:
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ConfigError(f"corpus.url_blocklist entry {pattern!r} is not a regular "
+                              f"expression: {exc}") from None
     try:
         parse_day(config.synth.start)
     except ValueError:

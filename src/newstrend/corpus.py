@@ -15,14 +15,11 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import artifacts
 from .config import CorpusConfig
 from .errors import ConfigError, DataError
-
-if TYPE_CHECKING:
-    from .tokens import EncodedDoc
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 # the canonical spelling of TIMESTAMP_FORMAT, parsed without strptime
@@ -262,33 +259,16 @@ def assign_worthiness_proxy(
     return out, counts
 
 
-def build_vocabulary(
-    docs: Sequence[EncodedDoc],
-    ranking: Sequence[tuple[str, float]],
-    size: int,
-) -> Vocabulary:
-    """Select the `size` most polar words present in `docs`.
+def build_vocabulary(ranking: Sequence[tuple[str, float]], size: int) -> Vocabulary:
+    """Select the `size` most polar words of `ranking`.
 
     `ranking` carries signed polarity scores; selection is by absolute
     magnitude, descending, ties broken lexicographically.
     """
-    import numpy as np
-
-    from .tokens import concat_ids  # here, since `tokens` imports this module
-
-    words, ids, _ = concat_ids(docs)
-    present = {words[i] for i in np.unique(ids).tolist()}
-    seen: set[str] = set()
-    candidates = []
-    for word, score in ranking:
-        if word in present and word not in seen:
-            seen.add(word)
-            candidates.append((-abs(score), word))
-    if len(candidates) < size:
+    if len(ranking) < size:
         raise DataError(
             f"vocabulary needs {size} candidate words but the ranking covers only "
-            f"{len(candidates)} words present in the corpus; lower the vocabulary "
-            f"size or supply more training text"
+            f"{len(ranking)}; lower the vocabulary size or supply more training text"
         )
-    candidates.sort()
+    candidates = sorted((-abs(score), word) for word, score in ranking)
     return Vocabulary(words=tuple(word for _, word in candidates[:size]))

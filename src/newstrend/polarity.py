@@ -29,8 +29,9 @@ Stacking a vocabulary's scores for weeks t, t-1, ... t-L+1 gives the
 per-article feature matrix consumed by the extractor's lag attention.
 
 A `PolarityModelSet` is stored as one array file, `pot.bin` (see
-`artifacts`): the header lists the anchors and the words, and the body is
-the weeks x words `scores` array, rounded through SCORE_FORMAT.
+`artifacts`): the header lists the anchors, the words and the vocabulary,
+and the body is the weeks x words `scores` array, rounded through
+SCORE_FORMAT.
 """
 
 from __future__ import annotations
@@ -126,14 +127,17 @@ class PolarityModelSet:
     """Weekly polarity scores over an ordered anchor sequence.
 
     Row i of `scores` holds week `anchors[i]`, column j the sorted word
-    `words[j]`; any other word scores 0. Anchors and words must be sorted
-    and distinct, and `scores` must have one row per anchor and one column
-    per word (ValueError otherwise).
+    `words[j]`; any other word scores 0. `vocab` is the ranked vocabulary
+    the extractor reads, every word of it tracked. Anchors and words must be
+    sorted and distinct, and `scores` must have one row per anchor and one
+    column per word (ValueError otherwise, as for a vocabulary word that is
+    repeated or untracked).
     """
 
     anchors: tuple[date, ...]
     words: tuple[str, ...]
     scores: np.ndarray
+    vocab: Vocabulary = Vocabulary(words=())
     _pos: dict[date, int] = field(init=False, repr=False)
     _col: dict[str, int] = field(init=False, repr=False)
 
@@ -145,6 +149,8 @@ class PolarityModelSet:
             raise ValueError(f"scores have shape {self.scores.shape}, not anchors x words")
         self._pos = {a: i for i, a in enumerate(self.anchors)}
         self._col = {w: j for j, w in enumerate(self.words)}
+        if not self._col.keys() >= set(self.vocab.words):
+            raise ValueError("every vocabulary word must be a tracked word")
 
     def matrix(self, vocab: Vocabulary, anchor: date, n_lags: int) -> np.ndarray:
         """Vocab-by-lag score matrix: column l holds week (anchor - l) scores."""
@@ -173,12 +179,14 @@ class PolarityModelSet:
 
     def save(self, path: str | Path) -> list[Path]:
         """Write the set as one array file (`artifacts.write_arrays`) whose
-        header lists the anchors and words and whose body is `scores`, each
-        nonzero score rounded through SCORE_FORMAT; returns `[path]`."""
+        header lists the anchors, words and vocabulary and whose body is
+        `scores`, each nonzero score rounded through SCORE_FORMAT; returns
+        `[path]`."""
         scores = np.zeros_like(self.scores)
         nonzero = self.scores != 0.0
         scores[nonzero] = [float(SCORE_FORMAT % v) for v in self.scores[nonzero].tolist()]
-        header = {"anchors": [a.isoformat() for a in self.anchors], "words": list(self.words)}
+        header = {"anchors": [a.isoformat() for a in self.anchors], "words": list(self.words),
+                  "vocab": list(self.vocab.words)}
         artifacts.write_arrays(path, POT_MAGIC, header, [("scores", scores)])
         return [Path(path)]
 
@@ -186,7 +194,8 @@ class PolarityModelSet:
     def load(cls, path: str | Path) -> PolarityModelSet:
         return artifacts.read_arrays(path, POT_MAGIC, lambda header, arrays: cls(
             anchors=tuple(map(parse_day, header["anchors"])),
-            words=tuple(header["words"]), scores=arrays["scores"]))
+            words=tuple(header["words"]), scores=arrays["scores"],
+            vocab=Vocabulary(words=tuple(header["vocab"]))))
 
 
 def build_model_set(

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import artifacts
 from .config import SummarizerConfig, parse_day, parse_finite
-from .errors import DataError
+from .errors import DataError, NumericError
 from .weeks import CLASS_ORDER, WeeklyLabel
 
 if TYPE_CHECKING:  # numpy loads only where articles are scored, so fitting runs without it
@@ -207,7 +207,11 @@ def train_summarizer(
 
     def fit(cls: str) -> tuple[list[float], float]:
         y = [1.0 if lab == cls else -1.0 for lab in labels]
-        return _fit_binary_hinge(x, y, config.c, config.epochs)
+        try:
+            return _fit_binary_hinge(x, y, config.c, config.epochs)
+        except (OverflowError, ZeroDivisionError, ValueError):  # left the float range, or NaN
+            raise NumericError(f"the summarizer fit leaves the float range at "
+                               f"summarizer.c={config.c!r}; choose a value nearer 1") from None
 
     if len(classes) == 2:
         w, b = fit(classes[1])

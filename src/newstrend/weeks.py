@@ -120,11 +120,6 @@ def make_policy(name: str, up: float | None = None, down: float | None = None) -
         return binary_asymmetric_policy()
     if name == "binary_symmetric":
         return binary_symmetric_policy() if up is None else binary_symmetric_policy(up, down)
-    if name in ("custom", "binary_custom"):
-        if up is None:
-            raise ConfigError(f"{name} policy needs explicit up and down thresholds")
-        kind = "three_way" if name == "custom" else "binary"
-        return BinningPolicy(kind=kind, up=up, down=down, name=name)
     raise ConfigError(f"unknown binning policy {name!r}")
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from newstrend.cli import main as cli_main, _load_week_data
 from newstrend.config import load_config
-from newstrend.corpus import Vocabulary, ingest_news, tokenize
+from newstrend.corpus import ingest_news, tokenize
 from newstrend.extractor import gradient_check, load_extractor, multitask_loss, pot_attention
 from newstrend.metrics import ConfusionMatrix, accuracy, f1, mcc
 from newstrend.polarity import PolarityModelSet, build_model_set
@@ -84,10 +84,8 @@ def _extractor_test_accuracy(workdir: Path) -> float:
     config = load_config(workdir.parent / f"{workdir.name}.json")
     labels, _, docs_by_id, _ = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
-    vocab = Vocabulary(words=tuple(
-        json.loads((workdir / "vocab.json").read_text())["words"]
-    ))
     model_set = PolarityModelSet.load(workdir / "pot.bin")
+    vocab = model_set.vocab
     used = set(trained.train_weeks) | set(trained.dev_weeks)
     n_lags = config.polarity.n_lags
     per_class = {0: [0, 0], 1: [0, 0]}
@@ -313,7 +311,7 @@ def test_07_planted_signal_end_to_end(pipeline_runs):
 def test_08_determinism_byte_identical(pipeline_runs):
     a, b = pipeline_runs["signal_a"], pipeline_runs["signal_b"]
     tracked = ["news.jsonl", "prices.csv", "corpus.jsonl", "tokens.bin", "weeks.csv", "pot.bin",
-               "vocab.json", "extractor.model", "train_log.csv", "weekly_sentiment.csv",
+               "extractor.model", "train_log.csv", "weekly_sentiment.csv",
                "summarizer.model", "report.txt", "report.csv"]
     diffs = [n for n in tracked if (a / n).read_bytes() != (b / n).read_bytes()]
     _report("8. determinism: byte-identical artifacts", not diffs,

@@ -11,6 +11,7 @@ import pytest
 
 from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES
 from newstrend.config import BOUNDS, PipelineConfig
+from newstrend.polarity import PolarityModelSet
 
 from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
 
@@ -42,10 +43,11 @@ class TestFullPipeline:
         wd = tmp_path / "w"
         run_pipeline(wd, config)
         for name in ("news.jsonl", "prices.csv", "corpus.jsonl", "tokens.bin", "rejects.csv",
-                     "weeks.csv", "vocab.json", "extractor.model", "train_log.csv",
+                     "weeks.csv", "extractor.model", "train_log.csv",
                      "weekly_sentiment.csv", "summarizer.model", "report.txt", "report.csv"):
             assert (wd / name).exists(), name
         assert (wd / "pot.bin").is_file()
+        assert not (wd / "vocab.json").exists()  # the vocabulary is in pot.bin
         report = (wd / "report.txt").read_text()
         assert "accuracy:" in report and "mcc:" in report
 
@@ -70,7 +72,6 @@ class TestFullPipeline:
             "tokens": sha256_file(wd / "tokens.bin"),
             "weeks": sha256_file(wd / "weeks.csv"),
             "pot": sha256_file(wd / "pot.bin"),
-            "vocab": sha256_file(wd / "vocab.json"),
             "extractor": sha256_file(wd / "extractor.model"),
         }
 
@@ -78,7 +79,7 @@ class TestFullPipeline:
         config = write_config(tmp_path)
         wd = tmp_path / "w"
         run_pipeline(wd, config)
-        tracked = ["corpus.jsonl", "tokens.bin", "weeks.csv", "vocab.json", "extractor.model",
+        tracked = ["corpus.jsonl", "tokens.bin", "weeks.csv", "pot.bin", "extractor.model",
                    "weekly_sentiment.csv", "summarizer.model", "report.txt", "report.csv"]
         before = {n: (wd / n).read_bytes() for n in tracked}
         for stage in STAGES:
@@ -175,7 +176,7 @@ class TestSynthCommand:
         wd = tmp_path / "w"
         for stage in ("synth", "ingest", "label", "pot"):
             assert run([stage, "--workdir", wd]) == 0, (stage, capsys.readouterr().err)
-        assert len(json.loads((wd / "vocab.json").read_text())["words"]) == 512
+        assert len(PolarityModelSet.load(wd / "pot.bin").vocab) == 512
 
 
 class TestLabelCommand:
@@ -287,7 +288,7 @@ class TestPotCommand:
         assert err.startswith("error:") and f"{word!r} is not a token" in err
         assert tree() == before
 
-    def test_pot_ranks_only_the_extractor_training_weeks(self, tmp_path):
+    def test_pot_ranks_only_the_extractor_training_weeks(self, tmp_path, capsys):
         # at synth seed 1 the extractor selection picks the last labeled week,
         # which has no news; it must not shift the train/dev split pot ranks on
         from newstrend.extractor import load_extractor
@@ -295,8 +296,10 @@ class TestPotCommand:
         config = write_config(tmp_path, **{"synth.seed": 1})
         wd = tmp_path / "w"
         run_pipeline(wd, config, stages=["ingest", "label", "pot", "train-extractor"])
-        vocab = json.loads((wd / "vocab.json").read_text())
-        assert vocab["n_train_weeks"] == len(load_extractor(wd / "extractor.model").train_weeks)
+        pot_line, = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("pot: ")]
+        n_train_weeks = len(load_extractor(wd / "extractor.model").train_weeks)
+        assert pot_line.endswith(f" from {n_train_weeks} training weeks")
 
 
 class TestErrors:
@@ -363,11 +366,24 @@ class TestErrors:
         ("synth.weeks=abc", "synth.weeks"),
         ("labels.up=0.5", "labels.down"),
         ("synth.block_min_weeks=30", "synth.block_min_weeks"),
+        # JSON spells non-finite floats NaN, Infinity and 1e309
+        ("extractor.threshold=NaN", "extractor.threshold must be a finite number"),
+        ("polarity.very_threshold=NaN polarity.mild_threshold=NaN",
+         "polarity.very_threshold must be a finite number"),
+        ("labels.policy=binary_symmetric labels.up=NaN labels.down=NaN",
+         "labels.up must be a finite number"),
+        ("summarizer.c=Infinity", "summarizer.c must be a finite number"),
+        ("summarizer.c=1e309", "summarizer.c must be a finite number"),
+        ("synth.pct_scale=-Infinity", "synth.pct_scale must be a finite number"),
+        ('corpus.url_blocklist=["ok","("]', "corpus.url_blocklist entry '('"),
     ])
     def test_bad_config_value_exits_one_when_loaded(self, tmp_path, capsys, override, key):
+        # an override holding spaces is several overrides
+        sets = [arg for item in override.split(" ") for arg in ("--set", item)]
         wd = tmp_path / "w"
-        assert run(["synth", "--workdir", wd, "--set", override]) == 1
-        assert key in capsys.readouterr().err
+        assert run(["synth", "--workdir", wd, *sets]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
         assert not (wd / "news.jsonl").exists()
 
     @pytest.mark.parametrize("key, kind, value", declared_bounds())
@@ -449,6 +465,19 @@ class TestErrors:
         assert run(["evaluate", "--workdir", tmp_path]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["1e-310", "1e200", "1e300"])
+    def test_summarizer_c_past_the_float_range_exits_three(self, trained_workdir, tmp_path,
+                                                           capsys, c):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        before = (wd / "summarizer.model").read_bytes()
+        assert run(["train-summarizer", "--workdir", wd, "--config", config,
+                    "--allow-config-drift", "--set", f"summarizer.c={c}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"summarizer.c={float(c)!r}" in err
+        assert (wd / "summarizer.model").read_bytes() == before
+
 
 def _truncate_pot(wd):
     path = wd / "pot.bin"
@@ -469,23 +498,7 @@ def _truncate_model(wd):
     return "extractor.model"
 
 
-def _garble_vocab(wd):
-    (wd / "vocab.json").write_text("{not json")
-    return "vocab.json"
-
-
-def _vocab_words_not_a_list(wd):
-    (wd / "vocab.json").write_text('{"words": 5}')
-    return "vocab.json"
-
-
-def _vocab_words_repeated(wd):
-    (wd / "vocab.json").write_text('{"words": ["a", "a"]}')
-    return "vocab.json"
-
-
-def _edit_model_header(wd, edit):
-    path = wd / "extractor.model"
+def _edit_header(path, edit):
     magic, size, rest = path.read_bytes().split(b"\n", 2)
     header = json.loads(rest[: int(size)])
     edit(header)
@@ -493,16 +506,31 @@ def _edit_model_header(wd, edit):
     path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
 
 
+def _pot_without_vocab(wd):
+    _edit_header(wd / "pot.bin", lambda header: header.pop("vocab"))  # an older pot.bin
+    return "pot.bin is corrupt: header lacks key 'vocab'"
+
+
+def _pot_vocab_not_a_list(wd):
+    _edit_header(wd / "pot.bin", lambda header: header.update(vocab=5))
+    return "pot.bin is corrupt"
+
+
+def _pot_vocab_repeated(wd):
+    _edit_header(wd / "pot.bin", lambda header: header.update(vocab=header["vocab"][:1] * 2))
+    return "pot.bin is corrupt: vocabulary words must be distinct"
+
+
 def _rename_vocab_word(wd):
     def edit(header):
         header["vocab"][0] += "x"
 
-    _edit_model_header(wd, edit)
+    _edit_header(wd / "extractor.model", edit)
     return "sha256"
 
 
 def _other_encoder_kind(wd):
-    _edit_model_header(wd, lambda header: header["encoder"].update(kind="bert"))
+    _edit_header(wd / "extractor.model", lambda header: header["encoder"].update(kind="bert"))
     return "extractor.model is corrupt: unknown encoder kind 'bert'"
 
 
@@ -541,16 +569,16 @@ def _weeks_not_utf8(wd):
 def _vocab_of_a_rerun_pot(wd):
     config = write_config(wd.parent, **{"polarity.vocab_size": 20})
     assert run(["pot", "--workdir", wd, "--config", config, "--allow-config-drift"]) == 0
-    return (f"{wd / 'vocab.json'} is not the vocabulary that {wd / 'extractor.model'} "
-            f"was trained on; re-run `train-extractor`")
+    return (f"the vocabulary of {wd / 'pot.bin'} is not the one that "
+            f"{wd / 'extractor.model'} was trained on; re-run `train-extractor`")
 
 
 def _swap_vocab_words(wd):
-    path = wd / "vocab.json"
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["words"][:2] = record["words"][1::-1]
-    path.write_text(json.dumps(record), encoding="utf-8")
-    return "vocab.json is not the vocabulary that"
+    def edit(header):
+        header["vocab"][:2] = header["vocab"][1::-1]
+
+    _edit_header(wd / "pot.bin", edit)
+    return "pot.bin is not the one that"
 
 
 def _summarizer_without_classes(wd):
@@ -623,8 +651,8 @@ def _inf_summarizer_bias(wd):
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("corrupt", [_truncate_pot, _pot_directory_of_old_workdir,
                                          _truncate_model, _rename_vocab_word,
-                                         _garble_vocab, _vocab_words_not_a_list,
-                                         _vocab_words_repeated, _other_encoder_kind,
+                                         _pot_without_vocab, _pot_vocab_not_a_list,
+                                         _pot_vocab_repeated, _other_encoder_kind,
                                          _vocab_of_a_rerun_pot, _swap_vocab_words])
     def test_score_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  corrupt):

@@ -72,10 +72,13 @@ class TestLabelPolicy:
         (["labels.policy=binary_asymmetric", "labels.up=5", "labels.down=-5"],
          "takes no labels.up or labels.down"),
         (["labels.policy=nonsense"], "unknown binning policy 'nonsense'"),
-        (["labels.policy=custom"], "custom policy needs explicit up and down"),
+        (["labels.policy=custom"], "unknown binning policy 'custom'"),
+        (["labels.policy=binary_custom", "labels.up=1", "labels.down=-1"],
+         "unknown binning policy 'binary_custom'"),
         (["labels.up=-0.5", "labels.down=0.5"], "requires up > down"),
     ], ids=["up_alone", "down_alone", "binary_asymmetric_thresholds", "unknown_policy",
-            "custom_without_thresholds", "inverted_thresholds"])
+            "custom_is_not_a_policy", "binary_custom_is_not_a_policy",
+            "inverted_thresholds"])
     def test_bad_policy_fails_when_loaded(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             load_config(None, overrides)

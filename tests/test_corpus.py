@@ -17,7 +17,7 @@ from newstrend.corpus import (
 from newstrend.errors import DataError
 from newstrend.tokens import encode_docs
 
-from conftest import WRITE_PEAK_SHARE, encoded, make_doc, make_record, traced_peak
+from conftest import WRITE_PEAK_SHARE, make_record, traced_peak
 
 
 def write_lines(path, lines):
@@ -373,29 +373,20 @@ class TestWorthinessProxy:
 
 class TestVocabulary:
     def test_top_one(self):
-        docs, = encoded([make_doc("d1", ["gain", "loss"])])
-        vocab = build_vocabulary(docs, [("gain", 2.0), ("loss", -1.0)], 1)
+        vocab = build_vocabulary([("gain", 2.0), ("loss", -1.0)], 1)
         assert vocab.words == ("gain",)
 
     def test_absolute_magnitude_ranking(self):
-        docs, = encoded([make_doc("d1", ["gain", "loss", "flat"])])
-        vocab = build_vocabulary(docs, [("gain", 0.5), ("loss", -2.0), ("flat", 0.1)], 2)
+        vocab = build_vocabulary([("gain", 0.5), ("loss", -2.0), ("flat", 0.1)], 2)
         assert vocab.words == ("loss", "gain")
 
     def test_tie_breaks_lexicographic(self):
-        docs, = encoded([make_doc("d1", ["beta", "alpha"])])
-        vocab = build_vocabulary(docs, [("beta", 1.0), ("alpha", -1.0)], 2)
+        vocab = build_vocabulary([("beta", 1.0), ("alpha", -1.0)], 2)
         assert vocab.words == ("alpha", "beta")
 
-    def test_words_absent_from_docs_skipped(self):
-        docs, = encoded([make_doc("d1", ["gain"])])
-        vocab = build_vocabulary(docs, [("missing", 9.0), ("gain", 1.0)], 1)
-        assert vocab.words == ("gain",)
-
     def test_insufficient_candidates_fatal(self):
-        docs, = encoded([make_doc("d1", ["gain"])])
         with pytest.raises(DataError, match="vocabulary"):
-            build_vocabulary(docs, [("gain", 1.0)], 2)
+            build_vocabulary([("gain", 1.0)], 2)
 
     def test_index_bijection(self):
         vocab = Vocabulary(words=("a", "b", "c"))

@@ -364,6 +364,16 @@ class TestModelSet:
             for (_, got), (_, want) in zip(loaded.trajectory(word), model_set.trajectory(word)):
                 assert got == pytest.approx(want, rel=1e-10)
 
+    def test_vocabulary_round_trips_in_ranked_order(self, tmp_path):
+        labels, docs_by_week = weekly_fixture()
+        model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
+        assert model_set.vocab.words == ()  # a set built for trajectories alone
+        model_set = replace(model_set, vocab=Vocabulary(words=("gain", "fall")))
+        model_set.save(tmp_path / "pot.bin")
+        assert PolarityModelSet.load(tmp_path / "pot.bin").vocab.words == ("gain", "fall")
+        with pytest.raises(ValueError, match="every vocabulary word must be a tracked word"):
+            replace(model_set, vocab=Vocabulary(words=("gain", "rise")))
+
     def test_saved_scores_are_rounded_through_score_format(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
         model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
@@ -397,6 +407,8 @@ class TestModelSet:
                      "'20150302' is not YYYY-MM-DD", id="basic-format-anchor"),
         pytest.param(lambda m, h, b: (m, {**h, "anchors": h["anchors"][::-1]}, b),
                      "sorted", id="unsorted-anchors"),
+        pytest.param(lambda m, h, b: (m, {**h, "vocab": ["zzzz"]}, b),
+                     "every vocabulary word must be a tracked word", id="untracked-vocab-word"),
     ])
     def test_corrupt_file_is_data_error_naming_it(self, tmp_path, edit, why):
         labels, docs_by_week = weekly_fixture()

@@ -56,3 +56,31 @@ def test_readme_names_only_config_keys_that_exist():
     # the check sees a removed key, and passes keys, artifacts and library names
     assert unknown_config_keys("`summarizer.features` `summarizer.c` `summarizer.model` "
                                "`synth.generate` `synth.start`") == ["summarizer.features"]
+
+
+def artifacts_table() -> dict[str, str]:
+    """Each file of README's "Workdir artifacts" table, mapped to the stage
+    named beside it."""
+    section = README.read_text(encoding="utf-8").split("\n### Workdir artifacts\n", 1)[1]
+    table = {}
+    for line in section.split("\n\n", 1)[0].splitlines()[3:]:  # past the header rows
+        files, stage, _ = line.split("|")[1:-1]
+        for name in re.findall(r"`([^`]+)`", files):
+            table[name] = re.search(r"`([^`]+)`", stage)[1]
+    return table
+
+
+def test_artifacts_table_names_every_stage_output():
+    table = artifacts_table()
+    assert table.pop("plots/*.csv") == "export-plot-data"  # its outputs depend on its inputs
+    assert table == {name: command for command, stage in STAGES.items()
+                     for name in stage.outputs}
+
+
+def test_only_synth_hands_on_more_than_one_output():
+    # a stage whose outputs are read together can die between writing them
+    # and leave a half-written stage to the next one; synth's two go to
+    # different stages, and a user may supply them
+    read = {name for stage in STAGES.values() for name in stage.inputs}
+    assert [command for command, stage in STAGES.items()
+            if len(read.intersection(stage.outputs)) > 1] == ["synth"]

@@ -148,7 +148,7 @@ class TestLabels:
         with pytest.raises(ConfigError):
             three_way_policy(up=-0.5, down=0.5)
         with pytest.raises(ConfigError):
-            make_policy("binary_custom", up=-1.0, down=1.0)
+            make_policy("binary_symmetric", up=-1.0, down=1.0)
 
     def test_every_week_labeled(self):
         weeks = [week("2020-01-13", "2020-01-06", p) for p in (-3.0, -1.0, 0.0, 1.0, 3.0)]
