@@ -136,7 +136,9 @@ def ingest_news(path: str | Path) -> IngestResult:
     Malformed lines are skipped and counted (never silently dropped); an
     unreadable file is fatal.
     """
-    lines = artifacts.read_text(path, "news file").splitlines()
+    lines = artifacts.read_text(path, "news file").split("\n")
+    if not lines[-1]:
+        lines.pop()
     records: list[NewsRecord] = []
     rejected: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):

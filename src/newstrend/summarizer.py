@@ -6,12 +6,13 @@ class of the week `target_offset` ahead (default 1: this week's news calls
 next Monday's move). Weeks whose articles trained the extractor are excluded
 outright, which is the leakage guard.
 
-The classifier reads that one overall score. It is a hinge-loss linear model
-fit by deterministic full-batch subgradient descent (one-vs-rest for more
-than two classes) on the chronologically earliest `train_weeks` rows, which
-`chronological_split` cuts. The model records the week of its last training
-row, and `evaluate` tests only on later weeks (`rows_after_training`), so a
-changed `train_weeks` cannot score weeks the model was fit on.
+The classifier reads that one overall score: each class has one slope and
+one bias on it, fit one class against the rest by deterministic full-batch
+hinge-loss subgradient descent, whatever the label policy, on the
+chronologically earliest `train_weeks` rows, which `chronological_split`
+cuts. The model records the week of its last training row, and `evaluate`
+tests only on later weeks (`rows_after_training`), so a changed
+`train_weeks` cannot score weeks the model was fit on.
 """
 
 from __future__ import annotations
@@ -98,34 +99,16 @@ def build_summarizer_dataset(
     return SummarizerDataset(rows=rows, skipped=skipped)
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    # left to right; the builtin sum() compensates floats from Python 3.12 on
-    total = 0.0
-    for u, v in zip(a, b):
-        total += u * v
-    return total
-
-
-def _norm(w: Sequence[float]) -> float:
-    """|w|, adding each square in one rounding (a fused multiply-add), as the
-    BLAS dot behind `np.linalg.norm` does on FMA hardware; exact Fractions
-    make that the same on every machine."""
-    sq = 0.0
-    for v in w:
-        sq = float(Fraction(v) ** 2 + Fraction(sq))
-    return math.sqrt(sq)
-
-
 @dataclass
 class SummarizerModel:
-    """Linear hinge classifier; binary reduces to the sign of one affine map.
+    """One slope and one bias per class on the weekly score.
 
-    Prediction is the argmax of per-class scores; exact ties go to the class
-    with the lower index in `classes`.
+    Prediction is the argmax of the per-class scores `w * score + b`; exact
+    ties go to the class with the lower index in `classes`.
     """
 
     classes: tuple[str, ...]
-    weights: list[list[float]]    # (n_classes, 1); binary holds -w and w
+    weights: list[float]          # one slope per class
     bias: list[float]
     last_train_week: date         # the latest week of the training split
 
@@ -133,41 +116,38 @@ class SummarizerModel:
     def kind(self) -> str:
         return "binary-hinge" if len(self.classes) == 2 else "one-vs-rest-hinge"
 
-    def decision_scores(self, x: Sequence[float]) -> list[float]:
-        return [_dot(w, x) + b for w, b in zip(self.weights, self.bias)]
-
 
 def _fit_binary_hinge(
-    x: Sequence[Sequence[float]], y: Sequence[float], c: float, epochs: int
-) -> tuple[list[float], float]:
+    x: Sequence[float], y: Sequence[float], c: float, epochs: int
+) -> tuple[float, float]:
     """Full-batch projected subgradient descent on the soft-margin objective
 
-        (lam / 2) |w|^2 + (1/n) sum hinge(y_i, w . x_i),  lam = 1 / (c * n),
+        (lam / 2) (w^2 + b^2) + (1/n) sum hinge(y_i, w x_i + b),  lam = 1 / (c * n),
 
-    with the bias folded in as an augmented always-1 coordinate. Zero init,
-    1/(lam*t) steps, projection onto the |w| <= 1/sqrt(lam) ball: fully
-    deterministic.
+    so the bias is a weight on an always-1 input. Zero init, 1/(lam*t) steps,
+    projection onto the |(w, b)| <= 1/sqrt(lam) ball: fully deterministic.
     """
     n = len(x)
     lam = 1.0 / (c * n)
-    # y is +-1, so y_i * x_ij is exact and the margin y_i (w . x_i) is w . (y_i x_i)
-    cols = [[yi * v for yi, v in zip(y, col)] for col in (*zip(*x), [1.0] * n)]
-    w = [0.0] * len(cols)
+    # y is +-1, so y_i * x_i is exact and the margin y_i (w x_i + b) is (y_i x_i) w + y_i b
+    yx = [yi * xi for yi, xi in zip(y, x)]
+    w = b = 0.0
     radius = 1.0 / math.sqrt(lam)
     for t in range(1, epochs + 1):
-        margins = [0.0] * n
-        for col, wj in zip(cols, w):
-            margins = [m + v * wj for m, v in zip(margins, col)]
-        active = [i for i, m in enumerate(margins) if m < 1.0]
+        active = [i for i in range(n) if yx[i] * w + y[i] * b < 1.0]
         # as numpy's axis-0 sum: row by row from the first active row, 0.0 if none
-        total = [reduce(add, [col[i] for i in active]) if active else 0.0 for col in cols]
+        # (not sum(), which compensates floats from Python 3.12 on)
+        total_w = reduce(add, [yx[i] for i in active]) if active else 0.0
+        total_b = reduce(add, [y[i] for i in active]) if active else 0.0
         step = lam * t
-        w = [wj - (lam * wj - s / n) / step for wj, s in zip(w, total)]
-        norm = _norm(w)
+        w = w - (lam * w - total_w / n) / step
+        b = b - (lam * b - total_b / n) / step
+        # w^2 rounds, then b^2 adds in one rounding: the FMA of the BLAS dot in np.linalg.norm
+        norm = math.sqrt(float(Fraction(b) ** 2 + Fraction(w * w)))
         if norm > radius:
             scale = radius / norm
-            w = [wj * scale for wj in w]
-    return w[:-1], w[-1]
+            w, b = w * scale, b * scale
+    return w, b
 
 
 def chronological_split(
@@ -202,29 +182,26 @@ def train_summarizer(
     classes = tuple(c for c in CLASS_ORDER if c in present)
     if len(classes) < 2:
         raise DataError(f"training split has a single class {present}; cannot fit")
-    x = [[r.overall_score] for r in train]
-    labels = [r.label for r in train]
-
-    def fit(cls: str) -> tuple[list[float], float]:
-        y = [1.0 if lab == cls else -1.0 for lab in labels]
+    x = [r.overall_score for r in train]
+    # Each class is fit against the rest. With two classes the first fit is the
+    # second negated, since every step is odd in y and round-to-nearest is
+    # sign-symmetric: the model holds [-w, w] and [-b, b] (a zero is +0.0 in both).
+    weights, bias = [], []
+    for cls in classes:
+        y = [1.0 if r.label == cls else -1.0 for r in train]
         try:
-            return _fit_binary_hinge(x, y, config.c, config.epochs)
+            w, b = _fit_binary_hinge(x, y, config.c, config.epochs)
         except (OverflowError, ZeroDivisionError, ValueError):  # left the float range, or NaN
             raise NumericError(f"the summarizer fit leaves the float range at "
                                f"summarizer.c={config.c!r}; choose a value nearer 1") from None
-
-    if len(classes) == 2:
-        w, b = fit(classes[1])
-        weights, bias = [[-v for v in w], w], [-b, b]
-    else:
-        fits = [fit(cls) for cls in classes]
-        weights, bias = [w for w, _ in fits], [b for _, b in fits]
+        weights.append(w)
+        bias.append(b)
     return SummarizerModel(classes=classes, weights=weights, bias=bias,
                            last_train_week=train[-1].week)
 
 
 def predict_week(model: SummarizerModel, row: WeeklySentiment) -> str:
-    scores = model.decision_scores([row.overall_score])
+    scores = [w * row.overall_score + b for w, b in zip(model.weights, model.bias)]
     return model.classes[scores.index(max(scores))]
 
 
@@ -232,7 +209,7 @@ def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
     payload = {
         "kind": model.kind,
         "classes": list(model.classes),
-        "weights": [[float(v) for v in row] for row in model.weights],
+        "weights": [[float(w)] for w in model.weights],
         "bias": [float(v) for v in model.bias],
         "last_train_week": model.last_train_week.isoformat(),
     }
@@ -251,8 +228,9 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
             raise DataError(f"summarizer model {path} lacks key {key!r}; "
                             f"re-run `train-summarizer`")
     classes = payload["classes"]
+    # two or more distinct classes in CLASS_ORDER order, as `train_summarizer` writes
     if (not isinstance(classes, list) or len(classes) < 2
-            or not all(c in CLASS_ORDER for c in classes)):
+            or classes != [c for c in CLASS_ORDER if c in classes]):
         raise DataError(f"summarizer model {path}: bad 'classes' {classes!r}")
     n, rows = len(classes), payload["weights"]
     weights = [_floats(row, 1) for row in rows] if isinstance(rows, list) else []
@@ -267,7 +245,7 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
         last_train_week = parse_day(payload["last_train_week"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"summarizer model {path}: bad 'last_train_week': {exc}") from None
-    return SummarizerModel(tuple(classes), weights, bias, last_train_week)
+    return SummarizerModel(tuple(classes), [row[0] for row in weights], bias, last_train_week)
 
 
 def _floats(value, length: int) -> list[float] | None:
@@ -297,10 +275,15 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
         try:
             if rec["true_class"] not in CLASS_ORDER:
                 raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
-            rows.append(WeeklySentiment(
+            row = WeeklySentiment(
                 week=parse_day(rec["anchor"]), n_sampled=int(rec["n_sampled"]),
                 overall_score=parse_finite(rec["overall_score"]), label=rec["true_class"],
-                sampled_ids=()))
+                sampled_ids=())
+            if row.n_sampled < 1:
+                raise ValueError(f"n_sampled {row.n_sampled} is below 1")
+            if rows and row.week <= rows[-1].week:
+                raise ValueError(f"anchor {row.week} does not follow {rows[-1].week}")
+            rows.append(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(
                 f"weekly sentiment file {path} line {n}: bad or missing field {exc}"

@@ -632,12 +632,42 @@ def _inf_overall_score(wd):
     return "weekly_sentiment.csv line 4"
 
 
+def _negative_n_sampled(wd):
+    _set_csv_field(wd / "weekly_sentiment.csv", 3, 1, "-7")
+    return "weekly_sentiment.csv line 3: bad or missing field n_sampled -7 is below 1"
+
+
+def _repeated_weekly_sentiment_row(wd):
+    path = wd / "weekly_sentiment.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(3, lines[3])  # trains on that week twice unless refused
+    path.write_text("".join(lines), encoding="utf-8")
+    anchor = lines[3].split(",")[0]
+    return f"weekly_sentiment.csv line 5: bad or missing field anchor {anchor} does not follow"
+
+
 def _edit_summarizer(wd, key, value):
     path = wd / "summarizer.model"
     payload = json.loads(path.read_text())
     payload[key] = value
     path.write_text(json.dumps(payload))
     return f"summarizer.model: '{key}' must be numbers of shape"
+
+
+def _set_summarizer_classes(wd, classes):
+    path = wd / "summarizer.model"
+    payload = json.loads(path.read_text())
+    payload.update(classes=classes, weights=[[1.0]] * len(classes), bias=[0.0] * len(classes))
+    path.write_text(json.dumps(payload))
+    return f"summarizer.model: bad 'classes' {classes!r}"
+
+
+def _summarizer_class_repeated(wd):
+    return _set_summarizer_classes(wd, ["down", "down", "up"])
+
+
+def _summarizer_classes_out_of_order(wd):
+    return _set_summarizer_classes(wd, ["up", "down", "preserve"])
 
 
 def _nan_summarizer_weights(wd):
@@ -677,6 +707,11 @@ class TestCorruptArtifacts:
                                                 ("train-extractor", _inf_pct_change),
                                                 ("train-summarizer", _nan_overall_score),
                                                 ("evaluate", _inf_overall_score),
+                                                ("train-summarizer", _negative_n_sampled),
+                                                ("train-summarizer",
+                                                 _repeated_weekly_sentiment_row),
+                                                ("evaluate", _summarizer_class_repeated),
+                                                ("evaluate", _summarizer_classes_out_of_order),
                                                 ("evaluate", _nan_summarizer_weights),
                                                 ("evaluate", _inf_summarizer_bias)])
     def test_stage_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,

@@ -53,6 +53,28 @@ class TestIngest:
         assert result.rejected[0][0] == 2
         assert result.total == 3
 
+    @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+    def test_unicode_line_break_inside_a_record_is_content(self, tmp_path, char):
+        obj = json.loads(record_line(rec_id="a"))
+        obj["content"] = f"shares rose{char}then fell"
+        path = tmp_path / "news.jsonl"
+        write_lines(path, [json.dumps(obj, ensure_ascii=False), "{not json",
+                           record_line(rec_id="b")])
+        result = ingest_news(path)
+        assert [r.id for r in result.records] == ["a", "b"]
+        assert char in result.records[0].content
+        assert result.total == 3
+        assert [line for line, _ in result.rejected] == [2]
+
+    @pytest.mark.parametrize("ending", ["", "\n", "\r\n"])
+    def test_final_newline_or_crlf_adds_no_line(self, tmp_path, ending):
+        path = tmp_path / "news.jsonl"
+        lines = [record_line(rec_id="a"), record_line(rec_id="b")]
+        path.write_bytes(("\r\n".join(lines) + ending).encode("utf-8"))
+        result = ingest_news(path)
+        assert [r.id for r in result.records] == ["a", "b"]
+        assert (result.total, result.rejected) == (2, [])
+
     def test_missing_field_rejected_with_reason(self, tmp_path):
         path = tmp_path / "news.jsonl"
         bad = json.dumps({"id": "x", "url": "u", "title": "t", "content": "c"})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from newstrend.config import SummarizerConfig
 from newstrend.errors import DataError
 from newstrend.summarizer import (
-    SummarizerModel, WeeklySentiment,
+    SummarizerModel, WeeklySentiment, _fit_binary_hinge,
     build_summarizer_dataset, chronological_split, load_summarizer, predict_week,
     read_weekly_sentiment_csv, rows_after_training, save_summarizer, train_summarizer,
     write_weekly_sentiment_csv,
@@ -236,12 +236,11 @@ def max_difference_from_numpy_fit(rows, config):
     model = train_summarizer(rows, config)
     train = sorted(rows, key=lambda r: r.week)[: config.train_weeks]
     x = np.array([[r.overall_score] for r in train])
-    fitted = model.classes[1:] if len(model.classes) == 2 else model.classes
     diff = 0.0
-    for k, cls in enumerate(fitted, start=len(model.classes) - len(fitted)):
+    for k, cls in enumerate(model.classes):
         y = np.array([1.0 if r.label == cls else -1.0 for r in train])
         w, b = numpy_fit_binary_hinge(x, y, config.c, config.epochs)
-        diff = max(diff, *np.abs(np.array(model.weights[k]) - w), abs(model.bias[k] - b))
+        diff = max(diff, abs(model.weights[k] - w[0]), abs(model.bias[k] - b))
     return diff
 
 
@@ -262,11 +261,34 @@ class TestFitMatchesNumpyOracle:
             assert max_difference_from_numpy_fit(random_rows(rng, n, classes), config) == 0.0
 
 
+class TestNegatedLabels:
+    """Every step of the fit is odd in y, and round-to-nearest is
+    sign-symmetric, so negating the labels negates the fit. `==` compares
+    floats bit for bit except the sign of a zero, which the fit always
+    returns as +0.0."""
+
+    def test_negated_labels_negate_the_fit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(20, 120))
+            rows = random_rows(rng, n, ("down", "up"))
+            x = [r.overall_score for r in rows]
+            y = [1.0 if r.label == "up" else -1.0 for r in rows]
+            c, epochs = float(rng.choice([0.1, 1.0, 10.0])), int(rng.integers(1, 300))
+            w, b = _fit_binary_hinge(x, y, c, epochs)
+            assert _fit_binary_hinge(x, [-v for v in y], c, epochs) == (-w, -b)
+
+    def test_two_class_model_holds_one_map_and_its_negation(self):
+        model = train_summarizer(toy_rows(30), SummarizerConfig(train_weeks=20))
+        assert model.kind == "binary-hinge"
+        (w_down, w_up), (b_down, b_up) = model.weights, model.bias
+        assert (w_down, b_down) == (-w_up, -b_up) and w_up > 0
+
+
 class TestPrediction:
     def test_monotone_binary_decision(self):
-        model = SummarizerModel(classes=("down", "up"),
-                                weights=np.array([[-2.0], [2.0]]),
-                                bias=np.array([1.0, -1.0]), last_train_week=MONDAY)
+        model = SummarizerModel(classes=("down", "up"), weights=[-2.0, 2.0],
+                                bias=[1.0, -1.0], last_train_week=MONDAY)
         high = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=1.0,
                                label="up", sampled_ids=())
         low = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.0,
@@ -275,30 +297,29 @@ class TestPrediction:
         assert predict_week(model, low) == "down"
 
     def test_tie_goes_to_lower_class_index(self):
-        model = SummarizerModel(classes=("down", "up"),
-                                weights=np.array([[-2.0], [2.0]]),
-                                bias=np.array([1.0, -1.0]), last_train_week=MONDAY)
+        model = SummarizerModel(classes=("down", "up"), weights=[-2.0, 2.0],
+                                bias=[1.0, -1.0], last_train_week=MONDAY)
         boundary = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.5,
                                    label="up", sampled_ids=())
         assert predict_week(model, boundary) == "down"
 
     def test_golden_affine_decision(self):
         # scores: down = -3*x + 1.2, up = 3*x - 1.2 -> boundary x = 0.4
-        model = SummarizerModel(classes=("down", "up"),
-                                weights=np.array([[-3.0], [3.0]]),
-                                bias=np.array([1.2, -1.2]), last_train_week=MONDAY)
+        model = SummarizerModel(classes=("down", "up"), weights=[-3.0, 3.0],
+                                bias=[1.2, -1.2], last_train_week=MONDAY)
         row = WeeklySentiment(week=MONDAY, n_sampled=1, overall_score=0.45,
                               label="up", sampled_ids=())
         assert predict_week(model, row) == "up"
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(11)
-        weights = rng.normal(size=(3, 1))
-        bias = rng.normal(size=3)
+        weights = rng.normal(size=3).tolist()
+        bias = rng.normal(size=3).tolist()
         model = SummarizerModel(classes=("down", "preserve", "up"), weights=weights, bias=bias,
                                 last_train_week=MONDAY)
-        scaled = SummarizerModel(classes=("down", "preserve", "up"), weights=7.0 * weights,
-                                 bias=7.0 * bias, last_train_week=MONDAY)
+        scaled = SummarizerModel(classes=("down", "preserve", "up"),
+                                 weights=[7.0 * w for w in weights],
+                                 bias=[7.0 * b for b in bias], last_train_week=MONDAY)
         for _ in range(50):
             row = WeeklySentiment(week=MONDAY, n_sampled=5,
                                   overall_score=float(rng.uniform(0, 1)), label="up",
@@ -366,6 +387,10 @@ class TestSerialization:
         (lambda p: p.update(weights=[[1.0], [10 ** 400]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(weights=[[1.0], [1.0, 2.0]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(classes=["up"], weights=[[1.0]], bias=[0.0]), "bad 'classes'"),
+        (lambda p: p.update(classes=["down", "down", "up"], weights=[[1.0]] * 3,
+                            bias=[0.0] * 3), "bad 'classes'"),
+        (lambda p: p.update(classes=["up", "down", "preserve"], weights=[[1.0]] * 3,
+                            bias=[0.0] * 3), "bad 'classes'"),
         (lambda p: p.update(weights=[[-math.inf], [1.0]]), "'weights' must be numbers of shape"),
         (lambda p: p.update(bias=[math.inf, 0.0]), "'bias' must be numbers of shape"),
         (lambda p: p.update(bias=[0.0, -math.nan]), "'bias' must be numbers of shape"),
@@ -404,6 +429,19 @@ class TestSerialization:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 3: .*'bogus'"):
+            read_weekly_sentiment_csv(path)
+
+    @pytest.mark.parametrize("k, change, message", [
+        (2, {"week": MONDAY}, "anchor 2020-01-06 does not follow 2020-01-13"),
+        (1, {"n_sampled": 0}, "n_sampled 0 is below 1"),
+    ])
+    def test_weekly_sentiment_csv_out_of_order_or_unsampled_is_data_error(
+            self, tmp_path, k, change, message):
+        rows = toy_rows(4)
+        rows[k] = replace(rows[k], **change)
+        path = tmp_path / "weekly_sentiment.csv"
+        write_weekly_sentiment_csv(rows, path)
+        with pytest.raises(DataError, match=f"weekly_sentiment.csv line {k + 2}: .*{message}"):
             read_weekly_sentiment_csv(path)
 
     def test_weekly_sentiment_csv_without_rows_is_data_error(self, tmp_path):
