@@ -12,8 +12,8 @@ Run:  python3 demos/01_weekly_calendar.py
 from newstrend.config import SynthConfig
 from newstrend.synth import generate
 from newstrend.weeks import (
-    PriceSeries, binary_asymmetric_policy, label_weeks, monday_anchors,
-    three_way_policy, weekday_autocorrelation, weekly_changes,
+    POLICY_THRESHOLDS, PriceSeries, label_weeks, make_policy, monday_anchors,
+    weekday_autocorrelation, weekly_changes,
 )
 
 WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday")
@@ -42,13 +42,14 @@ def main():
     print("=" * 64)
     print("3. labels under the binning policies")
     print("=" * 64)
-    for policy in (three_way_policy(), binary_asymmetric_policy()):
+    for name in POLICY_THRESHOLDS:
+        policy = make_policy(name)
         labels = label_weeks(weeks, policy)
         counts = {}
         for lab in labels:
             counts[lab.summarizer_class] = counts.get(lab.summarizer_class, 0) + 1
         print(f"  {policy.name:20s} {counts}")
-    labels = label_weeks(weeks, three_way_policy())
+    labels = label_weeks(weeks, make_policy("three_way"))
     extractor = {}
     for lab in labels:
         extractor[lab.extractor_class] = extractor.get(lab.extractor_class, 0) + 1

@@ -14,7 +14,7 @@ from newstrend.config import SynthConfig
 from newstrend.synth import generate
 from newstrend.tokens import encode_docs
 from newstrend.weeks import (
-    PriceSeries, attach_news, label_weeks, monday_anchors, three_way_policy,
+    PriceSeries, attach_news, label_weeks, make_policy, monday_anchors,
     weekly_changes,
 )
 
@@ -27,7 +27,7 @@ def main():
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = attach_news(weekly_changes(prices, anchors),
                         ((r.id, r.published.date()) for r in records))
-    labels = label_weeks(weeks, three_way_policy())
+    labels = label_weeks(weeks, make_policy("three_way"))
     # every document as token ids into one shared, sorted word table
     docs = {doc.record_id: doc for doc in encode_docs([tokenize(r) for r in records])}
     docs_by_week = {lab.week.anchor: [docs[rid] for rid in lab.week.news_ids]

@@ -44,9 +44,8 @@ _EXPORTS = {
     "tokens": ("EncodedDoc", "TokenizedCorpus", "encode_docs", "read_tokens", "write_tokens"),
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
-        "autocorrelation", "binary_asymmetric_policy", "binary_symmetric_policy",
-        "extractor_class_of", "label_weeks", "load_prices", "make_policy", "monday_anchors",
-        "pot_class_of", "three_way_policy", "weekday_autocorrelation", "weekly_changes",
+        "autocorrelation", "extractor_class_of", "label_weeks", "load_prices", "make_policy",
+        "monday_anchors", "pot_class_of", "weekday_autocorrelation", "weekly_changes",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

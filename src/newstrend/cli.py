@@ -281,9 +281,9 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
             f"{workdir / 'extractor.model'} was trained on; re-run `train-extractor`"
         )
     excluded = set(trained.train_weeks) | set(trained.dev_weeks)
-    n_lags = config.polarity.n_lags
-    batch = config.extractor.batch_size
     model = trained.model
+    n_lags = model.n_lags  # the lag count it was trained on, whatever the config says
+    batch = config.extractor.batch_size
 
     def score_articles(anchor, ids):
         matrix = model_set.matrix(vocab, anchor, n_lags)
@@ -318,7 +318,7 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
-    from .metrics import format_report_text, report, write_report_csv
+    from .metrics import format_report_text, report
     from .summarizer import (
         load_summarizer, predict_week, read_weekly_sentiment_csv, rows_after_training,
     )
@@ -329,17 +329,15 @@ def run_evaluate(config: PipelineConfig, workdir: Path, args) -> None:
     predictions = [predict_week(model, r) for r in test]
     truths = [r.label for r in test]
     classes = [c for c in CLASS_ORDER if c in set(truths) | set(predictions)]
-    detail = [
-        {"anchor": r.week.isoformat(), "n_sampled": r.n_sampled,
-         "overall_score": "%.10f" % r.overall_score, "true_class": r.label,
-         "predicted_class": p}
-        for r, p in zip(test, predictions)
-    ]
-    rep = report(predictions, truths, policy=config.labels.policy,
-                 classes=classes, rows=detail)
-    text = format_report_text(rep)
+    text = format_report_text(report(predictions, truths, policy=config.labels.policy,
+                                     classes=classes))
     artifacts.write_text(workdir / "report.txt", text)
-    write_report_csv(rep, workdir / "report.csv")
+    artifacts.write_csv(
+        workdir / "report.csv",
+        ["anchor", "n_sampled", "overall_score", "true_class", "predicted_class"],
+        ([r.week.isoformat(), r.n_sampled, "%.10f" % r.overall_score, r.label, p]
+         for r, p in zip(test, predictions)),
+    )
     print(text, end="")
 
 

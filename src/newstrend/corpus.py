@@ -49,17 +49,13 @@ class TokenizedDoc:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered word list with a word -> position index (a bijection)."""
+    """Ordered list of distinct words."""
 
     words: tuple[str, ...]
 
     def __post_init__(self):
         if len(set(self.words)) != len(self.words):
             raise ValueError("vocabulary words must be distinct")
-
-    @property
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)

@@ -653,12 +653,20 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
     enc = header["encoder"]
     if enc["kind"] != "reference":
         raise ValueError(f"unknown encoder kind {enc['kind']!r}")
+    if type(header["n_lags"]) is not int or header["n_lags"] < 1:  # `score` reads it
+        raise ValueError(f"n_lags {header['n_lags']!r} is not a lag count of at least 1")
     encoder = ReferenceEncoder(enc["vocab"], dim=enc["dim"], emb_dim=enc["emb_dim"])
     vocab = Vocabulary(words=tuple(header["vocab"]))
     model = ExtractorModel(
         vocab=vocab, encoder=encoder, n_lags=header["n_lags"],
         hidden=header["hidden"], lam=header["lam"], seed=0,
     )
+    v = len(vocab)
+    for name, shape in {**model.shapes, "pot_mu": (v,), "pot_sigma": (v,)}.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} has shape {list(arrays[name].shape)}, not {list(shape)}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{name} holds a value that is not finite")
     model.pot_mu = arrays.pop("pot_mu")
     model.pot_sigma = arrays.pop("pot_sigma")
     for name, view in model.params.items():

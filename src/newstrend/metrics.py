@@ -6,11 +6,9 @@ Counts are plain ints and every metric is computed from integer sums, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
-from . import artifacts
 from .errors import DataError, UndefinedMetricError
 
 
@@ -117,7 +115,6 @@ class EvaluationReport:
     mcc: float
     mcc_degenerate: bool
     f1_per_class: dict[str, float]
-    rows: list[dict] = field(default_factory=list)
 
 
 def report(
@@ -125,7 +122,6 @@ def report(
     truths: Sequence[str],
     policy: str,
     classes: Sequence[str] | None = None,
-    rows: Sequence[dict] | None = None,
 ) -> EvaluationReport:
     """Assemble a full evaluation: confusion matrix, Acc, MCC, per-class F1."""
     if not truths:
@@ -139,7 +135,6 @@ def report(
         mcc=mcc_value,
         mcc_degenerate=degenerate,
         f1_per_class={c: f1(cm, c) for c in cm.classes},
-        rows=list(rows) if rows else [],
     )
 
 
@@ -161,7 +156,3 @@ def format_report_text(rep: EvaluationReport) -> str:
         lines.append(f"  {c:>9} {row}")
     return "\n".join(lines) + "\n"
 
-
-def write_report_csv(rep: EvaluationReport, path: str | Path) -> None:
-    names = list(rep.rows[0]) if rep.rows else []
-    artifacts.write_csv(path, names, ([row[n] for n in names] for row in rep.rows))

@@ -129,9 +129,9 @@ class PolarityModelSet:
     Row i of `scores` holds week `anchors[i]`, column j the sorted word
     `words[j]`; any other word scores 0. `vocab` is the ranked vocabulary
     the extractor reads, every word of it tracked. Anchors and words must be
-    sorted and distinct, and `scores` must have one row per anchor and one
-    column per word (ValueError otherwise, as for a vocabulary word that is
-    repeated or untracked).
+    sorted and distinct, and `scores` must be finite, with one row per anchor
+    and one column per word (ValueError otherwise, as for a vocabulary word
+    that is repeated or untracked).
     """
 
     anchors: tuple[date, ...]
@@ -147,6 +147,8 @@ class PolarityModelSet:
                 raise ValueError(f"{name} must be sorted and distinct")
         if self.scores.shape != (len(self.anchors), len(self.words)):
             raise ValueError(f"scores have shape {self.scores.shape}, not anchors x words")
+        if not np.isfinite(self.scores).all():
+            raise ValueError("scores hold a value that is not finite")
         self._pos = {a: i for i, a in enumerate(self.anchors)}
         self._col = {w: j for j, w in enumerate(self.words)}
         if not self._col.keys() >= set(self.vocab.words):

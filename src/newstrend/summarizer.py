@@ -18,6 +18,7 @@ tests only on later weeks (`rows_after_training`), so a changed
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -270,8 +271,9 @@ def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path
 
 def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
     text = artifacts.read_text(path, "weekly sentiment file")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     rows = []
-    for n, rec in enumerate(csv.DictReader(text.splitlines()), start=2):
+    for rec in reader:
         try:
             if rec["true_class"] not in CLASS_ORDER:
                 raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
@@ -286,7 +288,7 @@ def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
             rows.append(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(
-                f"weekly sentiment file {path} line {n}: bad or missing field {exc}"
+                f"weekly sentiment file {path} line {reader.line_num}: bad or missing field {exc}"
             ) from None
     if not rows:
         raise DataError(f"weekly sentiment file {path} holds no weeks")

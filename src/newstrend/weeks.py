@@ -6,6 +6,7 @@ assignment, and weekday autocorrelation.
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -64,45 +65,38 @@ class TradingWeek:
     news_ids: tuple[str, ...] = ()
 
 
+# each binning policy's default (up, down) thresholds; `three_way` keeps the
+# weeks between them as "preserve", the binary policies exclude them
+POLICY_THRESHOLDS = {"three_way": (0.79, -0.21), "binary_asymmetric": (0.0, 0.0),
+                     "binary_symmetric": (0.6, 0.0)}
+
+
 @dataclass(frozen=True)
 class BinningPolicy:
     """Threshold rule mapping a weekly percent change to a class label."""
 
-    kind: str          # "three_way" or "binary"
+    name: str          # a key of POLICY_THRESHOLDS
     up: float
     down: float
-    name: str
 
     def __post_init__(self):
-        if self.kind == "three_way" and self.up <= self.down:
+        if self.name not in POLICY_THRESHOLDS:
+            raise ConfigError(f"unknown binning policy {self.name!r}")
+        if self.name == "three_way" and self.up <= self.down:
             raise ConfigError(
                 f"three-way policy requires up > down, got up={self.up} down={self.down}"
             )
-        if self.kind == "binary" and self.up < self.down:
+        if self.up < self.down:
             raise ConfigError(
                 f"binary policy requires up >= down, got up={self.up} down={self.down}"
             )
-        if self.kind not in ("three_way", "binary"):
-            raise ConfigError(f"unknown policy kind {self.kind!r}")
 
     def classify(self, pct: float) -> str:
         if pct > self.up:
             return "up"
         if pct < self.down:
             return "down"
-        return "preserve" if self.kind == "three_way" else "excluded"
-
-
-def three_way_policy(up: float = 0.79, down: float = -0.21) -> BinningPolicy:
-    return BinningPolicy(kind="three_way", up=up, down=down, name="three_way")
-
-
-def binary_asymmetric_policy() -> BinningPolicy:
-    return BinningPolicy(kind="binary", up=0.0, down=0.0, name="binary_asymmetric")
-
-
-def binary_symmetric_policy(up: float = 0.6, down: float = 0.0) -> BinningPolicy:
-    return BinningPolicy(kind="binary", up=up, down=down, name="binary_symmetric")
+        return "preserve" if self.name == "three_way" else "excluded"
 
 
 def make_policy(name: str, up: float | None = None, down: float | None = None) -> BinningPolicy:
@@ -111,16 +105,12 @@ def make_policy(name: str, up: float | None = None, down: float | None = None) -
     if (up is None) != (down is None):
         raise ConfigError(f"policy {name!r} needs both labels.up and labels.down, or neither; "
                           f"got up={up} down={down}")
-    if name == "three_way":
-        return three_way_policy() if up is None else three_way_policy(up, down)
-    if name == "binary_asymmetric":
-        if up is not None:
-            raise ConfigError("policy 'binary_asymmetric' splits at 0 and takes no "
-                              "labels.up or labels.down")
-        return binary_asymmetric_policy()
-    if name == "binary_symmetric":
-        return binary_symmetric_policy() if up is None else binary_symmetric_policy(up, down)
-    raise ConfigError(f"unknown binning policy {name!r}")
+    if name == "binary_asymmetric" and up is not None:
+        raise ConfigError("policy 'binary_asymmetric' splits at 0 and takes no "
+                          "labels.up or labels.down")
+    if up is None:  # an unknown name keeps None, which BinningPolicy rejects first
+        up, down = POLICY_THRESHOLDS.get(name, (None, None))
+    return BinningPolicy(name, up, down)
 
 
 def extractor_class_of(pct: float, threshold: float = 2.0) -> str:
@@ -153,7 +143,8 @@ class WeeklyLabel:
 
 def load_prices(path: str | Path) -> PriceSeries:
     """Parse a `date,close` CSV into a validated price series."""
-    reader = csv.reader(artifacts.read_text(path, "price file").splitlines())
+    # rows split where csv splits them, not at every Unicode line break
+    reader = csv.reader(io.StringIO(artifacts.read_text(path, "price file"), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -161,7 +152,8 @@ def load_prices(path: str | Path) -> PriceSeries:
     if [h.strip().lower() for h in header[:2]] != ["date", "close"]:
         raise DataError(f"price file {path} must have header 'date,close'")
     entries: list[tuple[date, float]] = []
-    for rownum, row in enumerate(reader, start=2):
+    for row in reader:
+        rownum = reader.line_num
         if not row or not "".join(row).strip():
             continue
         try:
@@ -312,9 +304,9 @@ WEEK_CLASSES = {"extractor_class": EXTRACTOR_CLASSES, "pot_class": POT_CLASSES,
 
 
 def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
-    text = artifacts.read_text(path, "weeks file")
+    reader = csv.DictReader(io.StringIO(artifacts.read_text(path, "weeks file"), newline=""))
     labels = []
-    for n, row in enumerate(csv.DictReader(text.splitlines()), start=2):
+    for row in reader:
         try:
             for key, allowed in WEEK_CLASSES.items():
                 if row[key] not in allowed:
@@ -328,7 +320,8 @@ def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
                 raise ValueError(f"anchor {week.anchor} does not follow {labels[-1].week.anchor}")
             labels.append(WeeklyLabel(week, **{key: row[key] for key in WEEK_CLASSES}))
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"weeks file {path} line {n}: bad or missing field {exc}") from None
+            raise DataError(f"weeks file {path} line {reader.line_num}: bad or missing "
+                            f"field {exc}") from None
     if not labels:
         raise DataError(f"weeks file {path} holds no weeks")
     return labels

@@ -25,7 +25,7 @@ from newstrend.summarizer import build_summarizer_dataset
 from newstrend.tokens import encode_docs
 from newstrend.weeks import (
     POT_CLASSES, TradingWeek, WeeklyLabel, label_weeks, load_prices,
-    monday_anchors, three_way_policy, weekday_autocorrelation, weekly_changes,
+    make_policy, monday_anchors, weekday_autocorrelation, weekly_changes,
 )
 
 from test_extractor import randomize, tiny_example, tiny_model, zero_gradient_blocks
@@ -340,7 +340,7 @@ def test_09_real_data_calibration():
     train_anchors = monday_anchors(prices, date(2009, 8, 1), date(2019, 4, 30))
     train_weeks = weekly_changes(prices, train_anchors)
     counts = {"positive": 0, "negative": 0, "excluded": 0}
-    for lab in label_weeks(train_weeks, three_way_policy()):
+    for lab in label_weeks(train_weeks, make_policy("three_way")):
         counts[lab.extractor_class] += 1
     partition_ok = (counts["positive"], counts["negative"], counts["excluded"]) == (69, 53, 327)
 
@@ -349,7 +349,7 @@ def test_09_real_data_calibration():
     from newstrend.weeks import attach_news
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
-    labels = label_weeks(weeks, three_way_policy())
+    labels = label_weeks(weeks, make_policy("three_way"))
     attached = attach_news(weeks, ((r.id, r.published.date()) for r in result.records))
     by_anchor = {w.anchor: w for w in attached}
     labels = [dc_replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels]

@@ -9,9 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from newstrend.artifacts import read_arrays, write_arrays
 from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES
 from newstrend.config import BOUNDS, PipelineConfig
-from newstrend.polarity import PolarityModelSet
+from newstrend.extractor import MODEL_MAGIC
+from newstrend.polarity import POT_MAGIC, PolarityModelSet
+from newstrend.summarizer import (
+    load_summarizer, predict_week, read_weekly_sentiment_csv, rows_after_training,
+)
 
 from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
 
@@ -155,6 +160,31 @@ class TestSummarizerArtifacts:
         n_rows = len((wd / "weekly_sentiment.csv").read_text().splitlines()) - 1
         n_test = n_rows - BASE_CONFIG["summarizer.train_weeks"]
         assert f"\nn: {n_test}\n" in (wd / "report.txt").read_text()
+
+    def test_report_csv_holds_the_test_weeks_and_their_predictions(self, trained_workdir):
+        wd, _ = trained_workdir
+        lines = (wd / "report.csv").read_text().splitlines()
+        assert lines[0] == "anchor,n_sampled,overall_score,true_class,predicted_class"
+        scored = (wd / "weekly_sentiment.csv").read_text().splitlines()
+        rows, predicted = zip(*(line.rsplit(",", 1) for line in lines[1:]))
+        assert list(rows) == scored[1 + BASE_CONFIG["summarizer.train_weeks"]:]
+        model = load_summarizer(wd / "summarizer.model")
+        test = rows_after_training(read_weekly_sentiment_csv(wd / "weekly_sentiment.csv"), model)
+        assert list(predicted) == [predict_week(model, row) for row in test]
+
+
+class TestScoreCommand:
+    @pytest.mark.parametrize("n_lags", [2, 7])
+    def test_lag_count_comes_from_the_model(self, trained_workdir, tmp_path, capsys, n_lags):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        assert run(["score", "--workdir", wd, "--config", config, "--allow-config-drift",
+                    "--set", f"polarity.n_lags={n_lags}"]) == 0
+        n_lags = PipelineConfig().polarity.n_lags  # the count the model was trained on
+        assert f"(+{n_lags - 1} warmup weeks not eligible)" in capsys.readouterr().out
+        assert ((wd / "weekly_sentiment.csv").read_bytes()
+                == (source / "weekly_sentiment.csv").read_bytes())
 
 
 class TestSynthCommand:
@@ -521,6 +551,49 @@ def _pot_vocab_repeated(wd):
     return "pot.bin is corrupt: vocabulary words must be distinct"
 
 
+def _edit_array(path, magic, name, change):
+    """Rewrite the array `name` of the array file `path` as `change` of it."""
+    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays))
+    arrays[name] = change(arrays[name])
+    write_arrays(path, magic, header, list(arrays.items()))
+    return f"{path.name} is corrupt: {name} "
+
+
+def _with_nan(a):
+    a.flat[3] = math.nan
+    return a
+
+
+def _att_v_of_one_value(wd):  # broadcast over the whole block unless refused
+    prefix = _edit_array(wd / "extractor.model", MODEL_MAGIC, "att_v", lambda a: a[:1])
+    return prefix + "has shape [1], not [24]"
+
+
+def _pot_mu_cut(wd):
+    prefix = _edit_array(wd / "extractor.model", MODEL_MAGIC, "pot_mu", lambda a: a[:10])
+    return prefix + "has shape [10], not [24]"
+
+
+def _nan_in_model_block(wd):
+    prefix = _edit_array(wd / "extractor.model", MODEL_MAGIC, "dense_w", _with_nan)
+    return prefix + "holds a value that is not finite"
+
+
+def _nan_pot_score(wd):
+    prefix = _edit_array(wd / "pot.bin", POT_MAGIC, "scores", _with_nan)
+    return prefix + "hold a value that is not finite"
+
+
+def _model_of_no_lags(wd):
+    _edit_header(wd / "extractor.model", lambda header: header.update(n_lags=0))
+    return "extractor.model is corrupt: n_lags 0 is not a lag count"
+
+
+def _model_lag_count_a_string(wd):
+    _edit_header(wd / "extractor.model", lambda header: header.update(n_lags="4"))
+    return "extractor.model is corrupt: n_lags '4' is not a lag count"
+
+
 def _rename_vocab_word(wd):
     def edit(header):
         header["vocab"][0] += "x"
@@ -713,7 +786,13 @@ class TestCorruptArtifacts:
                                                 ("evaluate", _summarizer_class_repeated),
                                                 ("evaluate", _summarizer_classes_out_of_order),
                                                 ("evaluate", _nan_summarizer_weights),
-                                                ("evaluate", _inf_summarizer_bias)])
+                                                ("evaluate", _inf_summarizer_bias),
+                                                ("score", _att_v_of_one_value),
+                                                ("score", _pot_mu_cut),
+                                                ("score", _nan_in_model_block),
+                                                ("score", _nan_pot_score),
+                                                ("score", _model_of_no_lags),
+                                                ("score", _model_lag_count_a_string)])
     def test_stage_exits_two_naming_the_artifact(self, trained_workdir, tmp_path, capsys,
                                                  stage, corrupt):
         source, config = trained_workdir

@@ -410,8 +410,6 @@ class TestVocabulary:
         with pytest.raises(DataError, match="vocabulary"):
             build_vocabulary([("gain", 1.0)], 2)
 
-    def test_index_bijection(self):
-        vocab = Vocabulary(words=("a", "b", "c"))
-        assert vocab.index == {"a": 0, "b": 1, "c": 2}
+    def test_repeated_word_fatal(self):
         with pytest.raises(ValueError):
             Vocabulary(words=("a", "a"))

@@ -9,6 +9,7 @@ from pathlib import Path
 import newstrend
 from newstrend.cli import STAGES, main
 from newstrend.config import PipelineConfig
+from newstrend.weeks import POLICY_THRESHOLDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,3 +85,11 @@ def test_only_synth_hands_on_more_than_one_output():
     read = {name for stage in STAGES.values() for name in stage.inputs}
     assert [command for command, stage in STAGES.items()
             if len(read.intersection(stage.outputs)) > 1] == ["synth"]
+
+
+def test_policy_paragraph_names_each_policy_with_its_default_thresholds():
+    text = " ".join(README.read_text(encoding="utf-8").split())  # lines unwrapped
+    paragraph = text.split("`labels.policy` is one of", 1)[1].split("`labels.up`", 1)[0]
+    named = {name: (float(up), float(down)) for name, up, down in re.findall(
+        r"`([a-z_]+)` \(up above (-?[\d.]+), down below (-?[\d.]+)", paragraph)}
+    assert named == POLICY_THRESHOLDS

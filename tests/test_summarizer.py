@@ -444,6 +444,17 @@ class TestSerialization:
         with pytest.raises(DataError, match=f"weekly_sentiment.csv line {k + 2}: .*{message}"):
             read_weekly_sentiment_csv(path)
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+    def test_weekly_sentiment_csv_unicode_line_break_does_not_split_a_row(self, tmp_path, brk):
+        path = tmp_path / "weekly_sentiment.csv"
+        write_weekly_sentiment_csv(toy_rows(5), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",10,", f",10{brk},")  # still a number
+        lines[4] = lines[4].replace(",10,", ",bad,")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="weekly_sentiment.csv line 5: "):
+            read_weekly_sentiment_csv(path)
+
     def test_weekly_sentiment_csv_without_rows_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
         write_weekly_sentiment_csv([], path)

@@ -1,3 +1,4 @@
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 from newstrend.errors import ConfigError, DataError
 from newstrend.weeks import (
-    PriceSeries, TradingWeek, attach_news, autocorrelation,
-    binary_asymmetric_policy, binary_symmetric_policy, extractor_class_of,
-    label_weeks, load_prices, make_policy, monday_anchors, pot_class_of,
-    read_weeks_csv, three_way_policy, weekday_autocorrelation, weekly_changes,
-    write_weeks_csv,
+    POLICY_THRESHOLDS, BinningPolicy, PriceSeries, TradingWeek, attach_news,
+    autocorrelation, extractor_class_of, label_weeks, load_prices, make_policy,
+    monday_anchors, pot_class_of, read_weeks_csv, weekday_autocorrelation,
+    weekly_changes, write_weeks_csv,
 )
 
 from conftest import make_record
@@ -60,6 +60,17 @@ class TestLoadPrices:
         path = tmp_path / "p.csv"
         path.write_text(f"date,close\n2020-01-06,100.0\n{day},101.0\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 3"):
+            load_prices(path)
+
+    # csv.reader ends a row only at \n or \r, where str.splitlines also ends
+    # one at these Unicode line breaks
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_break_neither_splits_a_row_nor_shifts_the_count(self, tmp_path, brk):
+        closes = ["100.0", "101.0", "102.0" + brk, "103.0", "104.0", "bad"]
+        rows = [f"{date(2020, 1, 6) + timedelta(weeks=i)},{c}" for i, c in enumerate(closes)]
+        path = tmp_path / "p.csv"
+        path.write_text("date,close\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 7: bad row"):
             load_prices(path)
 
 
@@ -118,12 +129,12 @@ def week(anchor, prev, pct):
 class TestLabels:
     def test_three_way_defaults(self):
         w = week("2020-01-13", "2020-01-06", 1.0)
-        lab = label_weeks([w], three_way_policy())[0]
+        lab = label_weeks([w], make_policy("three_way"))[0]
         assert lab.summarizer_class == "up"
         assert label_weeks([week("2020-01-13", "2020-01-06", 0.0)],
-                           three_way_policy())[0].summarizer_class == "preserve"
+                           make_policy("three_way"))[0].summarizer_class == "preserve"
         assert label_weeks([week("2020-01-13", "2020-01-06", -0.3)],
-                           three_way_policy())[0].summarizer_class == "down"
+                           make_policy("three_way"))[0].summarizer_class == "down"
 
     def test_extractor_threshold(self):
         assert extractor_class_of(2.5) == "positive"
@@ -138,21 +149,21 @@ class TestLabels:
         assert pot_class_of(-2.0) == "vneg"
 
     def test_binary_policies(self):
-        assert binary_asymmetric_policy().classify(0.1) == "up"
-        assert binary_asymmetric_policy().classify(-0.1) == "down"
-        assert binary_asymmetric_policy().classify(0.0) == "excluded"
-        assert binary_symmetric_policy().classify(0.3) == "excluded"
-        assert binary_symmetric_policy().classify(0.7) == "up"
+        assert make_policy("binary_asymmetric").classify(0.1) == "up"
+        assert make_policy("binary_asymmetric").classify(-0.1) == "down"
+        assert make_policy("binary_asymmetric").classify(0.0) == "excluded"
+        assert make_policy("binary_symmetric").classify(0.3) == "excluded"
+        assert make_policy("binary_symmetric").classify(0.7) == "up"
 
     def test_inverted_thresholds_fatal(self):
         with pytest.raises(ConfigError):
-            three_way_policy(up=-0.5, down=0.5)
+            make_policy("three_way", up=-0.5, down=0.5)
         with pytest.raises(ConfigError):
             make_policy("binary_symmetric", up=-1.0, down=1.0)
 
     def test_every_week_labeled(self):
         weeks = [week("2020-01-13", "2020-01-06", p) for p in (-3.0, -1.0, 0.0, 1.0, 3.0)]
-        labels = label_weeks(weeks, three_way_policy())
+        labels = label_weeks(weeks, make_policy("three_way"))
         assert len(labels) == len(weeks)
         counts = {}
         for lab in labels:
@@ -162,6 +173,22 @@ class TestLabels:
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
             make_policy("nonsense")
+
+    @pytest.mark.parametrize("name", sorted(POLICY_THRESHOLDS))
+    def test_policy_bins_around_its_default_thresholds(self, name):
+        up, down = POLICY_THRESHOLDS[name]
+        policy = make_policy(name)
+        assert (policy.name, policy.up, policy.down) == (name, up, down)
+        assert policy.classify(math.nextafter(up, math.inf)) == "up"
+        assert policy.classify(math.nextafter(down, -math.inf)) == "down"
+        middle = "preserve" if name == "three_way" else "excluded"
+        assert policy.classify((up + down) / 2) == middle
+
+    def test_policy_built_directly_is_checked(self):
+        with pytest.raises(ConfigError, match="unknown binning policy 'custom'"):
+            BinningPolicy("custom", 1.0, 0.0)
+        with pytest.raises(ConfigError, match="binary policy requires up >= down"):
+            BinningPolicy("binary_symmetric", -1.0, 1.0)
 
 
 def news(records):
@@ -280,7 +307,7 @@ class TestAutocorrelation:
 class TestWeeksCsv:
     def test_roundtrip(self, tmp_path):
         weeks = [week("2020-01-13", "2020-01-06", 2.5), week("2020-01-20", "2020-01-13", -0.4)]
-        labels = label_weeks(weeks, three_way_policy())
+        labels = label_weeks(weeks, make_policy("three_way"))
         path = tmp_path / "weeks.csv"
         write_weeks_csv(labels, path)
         back = read_weeks_csv(path)
@@ -293,7 +320,7 @@ class TestWeeksCsv:
     def test_only_yyyy_mm_dd_dates(self, tmp_path, column):
         weeks = [week("2020-01-13", "2020-01-06", 2.5), week("2020-01-20", "2020-01-13", -0.4)]
         path = tmp_path / "weeks.csv"
-        write_weeks_csv(label_weeks(weeks, three_way_policy()), path)
+        write_weeks_csv(label_weeks(weeks, make_policy("three_way")), path)
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
         fields = lines[2].split(",")
@@ -301,6 +328,19 @@ class TestWeeksCsv:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 3"):
+            read_weeks_csv(path)
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_break_neither_splits_a_row_nor_shifts_the_count(self, tmp_path, brk):
+        weeks = [week(f"{date(2020, 1, 13) + timedelta(weeks=i)}",
+                      f"{date(2020, 1, 6) + timedelta(weeks=i)}", 0.5) for i in range(5)]
+        path = tmp_path / "weeks.csv"
+        write_weeks_csv(label_weeks(weeks, make_policy("three_way")), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace(",0.50000000,", f",0.50000000{brk},")  # still a number
+        lines[4] = lines[4].replace(",0.50000000,", ",bad,")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="weeks.csv line 5: "):
             read_weeks_csv(path)
 
     def test_file_without_weeks_is_data_error_naming_it(self, tmp_path):
