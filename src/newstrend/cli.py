@@ -313,7 +313,7 @@ def run_train_summarizer(config: PipelineConfig, workdir: Path, args) -> None:
     rows = read_weekly_sentiment_csv(workdir / "weekly_sentiment.csv")
     model = train_summarizer(rows, config.summarizer)
     save_summarizer(model, workdir / "summarizer.model")
-    print(f"train-summarizer: {model.kind} on {config.summarizer.train_weeks} weeks, "
+    print(f"train-summarizer: fit on {config.summarizer.train_weeks} weeks, "
           f"classes {model.classes}")
 
 
@@ -348,6 +348,8 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
 
     start = _parse_date("--from", args.date_from) if args.date_from else None
     end = _parse_date("--to", args.date_to, end=True) if args.date_to else None
+    if start is not None and end is not None and start > end:
+        raise ConfigError(f"--from {args.date_from!r} is after --to {args.date_to!r}")
     if args.word:
         pot_path = workdir / "pot.bin"
         model_set = polarity.PolarityModelSet.load(pot_path)

@@ -120,7 +120,7 @@ class SynthConfig:
     # a change follows the mood with probability (1 + rho) / 2
     rho: float = bounded(0.9, min=-1.0, max=1.0)
     seed: int = bounded(7, min=0)
-    start: str = "2015-01-05"      # a Monday
+    start: str = "2015-01-05"      # a Monday, as `_validate` requires
     # mood regimes alternate in blocks of block_min_weeks to block_max_weeks
     # weeks (balanced, persistent)
     block_min_weeks: int = bounded(15, min=1)
@@ -281,11 +281,14 @@ def _validate(config: PipelineConfig) -> None:
             raise ConfigError(f"corpus.url_blocklist entry {pattern!r} is not a regular "
                               f"expression: {exc}") from None
     try:
-        parse_day(config.synth.start)
+        start = parse_day(config.synth.start)
     except ValueError:
         raise ConfigError(
             f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"
         ) from None
+    if start.weekday() != 0:  # `synth` writes five closes a week from it, `label` anchors Mondays
+        raise ConfigError(f"synth.start must be a Monday, got {config.synth.start!r}, "
+                          f"a {start.strftime('%A')}")
     from .weeks import make_policy  # here, so that importing config loads no weeks code
 
     make_policy(config.labels.policy, config.labels.up, config.labels.down)

@@ -29,6 +29,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -302,39 +304,42 @@ class ExtractorModel:
         return ps, pw, cache
 
     def batch_loss(self, batch: Sequence[TrainingExample]) -> float:
-        loss, _, _ = self._loss_forward(batch)
-        return loss
+        losses, _ = self._loss_forward(batch)
+        return reduce(add, losses.tolist(), 0.0) / len(batch)
 
     def _loss_forward(self, batch):
+        """Each row's loss, bit for bit as `multitask_loss` gives it, and the
+        forward cache, which also holds the rows' one-hot targets `ys`, `yw`
+        and loss weights `cs`, `cw`. An unlabeled row's worthiness term is
+        0 * -log(1), which keeps its sentiment loss's bits, signed zero too."""
         ps, pw, cache = self.forward(*_week_table(batch))
-        n = len(batch)
-        total = 0.0
-        clamped = False
-        for i, ex in enumerate(batch):
-            li, breakdown = multitask_loss(ps[i], pw[i], ex.sentiment, ex.worthiness, self.lam)
-            total += li
-            clamped = clamped or breakdown["clamped"]
-        return total / n, cache, clamped
+        rows = np.arange(len(batch))
+        sentiment = np.array([ex.sentiment for ex in batch], dtype=np.intp)
+        worthiness = np.array([ex.worthiness or 0 for ex in batch], dtype=np.intp)
+        labeled = np.array([ex.worthiness is not None for ex in batch])
+        cs = np.where(labeled, self.lam, 1.0)
+        cw = np.where(labeled, 1.0 - self.lam, 0.0)
+        p_worth = np.where(labeled, pw[rows, worthiness], 1.0)
+        losses = (cs * -np.log(np.maximum(ps[rows, sentiment], PROB_FLOOR))
+                  + cw * -np.log(np.maximum(p_worth, PROB_FLOOR)))
+        cache.update(ys=np.eye(2)[sentiment], yw=np.eye(2)[worthiness] * labeled[:, None],
+                     cs=cs, cw=cw)
+        return losses, cache
 
     def loss_and_grads(
         self, batch: Sequence[TrainingExample], out: np.ndarray | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
         """The batch loss and its gradient blocks, views into `out` (a new
         buffer of the `flat` layout when None), which they fill."""
-        loss, cache, _ = self._loss_forward(batch)
+        losses, cache = self._loss_forward(batch)
+        n = len(batch)
+        loss = reduce(add, losses.tolist(), 0.0) / n
         p = self.params
         grads = self.views(np.empty_like(self.flat) if out is None else out)
-        n = len(batch)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
         m, week, a, t = cache["m"], cache["week"], cache["a"], cache["t"]
-
-        labeled = np.array([ex.worthiness is not None for ex in batch])
-        ys = np.eye(2)[[ex.sentiment for ex in batch]]
-        yw = np.eye(2)[[ex.worthiness or 0 for ex in batch]] * labeled[:, None]
-        cs = np.where(labeled, self.lam, 1.0)
-        cw = np.where(labeled, 1.0 - self.lam, 0.0)
-        dls = (ps - ys) * cs[:, None] / n
-        dlw = (pw - yw) * cw[:, None] / n
+        dls = (ps - cache["ys"]) * cache["cs"][:, None] / n
+        dlw = (pw - cache["yw"]) * cache["cw"][:, None] / n
 
         np.matmul(r.T, dls, out=grads["senti_w"])
         dls.sum(axis=0, out=grads["senti_b"])
@@ -510,21 +515,19 @@ class Adam:
 
 
 def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], batch_size: int):
+    """Sentiment accuracy, worthiness accuracy (None without labels) and mean loss."""
     hits_s = 0
     hits_w = 0
     n_w = 0
     loss_sum = 0.0
     for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo : lo + batch_size]
-        ps, pw, _ = model.forward(*_week_table(chunk))
-        pred_s = ps.argmax(axis=1)
-        pred_w = pw.argmax(axis=1)
-        for i, ex in enumerate(chunk):
-            hits_s += int(pred_s[i] == ex.sentiment)
-            loss_sum += multitask_loss(ps[i], pw[i], ex.sentiment, ex.worthiness, model.lam)[0]
-            if ex.worthiness is not None:
-                n_w += 1
-                hits_w += int(pred_w[i] == ex.worthiness)
+        losses, cache = model._loss_forward(examples[lo : lo + batch_size])
+        ys, yw = cache["ys"], cache["yw"]
+        labeled = yw.any(axis=1)
+        hits_s += int((cache["ps"].argmax(axis=1) == ys.argmax(axis=1)).sum())
+        hits_w += int((cache["pw"].argmax(axis=1) == yw.argmax(axis=1))[labeled].sum())
+        n_w += int(labeled.sum())
+        loss_sum = reduce(add, losses.tolist(), loss_sum)
     acc_w = hits_w / n_w if n_w else None
     return hits_s / len(examples), acc_w, loss_sum / len(examples)
 

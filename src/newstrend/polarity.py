@@ -30,8 +30,8 @@ per-article feature matrix consumed by the extractor's lag attention.
 
 A `PolarityModelSet` is stored as one array file, `pot.bin` (see
 `artifacts`): the header lists the anchors, the words and the vocabulary,
-and the body is the weeks x words `scores` array, rounded through
-SCORE_FORMAT.
+and the body is the weeks x words `scores` array as `build_model_set`
+computed it.
 """
 
 from __future__ import annotations
@@ -182,14 +182,10 @@ class PolarityModelSet:
     def save(self, path: str | Path) -> list[Path]:
         """Write the set as one array file (`artifacts.write_arrays`) whose
         header lists the anchors, words and vocabulary and whose body is
-        `scores`, each nonzero score rounded through SCORE_FORMAT; returns
-        `[path]`."""
-        scores = np.zeros_like(self.scores)
-        nonzero = self.scores != 0.0
-        scores[nonzero] = [float(SCORE_FORMAT % v) for v in self.scores[nonzero].tolist()]
+        `scores` bit for bit; returns `[path]`."""
         header = {"anchors": [a.isoformat() for a in self.anchors], "words": list(self.words),
                   "vocab": list(self.vocab.words)}
-        artifacts.write_arrays(path, POT_MAGIC, header, [("scores", scores)])
+        artifacts.write_arrays(path, POT_MAGIC, header, [("scores", self.scores)])
         return [Path(path)]
 
     @classmethod

@@ -113,10 +113,6 @@ class SummarizerModel:
     bias: list[float]
     last_train_week: date         # the latest week of the training split
 
-    @property
-    def kind(self) -> str:
-        return "binary-hinge" if len(self.classes) == 2 else "one-vs-rest-hinge"
-
 
 def _fit_binary_hinge(
     x: Sequence[float], y: Sequence[float], c: float, epochs: int
@@ -208,9 +204,8 @@ def predict_week(model: SummarizerModel, row: WeeklySentiment) -> str:
 
 def save_summarizer(model: SummarizerModel, path: str | Path) -> None:
     payload = {
-        "kind": model.kind,
         "classes": list(model.classes),
-        "weights": [[float(w)] for w in model.weights],
+        "weights": [float(w) for w in model.weights],
         "bias": [float(v) for v in model.bias],
         "last_train_week": model.last_train_week.isoformat(),
     }
@@ -233,20 +228,17 @@ def load_summarizer(path: str | Path) -> SummarizerModel:
     if (not isinstance(classes, list) or len(classes) < 2
             or classes != [c for c in CLASS_ORDER if c in classes]):
         raise DataError(f"summarizer model {path}: bad 'classes' {classes!r}")
-    n, rows = len(classes), payload["weights"]
-    weights = [_floats(row, 1) for row in rows] if isinstance(rows, list) else []
-    if len(weights) != n or None in weights:
-        raise DataError(f"summarizer model {path}: 'weights' must be numbers of shape "
-                        f"{(n, 1)}, all finite")
-    bias = _floats(payload["bias"], n)
-    if bias is None:
-        raise DataError(f"summarizer model {path}: 'bias' must be numbers of shape "
-                        f"{(n,)}, all finite")
+    n = len(classes)
+    weights, bias = (_floats(payload[key], n) for key in ("weights", "bias"))
+    for key, value in (("weights", weights), ("bias", bias)):
+        if value is None:
+            raise DataError(f"summarizer model {path}: {key!r} must be numbers of shape "
+                            f"{(n,)}, all finite; re-run `train-summarizer`")
     try:
         last_train_week = parse_day(payload["last_train_week"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"summarizer model {path}: bad 'last_train_week': {exc}") from None
-    return SummarizerModel(tuple(classes), [row[0] for row in weights], bias, last_train_week)
+    return SummarizerModel(tuple(classes), weights, bias, last_train_week)
 
 
 def _floats(value, length: int) -> list[float] | None:

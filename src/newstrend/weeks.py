@@ -179,25 +179,18 @@ def weekday_anchors(prices: PriceSeries, weekday: int, start: date, end: date) -
     """Anchor dates for one weekday (0=Monday .. 4=Friday) over [start, end].
 
     For each calendar week whose target weekday falls in range, the anchor is
-    the target day if it trades, else the next trading day within that same
-    week (holiday substitution). A week with no such trading day yields no
-    anchor; no week yields two.
+    the first trading day on or after the target day within that same week
+    (holiday substitution), found in one pass over the trading days. A week
+    with no such trading day yields no anchor; no week yields two.
     """
     if not 0 <= weekday <= 4:
         raise ConfigError("weekday must be 0 (Monday) .. 4 (Friday)")
     anchors: list[date] = []
-    monday = _week_monday(start)
-    while True:
-        target = monday + timedelta(days=weekday)
-        if target > end:
-            break
-        if target >= start:
-            for offset in range(7 - weekday):
-                candidate = target + timedelta(days=offset)
-                if prices.close_on(candidate) is not None:
-                    anchors.append(candidate)
-                    break
-        monday += timedelta(days=7)
+    for day, _ in prices.entries:
+        target = _week_monday(day) + timedelta(days=weekday)
+        # an anchor already taken in this week is on or after its target
+        if target <= day and start <= target <= end and (not anchors or anchors[-1] < target):
+            anchors.append(day)
     return anchors
 
 

@@ -128,8 +128,8 @@ class TestSummarizerArtifacts:
         lines = (wd / "weekly_sentiment.csv").read_text().splitlines()
         assert lines[0] == "anchor,n_sampled,overall_score,true_class"
         model = json.loads((wd / "summarizer.model").read_text())
-        assert sorted(model) == ["bias", "classes", "kind", "last_train_week", "weights"]
-        assert [len(row) for row in model["weights"]] == [1, 1]
+        assert sorted(model) == ["bias", "classes", "last_train_week", "weights"]
+        assert [type(w) for w in model["weights"]] == [float, float]
         train_rows = lines[1:1 + BASE_CONFIG["summarizer.train_weeks"]]
         assert model["last_train_week"] == train_rows[-1].split(",")[0]
 
@@ -281,6 +281,17 @@ class TestPotCommand:
                 assert f"{flag} {bad!r}" in capsys.readouterr().err
         assert not (wd / "plots").exists()
 
+    def test_from_after_to_exits_one_before_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label", "pot"])
+        for start, end in (("2016-05", "2015-01"), ("2015-06-02", "2015-06-01")):
+            assert run(["export-plot-data", "--workdir", wd, "--config", config,
+                        "--word", "plunge", "--from", start, "--to", end]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"--from {start!r} is after --to {end!r}" in err
+        assert not (wd / "plots").exists()
+
     def test_pot_takes_no_date_range(self, tmp_path, capsys):
         config = write_config(tmp_path)
         wd = tmp_path / "w"
@@ -393,6 +404,7 @@ class TestErrors:
         ("synth.start=2015-W01-1", "synth.start"),
         ("synth.start=+201-01-01", "synth.start"),
         ("synth.start=2015-01", "synth.start"),
+        ("synth.start=2015-01-07", "synth.start must be a Monday, got '2015-01-07', a Wednesday"),
         ("synth.weeks=abc", "synth.weeks"),
         ("labels.up=0.5", "labels.down"),
         ("synth.block_min_weeks=30", "synth.block_min_weeks"),
@@ -730,7 +742,7 @@ def _edit_summarizer(wd, key, value):
 def _set_summarizer_classes(wd, classes):
     path = wd / "summarizer.model"
     payload = json.loads(path.read_text())
-    payload.update(classes=classes, weights=[[1.0]] * len(classes), bias=[0.0] * len(classes))
+    payload.update(classes=classes, weights=[1.0] * len(classes), bias=[0.0] * len(classes))
     path.write_text(json.dumps(payload))
     return f"summarizer.model: bad 'classes' {classes!r}"
 
@@ -744,11 +756,21 @@ def _summarizer_classes_out_of_order(wd):
 
 
 def _nan_summarizer_weights(wd):
-    return _edit_summarizer(wd, "weights", [[math.nan], [math.nan]])
+    return _edit_summarizer(wd, "weights", [math.nan, math.nan])
 
 
 def _inf_summarizer_bias(wd):
     return _edit_summarizer(wd, "bias", [math.inf, -math.inf])
+
+
+def _summarizer_of_nested_weights(wd):
+    path = wd / "summarizer.model"
+    payload = json.loads(path.read_text())
+    # the layout written when each slope was a row of width 1
+    payload.update(kind="binary-hinge", weights=[[w] for w in payload["weights"]])
+    path.write_text(json.dumps(payload))
+    return ("summarizer.model: 'weights' must be numbers of shape (2,), all finite; "
+            "re-run `train-summarizer`")
 
 
 class TestCorruptArtifacts:
@@ -787,6 +809,7 @@ class TestCorruptArtifacts:
                                                 ("evaluate", _summarizer_classes_out_of_order),
                                                 ("evaluate", _nan_summarizer_weights),
                                                 ("evaluate", _inf_summarizer_bias),
+                                                ("evaluate", _summarizer_of_nested_weights),
                                                 ("score", _att_v_of_one_value),
                                                 ("score", _pot_mu_cut),
                                                 ("score", _nan_in_model_block),

@@ -281,7 +281,7 @@ class TestForward:
         shared = tiny_example(model, rng).matrix
         exs = [tiny_example(model, rng) for _ in range(3)]
         batch = [replace(exs[0], matrix=shared), exs[1], replace(exs[2], matrix=shared)]
-        _, cache, _ = model._loss_forward(batch)
+        _, cache = model._loss_forward(batch)
         assert cache["a"].shape == (2, model.n_lags)
         assert cache["week"].tolist() == [0, 1, 0]
 
@@ -345,6 +345,79 @@ class TestMultitaskLoss:
         loss, b = multitask_loss(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1, None, lam=0.5)
         assert b["clamped"]
         assert loss == pytest.approx(-math.log(1e-12))
+
+
+def labeled_batch(model, rng, n):
+    """`n` examples of random classes, a third of them without a worthiness label."""
+    return [tiny_example(model, rng, worthiness=[None, 0, 1][int(rng.integers(3))],
+                         sentiment=int(rng.integers(2))) for _ in range(n)]
+
+
+def saturate_heads(model):
+    """Head biases so large that each softmax gives one class exactly 0 and
+    the other exactly 1, so one row in two hits the probability floor."""
+    model.params["senti_b"][...] = [400.0, -400.0]
+    model.params["worth_b"][...] = [-400.0, 400.0]
+
+
+def reference_accuracy_on(model, examples, batch_size):
+    """Dev accuracies and mean loss by a loop over rows with `multitask_loss`.
+    Kept as the reference for the per-batch arrays of `_accuracy_on`."""
+    hits_s = hits_w = n_w = 0
+    loss_sum = 0.0
+    for lo in range(0, len(examples), batch_size):
+        chunk = examples[lo : lo + batch_size]
+        ps, pw, _ = model.forward([ex.doc for ex in chunk], np.stack([ex.matrix for ex in chunk]))
+        for i, ex in enumerate(chunk):
+            hits_s += int(ps[i].argmax() == ex.sentiment)
+            loss_sum += multitask_loss(ps[i], pw[i], ex.sentiment, ex.worthiness, model.lam)[0]
+            if ex.worthiness is not None:
+                n_w += 1
+                hits_w += int(pw[i].argmax() == ex.worthiness)
+    return hits_s / len(examples), hits_w / n_w if n_w else None, loss_sum / len(examples)
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_row_losses_are_multitask_loss_bit_for_bit(self, lam, saturated):
+        for seed in range(12):
+            model = tiny_model(lam=lam, seed=seed)
+            rng = np.random.default_rng(seed)
+            randomize(model, rng)
+            if saturated:
+                saturate_heads(model)
+            batch = labeled_batch(model, rng, int(rng.integers(1, 10)))
+            if saturated:  # every combination of probability 0 and 1, labeled or not
+                batch += [tiny_example(model, rng, worthiness=w, sentiment=s)
+                          for s in (0, 1) for w in (None, 0, 1)]
+            losses, cache = model._loss_forward(batch)
+            ps, pw = cache["ps"], cache["pw"]
+            want = [multitask_loss(ps[i], pw[i], ex.sentiment, ex.worthiness, lam)[0]
+                    for i, ex in enumerate(batch)]
+            assert losses.dtype == np.float64
+            assert losses.tobytes() == np.array(want).tobytes()
+            if saturated:  # the floor fired, and the loss stays finite
+                assert 0.0 in ps[np.arange(len(batch)), [ex.sentiment for ex in batch]]
+                assert np.isfinite(losses).all() and np.signbit(losses).any()
+            assert model.batch_loss(batch) == sum(want) / len(batch)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_accuracy_on_matches_the_row_loop(self, lam):
+        from newstrend.extractor import _accuracy_on
+
+        for seed, saturated in ((1, False), (2, True), (3, False)):
+            model = tiny_model(lam=lam, seed=seed)
+            rng = np.random.default_rng(seed)
+            randomize(model, rng)
+            if saturated:
+                saturate_heads(model)
+            examples = labeled_batch(model, rng, 23)
+            for batch_size in (1, 4, 32):
+                assert _accuracy_on(model, examples, batch_size) == reference_accuracy_on(
+                    model, examples, batch_size)
+        unlabeled = [replace(ex, worthiness=None) for ex in examples]
+        assert _accuracy_on(model, unlabeled, 8)[1] is None
 
 
 class TestGradientCheck:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.polarity import (
-    SCORE_FORMAT, PolarityModelSet, _count, build_model_set, tfidf_difference_ranking,
+    PolarityModelSet, _count, build_model_set, tfidf_difference_ranking,
 )
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
@@ -374,16 +374,17 @@ class TestModelSet:
         with pytest.raises(ValueError, match="every vocabulary word must be a tracked word"):
             replace(model_set, vocab=Vocabulary(words=("gain", "rise")))
 
-    def test_saved_scores_are_rounded_through_score_format(self, tmp_path):
+    def test_saved_scores_load_bit_for_bit(self, tmp_path):
         labels, docs_by_week = weekly_fixture()
         model_set = build(labels, docs_by_week, {"gain", "fall"}, window_weeks=3)
         model_set.scores[0, 0] = -0.0
-        model_set.save(tmp_path / "pot.bin")
+        model_set.scores[0, 1] = 1 / 3  # not kept by a 12-digit text form
+        assert model_set.save(tmp_path / "pot.bin") == [tmp_path / "pot.bin"]
         loaded = PolarityModelSet.load(tmp_path / "pot.bin")
-        want = [float(SCORE_FORMAT % v) + 0.0 for v in model_set.scores.ravel().tolist()]
-        assert loaded.words == model_set.words
-        assert loaded.scores.ravel().tolist() == want
-        assert np.all(np.signbit(loaded.scores) == (loaded.scores < 0))
+        assert (loaded.anchors, loaded.words, loaded.vocab) == (
+            model_set.anchors, model_set.words, model_set.vocab)
+        assert loaded.scores.dtype == np.float64
+        assert loaded.scores.tobytes() == model_set.scores.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         labels, docs_by_week = weekly_fixture()

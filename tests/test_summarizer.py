@@ -166,8 +166,8 @@ class TestTraining:
                                         overall_score=centers[lab] + rng.uniform(-0.05, 0.05),
                                         label=lab, sampled_ids=()))
         model = train_summarizer(rows, SummarizerConfig(train_weeks=24))
-        assert model.kind == "one-vs-rest-hinge"
         assert model.classes == ("down", "preserve", "up")
+        assert len(model.weights) == len(model.bias) == 3
         train = sorted(rows, key=lambda r: r.week)[:24]
         # a scalar feature cannot linearly carve out the middle class under
         # one-vs-rest; the outer classes must still be recovered
@@ -280,7 +280,7 @@ class TestNegatedLabels:
 
     def test_two_class_model_holds_one_map_and_its_negation(self):
         model = train_summarizer(toy_rows(30), SummarizerConfig(train_weeks=20))
-        assert model.kind == "binary-hinge"
+        assert model.classes == ("down", "up")
         (w_down, w_up), (b_down, b_up) = model.weights, model.bias
         assert (w_down, b_down) == (-w_up, -b_up) and w_up > 0
 
@@ -379,19 +379,22 @@ class TestSerialization:
         (lambda p: p.update(last_train_week="2020-13-01"), "bad 'last_train_week'"),
         (lambda p: p.update(last_train_week=20200106), "bad 'last_train_week'"),
         (lambda p: p.update(classes=["up", "sideways"]), "bad 'classes'"),
-        (lambda p: p.update(weights=[[1.0], [math.nan]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[1.0, math.nan]), "'weights' must be numbers of shape"),
         (lambda p: p.update(weights=[[1.0, 2.0], [1.0, 2.0]]),
          "'weights' must be numbers of shape"),
+        # the layout written when each slope was a row of width 1
+        (lambda p: p.update(weights=[[1.0], [2.0]]),
+         r"'weights' must be numbers of shape \(2,\), all finite; re-run `train-summarizer`"),
         (lambda p: p.update(bias=["x", 1.0]), "'bias' must be numbers of shape"),
         (lambda p: p.update(bias=[True, False]), "'bias' must be numbers of shape"),
-        (lambda p: p.update(weights=[[1.0], [10 ** 400]]), "'weights' must be numbers of shape"),
-        (lambda p: p.update(weights=[[1.0], [1.0, 2.0]]), "'weights' must be numbers of shape"),
-        (lambda p: p.update(classes=["up"], weights=[[1.0]], bias=[0.0]), "bad 'classes'"),
-        (lambda p: p.update(classes=["down", "down", "up"], weights=[[1.0]] * 3,
+        (lambda p: p.update(weights=[1.0, 10 ** 400]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[1.0, 2.0, 3.0]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(classes=["up"], weights=[1.0], bias=[0.0]), "bad 'classes'"),
+        (lambda p: p.update(classes=["down", "down", "up"], weights=[1.0] * 3,
                             bias=[0.0] * 3), "bad 'classes'"),
-        (lambda p: p.update(classes=["up", "down", "preserve"], weights=[[1.0]] * 3,
+        (lambda p: p.update(classes=["up", "down", "preserve"], weights=[1.0] * 3,
                             bias=[0.0] * 3), "bad 'classes'"),
-        (lambda p: p.update(weights=[[-math.inf], [1.0]]), "'weights' must be numbers of shape"),
+        (lambda p: p.update(weights=[-math.inf, 1.0]), "'weights' must be numbers of shape"),
         (lambda p: p.update(bias=[math.inf, 0.0]), "'bias' must be numbers of shape"),
         (lambda p: p.update(bias=[0.0, -math.nan]), "'bias' must be numbers of shape"),
     ])

@@ -11,7 +11,7 @@ from newstrend.weeks import (
     POLICY_THRESHOLDS, BinningPolicy, PriceSeries, TradingWeek, attach_news,
     autocorrelation, extractor_class_of, label_weeks, load_prices, make_policy,
     monday_anchors, pot_class_of, read_weeks_csv, weekday_autocorrelation,
-    weekly_changes, write_weeks_csv,
+    weekday_anchors, weekly_changes, write_weeks_csv,
 )
 
 from conftest import make_record
@@ -93,6 +93,47 @@ class TestMondayAnchors:
         prices = series([("2020-01-06", 100.0), ("2020-01-20", 102.0)])
         out = monday_anchors(prices, date(2020, 1, 6), date(2020, 1, 26))
         assert out == [date(2020, 1, 6), date(2020, 1, 20)]
+
+
+def calendar_walk_anchors(prices, weekday, start, end):
+    """Anchors by walking the calendar weeks of [start, end] and probing each
+    day from the target to Sunday. Kept as the reference for the one pass
+    over the trading days."""
+    anchors = []
+    monday = start - timedelta(days=start.weekday())
+    while monday + timedelta(days=weekday) <= end:
+        target = monday + timedelta(days=weekday)
+        if target >= start:
+            for offset in range(7 - weekday):
+                if prices.close_on(target + timedelta(days=offset)) is not None:
+                    anchors.append(target + timedelta(days=offset))
+                    break
+        monday += timedelta(days=7)
+    return anchors
+
+
+class TestWeekdayAnchors:
+    # trading calendars of up to 60 days from a Wednesday, each day trading
+    # or not, so they hold holidays, closed weeks and weekend closes
+    @given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(0, 4),
+           st.integers(-10, 70), st.integers(-10, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_the_calendar_walk(self, trades, weekday, lo, hi):
+        first = date(2020, 1, 1)
+        days = [first + timedelta(days=i) for i, t in enumerate(trades) if t]
+        if not days:
+            days = [first]
+        prices = PriceSeries(entries=[(d, 100.0 + i) for i, d in enumerate(days)])
+        start, end = first + timedelta(days=lo), first + timedelta(days=hi)
+        want = calendar_walk_anchors(prices, weekday, start, end)
+        assert weekday_anchors(prices, weekday, start, end) == want
+        if start > end:
+            assert want == []
+
+    def test_weekday_out_of_range_is_config_error(self):
+        prices = series([("2020-01-06", 100.0)])
+        with pytest.raises(ConfigError):
+            weekday_anchors(prices, 5, date(2020, 1, 6), date(2020, 1, 12))
 
 
 class TestWeeklyChanges:
