@@ -1,18 +1,13 @@
 """Workdir bookkeeping: `write_bytes`, through which every file the pipeline
-writes goes, the array-file format, manifests, hashing, and the advisory lock.
-
-Every binary artifact (`tokens.bin`, `pot.bin`, `extractor.model`) is one
-array file: a magic line, a line holding the header's length in bytes, a
-sorted-key JSON header whose `arrays` entry lists each array's name and
-shape, then those arrays in that order as raw little-endian float64.
-`tokens.bin` holds integers in those float64 values (token ids, document
-offsets, day ordinals), all exact below 2**53.
+writes goes, `read_csv`, through which every CSV it reads back goes, the
+array-file format, manifests, hashing, and the advisory lock.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -154,6 +149,35 @@ def read_text(path: str | Path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_csv(path: str | Path, what: str,
+             parse: Callable[[dict[str, str]], tuple[object, T]]) -> list[T]:
+    """The items of the CSV `path`, the pipeline's `what`, in row order:
+    `parse(row)` returns a row's key and item, a row mapping each header name,
+    stripped and lowercased, to its field. Rows end only at `\\n` or `\\r`,
+    rows of blank fields are skipped, and keys must strictly increase; a
+    KeyError, TypeError or ValueError in a row, and a file of no rows, are
+    DataErrors naming the file and the line."""
+    reader = csv.reader(io.StringIO(read_text(path, what), newline=""))
+    header = [name.strip().lower() for name in next(reader, [])]
+    items: list[T] = []
+    for fields in reader:
+        if not "".join(fields).strip():
+            continue
+        try:
+            key, item = parse(dict(zip(header, fields)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{what} {path} line {reader.line_num}: bad or missing "
+                            f"field {exc}") from None
+        if items and not last < key:
+            raise DataError(f"{what} {path} line {reader.line_num}: {key} does not "
+                            f"follow {last}; rows must strictly increase")
+        last = key
+        items.append(item)
+    if not items:
+        raise DataError(f"{what} {path} holds no rows")
+    return items
 
 
 def sha256_file(path: str | Path) -> str:

@@ -229,7 +229,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
         window_weeks=config.polarity.window_weeks,
         discount=config.polarity.discount,
     )
-    model_set = replace(model_set, vocab=vocab)
+    model_set = replace(model_set, vocab=vocab, train_weeks=train_w)
     model_set.save(workdir / "pot.bin")
     print(f"pot: {len(model_set.anchors)} weekly models over {len(model_set.words)} words; "
           f"vocabulary {len(vocab)} words from {len(train_w)} training weeks")
@@ -242,6 +242,9 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
     selected, train_w, dev_w = _extractor_split(config, labels)
+    if train_w != model_set.train_weeks:
+        raise DataError(f"{workdir / 'pot.bin'} ranked its vocabulary on other training weeks "
+                        f"than this config splits off; re-run `pot`")
     selected_set = set(selected)
     examples = []
     for lab in labels:
@@ -346,12 +349,16 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
     from .metrics import pearson
     from .summarizer import read_weekly_sentiment_csv
 
+    if (args.date_from or args.date_to) and not args.word:
+        raise ConfigError("--from and --to bound --word trajectories; pass --word with them")
     start = _parse_date("--from", args.date_from) if args.date_from else None
     end = _parse_date("--to", args.date_to, end=True) if args.date_to else None
     if start is not None and end is not None and start > end:
         raise ConfigError(f"--from {args.date_from!r} is after --to {args.date_to!r}")
+    flat = config.to_flat()
     if args.word:
         pot_path = workdir / "pot.bin"
+        _warn_on_drift(pot_path, flat, args)
         model_set = polarity.PolarityModelSet.load(pot_path)
         for word in args.word:
             if word not in model_set.words:
@@ -370,6 +377,8 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
     sentiment_path = workdir / "weekly_sentiment.csv"
     weeks_path = workdir / "weeks.csv"
     if sentiment_path.exists() and weeks_path.exists():
+        for path in (sentiment_path, weeks_path):
+            _warn_on_drift(path, flat, args)
         rows = read_weekly_sentiment_csv(sentiment_path)
         labels = read_weeks_csv(weeks_path)
         index = {lab.week.anchor: i for i, lab in enumerate(labels)}
@@ -394,6 +403,7 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
 
     prices_path = _path(config, workdir, "prices.csv")
     if prices_path.exists():
+        _warn_on_drift(prices_path, flat, args)
         prices = load_prices(prices_path)
         out = plots / "weekday_autocorr.csv"
         lines = ["weekday,lag,autocorrelation\n"]
@@ -412,7 +422,6 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
         polarity.write_trajectory_csv(model_set.trajectory(word, start, end), word, out)
         written[out] = digests("pot.bin")
 
-    flat = config.to_flat()
     for path, inputs in written.items():
         artifacts.write_manifest(path, "export-plot-data", flat, inputs)
     print(f"export-plot-data: wrote {', '.join(p.name for p in written) or 'nothing'}")
@@ -451,6 +460,14 @@ STAGES = {
 }
 
 
+def _warn_on_drift(path: Path, flat: dict, args) -> None:
+    """Warn where `flat` differs from the config in the manifest of `path`."""
+    drift = [] if args.allow_config_drift else artifacts.config_drift(path, flat)
+    if drift:
+        print(f"warning: config differs from the manifest of {path.name} on: "
+              f"{', '.join(drift)} (pass --allow-config-drift to silence)", file=sys.stderr)
+
+
 def _run_stage(command: str, args) -> None:
     """Run one stage inside the frame that every stage shares."""
     stage = STAGES[command]
@@ -470,13 +487,7 @@ def _run_stage(command: str, args) -> None:
                     f"run `{producer}` first{hint}"
                 )
             inputs[Path(name).stem] = path
-            drift = [] if args.allow_config_drift else artifacts.config_drift(path, flat)
-            if drift:
-                print(
-                    f"warning: config differs from the manifest of {path.name} on: "
-                    f"{', '.join(drift)} (pass --allow-config-drift to silence)",
-                    file=sys.stderr,
-                )
+            _warn_on_drift(path, flat, args)
         digests = {key: artifacts.sha256_file(path) for key, path in inputs.items()}
         stage.run(config, workdir, args)
         for name in stage.outputs:

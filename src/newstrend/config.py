@@ -120,13 +120,25 @@ class SynthConfig:
     # a change follows the mood with probability (1 + rho) / 2
     rho: float = bounded(0.9, min=-1.0, max=1.0)
     seed: int = bounded(7, min=0)
-    start: str = "2015-01-05"      # a Monday, as `_validate` requires
+    start: str = "2015-01-05"      # a Monday, as `monday` requires
     # mood regimes alternate in blocks of block_min_weeks to block_max_weeks
     # weeks (balanced, persistent)
     block_min_weeks: int = bounded(15, min=1)
     block_max_weeks: int = bounded(25, min=1)
     pct_scale: float = bounded(2.0, above=0.0)
     filler_vocab: int = bounded(500, min=1)
+
+    def monday(self) -> date:
+        """`start` as a date; a ConfigError unless it is a YYYY-MM-DD Monday, as
+        `synth` writes five closes a week from it and `label` anchors Mondays."""
+        try:
+            start = parse_day(self.start)
+        except (TypeError, ValueError):
+            raise ConfigError(f"synth.start must be a YYYY-MM-DD date, "
+                              f"got {self.start!r}") from None
+        if start.weekday() != 0:
+            raise ConfigError(f"synth.start must be a Monday, got {self.start!r}, a {start:%A}")
+        return start
 
 
 # the library name for the `synth` section, kept because callers such as
@@ -280,15 +292,7 @@ def _validate(config: PipelineConfig) -> None:
         except re.error as exc:
             raise ConfigError(f"corpus.url_blocklist entry {pattern!r} is not a regular "
                               f"expression: {exc}") from None
-    try:
-        start = parse_day(config.synth.start)
-    except ValueError:
-        raise ConfigError(
-            f"synth.start must be a YYYY-MM-DD date, got {config.synth.start!r}"
-        ) from None
-    if start.weekday() != 0:  # `synth` writes five closes a week from it, `label` anchors Mondays
-        raise ConfigError(f"synth.start must be a Monday, got {config.synth.start!r}, "
-                          f"a {start.strftime('%A')}")
+    config.synth.monday()
     from .weeks import make_policy  # here, so that importing config loads no weeks code
 
     make_policy(config.labels.policy, config.labels.up, config.labels.down)

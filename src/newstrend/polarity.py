@@ -128,7 +128,8 @@ class PolarityModelSet:
 
     Row i of `scores` holds week `anchors[i]`, column j the sorted word
     `words[j]`; any other word scores 0. `vocab` is the ranked vocabulary
-    the extractor reads, every word of it tracked. Anchors and words must be
+    the extractor reads, every word of it tracked, and `train_weeks` the
+    extractor training weeks it was ranked on. Anchors and words must be
     sorted and distinct, and `scores` must be finite, with one row per anchor
     and one column per word (ValueError otherwise, as for a vocabulary word
     that is repeated or untracked).
@@ -138,6 +139,7 @@ class PolarityModelSet:
     words: tuple[str, ...]
     scores: np.ndarray
     vocab: Vocabulary = Vocabulary(words=())
+    train_weeks: tuple[date, ...] = ()
     _pos: dict[date, int] = field(init=False, repr=False)
     _col: dict[str, int] = field(init=False, repr=False)
 
@@ -181,10 +183,11 @@ class PolarityModelSet:
 
     def save(self, path: str | Path) -> list[Path]:
         """Write the set as one array file (`artifacts.write_arrays`) whose
-        header lists the anchors, words and vocabulary and whose body is
-        `scores` bit for bit; returns `[path]`."""
+        header lists the anchors, words, vocabulary and training weeks and
+        whose body is `scores` bit for bit; returns `[path]`."""
         header = {"anchors": [a.isoformat() for a in self.anchors], "words": list(self.words),
-                  "vocab": list(self.vocab.words)}
+                  "vocab": list(self.vocab.words),
+                  "train_weeks": [a.isoformat() for a in self.train_weeks]}
         artifacts.write_arrays(path, POT_MAGIC, header, [("scores", self.scores)])
         return [Path(path)]
 
@@ -193,7 +196,8 @@ class PolarityModelSet:
         return artifacts.read_arrays(path, POT_MAGIC, lambda header, arrays: cls(
             anchors=tuple(map(parse_day, header["anchors"])),
             words=tuple(header["words"]), scores=arrays["scores"],
-            vocab=Vocabulary(words=tuple(header["vocab"]))))
+            vocab=Vocabulary(words=tuple(header["vocab"])),
+            train_weeks=tuple(map(parse_day, header["train_weeks"]))))
 
 
 def build_model_set(

@@ -17,8 +17,6 @@ tests only on later weeks (`rows_after_training`), so a changed
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -262,26 +260,15 @@ def write_weekly_sentiment_csv(rows: Sequence[WeeklySentiment], path: str | Path
 
 
 def read_weekly_sentiment_csv(path: str | Path) -> list[WeeklySentiment]:
-    text = artifacts.read_text(path, "weekly sentiment file")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    rows = []
-    for rec in reader:
-        try:
-            if rec["true_class"] not in CLASS_ORDER:
-                raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
-            row = WeeklySentiment(
-                week=parse_day(rec["anchor"]), n_sampled=int(rec["n_sampled"]),
-                overall_score=parse_finite(rec["overall_score"]), label=rec["true_class"],
-                sampled_ids=())
-            if row.n_sampled < 1:
-                raise ValueError(f"n_sampled {row.n_sampled} is below 1")
-            if rows and row.week <= rows[-1].week:
-                raise ValueError(f"anchor {row.week} does not follow {rows[-1].week}")
-            rows.append(row)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(
-                f"weekly sentiment file {path} line {reader.line_num}: bad or missing field {exc}"
-            ) from None
-    if not rows:
-        raise DataError(f"weekly sentiment file {path} holds no weeks")
-    return rows
+    return artifacts.read_csv(path, "weekly sentiment file", _weekly_sentiment_row)
+
+
+def _weekly_sentiment_row(rec: dict[str, str]) -> tuple[date, WeeklySentiment]:
+    if rec["true_class"] not in CLASS_ORDER:
+        raise ValueError(f"true_class {rec['true_class']!r} is not one of {CLASS_ORDER}")
+    row = WeeklySentiment(week=parse_day(rec["anchor"]), n_sampled=int(rec["n_sampled"]),
+                          overall_score=parse_finite(rec["overall_score"]),
+                          label=rec["true_class"], sampled_ids=())
+    if row.n_sampled < 1:
+        raise ValueError(f"n_sampled {row.n_sampled} is below 1")
+    return row.week, row

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import artifacts
 from .config import SynthSettings  # noqa: F401 (bench/run.py calls SynthSettings)
-from .config import SynthConfig, parse_day
+from .config import SynthConfig
 from .corpus import NewsRecord, write_news_jsonl
 
 POSITIVE_WORDS = (
@@ -96,7 +96,7 @@ def generate(config: SynthConfig) -> tuple[Iterator[NewsRecord], list[tuple[date
     """
     rng = np.random.default_rng(config.seed)
     n_price_weeks = config.weeks + 1
-    start = parse_day(config.start)
+    start = config.monday()
     anchors = [start + timedelta(days=7 * t) for t in range(n_price_weeks + 1)]
 
     # alternating mood regimes: persistent (this week's mood usually still

@@ -5,8 +5,6 @@ assignment, and weekday autocorrelation.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -142,33 +140,15 @@ class WeeklyLabel:
 
 
 def load_prices(path: str | Path) -> PriceSeries:
-    """Parse a `date,close` CSV into a validated price series."""
-    # rows split where csv splits them, not at every Unicode line break
-    reader = csv.reader(io.StringIO(artifacts.read_text(path, "price file"), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"price file {path} is empty")
-    if [h.strip().lower() for h in header[:2]] != ["date", "close"]:
-        raise DataError(f"price file {path} must have header 'date,close'")
-    entries: list[tuple[date, float]] = []
-    for row in reader:
-        rownum = reader.line_num
-        if not row or not "".join(row).strip():
-            continue
-        try:
-            day = parse_day(row[0].strip())
-            close = parse_finite(row[1])
-        except (ValueError, IndexError):
-            raise DataError(f"price file {path} row {rownum}: bad row {row!r}")
-        if close <= 0:
-            raise DataError(f"price file {path} row {rownum}: close must be positive")
-        if entries and day <= entries[-1][0]:
-            raise DataError(f"price file {path} row {rownum}: dates must strictly increase")
-        entries.append((day, close))
-    if not entries:
-        raise DataError(f"price file {path} has no data rows")
-    return PriceSeries(entries=entries)
+    """The price series of the `date` and `close` columns of a CSV (`artifacts.read_csv`)."""
+    return PriceSeries(entries=artifacts.read_csv(path, "price file", _price_row))
+
+
+def _price_row(row: dict[str, str]) -> tuple[date, tuple[date, float]]:
+    day, close = parse_day(row["date"].strip()), parse_finite(row["close"])
+    if close <= 0:
+        raise ValueError(f"close {row['close']!r} is not positive")
+    return day, (day, close)
 
 
 def _week_monday(day: date) -> date:
@@ -297,24 +277,13 @@ WEEK_CLASSES = {"extractor_class": EXTRACTOR_CLASSES, "pot_class": POT_CLASSES,
 
 
 def read_weeks_csv(path: str | Path) -> list[WeeklyLabel]:
-    reader = csv.DictReader(io.StringIO(artifacts.read_text(path, "weeks file"), newline=""))
-    labels = []
-    for row in reader:
-        try:
-            for key, allowed in WEEK_CLASSES.items():
-                if row[key] not in allowed:
-                    raise ValueError(f"{key} {row[key]!r} is not one of {allowed}")
-            week = TradingWeek(
-                anchor=parse_day(row["anchor"]),
-                prev_anchor=parse_day(row["prev_anchor"]),
-                pct_change=parse_finite(row["pct_change"]),
-            )
-            if labels and week.anchor <= labels[-1].week.anchor:
-                raise ValueError(f"anchor {week.anchor} does not follow {labels[-1].week.anchor}")
-            labels.append(WeeklyLabel(week, **{key: row[key] for key in WEEK_CLASSES}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"weeks file {path} line {reader.line_num}: bad or missing "
-                            f"field {exc}") from None
-    if not labels:
-        raise DataError(f"weeks file {path} holds no weeks")
-    return labels
+    return artifacts.read_csv(path, "weeks file", _weeks_row)
+
+
+def _weeks_row(row: dict[str, str]) -> tuple[date, WeeklyLabel]:
+    for key, allowed in WEEK_CLASSES.items():
+        if row[key] not in allowed:
+            raise ValueError(f"{key} {row[key]!r} is not one of {allowed}")
+    week = TradingWeek(anchor=parse_day(row["anchor"]), prev_anchor=parse_day(row["prev_anchor"]),
+                       pct_change=parse_finite(row["pct_change"]))
+    return week.anchor, WeeklyLabel(week, **{key: row[key] for key in WEEK_CLASSES})

@@ -4,6 +4,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a property test passes or fails alike
+# on each run; the examples come from a fixed seed rather than a saved database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 from newstrend.cli import main
 from newstrend.corpus import NewsRecord, TokenizedDoc

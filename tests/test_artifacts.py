@@ -1,4 +1,5 @@
 import os
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from newstrend import artifacts
 from newstrend.artifacts import read_arrays, read_text, write_arrays
 from newstrend.errors import DataError
+from newstrend.summarizer import read_weekly_sentiment_csv
+from newstrend.weeks import load_prices, read_weeks_csv
 
 MAGIC = "newstrend-test 1"
 
@@ -166,3 +169,61 @@ def test_read_text_of_undecodable_or_missing_file_is_data_error(tmp_path):
         read_text(path, "weeks file")
     with pytest.raises(DataError, match="cannot read weeks file .*absent.csv"):
         read_text(tmp_path / "absent.csv", "weeks file")
+
+
+def _day(i):
+    return (date(2020, 1, 6) + timedelta(weeks=i)).isoformat()
+
+
+# each CSV the pipeline reads back: its reader, its columns, the fields of a
+# valid row for week i, and the index of a numeric column
+CSV_FILES = {
+    "prices.csv": (load_prices, ["date", "close"], lambda i: [_day(i), f"{100 + i}.0"], 1),
+    "weeks.csv": (read_weeks_csv,
+                  ["anchor", "prev_anchor", "pct_change", "extractor_class", "pot_class",
+                   "summarizer_class"],
+                  lambda i: [_day(i + 1), _day(i), "0.50000000", "excluded", "pos", "preserve"],
+                  2),
+    "weekly_sentiment.csv": (read_weekly_sentiment_csv,
+                             ["anchor", "n_sampled", "overall_score", "true_class"],
+                             lambda i: [_day(i), "3", "0.2500000000", "up"], 2),
+}
+
+
+def _set(table, line, j, value):
+    table[line - 1][j] = value
+
+
+# each edit of a valid table (header first) and the error it must raise,
+# or None where the file must load as the valid one does
+CONTRACT = {
+    "bad field": (lambda t, j: _set(t, 3, j, "bad"), "line 3: bad or missing field"),
+    "key out of order": (lambda t, j: t.__setitem__(3, list(t[1])),
+                         "line 4: .* does not follow .*; rows must strictly increase"),
+    "short row": (lambda t, j: t[2].pop(), "line 3: bad or missing field"),
+    # a Unicode line break neither ends a row nor shifts the line count
+    "unicode line break": (lambda t, j: (_set(t, 3, j, t[2][j] + "\u2028"), _set(t, 5, j, "x")),
+                           "line 5: bad or missing field"),
+    "whitespace-only row": (lambda t, j: t.insert(2, [" "] * len(t[0])), None),
+    "upper-case header": (lambda t, j: t.__setitem__(0, [f" {c.upper()}" for c in t[0]]), None),
+    "columns reordered": (lambda t, j: [row.reverse() for row in t], None),
+    "empty file": (lambda t, j: t.clear(), "holds no rows"),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT)
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_every_csv_read_back_keeps_one_contract(tmp_path, name, case):
+    reader, columns, row, j = CSV_FILES[name]
+    table = [columns] + [row(i) for i in range(6)]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("".join(",".join(fields) + "\n" for fields in table), encoding="utf-8")
+    edit, error = CONTRACT[case]
+    edit(table, j)
+    path = tmp_path / name
+    path.write_text("".join(",".join(fields) + "\n" for fields in table), encoding="utf-8")
+    if error is None:
+        assert reader(path) == reader(clean)
+    else:
+        with pytest.raises(DataError, match=f"{name} {error}"):
+            reader(path)

@@ -229,7 +229,7 @@ class TestLabelCommand:
         (wd / "prices.csv").write_text(f"date,close\n2015-01-02,100.0\n{day},101.0\n")
         assert run(["label", "--workdir", wd]) == 2
         err = capsys.readouterr().err
-        assert "prices.csv row 3" in err and repr(day) in err
+        assert "prices.csv line 3" in err and repr(day) in err
         assert not (wd / "weeks.csv").exists()
 
 
@@ -341,6 +341,46 @@ class TestPotCommand:
                      if line.startswith("pot: ")]
         n_train_weeks = len(load_extractor(wd / "extractor.model").train_weeks)
         assert pot_line.endswith(f" from {n_train_weeks} training weeks")
+
+    def test_train_extractor_refuses_a_pot_ranked_on_other_training_weeks(self, tmp_path,
+                                                                          capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=["ingest", "label", "pot"])
+        for drift in ([], ["--allow-config-drift"]):
+            assert run(["train-extractor", "--workdir", wd, "--config", config,
+                        "--set", "extractor.seed=1", *drift]) == 2
+            err = capsys.readouterr().err
+            assert (f"error: {wd / 'pot.bin'} ranked its vocabulary on other training weeks"
+                    in err and "re-run `pot`" in err)
+        assert not (wd / "extractor.model").exists()
+
+    def test_export_warns_on_drift_from_each_input_it_reads(self, trained_workdir, tmp_path,
+                                                            capsys):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        args = ["export-plot-data", "--workdir", wd, "--config", config, "--word", "plunge",
+                "--set", "summarizer.target_offset=3"]
+        assert run(args) == 0
+        err = capsys.readouterr().err
+        for name in ("pot.bin", "weekly_sentiment.csv", "weeks.csv", "prices.csv"):
+            assert (f"warning: config differs from the manifest of {name} on: "
+                    f"summarizer.target_offset (pass --allow-config-drift to silence)" in err)
+        assert run([*args, "--allow-config-drift"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dates", [["--from", "2015-02", "--to", "2015-03"],
+                                       ["--from", "2015-02"], ["--to", "2015-03"]])
+    def test_date_range_without_a_word_exits_one_before_writing(self, trained_workdir,
+                                                                tmp_path, capsys, dates):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        assert run(["export-plot-data", "--workdir", wd, "--config", config, *dates]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --from and --to bound") and "--word" in err
+        assert not (wd / "plots").exists()
 
 
 class TestErrors:
@@ -553,6 +593,11 @@ def _pot_without_vocab(wd):
     return "pot.bin is corrupt: header lacks key 'vocab'"
 
 
+def _pot_without_train_weeks(wd):
+    _edit_header(wd / "pot.bin", lambda header: header.pop("train_weeks"))  # an older pot.bin
+    return "pot.bin is corrupt: header lacks key 'train_weeks'"
+
+
 def _pot_vocab_not_a_list(wd):
     _edit_header(wd / "pot.bin", lambda header: header.update(vocab=5))
     return "pot.bin is corrupt"
@@ -689,12 +734,12 @@ def _set_csv_field(path, line, column, value):
 
 def _nan_close(wd):
     _set_csv_field(wd / "prices.csv", 3, 1, "nan\n")
-    return "prices.csv row 3"
+    return "prices.csv line 3"
 
 
 def _inf_close(wd):
     _set_csv_field(wd / "prices.csv", 4, 1, "inf\n")
-    return "prices.csv row 4"
+    return "prices.csv line 4"
 
 
 def _nan_pct_change(wd):
@@ -728,7 +773,7 @@ def _repeated_weekly_sentiment_row(wd):
     lines.insert(3, lines[3])  # trains on that week twice unless refused
     path.write_text("".join(lines), encoding="utf-8")
     anchor = lines[3].split(",")[0]
-    return f"weekly_sentiment.csv line 5: bad or missing field anchor {anchor} does not follow"
+    return f"weekly_sentiment.csv line 5: {anchor} does not follow"
 
 
 def _edit_summarizer(wd, key, value):
@@ -796,6 +841,8 @@ class TestCorruptArtifacts:
                                                 ("evaluate", _summarizer_without_classes),
                                                 ("evaluate",
                                                  _summarizer_without_last_train_week),
+                                                ("train-extractor",
+                                                 _pot_without_train_weeks),
                                                 ("label", _nan_close),
                                                 ("label", _inf_close),
                                                 ("pot", _nan_pct_change),

@@ -435,7 +435,7 @@ class TestSerialization:
             read_weekly_sentiment_csv(path)
 
     @pytest.mark.parametrize("k, change, message", [
-        (2, {"week": MONDAY}, "anchor 2020-01-06 does not follow 2020-01-13"),
+        (2, {"week": MONDAY}, "2020-01-06 does not follow 2020-01-13"),
         (1, {"n_sampled": 0}, "n_sampled 0 is below 1"),
     ])
     def test_weekly_sentiment_csv_out_of_order_or_unsampled_is_data_error(
@@ -461,7 +461,7 @@ class TestSerialization:
     def test_weekly_sentiment_csv_without_rows_is_data_error(self, tmp_path):
         path = tmp_path / "weekly_sentiment.csv"
         write_weekly_sentiment_csv([], path)
-        with pytest.raises(DataError, match="weekly_sentiment.csv holds no weeks"):
+        with pytest.raises(DataError, match="weekly_sentiment.csv holds no rows"):
             read_weekly_sentiment_csv(path)
 
     def test_weekly_sentiment_csv_without_feature_columns_is_data_error(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from newstrend.config import SynthConfig
 from newstrend.corpus import tokenize
+from newstrend.errors import ConfigError
 from newstrend.synth import (
     NEGATIVE_WORDS, POSITIVE_WORDS, _draw, _filler_cdf, _filler_words, generate, write_outputs,
 )
@@ -92,6 +93,19 @@ class TestGenerate:
         assert tagged
         manual = [r for r in records if r.worthiness is not None]
         assert manual
+
+
+class TestStart:
+    @pytest.mark.parametrize("start, message", [
+        ("2015-01-07", "synth.start must be a Monday, got '2015-01-07', a Wednesday"),
+        ("2015-01", "synth.start must be a YYYY-MM-DD date, got '2015-01'"),
+    ])
+    def test_start_other_than_a_monday_is_config_error_before_writing(self, tmp_path, start,
+                                                                       message):
+        with pytest.raises(ConfigError, match=message):
+            write_outputs(SynthConfig(start=start, weeks=3), tmp_path / "news.jsonl",
+                          tmp_path / "prices.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFillerDraws:

@@ -29,10 +29,18 @@ class TestLoadPrices:
         assert len(prices) == 2
         assert prices.close_on(date(2020, 1, 13)) == 102.0
 
+    def test_export_with_more_columns_loads_date_and_close_by_name(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume\n"
+                        "2020-01-06,99.5,101.0,99.0,100.0,1200\n"
+                        "2020-01-13,100.0,103.0,99.5,102.0,1500\n")
+        prices = load_prices(path)
+        assert prices.entries == [(date(2020, 1, 6), 100.0), (date(2020, 1, 13), 102.0)]
+
     def test_duplicate_date_fatal_with_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2020-01-06,100.0\n2020-01-06,101.0\n")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_prices(path)
 
     def test_unsorted_fatal(self, tmp_path):
@@ -50,7 +58,7 @@ class TestLoadPrices:
     def test_bad_header_fatal(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("day,price\n2020-01-06,1.0\n")
-        with pytest.raises(DataError, match="header"):
+        with pytest.raises(DataError, match="p.csv line 2: bad or missing field 'date'"):
             load_prices(path)
 
     # spellings that date.fromisoformat accepts on some Python versions only
@@ -59,7 +67,7 @@ class TestLoadPrices:
     def test_only_yyyy_mm_dd_dates(self, tmp_path, day):
         path = tmp_path / "p.csv"
         path.write_text(f"date,close\n2020-01-06,100.0\n{day},101.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_prices(path)
 
     # csv.reader ends a row only at \n or \r, where str.splitlines also ends
@@ -70,7 +78,7 @@ class TestLoadPrices:
         rows = [f"{date(2020, 1, 6) + timedelta(weeks=i)},{c}" for i, c in enumerate(closes)]
         path = tmp_path / "p.csv"
         path.write_text("date,close\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        with pytest.raises(DataError, match="row 7: bad row"):
+        with pytest.raises(DataError, match="line 7: bad or missing field"):
             load_prices(path)
 
 
@@ -387,7 +395,7 @@ class TestWeeksCsv:
     def test_file_without_weeks_is_data_error_naming_it(self, tmp_path):
         path = tmp_path / "weeks.csv"
         write_weeks_csv([], path)
-        with pytest.raises(DataError, match="weeks.csv holds no weeks"):
+        with pytest.raises(DataError, match="weeks.csv holds no rows"):
             read_weeks_csv(path)
 
     def test_weeks_tile_date_range(self):
