@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
 
@@ -102,13 +102,17 @@ def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:
 
 def read_arrays(path: str | Path, magic: str,
                 parse: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
-    """`parse(header, arrays)` of an array file. A missing or wrong magic line,
-    header-length line or header, a body whose length differs from the
-    declared shapes, and a KeyError, ValueError or TypeError in `parse` are
-    DataErrors naming the file."""
+    """`parse(header, arrays)` of an array file. The arrays are writable
+    float64 views into one `bytearray` that holds the file's body, read
+    once, so no reader holds a second copy of it; an array that `parse`
+    keeps keeps that buffer. A missing or wrong magic line, header-length
+    line or header, a body whose length differs from the declared shapes,
+    and a KeyError, ValueError or TypeError in `parse` are DataErrors naming
+    the file."""
     try:
-        # the file's bytes are dropped before `parse` runs
-        return parse(*_decode(Path(path).read_bytes(), magic))
+        with open(path, "rb") as fh:
+            header, arrays = _decode(fh, magic)
+        return parse(header, arrays)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except KeyError as exc:
@@ -117,12 +121,11 @@ def read_arrays(path: str | Path, magic: str,
         raise DataError(f"{path} is corrupt: {exc}") from None
 
 
-def _decode(data: bytes, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the named arrays (copies) of an array file's bytes."""
+def _decode(fh: BinaryIO, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named arrays of the array file open as `fh`."""
     import numpy as np
 
-    # the magic and header-length lines, split off without copying the rest
-    lines = data[: len(magic) + 32].split(b"\n", 2)
+    lines = fh.read(len(magic) + 32).split(b"\n", 2)
     if lines == [b""]:
         raise ValueError(f"the magic line {magic!r} is missing")
     if lines[0] != magic.encode("ascii"):
@@ -130,14 +133,22 @@ def _decode(data: bytes, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     if len(lines) < 3 or not lines[1].isdigit():
         raise ValueError("the header-length line is missing")
     start = len(lines[0]) + len(lines[1]) + 2
-    end = start + int(lines[1])
-    header, body = json.loads(data[start:end]), memoryview(data)[end:]
+    end, file_size = start + int(lines[1]), os.fstat(fh.fileno()).st_size
+    fh.seek(start)
+    header = json.loads(fh.read(min(end, file_size) - start))
     counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
-    if len(body) != 8 * sum(counts):
-        raise ValueError(f"{len(body)} array bytes where the header declares "
-                         f"{8 * sum(counts)}")
-    parts = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64),
-                     np.cumsum(counts)[:-1])
+    # the body's length is checked against the file's before it is allocated
+    size = file_size - end
+    if size != 8 * sum(counts):
+        raise ValueError(f"{size} array bytes where the header declares {8 * sum(counts)}")
+    body = bytearray(size)
+    if fh.readinto(body) != size:  # the file shrank while it was read
+        raise ValueError(f"the array bytes end short of the {size} declared")
+    # the buffer starts at the body, so every view is aligned
+    flat = np.frombuffer(body, dtype="<f8")
+    if sys.byteorder == "big":
+        flat = flat.byteswap(inplace=True).view(np.float64)
+    parts = np.split(flat, np.cumsum(counts)[:-1])
     return header, {spec["name"]: part.reshape(spec["shape"])
                     for spec, part in zip(header["arrays"], parts)}
 

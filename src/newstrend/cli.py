@@ -113,20 +113,22 @@ def _load_week_data(workdir: Path):
     """Weeks with news attached, from `tokens.bin` and `weeks.csv` alone.
 
     Returns the week labels in anchor order, each record's worthiness by id,
-    its document (`EncodedDoc`) by id, and each week's documents by anchor.
+    and `docs(ids)`, the `EncodedDoc`s of the records `ids`, built when it is
+    called. `docs` holds the file's buffer; the documents it returns do not,
+    so a stage that drops `docs` keeps the ids of only the records it took.
     """
     corpus = read_tokens(workdir / "tokens.bin")
     labels = read_weeks_csv(workdir / "weeks.csv")  # anchors strictly increase
-    record_ids = [doc.record_id for doc in corpus.docs]
-    attached = attach_news([lab.week for lab in labels], zip(record_ids, corpus.days))
+    attached = attach_news([lab.week for lab in labels], zip(corpus.record_ids, corpus.days))
     # attach_news returns anchor order, so the two lists pair by position
     labels = [replace(lab, week=week) for lab, week in zip(labels, attached)]
-    worthiness = dict(zip(record_ids, corpus.worthiness))
-    docs_by_id = dict(zip(record_ids, corpus.docs))
-    docs_by_week = {
-        lab.week.anchor: [docs_by_id[i] for i in lab.week.news_ids] for lab in labels
-    }
-    return labels, worthiness, docs_by_id, docs_by_week
+    worthiness = dict(zip(corpus.record_ids, corpus.worthiness))
+    position = {rid: i for i, rid in enumerate(corpus.record_ids)}
+
+    def docs(ids):
+        return corpus.docs.take([position[i] for i in ids])
+
+    return labels, worthiness, docs
 
 
 def _extractor_split(config: PipelineConfig, labels):
@@ -150,8 +152,8 @@ def _extractor_split(config: PipelineConfig, labels):
 
 def _load_pot(workdir: Path):
     """The `PolarityModelSet` of `pot.bin`. Call it after `_load_week_data`:
-    importing `polarity` before the corpus is loaded raised the peak RSS of
-    `train-extractor` by about 0.08 MB on the wide bench workload."""
+    importing `polarity` before the corpus is loaded raises the peak RSS of
+    `train-extractor` by about 0.09 MB on the wide and deep bench workloads."""
     from . import polarity
 
     return polarity.PolarityModelSet.load(workdir / "pot.bin")
@@ -213,7 +215,9 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
-    labels, _, _, docs_by_week = _load_week_data(workdir)
+    labels, _, docs = _load_week_data(workdir)
+    docs_by_week = {lab.week.anchor: docs(lab.week.news_ids) for lab in labels}
+    del docs  # the file's buffer; the documents are copies
     _, train_w, _ = _extractor_split(config, labels)
     train_set = set(train_w)
     pos_docs, neg_docs = [], []
@@ -238,7 +242,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
-    labels, worthiness, docs_by_id, _ = _load_week_data(workdir)
+    labels, worthiness, docs = _load_week_data(workdir)
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
     selected, train_w, dev_w = _extractor_split(config, labels)
@@ -253,13 +257,14 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
             continue
         matrix = model_set.matrix(vocab, anchor, config.polarity.n_lags)
         senti = 1 if lab.extractor_class == "positive" else 0
-        for rid in lab.week.news_ids:
+        for rid, doc in zip(lab.week.news_ids, docs(lab.week.news_ids)):
             examples.append(
                 TrainingExample(
-                    doc=docs_by_id[rid], matrix=matrix, week=anchor,
+                    doc=doc, matrix=matrix, week=anchor,
                     sentiment=senti, worthiness=worthiness[rid],
                 )
             )
+    del docs  # the file's buffer; training holds only the selected weeks' ids
     trained = train_extractor(examples, config.extractor, vocab, dev_w)
     save_extractor(trained, workdir / "extractor.model")
     write_train_log(trained.history, workdir / "train_log.csv")
@@ -274,10 +279,12 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import load_extractor
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
-    labels, _, docs_by_id, _ = _load_week_data(workdir)
+    # before the corpus: building the model briefly holds its parameters three
+    # times over, which on top of the corpus's buffer would set this stage's peak
+    trained = load_extractor(workdir / "extractor.model")
+    labels, _, docs = _load_week_data(workdir)
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
-    trained = load_extractor(workdir / "extractor.model")
     if vocab != trained.model.vocab:
         raise DataError(
             f"the vocabulary of {workdir / 'pot.bin'} is not the one that "
@@ -293,8 +300,7 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
         out = np.empty(len(ids))
         for lo in range(0, len(ids), batch):
             chunk = ids[lo : lo + batch]
-            docs = [docs_by_id[i] for i in chunk]
-            ps, _, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
+            ps, _, _ = model.forward(docs(chunk), matrix[None], np.zeros(len(chunk), dtype=np.intp))
             out[lo : lo + len(chunk)] = ps[:, 1]
         return out
 
@@ -394,10 +400,11 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
                 lines.append(f"{row.week.isoformat()},{row.overall_score!r},{'%.8f' % pct}\n")
         artifacts.write_text(out, "".join(lines))
         written[out] = digests("weekly_sentiment.csv", "weeks.csv")
+        target = "next-week change" if offset == 1 else f"change {offset} weeks ahead"
         try:
             corr = pearson(scores, pcts)
             print(f"export-plot-data: overlay correlation "
-                  f"(weekly sentiment vs next-week change): {corr:.4f}")
+                  f"(weekly sentiment vs {target}): {corr:.4f}")
         except NumericError:
             pass
 

@@ -670,8 +670,9 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
             raise ValueError(f"{name} has shape {list(arrays[name].shape)}, not {list(shape)}")
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{name} holds a value that is not finite")
-    model.pot_mu = arrays.pop("pot_mu")
-    model.pot_sigma = arrays.pop("pot_sigma")
+    # copies, so that the model does not keep the file's buffer for two rows
+    model.pot_mu = arrays.pop("pot_mu").copy()
+    model.pot_sigma = arrays.pop("pot_sigma").copy()
     for name, view in model.params.items():
         view[...] = arrays[name]
     return TrainedExtractor(

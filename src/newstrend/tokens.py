@@ -6,17 +6,20 @@ file (see `artifacts`) whose header holds the sorted distinct words and the
 record ids in corpus order, and whose arrays hold each record's published
 UTC day ordinal (`day`), its worthiness (-1 for none), the document
 `offsets` and the token ids (`tokens`, positions in the words). Writing it
-needs no numpy. Readers get each document as an `EncodedDoc`: an int32 view
-of its ids plus the one shared word table, so a corpus holds no per-token
-Python objects, and counting words is `bincount` and `unique` over ids.
+needs no numpy. Readers get each document as an `EncodedDoc`: an int32 copy
+of its ids, made only when a stage asks for that record, plus the one shared
+word table, so a corpus holds no per-token Python objects, a stage holds
+the ids of only the records it uses once it drops the corpus, and counting
+words is `bincount` and `unique` over ids.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from . import artifacts, corpus
 from .corpus import NewsRecord, TokenizedDoc
@@ -41,12 +44,53 @@ class EncodedDoc:
 
 @dataclass(frozen=True)
 class TokenizedCorpus:
-    """What `tokens.bin` holds, record by record in corpus order."""
+    """What `tokens.bin` holds, record by record in corpus order. `docs`
+    holds the file's buffer and builds a record's `EncodedDoc` only when it
+    is asked for, copying out int32 ids, so a document outlives the corpus
+    without keeping the file."""
 
     words: tuple[str, ...]
-    docs: tuple[EncodedDoc, ...]
+    record_ids: tuple[str, ...]
+    docs: CorpusDocs
     days: tuple[date, ...]                # published UTC day
     worthiness: tuple[int | None, ...]
+
+
+class CorpusDocs(Sequence):
+    """The documents of a corpus in record order, built when asked for:
+    `docs[i]` one, `docs.take(positions)` several at once. Record i's ids are
+    `tokens[bounds[i]:bounds[i + 1]]`, `tokens` being a float64 view of the
+    file and `bounds` int64."""
+
+    def __init__(self, record_ids: tuple[str, ...], words: tuple[str, ...],
+                 bounds: np.ndarray, tokens: np.ndarray):
+        self._record_ids, self._words, self._bounds, self._tokens = (
+            record_ids, words, bounds, tokens)
+
+    def __len__(self) -> int:
+        return len(self._record_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(range(len(self))[i])
+        return self.take([i])[0]
+
+    def take(self, positions: Iterable[int]) -> list[EncodedDoc]:
+        """The documents of the records at `positions`, built together: their
+        ids are int32 views of one array copied for them alone. A negative
+        position counts from the end; one outside the corpus is an IndexError."""
+        import numpy as np
+
+        positions = [range(len(self))[p] for p in positions]
+        spans = [(int(self._bounds[p]), int(self._bounds[p + 1])) for p in positions]
+        ids = np.empty(sum(hi - lo for lo, hi in spans), dtype=np.int32)
+        docs, at = [], 0
+        for p, (lo, hi) in zip(positions, spans):
+            part = ids[at:at + hi - lo]
+            part[...] = self._tokens[lo:hi]
+            docs.append(EncodedDoc(self._record_ids[p], part, self._words))
+            at += hi - lo
+        return docs
 
 
 def _id_table(token_seqs: Iterable[Sequence[str]],
@@ -114,22 +158,30 @@ def read_tokens(path: str | Path) -> TokenizedCorpus:
     record ids, an array whose length does not fit the record count, a value
     that is not an integer in its range (a token id of at least the word
     count included), and offsets that are not a rise from 0 to the token
-    count are DataErrors naming the file, as is a file of no records."""
+    count are DataErrors naming the file, as is a file of no records. The
+    corpus reads its documents' ids from the file's buffer, which it holds,
+    and the checks look at CHECK_CHUNK values at a time, so reading holds
+    about one copy of the file."""
     return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens)
 
 
-def _integers(arrays: dict, name: str, low: int, high: int, count: int | None,
-              dtype: str = "int64") -> np.ndarray:
-    """`arrays[name]` as `dtype`; ValueError unless it is one-dimensional, of
-    `count` values (any count for None), each an integer in [low, high)."""
+# values an integer check looks at in one step, so its temporaries stay small
+CHECK_CHUNK = 1 << 13
+
+
+def _integers(arrays: dict, name: str, low: int, high: int, count: int | None) -> np.ndarray:
+    """`arrays[name]`; ValueError unless it is one-dimensional, of `count`
+    values (any count for None), each an integer in [low, high)."""
     import numpy as np
 
     a = arrays[name]
     if a.ndim != 1 or count is not None and len(a) != count:
         raise ValueError(f"{name} has shape {list(a.shape)}, not [{count}]")
-    if not (np.all((a >= low) & (a < high)) and np.all(np.floor(a) == a)):
-        raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
-    return a.astype(dtype)
+    for lo in range(0, len(a), CHECK_CHUNK):
+        part = a[lo:lo + CHECK_CHUNK]
+        if not (np.all((part >= low) & (part < high)) and np.all(np.floor(part) == part)):
+            raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
+    return a
 
 
 def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
@@ -145,18 +197,17 @@ def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
         raise ValueError("it holds no news records")
     if len(set(record_ids)) != len(record_ids):
         raise ValueError("record ids must be distinct")
-    n, words = len(record_ids), tuple(words)
-    days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n).tolist()
-    worthiness = _integers(arrays, "worthiness", -1, 2, n).tolist()
-    offsets = _integers(arrays, "offsets", 0, 2**53, n + 1)
-    tokens = _integers(arrays, "tokens", 0, len(words), None, "int32")  # half of int64
+    n, words, record_ids = len(record_ids), tuple(words), tuple(record_ids)
+    days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n).astype(np.int64)
+    worthiness = _integers(arrays, "worthiness", -1, 2, n).astype(np.int64)
+    offsets = _integers(arrays, "offsets", 0, 2**53, n + 1).astype(np.int64)
+    tokens = _integers(arrays, "tokens", 0, len(words), None)
     if offsets[0] != 0 or offsets[-1] != len(tokens) or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError(f"offsets must rise from 0 to the token count {len(tokens)}")
-    bounds = offsets.tolist()
     return TokenizedCorpus(
         words=words,
-        docs=tuple(EncodedDoc(rid, tokens[lo:hi], words)
-                   for rid, lo, hi in zip(record_ids, bounds, bounds[1:])),
-        days=tuple(map(date.fromordinal, days)),
-        worthiness=tuple(None if w < 0 else w for w in worthiness),
+        record_ids=record_ids,
+        docs=CorpusDocs(record_ids, words, offsets, tokens),
+        days=tuple(map(date.fromordinal, days.tolist())),
+        worthiness=tuple(None if w < 0 else w for w in worthiness.tolist()),
     )

@@ -121,6 +121,20 @@ class TestFullPipeline:
         assert inputs("weekday_autocorr.csv") == {"prices": sha256_file(wd / "prices.csv")}
         assert inputs("trajectory_surge.csv") == {"pot": sha256_file(wd / "pot.bin")}
 
+    @pytest.mark.parametrize("offset, target", [(1, "next-week change"),
+                                                (3, "change 3 weeks ahead")])
+    def test_overlay_correlation_names_the_target_offset(self, trained_workdir, tmp_path,
+                                                         capsys, offset, target):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        capsys.readouterr()
+        assert run(["export-plot-data", "--workdir", wd, "--config", config,
+                    "--set", f"summarizer.target_offset={offset}",
+                    "--allow-config-drift"]) == 0
+        out = capsys.readouterr().out
+        assert f"overlay correlation (weekly sentiment vs {target}): " in out
+
 
 class TestSummarizerArtifacts:
     def test_summarizer_reads_one_weekly_score(self, trained_workdir):

@@ -227,8 +227,8 @@ class TestTokenObjects:
         # every document indexes one shared table of the distinct words, and
         # holds int32 ids rather than strings
         workdir, _ = trained_workdir
-        _, _, docs_by_id, _ = _load_week_data(workdir)
-        docs = list(docs_by_id.values())
+        labels, _, week_docs = _load_week_data(workdir)
+        docs = week_docs([rid for lab in labels for rid in lab.week.news_ids])
         words = docs[0].words
         assert all(doc.words is words for doc in docs)
         assert list(words) == sorted(set(words))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -13,7 +14,7 @@ from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.extractor import (
     ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder,
-    TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
+    TrainedExtractor, TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
     save_extractor, select_extractor_weeks, sentiment_score, softmax,
     split_dev_weeks, train_extractor,
 )
@@ -758,6 +759,21 @@ class TestModelArtifact:
         assert sentiment_score(loaded.model, ex.doc, ex.matrix) == pytest.approx(
             sentiment_score(trained.model, ex.doc, ex.matrix), abs=1e-12
         )
+
+    def test_a_loaded_model_does_not_keep_the_file(self, tmp_path):
+        # a model holds its parameters once, in `flat`; a kept view of the
+        # file's arrays would hold them a second time
+        path = tmp_path / "m.model"
+        model = tiny_model(v=64, n_lags=4, dim=64, emb_dim=64, hidden=256)
+        save_extractor(TrainedExtractor(model, train_weeks=(), dev_weeks=()), path)
+        tracemalloc.start()
+        try:
+            loaded = load_extractor(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.model.flat, model.flat)
+        assert held < 1.5 * path.stat().st_size
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.model"

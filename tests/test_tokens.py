@@ -6,6 +6,7 @@ difference ranking, the vocabulary selection and the encoder's frequency
 vocabulary. A hypothesis test checks that both agree exactly.
 """
 
+import tracemalloc
 from collections import Counter
 from datetime import date
 
@@ -21,7 +22,7 @@ from newstrend.extractor import ReferenceEncoder
 from newstrend.polarity import _count, _idf, _weights, tfidf_difference_ranking
 from newstrend.tokens import TOKENS_MAGIC, read_tokens, write_tokens
 
-from conftest import encoded, make_doc, make_record
+from conftest import encoded, make_doc, make_record, traced_peak
 
 RECORDS = [
     make_record(rec_id="a", title="Markets rally", content="oil prices surge 2020 on oil",
@@ -47,6 +48,20 @@ class TestRoundTrip:
         assert len(corpus.docs[2].ids) == 0
         assert corpus.days == (date(2020, 1, 8), date(2020, 1, 9), date(2019, 12, 31))
         assert corpus.worthiness == (1, None, 0)
+
+    def test_docs_are_built_for_the_records_asked_for(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        write_tokens(RECORDS, path, max_tokens=5)
+        docs = read_tokens(path).docs
+        assert len(docs) == 3 and docs[-1].record_id == "c"
+        assert [d.record_id for d in docs[1:]] == ["b", "c"]
+        taken = docs.take([1, 0])
+        assert [d.record_id for d in taken] == ["b", "a"]
+        assert [d.ids.tolist() for d in taken] == [docs[1].ids.tolist(), docs[0].ids.tolist()]
+        with pytest.raises(IndexError):
+            docs[3]
+        with pytest.raises(IndexError):
+            docs.take([0, -4])
 
     def test_write_is_byte_identical_on_rerun(self, tmp_path):
         write_tokens(RECORDS, tmp_path / "a.bin", max_tokens=180)
@@ -118,6 +133,51 @@ class TestCorruptFile:
         corpus = read_tokens(tmp_path / "tokens.bin")
         assert [d.ids.tolist() for d in corpus.docs] == [[1, 2], [0]]
         assert corpus.worthiness == (1, None)
+
+
+# Reading holds the file's bytes once and checks them a chunk at a time: its
+# tracemalloc peak must stay below this share of the file's size.
+READ_PEAK_SHARE = 1.25
+
+
+def write_big_corpus(path, n_records=5_000, per_record=180, n_words=500):
+    """A valid `tokens.bin` of several MB, nearly all of it token ids: each
+    record is a long article cut at the default `tokenizer.max_tokens`."""
+    rng = np.random.default_rng(0)
+    header = {"words": [f"w{i:03d}" for i in range(n_words)],
+              "record_ids": [f"r{i}" for i in range(n_records)]}
+    write_arrays(path, TOKENS_MAGIC, header, [
+        ("day", np.full(n_records, 737432.0)),
+        ("worthiness", rng.integers(-1, 2, n_records).astype(float)),
+        ("offsets", np.arange(0, (n_records + 1) * per_record, per_record, dtype=float)),
+        ("tokens", rng.integers(0, n_words, n_records * per_record).astype(float)),
+    ])
+
+
+class TestBoundedMemory:
+    def test_read_peak_stays_near_the_file_size(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        write_big_corpus(path)
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert traced_peak(read_tokens, path) < READ_PEAK_SHARE * size
+
+    def test_a_taken_doc_outlives_the_corpus_without_its_buffer(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        write_big_corpus(path)
+        tracemalloc.start()
+        try:
+            corpus = read_tokens(path)
+            doc = corpus.docs[7]
+            want = (doc.record_id, doc.ids.tolist(), doc.words)
+            del corpus
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (doc.record_id, doc.ids.tolist(), doc.words) == want
+        assert doc.ids.dtype == np.int32 and len(doc.ids) == 180
+        # the words and one document's ids, not the file's token ids
+        assert held < path.stat().st_size / 20
 
 
 # --- string-keyed references -------------------------------------------------
