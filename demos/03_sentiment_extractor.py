@@ -10,15 +10,14 @@ Run:  python3 demos/03_sentiment_extractor.py
 from newstrend.config import ExtractorConfig, SynthConfig
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.extractor import (
-    TrainingExample, gradient_check, sentiment_score, split_dev_weeks,
-    train_extractor,
+    TrainingExample, gradient_check, sentiment_score, train_extractor,
 )
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.synth import generate
 from newstrend.tokens import encode_docs
 from newstrend.weeks import (
     PriceSeries, attach_news, label_weeks, make_policy, monday_anchors,
-    weekly_changes,
+    split_dev_weeks, weekly_changes,
 )
 
 

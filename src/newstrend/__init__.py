@@ -29,8 +29,7 @@ _EXPORTS = {
     "extractor": (
         "ExtractorModel", "ReferenceEncoder", "TrainedExtractor", "TrainingExample",
         "gradient_check", "load_extractor", "multitask_loss", "pot_attention",
-        "save_extractor", "select_extractor_weeks", "sentiment_score", "split_dev_weeks",
-        "train_extractor",
+        "save_extractor", "sentiment_score", "train_extractor",
     ),
     "metrics": ("ConfusionMatrix", "EvaluationReport", "accuracy", "f1", "mcc", "pearson",
                 "report"),
@@ -45,7 +44,8 @@ _EXPORTS = {
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
         "autocorrelation", "extractor_class_of", "label_weeks", "load_prices", "make_policy",
-        "monday_anchors", "pot_class_of", "weekday_autocorrelation", "weekly_changes",
+        "monday_anchors", "pot_class_of", "select_extractor_weeks", "split_dev_weeks",
+        "weekday_autocorrelation", "weekly_changes",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

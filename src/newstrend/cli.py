@@ -42,8 +42,8 @@ from .errors import ConfigError, DataError, NumericError, PipelineError
 from .tokens import read_tokens, write_tokens
 from .weeks import (
     CLASS_ORDER, attach_news, label_weeks, load_prices, make_policy,
-    monday_anchors, read_weeks_csv, weekly_changes, weekday_autocorrelation,
-    write_weeks_csv,
+    monday_anchors, read_weeks_csv, select_extractor_weeks, split_dev_weeks,
+    weekly_changes, weekday_autocorrelation, write_weeks_csv,
 )
 
 WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday")
@@ -137,23 +137,33 @@ def _extractor_split(config: PipelineConfig, labels):
     Only weeks with a full lag history are eligible, and selected weeks
     without news are dropped, since they give no examples. pot ranks words on
     the train weeks and `train_extractor` holds out the dev weeks; this is the
-    one place that splits them.
+    one place that splits them. Train weeks that lack a positive or a
+    negative week (none are left when one week is selected) are a DataError
+    naming the config keys that shrink them.
     """
-    from .extractor import select_extractor_weeks, split_dev_weeks
-
     eligible = labels[config.polarity.n_lags - 1:]
     with_news = {lab.week.anchor for lab in eligible if lab.week.news_ids}
     picked = select_extractor_weeks(eligible, seed=config.extractor.seed,
                                     max_weeks_per_class=config.extractor.max_weeks_per_class)
     selected = tuple(anchor for anchor in picked if anchor in with_news)
-    train_w, dev_w = split_dev_weeks(selected, config.extractor.dev_fraction, config.extractor.seed)
+    train_w, dev_w = ((), selected) if len(selected) < 2 else split_dev_weeks(
+        selected, config.extractor.dev_fraction, config.extractor.seed)
+    train_set = set(train_w)
+    per_class = Counter(lab.extractor_class for lab in eligible if lab.week.anchor in train_set)
+    if not per_class["positive"] or not per_class["negative"]:
+        raise DataError(
+            f"the extractor's {len(train_w)} training week(s) hold {per_class['positive']} "
+            f"positive and {per_class['negative']} negative, and it needs both classes: "
+            f"raise extractor.max_weeks_per_class (now {config.extractor.max_weeks_per_class}) "
+            f"or lower extractor.dev_fraction (now {config.extractor.dev_fraction})")
     return selected, train_w, dev_w
 
 
 def _load_pot(workdir: Path):
     """The `PolarityModelSet` of `pot.bin`. Call it after `_load_week_data`:
     importing `polarity` before the corpus is loaded raises the peak RSS of
-    `train-extractor` by about 0.09 MB on the wide and deep bench workloads."""
+    `train-extractor`, the lexicon bench workload's peak stage, by about
+    0.16 MB there (10 alternating runs; it lowers deep's by about 0.18 MB)."""
     from . import polarity
 
     return polarity.PolarityModelSet.load(workdir / "pot.bin")
@@ -216,9 +226,9 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
     labels, _, docs = _load_week_data(workdir)
+    _, train_w, _ = _extractor_split(config, labels)
     docs_by_week = {lab.week.anchor: docs(lab.week.news_ids) for lab in labels}
     del docs  # the file's buffer; the documents are copies
-    _, train_w, _ = _extractor_split(config, labels)
     train_set = set(train_w)
     pos_docs, neg_docs = [], []
     for lab in labels:
@@ -243,9 +253,9 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
     labels, worthiness, docs = _load_week_data(workdir)
+    selected, train_w, dev_w = _extractor_split(config, labels)
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
-    selected, train_w, dev_w = _extractor_split(config, labels)
     if train_w != model_set.train_weeks:
         raise DataError(f"{workdir / 'pot.bin'} ranked its vocabulary on other training weeks "
                         f"than this config splits off; re-run `pot`")
@@ -264,7 +274,9 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
                     sentiment=senti, worthiness=worthiness[rid],
                 )
             )
-    del docs  # the file's buffer; training holds only the selected weeks' ids
+    # the file's buffer, `pot.bin`'s body and the week tables: training holds
+    # only the examples, which hold the selected weeks' ids and matrices
+    del docs, model_set, labels, worthiness
     trained = train_extractor(examples, config.extractor, vocab, dev_w)
     save_extractor(trained, workdir / "extractor.model")
     write_train_log(trained.history, workdir / "train_log.csv")
@@ -279,10 +291,8 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import load_extractor
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
-    # before the corpus: building the model briefly holds its parameters three
-    # times over, which on top of the corpus's buffer would set this stage's peak
-    trained = load_extractor(workdir / "extractor.model")
     labels, _, docs = _load_week_data(workdir)
+    trained = load_extractor(workdir / "extractor.model")
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
     if vocab != trained.model.vocab:

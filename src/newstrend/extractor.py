@@ -20,7 +20,10 @@ differences (see gradient_check). Everything is float64 and deterministic
 under a fixed seed. The parameters are named views into one flat buffer,
 and gradients and Adam moments are buffers of the same layout, so one Adam
 step is a few in-place array operations over all of them, run one
-cache-sized slice at a time.
+cache-sized slice at a time, with one slice of scratch. `param_shapes`
+gives that layout to both ways of making a model: a seeded draw for
+training, and `load_extractor`, which copies a saved model's arrays into
+`flat` once, draws nothing and does not import `numpy.random`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .config import ExtractorConfig, parse_day
 from .corpus import Vocabulary
 from .errors import DataError, NumericError
 from .tokens import EncodedDoc, concat_ids
-from .weeks import WeeklyLabel
 
 PROB_FLOOR = 1e-12
 
@@ -50,8 +52,8 @@ MODEL_MAGIC = "newstrend-extractor 1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per slice of an Adam step: the slice's six arrays (parameters,
-# gradient, two moments, two scratch) take 1.5 MB, inside a 2 MB L2 cache
+# elements per slice of an Adam step: the slice's five arrays (parameters,
+# gradient, two moments, scratch) take 1.25 MB, inside a 2 MB L2 cache
 ADAM_BLOCK = 32_768
 
 
@@ -87,14 +89,6 @@ class ReferenceEncoder:
         counts = np.bincount(ids, minlength=len(words))
         ranked = np.argsort(-counts, kind="stable")[: min(size, np.count_nonzero(counts))]
         return tuple(words[i] for i in ranked.tolist())
-
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        k = 1.0 / np.sqrt(self.emb_dim)
-        return {
-            "emb": rng.uniform(-k, k, size=(len(self.vocab) + 1, self.emb_dim)),
-            "w": rng.uniform(-k, k, size=(self.emb_dim, self.dim)),
-            "b": np.zeros(self.dim),
-        }
 
     def _bag(self, docs: Sequence[EncodedDoc]) -> np.ndarray:
         """B x (|vocab|+1) bag of words holding count / sqrt(n) per token."""
@@ -202,14 +196,25 @@ class TrainingExample:
     worthiness: int | None = None
 
 
+def param_shapes(encoder: ReferenceEncoder, v: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The parameter layout of an extractor over `v` polarity words: each
+    block's name and shape, in the order the blocks lie in `flat`."""
+    d, e = encoder.dim, encoder.emb_dim
+    return {"enc.emb": (len(encoder.vocab) + 1, e), "enc.w": (e, d), "enc.b": (d,),
+            "att_w": (v, v), "att_v": (v,), "dense_w": (d + v, hidden), "dense_b": (hidden,),
+            "senti_w": (hidden, 2), "senti_b": (2,), "worth_w": (hidden, 2), "worth_b": (2,)}
+
+
 class ExtractorModel:
     """Parameter container plus forward/backward passes.
 
     Parameter blocks: enc.* (encoder), att_w, att_v, dense_w, dense_b,
-    senti_w, senti_b, worth_w, worth_b. `params` maps each name to a view
-    into the one flat buffer `flat`; write a block in place (`[...] =`) to
-    keep it there. pot_mu/pot_sigma are fixed standardization buffers, not
-    trained.
+    senti_w, senti_b, worth_w, worth_b, laid out by `param_shapes`. `params`
+    maps each name to a view into the one flat buffer `flat`; write a block
+    in place (`[...] =`) to keep it there. A model is built on `flat` when
+    it is given (the caller's buffer of this layout, not a copy), else drawn
+    from `seed`.
+    pot_mu/pot_sigma are fixed standardization buffers, not trained.
     """
 
     def __init__(
@@ -220,6 +225,7 @@ class ExtractorModel:
         hidden: int,
         lam: float,
         seed: int = 0,
+        flat: np.ndarray | None = None,
     ):
         self.vocab = vocab
         self.encoder = encoder
@@ -227,27 +233,29 @@ class ExtractorModel:
         self.hidden = hidden
         self.lam = lam
         v = len(vocab)
-        d = encoder.dim
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        for name, arr in encoder.init_params(rng).items():
-            params[f"enc.{name}"] = arr
-        # attention starts near pass-through: identity-plus-noise mixing,
-        # zero gate (uniform lag weights)
-        params["att_w"] = np.eye(v) + rng.normal(0.0, 0.01, size=(v, v))
-        params["att_v"] = np.zeros(v)
-        k = 1.0 / np.sqrt(d + v)
-        params["dense_w"] = rng.uniform(-k, k, size=(d + v, hidden))
-        params["dense_b"] = np.zeros(hidden)
-        params["senti_w"] = np.zeros((hidden, 2))
-        params["senti_b"] = np.zeros(2)
-        params["worth_w"] = np.zeros((hidden, 2))
-        params["worth_b"] = np.zeros(2)
-        self.shapes = {name: arr.shape for name, arr in params.items()}
-        self.flat = np.concatenate([arr.reshape(-1) for arr in params.values()])
+        self.shapes = param_shapes(encoder, v, hidden)
+        self.flat = self._draw(seed) if flat is None else flat
         self.params = self.views(self.flat)
         self.pot_mu = np.zeros(v)
         self.pot_sigma = np.ones(v)
+
+    def _draw(self, seed: int) -> np.ndarray:
+        """Seeded initial parameters as one flat buffer. The encoder's
+        embedding and projection are uniform in +-1/sqrt(emb_dim); attention
+        starts near pass-through (identity-plus-noise mixing, a zero gate
+        giving uniform lag weights); every bias and head starts at zero."""
+        s, v = self.shapes, len(self.vocab)
+        rng = np.random.default_rng(seed)
+        k_enc = 1.0 / np.sqrt(self.encoder.emb_dim)
+        k_dense = 1.0 / np.sqrt(self.encoder.dim + v)
+        drawn = {  # drawn in this order
+            "enc.emb": rng.uniform(-k_enc, k_enc, size=s["enc.emb"]),
+            "enc.w": rng.uniform(-k_enc, k_enc, size=s["enc.w"]),
+            "att_w": np.eye(v) + rng.normal(0.0, 0.01, size=s["att_w"]),
+            "dense_w": rng.uniform(-k_dense, k_dense, size=s["dense_w"]),
+        }
+        return np.concatenate([drawn[name].reshape(-1) if name in drawn
+                               else np.zeros(math.prod(shape)) for name, shape in s.items()])
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter block's view into `flat`, a buffer of this model's layout."""
@@ -441,63 +449,30 @@ class TrainedExtractor:
     history: list[dict] = field(default_factory=list)
 
 
-def split_dev_weeks(
-    weeks: Sequence[date], dev_fraction: float, seed: int
-) -> tuple[tuple[date, ...], tuple[date, ...]]:
-    """Hold out whole weeks (never individual articles) for the dev set."""
-    ordered = sorted(set(weeks))
-    if len(ordered) < 2:
-        raise DataError("need at least 2 distinct weeks to split off a dev set")
-    n_dev = max(1, round(dev_fraction * len(ordered)))
-    rng = np.random.default_rng([seed, 1])
-    dev_idx = set(rng.choice(len(ordered), size=n_dev, replace=False).tolist())
-    train = tuple(w for i, w in enumerate(ordered) if i not in dev_idx)
-    dev = tuple(w for i, w in enumerate(ordered) if i in dev_idx)
-    return train, dev
-
-
-def select_extractor_weeks(
-    labels: Sequence[WeeklyLabel],
-    seed: int,
-    max_weeks_per_class: int | None = None,
-) -> tuple[date, ...]:
-    """Weeks eligible for extractor training, optionally capped per class.
-
-    The cap is a seeded without-replacement sample so capped selections stay
-    spread over the whole period.
-    """
-    rng = np.random.default_rng([seed, 2])
-    selected: list[date] = []
-    for cls in ("positive", "negative"):
-        anchors = sorted(l.week.anchor for l in labels if l.extractor_class == cls)
-        if max_weeks_per_class is not None and len(anchors) > max_weeks_per_class:
-            idx = sorted(rng.choice(len(anchors), size=max_weeks_per_class, replace=False).tolist())
-            anchors = [anchors[i] for i in idx]
-        selected.extend(anchors)
-    return tuple(sorted(selected))
-
-
 class Adam:
     """Adam over one flat parameter buffer, updated in place: the moments
     match its size, and a step walks the buffer in slices of ADAM_BLOCK
-    elements, each a few ufunc calls with `out=` into two scratch buffers of
-    one slice. Each element rounds as the per-array expressions
+    elements, each a few ufunc calls with `out=` into one scratch buffer of
+    one slice and the gradient's slice, which `step` overwrites once it has
+    read it. Each element rounds as the per-array expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g) and
     params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) do."""
 
     def __init__(self, flat: np.ndarray, lr: float):
         self.flat, self.lr, self.t = flat, lr, 0
         self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
-        self.tmp, self.tmp2 = (np.empty_like(flat[:ADAM_BLOCK]) for _ in range(2))
+        self.tmp = np.empty_like(flat[:ADAM_BLOCK])
 
     def step(self, grad: np.ndarray) -> None:
+        """One update from `grad`, a buffer of the parameters' layout, which
+        it leaves holding scratch values."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for lo in range(0, self.flat.size, ADAM_BLOCK):
             part = slice(lo, lo + ADAM_BLOCK)
             flat, g, m, v = self.flat[part], grad[part], self.m[part], self.v[part]
-            tmp, tmp2 = self.tmp[: flat.size], self.tmp2[: flat.size]
+            tmp = self.tmp[: flat.size]
             np.multiply(m, b1, out=m)
             np.multiply(g, 1 - b1, out=tmp)
             np.add(m, tmp, out=m)
@@ -507,10 +482,11 @@ class Adam:
             np.add(v, tmp, out=v)
             np.divide(m, c1, out=tmp)
             np.multiply(tmp, self.lr, out=tmp)
-            np.divide(v, c2, out=tmp2)
-            np.sqrt(tmp2, out=tmp2)
-            np.add(tmp2, ADAM_EPS, out=tmp2)
-            np.divide(tmp, tmp2, out=tmp)
+            # g is read: its slice is the second scratch buffer from here on
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            np.add(g, ADAM_EPS, out=g)
+            np.divide(tmp, g, out=tmp)
             np.subtract(flat, tmp, out=flat)
 
 
@@ -647,6 +623,8 @@ def save_extractor(trained: TrainedExtractor, path: str | Path) -> None:
 
 
 def load_extractor(path: str | Path) -> TrainedExtractor:
+    """The model `save_extractor` wrote: its parameters are copied once, out
+    of the file's buffer into a new `flat`, with no random draw."""
     return artifacts.read_arrays(path, MODEL_MAGIC, _parse_extractor)
 
 
@@ -660,21 +638,20 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
         raise ValueError(f"n_lags {header['n_lags']!r} is not a lag count of at least 1")
     encoder = ReferenceEncoder(enc["vocab"], dim=enc["dim"], emb_dim=enc["emb_dim"])
     vocab = Vocabulary(words=tuple(header["vocab"]))
-    model = ExtractorModel(
-        vocab=vocab, encoder=encoder, n_lags=header["n_lags"],
-        hidden=header["hidden"], lam=header["lam"], seed=0,
-    )
     v = len(vocab)
-    for name, shape in {**model.shapes, "pot_mu": (v,), "pot_sigma": (v,)}.items():
+    shapes = param_shapes(encoder, v, header["hidden"])
+    for name, shape in {**shapes, "pot_mu": (v,), "pot_sigma": (v,)}.items():
         if arrays[name].shape != shape:
             raise ValueError(f"{name} has shape {list(arrays[name].shape)}, not {list(shape)}")
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{name} holds a value that is not finite")
-    # copies, so that the model does not keep the file's buffer for two rows
-    model.pot_mu = arrays.pop("pot_mu").copy()
-    model.pot_sigma = arrays.pop("pot_sigma").copy()
-    for name, view in model.params.items():
-        view[...] = arrays[name]
+    # copies, so that the model does not keep the file's buffer
+    model = ExtractorModel(
+        vocab=vocab, encoder=encoder, n_lags=header["n_lags"], hidden=header["hidden"],
+        lam=header["lam"], flat=np.concatenate([arrays[name].reshape(-1) for name in shapes]),
+    )
+    model.pot_mu = arrays["pot_mu"].copy()
+    model.pot_sigma = arrays["pot_sigma"].copy()
     return TrainedExtractor(
         model=model,
         train_weeks=tuple(parse_day(d) for d in header["train_weeks"]),

@@ -15,15 +15,19 @@ zero. Positive scores mean the word tracks rising weeks.
 The formula is coded once, in `_weights` and `_idf`, over integer counts:
 per class, each word's token count and document frequency, and the class
 token and document totals. `_count` takes them from the documents' token
-ids with `bincount` and `unique`. `build_model_set` lays the weekly counts
-out as a (window + weeks) x word table: `window_weeks` zero rows, then one
+ids with `bincount` and an in-place sort (not `np.unique`, which imports
+numpy.ma, about 1.3 MB of resident memory), COUNT_DOCS documents at a time,
+and sums the chunks' int64 counts, so its temporaries do not grow with a
+class's documents. `build_model_set` lays the weekly counts out as a
+(window + weeks) x word table: `window_weeks` zero rows, then one
 row per week. The window ending at week i is row window + i minus row i of
 its cumulative sum, so every window is scored at once. The IDF universe
 takes the table of every week; each class's weights take a table of that
 class's weeks alone, built and scored one class at a time, so a build holds
 a few weeks x words arrays, never one per class. The counts are int64, so
 these differences are exact. `tfidf_difference_ranking` applies the same
-formula to two classes.
+formula to two classes; it finds the words they use by marking the table
+ids of each chunk, never holding both classes' ids at once.
 
 Stacking a vocabulary's scores for weeks t, t-1, ... t-L+1 gives the
 per-article feature matrix consumed by the extractor's lag attention.
@@ -53,6 +57,19 @@ from .weeks import POT_CLASSES, WeeklyLabel
 SCORE_FORMAT = "%.12e"
 POT_MAGIC = "newstrend-pot 1"
 
+# documents whose ids are counted in one step
+COUNT_DOCS = 256
+
+
+def _chunks(docs: Sequence[EncodedDoc], table: tuple[str, ...] | None = None):
+    """`concat_ids` of `docs`, COUNT_DOCS documents at a time; ValueError, as
+    `concat_ids` raises it, unless every document indexes `table` (by default
+    the table of the first)."""
+    if table is None and docs:
+        table = docs[0].words
+    for lo in range(0, len(docs), COUNT_DOCS):
+        yield concat_ids(docs[lo:lo + COUNT_DOCS], table)
+
 
 def _count(groups: Sequence[Sequence[EncodedDoc]], words: Sequence[str]):
     """int64 counts of each group of documents: per-word token counts and
@@ -66,20 +83,22 @@ def _count(groups: Sequence[Sequence[EncodedDoc]], words: Sequence[str]):
     tokens = np.zeros(len(groups), dtype=np.int64)
     table, column_of = None, np.zeros(0, dtype=np.int64)
     for g, docs in enumerate(groups):
-        if not docs:
-            continue
-        words_g, ids, lengths = concat_ids(docs)
-        if words_g is not table:  # each word of the table as its column, -1 if untracked
-            table = words_g
-            column_of = np.array([index.get(word, -1) for word in table], dtype=np.int64)
-        column = column_of[ids]
-        kept = column >= 0
-        column = column[kept]
-        doc = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)[kept]
-        counts[g] = np.bincount(column, minlength=width)
-        # each (document, word) pair once
-        df[g] = np.bincount(np.unique(doc * width + column) % width, minlength=width)
-        tokens[g] = lengths.sum()
+        for words_g, ids, lengths in _chunks(docs):
+            if words_g is not table:  # each word of the table as its column, -1 if untracked
+                table = words_g
+                column_of = np.array([index.get(word, -1) for word in table], dtype=np.int64)
+            column = column_of[ids]
+            kept = column >= 0
+            column = column[kept]
+            doc = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)[kept]
+            counts[g] += np.bincount(column, minlength=width)
+            # each (document, word) pair once, a document lying in one chunk
+            pairs = doc * width + column
+            pairs.sort()
+            first = np.ones(len(pairs), dtype=bool)
+            np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+            df[g] += np.bincount(pairs[first] % width, minlength=width)
+            tokens[g] += lengths.sum()
     n_docs = np.array([len(docs) for docs in groups], dtype=np.int64)
     return counts, df, tokens, n_docs
 
@@ -113,8 +132,12 @@ def tfidf_difference_ranking(
     """
     if not pos_docs or not neg_docs:
         raise DataError("tfidf_difference_ranking needs nonempty positive and negative classes")
-    table, ids, _ = concat_ids([*pos_docs, *neg_docs])
-    words = [table[i] for i in np.unique(ids).tolist()]  # sorted, as the table is
+    table = pos_docs[0].words
+    used = np.zeros(len(table), dtype=bool)
+    for docs in (pos_docs, neg_docs):
+        for _, ids, _ in _chunks(docs, table):
+            used[ids] = True
+    words = [table[i] for i in np.flatnonzero(used).tolist()]  # sorted, as the table is
     counts, df, tokens, n_docs = _count([pos_docs, neg_docs], words)
     w = _weights(counts, tokens, n_docs, _idf(df.sum(axis=0), n_docs.sum()))
     scored = list(zip(words, (w[0] - w[1]).tolist()))

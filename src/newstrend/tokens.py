@@ -10,7 +10,7 @@ needs no numpy. Readers get each document as an `EncodedDoc`: an int32 copy
 of its ids, made only when a stage asks for that record, plus the one shared
 word table, so a corpus holds no per-token Python objects, a stage holds
 the ids of only the records it uses once it drops the corpus, and counting
-words is `bincount` and `unique` over ids.
+words is `bincount` and sorting over ids.
 """
 
 from __future__ import annotations
@@ -123,12 +123,16 @@ def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
             for d, lo, hi in zip(docs, offsets, offsets[1:])]
 
 
-def concat_ids(docs: Sequence[EncodedDoc]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def concat_ids(
+    docs: Sequence[EncodedDoc], words: tuple[str, ...] | None = None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The word table `docs` share, their ids end to end, and each document's
-    length (int64); ValueError if two documents index different tables."""
+    length (int64); ValueError if two documents index different tables, or
+    one indexes another table than `words`, when that is given."""
     import numpy as np
 
-    words = docs[0].words if docs else ()
+    if words is None:
+        words = docs[0].words if docs else ()
     if any(d.words is not words and d.words != words for d in docs):
         raise ValueError("documents must share one word table")
     lengths = np.array([len(d.ids) for d in docs], dtype=np.int64)

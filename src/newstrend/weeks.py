@@ -1,6 +1,11 @@
 """Weekly Monday calendar: price series, Monday anchors, weekly percent
 changes, class labels under the different binning policies, news-to-week
-assignment, and weekday autocorrelation.
+assignment, the seeded choice of the extractor's training and dev weeks,
+and weekday autocorrelation.
+
+Only the week choice draws random numbers, and it imports numpy when it is
+called, so `label` never loads numpy and `pot`, which picks the weeks its
+vocabulary is ranked on, never loads the extractor.
 """
 
 from __future__ import annotations
@@ -208,6 +213,46 @@ def label_weeks(
         )
         for w in weeks
     ]
+
+
+def select_extractor_weeks(
+    labels: Sequence[WeeklyLabel],
+    seed: int,
+    max_weeks_per_class: int | None = None,
+) -> tuple[date, ...]:
+    """Weeks eligible for extractor training, optionally capped per class.
+
+    The cap is a seeded without-replacement sample so capped selections stay
+    spread over the whole period.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng([seed, 2])
+    selected: list[date] = []
+    for cls in ("positive", "negative"):
+        anchors = sorted(l.week.anchor for l in labels if l.extractor_class == cls)
+        if max_weeks_per_class is not None and len(anchors) > max_weeks_per_class:
+            idx = sorted(rng.choice(len(anchors), size=max_weeks_per_class, replace=False).tolist())
+            anchors = [anchors[i] for i in idx]
+        selected.extend(anchors)
+    return tuple(sorted(selected))
+
+
+def split_dev_weeks(
+    weeks: Sequence[date], dev_fraction: float, seed: int
+) -> tuple[tuple[date, ...], tuple[date, ...]]:
+    """Hold out whole weeks (never individual articles) for the dev set."""
+    import numpy as np
+
+    ordered = sorted(set(weeks))
+    if len(ordered) < 2:
+        raise DataError("need at least 2 distinct weeks to split off a dev set")
+    n_dev = max(1, round(dev_fraction * len(ordered)))
+    rng = np.random.default_rng([seed, 1])
+    dev_idx = set(rng.choice(len(ordered), size=n_dev, replace=False).tolist())
+    train = tuple(w for i, w in enumerate(ordered) if i not in dev_idx)
+    dev = tuple(w for i, w in enumerate(ordered) if i in dev_idx)
+    return train, dev
 
 
 def attach_news(weeks: Sequence[TradingWeek],

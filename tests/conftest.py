@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ settings.load_profile("deterministic")
 from newstrend.cli import main
 from newstrend.corpus import NewsRecord, TokenizedDoc
 from newstrend.tokens import EncodedDoc, encode_docs
+from newstrend.weeks import TradingWeek, WeeklyLabel
 
 
 def make_record(
@@ -72,6 +73,16 @@ def doc_over(words, rec_id, tokens):
     """An EncodedDoc of `tokens` over the sorted table `words`, which holds each."""
     words = tuple(words)
     return EncodedDoc(rec_id, np.array([words.index(t) for t in tokens], dtype=np.int64), words)
+
+
+def labeled_weeks(pot_classes):
+    """One labeled week per class of `pot_classes`, consecutive from 2020-01-13."""
+    monday = date(2020, 1, 6)
+    return [WeeklyLabel(week=TradingWeek(anchor=monday + timedelta(days=7 * (i + 1)),
+                                         prev_anchor=monday + timedelta(days=7 * i),
+                                         pct_change=0.0),
+                        extractor_class="excluded", pot_class=cls, summarizer_class="up")
+            for i, cls in enumerate(pot_classes)]
 
 
 @pytest.fixture

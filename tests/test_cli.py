@@ -369,6 +369,22 @@ class TestPotCommand:
                     in err and "re-run `pot`" in err)
         assert not (wd / "extractor.model").exists()
 
+    @pytest.mark.parametrize("override", ["extractor.max_weeks_per_class=1",
+                                          "extractor.dev_fraction=0.99"])
+    def test_training_weeks_of_one_class_exit_two_naming_the_keys(self, trained_workdir,
+                                                                   tmp_path, capsys, override):
+        # a cap of one week a class leaves at most one training week, 0.99 none
+        wd = tmp_path / "w"
+        shutil.copytree(trained_workdir[0], wd)
+        before = {p: p.read_bytes() for p in wd.iterdir() if p.is_file()}
+        for stage in ("pot", "train-extractor"):
+            assert run([stage, "--workdir", wd, "--config", trained_workdir[1],
+                        "--set", override, "--allow-config-drift"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: the extractor's ") and " training week(s) hold " in err
+            assert "extractor.max_weeks_per_class" in err and "extractor.dev_fraction" in err
+        assert {p: p.read_bytes() for p in wd.iterdir() if p.is_file()} == before
+
     def test_export_warns_on_drift_from_each_input_it_reads(self, trained_workdir, tmp_path,
                                                             capsys):
         source, config = trained_workdir

@@ -15,9 +15,9 @@ from newstrend.errors import DataError
 from newstrend.extractor import (
     ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder,
     TrainedExtractor, TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
-    save_extractor, select_extractor_weeks, sentiment_score, softmax,
-    split_dev_weeks, train_extractor,
+    save_extractor, sentiment_score, softmax, train_extractor,
 )
+from newstrend.weeks import select_extractor_weeks, split_dev_weeks
 
 from conftest import doc_over, traced_peak
 
@@ -555,7 +555,7 @@ class TestFlatAdam:
             adam.step(grad)
             assert flat.tobytes() == want.tobytes(), step
             assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
-        assert adam.tmp.size <= ADAM_BLOCK and adam.tmp2.size <= ADAM_BLOCK
+        assert adam.tmp.size <= ADAM_BLOCK
 
 
 def whole_buffer_adam_step(flat, m, v, grad, lr, t):

@@ -19,6 +19,8 @@ import pytest
 import newstrend
 from newstrend.cli import BLAS_THREAD_VARS, main
 
+from conftest import BASE_CONFIG
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -146,6 +148,55 @@ def test_evaluate_leaves_numpy_unloaded(tmp_path):
                  "--config", str(tmp_path / "config.json")]) == 0
     run_stage_in_fresh_python(tmp_path, "evaluate")
     assert (tmp_path / "w" / "report.txt").read_text().startswith("evaluation report\n")
+
+
+def test_pot_leaves_the_extractor_and_numpy_ma_unimported(tmp_path):
+    # `pot` picks the extractor's weeks through `weeks`, not `extractor`, and
+    # counts without `np.unique`, which imports numpy.ma
+    wd = tmp_path / "w"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BASE_CONFIG))
+    for stage in ("synth", "ingest", "label"):
+        assert main([stage, "--workdir", str(wd), "--config", str(config)]) == 0
+    proc = python(
+        "import sys\n"
+        "from newstrend.cli import main\n"
+        "rc = main(['pot', '--workdir', 'w', '--config', 'config.json'])\n"
+        "print(rc, 'newstrend.extractor' in sys.modules, 'numpy.ma' in sys.modules)\n",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False", proc.stdout
+    assert (wd / "pot.bin").is_file()
+
+
+def test_load_extractor_draws_nothing_and_restores_the_model(tmp_path):
+    import numpy as np
+
+    from newstrend.corpus import Vocabulary
+    from newstrend.extractor import ExtractorModel, ReferenceEncoder, TrainedExtractor, \
+        save_extractor
+
+    rng = np.random.default_rng(4)
+    model = ExtractorModel(Vocabulary(words=("a", "b", "c")),
+                           ReferenceEncoder(["x", "y"], dim=4, emb_dim=5),
+                           n_lags=2, hidden=6, lam=0.5, seed=9)
+    model.flat[...] = rng.normal(size=model.flat.size)  # every block, heads and biases too
+    model.pot_mu, model.pot_sigma = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    save_extractor(TrainedExtractor(model, train_weeks=(), dev_weeks=()), tmp_path / "m.model")
+    proc = python(
+        "import sys\n"
+        "from newstrend.extractor import load_extractor\n"
+        "m = load_extractor('m.model').model\n"
+        "print('numpy.random' in sys.modules)\n"
+        "open('restored', 'wb').write(m.flat.tobytes() + m.pot_mu.tobytes()"
+        " + m.pot_sigma.tobytes())\n",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    want = model.flat.tobytes() + model.pot_mu.tobytes() + model.pot_sigma.tobytes()
+    assert (tmp_path / "restored").read_bytes() == want
 
 
 def readme_library_names() -> list[str]:

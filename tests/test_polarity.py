@@ -15,7 +15,7 @@ from newstrend.polarity import (
 )
 from newstrend.weeks import POT_CLASSES, TradingWeek, WeeklyLabel
 
-from conftest import encoded, encoded_weeks, make_doc, traced_peak
+from conftest import encoded, encoded_weeks, labeled_weeks, make_doc, traced_peak
 
 
 # --- independent oracle -----------------------------------------------------
@@ -49,16 +49,6 @@ def oracle_polarity(word, window, alpha):
 def build(labels, docs_by_week, words, **kwargs):
     """`build_model_set` of TokenizedDoc weeks, encoded over one word table."""
     return build_model_set(labels, encoded_weeks(docs_by_week), words, **kwargs)
-
-
-def labeled_weeks(pot_classes):
-    """One labeled week per class of `pot_classes`, consecutive from 2020-01-13."""
-    monday = date(2020, 1, 6)
-    return [WeeklyLabel(week=TradingWeek(anchor=monday + timedelta(days=7 * (i + 1)),
-                                         prev_anchor=monday + timedelta(days=7 * i),
-                                         pct_change=0.0),
-                        extractor_class="excluded", pot_class=cls, summarizer_class="up")
-            for i, cls in enumerate(pot_classes)]
 
 
 def window_scores(window, words, discount=0.5):

@@ -9,20 +9,25 @@ vocabulary. A hypothesis test checks that both agree exactly.
 import tracemalloc
 from collections import Counter
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend import polarity
 from newstrend.artifacts import write_arrays
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.errors import DataError
 from newstrend.extractor import ReferenceEncoder
-from newstrend.polarity import _count, _idf, _weights, tfidf_difference_ranking
-from newstrend.tokens import TOKENS_MAGIC, read_tokens, write_tokens
+from newstrend.polarity import (
+    _count, _idf, _weights, build_model_set, tfidf_difference_ranking,
+)
+from newstrend.tokens import TOKENS_MAGIC, EncodedDoc, read_tokens, write_tokens
+from newstrend.weeks import POT_CLASSES
 
-from conftest import encoded, make_doc, make_record, traced_peak
+from conftest import encoded, labeled_weeks, make_doc, make_record, traced_peak
 
 RECORDS = [
     make_record(rec_id="a", title="Markets rally", content="oil prices surge 2020 on oil",
@@ -269,3 +274,67 @@ class TestIdsMatchStringReferences:
         [[a]], [[b]] = encoded([make_doc("a", ["x"])]), encoded([make_doc("b", ["y"])])
         with pytest.raises(ValueError, match="one word table"):
             ReferenceEncoder(["x"], dim=2, emb_dim=2)._bag([a, b])
+
+
+def decoded(groups):
+    """Each group of EncodedDocs as the token lists it encodes."""
+    return [[[d.words[i] for i in d.ids.tolist()] for d in docs] for docs in groups]
+
+
+# Ranking marks the words it meets a chunk of documents at a time: its
+# tracemalloc peak must stay below this share of the documents' id bytes.
+RANKING_PEAK_SHARE = 1 / 2
+
+
+class TestChunkedCounting:
+    """Counting takes `polarity.COUNT_DOCS` documents at a time; every chunk
+    size gives the counts of whole groups, and so the same scores."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @given(pos=doc_lists, neg=doc_lists,
+           weeks=st.lists(st.tuples(st.sampled_from(POT_CLASSES), doc_lists), min_size=1,
+                          max_size=6),
+           tracked=st.sets(st.sampled_from(WORDS + ["none"])))
+    @settings(max_examples=40, deadline=None)
+    def test_every_chunk_size_counts_whole_groups(self, chunk, pos, neg, weeks, tracked):
+        token_groups = [pos, neg, *(docs for _, docs in weeks)]
+        groups = encoded(*([make_doc(f"{i}", t) for i, t in enumerate(docs)]
+                           for docs in token_groups))
+        labels = labeled_weeks([cls for cls, _ in weeks])
+        docs_by_week = {lab.week.anchor: docs for lab, docs in zip(labels, groups[2:])}
+        words = sorted(tracked)
+        with mock.patch.object(polarity, "COUNT_DOCS", chunk):
+            got = _count(groups, words)
+            ranking = tfidf_difference_ranking(*groups[:2]) if pos and neg else None
+            scores = build_model_set(labels, docs_by_week, words, window_weeks=3).scores
+        assert all(np.array_equal(g, w) for g, w in zip(got, reference_count(token_groups, words)))
+        if pos and neg:
+            assert ranking == reference_ranking(pos, neg)
+        # the same build over the string-keyed counts of each week
+        with mock.patch.object(polarity, "_count",
+                               lambda groups, words: reference_count(decoded(groups), words)):
+            want = build_model_set(labels, docs_by_week, words, window_weeks=3).scores
+        assert scores.tobytes() == want.tobytes()
+
+    def test_a_chunk_over_another_table_is_refused(self):
+        # one document a chunk, so no chunk alone holds two tables; "y" has
+        # id 0 in its own table, which would mark "x" in the other one
+        [[a]], [[b]] = encoded([make_doc("a", ["x"])]), encoded([make_doc("b", ["y"])])
+        with mock.patch.object(polarity, "COUNT_DOCS", 1):
+            for pos, neg in (([a], [b]), ([a, b], [a]), ([a], [a, b])):
+                with pytest.raises(ValueError, match="one word table"):
+                    tfidf_difference_ranking(pos, neg)
+            with pytest.raises(ValueError, match="one word table"):
+                _count([[a, b]], ["x", "y"])
+
+    def test_ranking_peak_stays_below_a_share_of_the_ids(self):
+        rng = np.random.default_rng(0)
+        n_docs, per_doc = 8_000, 100
+        words = tuple(f"w{i:04d}" for i in range(2_000))
+        ids = rng.integers(0, len(words), n_docs * per_doc).astype(np.int32)
+        docs = [EncodedDoc(f"r{i}", ids[i * per_doc:(i + 1) * per_doc], words)
+                for i in range(n_docs)]
+        # numpy loads some of what ranking calls on first use; load it untraced
+        tfidf_difference_ranking(docs[:1], docs[1:2])
+        peak = traced_peak(tfidf_difference_ranking, docs[::2], docs[1::2])
+        assert peak < RANKING_PEAK_SHARE * ids.nbytes
