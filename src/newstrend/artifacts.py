@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -32,7 +32,8 @@ T = TypeVar("T")
 def write_bytes(path: str | Path, chunks: Iterable[bytes | np.ndarray | array]) -> None:
     """Write each of `chunks` in turn to `.<name>.<pid>.tmp` beside `path`,
     then rename it over `path`; on any error, one raised while the chunks
-    are produced included, the temporary file is removed."""
+    are produced included, the temporary file is removed. An OSError is a
+    DataError naming `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -40,8 +41,11 @@ def write_bytes(path: str | Path, chunks: Iterable[bytes | np.ndarray | array]) 
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # where it cannot be opened, it cannot be removed either
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

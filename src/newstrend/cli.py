@@ -387,7 +387,10 @@ def run_export_plot_data(config: PipelineConfig, workdir: Path, args) -> None:
     # outputs depend on which inputs exist, so this stage writes its own
     # manifests; `written` maps each output to the digests of its inputs
     plots = workdir / "plots"
-    plots.mkdir(exist_ok=True)
+    try:
+        plots.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {plots}: {exc.strerror or exc}") from None
     written = {}
 
     sentiment_path = workdir / "weekly_sentiment.csv"
@@ -490,7 +493,10 @@ def _run_stage(command: str, args) -> None:
     stage = STAGES[command]
     config = load_config(args.config, args.set)
     workdir = Path(args.workdir) if args.workdir else Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the workdir {workdir}: {exc.strerror or exc}") from None
     flat = config.to_flat()
     with artifacts.workdir_lock(workdir, args.force):
         inputs = {}

@@ -20,9 +20,11 @@ differences (see gradient_check). Everything is float64 and deterministic
 under a fixed seed. The parameters are named views into one flat buffer,
 and gradients and Adam moments are buffers of the same layout, so one Adam
 step is a few in-place array operations over all of them, run one
-cache-sized slice at a time, with one slice of scratch. `param_shapes`
-gives that layout to both ways of making a model: a seeded draw for
-training, and `load_extractor`, which copies a saved model's arrays into
+cache-sized slice at a time, with one slice of scratch. Training holds
+these four buffers and one batch: the best epoch's parameters wait in an
+unnamed temporary file until training ends. `param_shapes` gives the
+layout to both ways of making a model: a seeded draw for training, straight
+into `flat`, and `load_extractor`, which copies a saved model's arrays into
 `flat` once, draws nothing and does not import `numpy.random`.
 """
 
@@ -133,17 +135,17 @@ def pot_attention(
     Weights a = softmax(att_v' tanh(att_w m)) form a probability simplex over
     the lags; the pooled vector is m a.
     """
-    a, pooled, _ = _attend(m, att_w, att_v)
+    a, pooled, _, _ = _attend(m, att_w, att_v)
     return a, pooled
 
 
 def _attend(
     m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`pot_attention`'s weights and pooled vector, and tanh(att_w m) as the
-    (V, N*L) lag columns of the N stacked matrices, which the backward pass
-    reuses. One product over all lag columns reads `att_w` once, not once
-    per matrix."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`pot_attention`'s weights and pooled vector, the (V, N*L) lag columns
+    x of the N stacked matrices, and tanh(att_w x); the backward pass reuses
+    the last two. One product over all lag columns reads `att_w` once, not
+    once per matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
         raise ValueError(f"m must be (..., V, L), got {m.shape}")
@@ -152,9 +154,10 @@ def _attend(
         raise ValueError(f"att_w must be {v_size}x{v_size}, got {att_w.shape}")
     if att_v.shape != (v_size,):
         raise ValueError(f"att_v must have length {v_size}, got {att_v.shape}")
-    t = np.tanh(att_w @ _lag_columns(m))
+    x = _lag_columns(m)
+    t = np.tanh(att_w @ x)
     a = softmax((att_v @ t).reshape(m.shape[:-2] + m.shape[-1:]))
-    return a, (m @ a[..., None])[..., 0], t
+    return a, (m @ a[..., None])[..., 0], x, t
 
 
 def multitask_loss(
@@ -240,22 +243,25 @@ class ExtractorModel:
         self.pot_sigma = np.ones(v)
 
     def _draw(self, seed: int) -> np.ndarray:
-        """Seeded initial parameters as one flat buffer. The encoder's
-        embedding and projection are uniform in +-1/sqrt(emb_dim); attention
-        starts near pass-through (identity-plus-noise mixing, a zero gate
-        giving uniform lag weights); every bias and head starts at zero."""
-        s, v = self.shapes, len(self.vocab)
+        """Seeded initial parameters as one flat buffer, each block drawn
+        straight into its view of it. The encoder's embedding and projection
+        are uniform in +-1/sqrt(emb_dim); attention starts near pass-through
+        (identity-plus-noise mixing, a zero gate giving uniform lag weights);
+        every bias and head starts at zero. The blocks are drawn in layout
+        order, each holding the bits that `rng.uniform(-k, k)` and
+        `np.eye(v) + rng.normal(0, 0.01)` would give it."""
+        flat = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        p, v = self.views(flat), len(self.vocab)
         rng = np.random.default_rng(seed)
         k_enc = 1.0 / np.sqrt(self.encoder.emb_dim)
-        k_dense = 1.0 / np.sqrt(self.encoder.dim + v)
-        drawn = {  # drawn in this order
-            "enc.emb": rng.uniform(-k_enc, k_enc, size=s["enc.emb"]),
-            "enc.w": rng.uniform(-k_enc, k_enc, size=s["enc.w"]),
-            "att_w": np.eye(v) + rng.normal(0.0, 0.01, size=s["att_w"]),
-            "dense_w": rng.uniform(-k_dense, k_dense, size=s["dense_w"]),
-        }
-        return np.concatenate([drawn[name].reshape(-1) if name in drawn
-                               else np.zeros(math.prod(shape)) for name, shape in s.items()])
+        _uniform(rng, p["enc.emb"], k_enc)
+        _uniform(rng, p["enc.w"], k_enc)
+        rng.standard_normal(out=p["att_w"])
+        p["att_w"] *= 0.01
+        p["att_w"] += 0.0  # normal's 0 + 0.01 g, which turns a -0.0 into 0.0
+        p["att_w"].reshape(-1)[:: v + 1] += 1.0
+        _uniform(rng, p["dense_w"], 1.0 / np.sqrt(self.encoder.dim + v))
+        return flat
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter block's view into `flat`, a buffer of this model's layout."""
@@ -300,14 +306,14 @@ class ExtractorModel:
             )
         week = np.arange(len(m)) if week is None else np.asarray(week, dtype=np.intp)
         vcls, enc_cache = self.encoder.forward(docs, _sub(p, "enc."))
-        a, pooled, t = _attend(m, p["att_w"], p["att_v"])
+        a, pooled, x, t = _attend(m, p["att_w"], p["att_v"])
         vpot = (pooled[week] - self.pot_mu) / self.pot_sigma
         u = np.concatenate([vcls, vpot], axis=1)
         q = u @ p["dense_w"] + p["dense_b"]
         r = np.maximum(q, 0.0)
         ps = softmax(r @ p["senti_w"] + p["senti_b"], axis=1)
         pw = softmax(r @ p["worth_w"] + p["worth_b"], axis=1)
-        cache = {"m": m, "week": week, "a": a, "t": t, "enc_cache": enc_cache,
+        cache = {"m": m, "week": week, "a": a, "x": x, "t": t, "enc_cache": enc_cache,
                  "u": u, "q": q, "r": r, "ps": ps, "pw": pw}
         return ps, pw, cache
 
@@ -338,14 +344,15 @@ class ExtractorModel:
         self, batch: Sequence[TrainingExample], out: np.ndarray | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
         """The batch loss and its gradient blocks, views into `out` (a new
-        buffer of the `flat` layout when None), which they fill."""
+        buffer of the `flat` layout when None), which they fill. The
+        attention's dz is built in the forward cache's `t`."""
         losses, cache = self._loss_forward(batch)
         n = len(batch)
         loss = reduce(add, losses.tolist(), 0.0) / n
         p = self.params
         grads = self.views(np.empty_like(self.flat) if out is None else out)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
-        m, week, a, t = cache["m"], cache["week"], cache["a"], cache["t"]
+        m, week, a, x, t = cache["m"], cache["week"], cache["a"], cache["x"], cache["t"]
         dls = (ps - cache["ys"]) * cache["cs"][:, None] / n
         dlw = (pw - cache["yw"]) * cache["cw"][:, None] / n
 
@@ -366,10 +373,20 @@ class ExtractorModel:
         da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
         np.matmul(t, ds.reshape(-1), out=grads["att_v"])
-        dz = p["att_v"][:, None] * ds.reshape(-1) * (1.0 - t * t)
-        np.matmul(dz, _lag_columns(m).T, out=grads["att_w"])
+        # t is read: dz = (att_v ds') * (1 - t t) takes its place, rounded as written
+        dz = np.multiply(t, t, out=t)
+        np.subtract(1.0, dz, out=dz)
+        np.multiply(np.multiply.outer(p["att_v"], ds.reshape(-1)), dz, out=dz)
+        np.matmul(dz, x.T, out=grads["att_w"])
         self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."), _sub(grads, "enc."))
         return loss, grads
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray, k: float) -> None:
+    """Fill `out` as `rng.uniform(-k, k, out.shape)` fills a new array: -k + 2k u."""
+    rng.random(out=out)
+    out *= 2 * k
+    out -= k
 
 
 def _sub(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -508,6 +525,23 @@ def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], bat
     return hits_s / len(examples), acc_w, loss_sum / len(examples)
 
 
+def _train_epoch(model: ExtractorModel, adam: Adam, grad: np.ndarray,
+                 examples: Sequence[TrainingExample], batch_size: int, epoch: int) -> float:
+    """One Adam step per `batch_size` of `examples` in turn, the gradient
+    built in `grad`; the mean batch loss. A loss that is not finite is a
+    NumericError."""
+    epoch_loss = 0.0
+    n_batches = 0
+    for lo in range(0, len(examples), batch_size):
+        loss, _ = model.loss_and_grads(examples[lo : lo + batch_size], out=grad)
+        if not np.isfinite(loss):
+            raise NumericError(f"training diverged: loss={loss} at epoch {epoch} batch {n_batches}")
+        adam.step(grad)
+        epoch_loss += loss
+        n_batches += 1
+    return epoch_loss / max(n_batches, 1)
+
+
 def train_extractor(
     examples: Sequence[TrainingExample],
     config: ExtractorConfig,
@@ -520,8 +554,12 @@ def train_extractor(
     against (rows of each matrix). Examples from `dev_weeks` only select the
     best epoch; every other example trains. Deterministic under a fixed seed
     and fixed example order; the returned model carries the parameters of
-    the best dev-accuracy epoch.
+    the best dev-accuracy epoch. Training holds four buffers of the model's
+    size: the parameters, the gradient and Adam's two moments. An unusable
+    temporary directory, where the best epoch waits, is a DataError.
     """
+    import tempfile
+
     if not examples:
         raise DataError("no training examples")
     dev_set = set(dev_weeks)
@@ -555,36 +593,27 @@ def train_extractor(
     # best by dev accuracy; accuracy ties broken by lower dev loss, so a
     # model that keeps gaining margin after accuracy saturates still wins
     best_key = (-1.0, -float("inf"))
-    best_flat = model.flat.copy()
     history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_ex))
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_ex[i] for i in order[lo : lo + config.batch_size]]
-            loss, _ = model.loss_and_grads(batch, out=grad)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"training diverged: loss={loss} at epoch {epoch} batch {n_batches}"
-                )
-            adam.step(grad)
-            epoch_loss += loss
-            n_batches += 1
-        acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, config.batch_size)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / max(n_batches, 1),
-                "dev_acc_senti": acc_s,
-                "dev_acc_worth": acc_w,
-            }
-        )
-        key = (acc_s, -dev_loss)
-        if key > best_key:
-            best_key = key
-            best_flat[...] = model.flat
-    model.flat[...] = best_flat
+    try:  # the file's calls are the only I/O in this block
+        # the best epoch's parameters wait in a file with no name, not in a
+        # fifth buffer: each better epoch overwrites them, the end reads them once
+        with tempfile.TemporaryFile() as best:
+            for epoch in range(1, config.epochs + 1):
+                shuffled = [train_ex[i] for i in rng.permutation(len(train_ex))]
+                train_loss = _train_epoch(model, adam, grad, shuffled, config.batch_size, epoch)
+                acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, config.batch_size)
+                history.append({"epoch": epoch, "train_loss": train_loss,
+                                "dev_acc_senti": acc_s, "dev_acc_worth": acc_w})
+                key = (acc_s, -dev_loss)
+                if key > best_key:
+                    best_key = key
+                    best.seek(0)
+                    best.write(model.flat)
+            best.seek(0)
+            best.readinto(model.flat)
+    except OSError as exc:
+        raise DataError(
+            f"cannot keep the best epoch's parameters in a temporary file: {exc}") from None
     return TrainedExtractor(
         model=model, train_weeks=train_weeks, dev_weeks=dev_weeks, history=history
     )

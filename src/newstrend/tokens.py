@@ -93,6 +93,16 @@ class CorpusDocs(Sequence):
         return docs
 
 
+class _Numbering(dict):
+    """Words numbered in order of first lookup: looking up a new word adds
+    it with the next number, inside `dict.__getitem__`, so mapping that over
+    a sequence numbers it without a Python-level loop."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = n = len(self)
+        return n
+
+
 def _id_table(token_seqs: Iterable[Sequence[str]],
               typecode: str) -> tuple[tuple[str, ...], array, array]:
     """The sorted distinct words of `token_seqs`, every token as its position
@@ -101,10 +111,10 @@ def _id_table(token_seqs: Iterable[Sequence[str]],
     may be dropped once read."""
     from array import array
 
-    first_seen: dict[str, int] = {}
+    first_seen = _Numbering()
     ids, offsets = array("q"), array("q", [0])
     for tokens in token_seqs:
-        ids.extend([first_seen.setdefault(t, len(first_seen)) for t in tokens])
+        ids.extend(map(first_seen.__getitem__, tokens))
         offsets.append(len(ids))
     words = sorted(first_seen)
     rank = [0] * len(words)

@@ -103,7 +103,7 @@ def test_every_writer_keeps_the_previous_file_when_a_write_fails(tmp_path, monke
             monkeypatch.setattr(Path, "open", open_on_small_disk)
         else:
             monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(DataError, match=f"cannot write {path}: disk full"):
             good(path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
@@ -123,6 +123,21 @@ def test_chunks_that_fail_midway_keep_the_previous_file_and_leave_no_temp_file(t
         artifacts.write_bytes(path, chunks())
     assert path.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_path_under_a_regular_file_is_a_data_error_naming_it(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(DataError, match=f"cannot write {blocker / 'a.out'}: Not a directory"):
+        artifacts.write_text(blocker / "a.out", "a\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_a_rename_over_a_directory_is_a_data_error_and_removes_the_temp_file(tmp_path):
+    (tmp_path / "a.out").mkdir()
+    with pytest.raises(DataError, match=f"cannot write {tmp_path / 'a.out'}: Is a directory"):
+        artifacts.write_bytes(tmp_path / "a.out", [b"new\n"])
+    assert list(tmp_path.iterdir()) == [tmp_path / "a.out"]
 
 
 def test_text_writers_spell_line_ends_as_before(tmp_path):

@@ -449,6 +449,34 @@ class TestErrors:
             assert f"(or set paths.{CONFIG_PATHS[missing]})" in err
         assert not (wd / ".lock").exists()
 
+    def test_a_workdir_under_a_regular_file_exits_one_naming_it(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert run(["label", "--workdir", blocker / "sub"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot create the workdir {blocker / 'sub'}: Not a directory\n"
+
+    def test_an_output_that_cannot_be_written_exits_two_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        assert run(["synth", "--workdir", wd, "--config", config]) == 0
+        (wd / "weeks.csv").mkdir()
+        before = sorted(wd.iterdir())
+        capsys.readouterr()
+        assert run(["label", "--workdir", wd, "--config", config]) == 2
+        assert f"cannot write {wd / 'weeks.csv'}: Is a directory" in capsys.readouterr().err
+        assert sorted(wd.iterdir()) == before
+
+    def test_a_plots_path_that_is_a_file_exits_two_naming_it(self, trained_workdir, tmp_path,
+                                                             capsys):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        shutil.rmtree(wd / "plots", ignore_errors=True)
+        (wd / "plots").write_text("")
+        assert run(["export-plot-data", "--workdir", wd, "--config", config]) == 2
+        assert f"cannot write {wd / 'plots'}: File exists" in capsys.readouterr().err
+
     def test_usage_error_exits_one(self, tmp_path, capsys):
         assert run(["no-such-command"]) == 1
 

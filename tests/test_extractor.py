@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend import extractor
 from newstrend.config import ExtractorConfig
 from newstrend.corpus import Vocabulary
-from newstrend.errors import DataError
+from newstrend.errors import DataError, NumericError
 from newstrend.extractor import (
     ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, Adam, ExtractorModel, ReferenceEncoder,
     TrainedExtractor, TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
@@ -191,6 +193,25 @@ class TestAttention:
             assert abs(a.sum() - 1.0) < 1e-9
             assert (a > 0).all()
             assert np.allclose(vpot, m @ a, atol=1e-12)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 55])
+    def test_blocks_hold_the_generator_arrays_bit_for_bit(self, seed):
+        """Each block drawn into its view of `flat` against the arrays that
+        `uniform` and `normal` return, drawn in the same order."""
+        model = tiny_model(v=9, dim=5, emb_dim=7, hidden=11, seed=seed)
+        rng = np.random.default_rng(seed)
+        k_enc, k_dense = 1.0 / np.sqrt(7), 1.0 / np.sqrt(5 + 9)
+        drawn = {
+            "enc.emb": rng.uniform(-k_enc, k_enc, size=(13, 7)),
+            "enc.w": rng.uniform(-k_enc, k_enc, size=(7, 5)),
+            "att_w": np.eye(9) + rng.normal(0.0, 0.01, size=(9, 9)),
+            "dense_w": rng.uniform(-k_dense, k_dense, size=(14, 11)),
+        }
+        want = np.concatenate([drawn[name].reshape(-1) if name in drawn else np.zeros(p.size)
+                               for name, p in model.params.items()])
+        assert model.flat.tobytes() == want.tobytes()
 
 
 class TestForward:
@@ -690,12 +711,92 @@ class TestTraining:
         with pytest.raises(DataError, match="dev week"):
             train_extractor(examples, self.settings, vocab, (date(1999, 1, 4),))
 
+    def test_the_best_epoch_is_restored_bit_for_bit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        vocab, examples = planted_training_set()
+        dev = dev_weeks_of(examples)
+
+        def train(epochs, best_epoch):
+            epoch = iter(range(1, epochs + 1))
+            monkeypatch.setattr(extractor, "_accuracy_on", lambda model, examples, batch_size:
+                                (0.9 if next(epoch) == best_epoch else 0.5, None, 1.0))
+            return train_extractor(examples, replace(self.settings, epochs=epochs), vocab, dev)
+
+        second_of_four = train(4, best_epoch=2)
+        assert [h["dev_acc_senti"] for h in second_of_four.history] == [0.5, 0.9, 0.5, 0.5]
+        assert second_of_four.model.flat.tobytes() == train(2, best_epoch=2).model.flat.tobytes()
+        assert second_of_four.model.flat.tobytes() != train(4, best_epoch=4).model.flat.tobytes()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_divergence_closes_the_best_epoch_file_and_leaves_none(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        opened = []
+        temporary_file = tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            opened.append(temporary_file(*args, **kwargs))
+            return opened[-1]
+
+        steps = iter(range(100))
+        loss_and_grads = ExtractorModel.loss_and_grads
+
+        def diverging(model, batch, *args, **kwargs):
+            loss, grads = loss_and_grads(model, batch, *args, **kwargs)
+            return (float("nan") if next(steps) == 10 else loss), grads
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(ExtractorModel, "loss_and_grads", diverging)
+        vocab, examples = planted_training_set()
+        with pytest.raises(NumericError, match="epoch 2 batch"):
+            train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
+        assert len(opened) == 1 and opened[0].closed
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unusable_temporary_directory_is_a_data_error(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(tempfile, "tempdir", str(blocker / "sub"))
+        vocab, examples = planted_training_set()
+        with pytest.raises(DataError, match=f"temporary file.*{blocker / 'sub'}"):
+            train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
+
     def test_dev_split_holds_out_whole_weeks(self):
         weeks = [date(2020, 1, 6) + timedelta(days=7 * i) for i in range(20)]
         train, dev = split_dev_weeks(weeks, dev_fraction=0.1, seed=3)
         assert set(train) | set(dev) == set(weeks)
         assert not set(train) & set(dev)
         assert len(dev) == 2
+
+
+# the share of the parameters' bytes that training may hold at its peak: the
+# parameters, the gradient and Adam's two moments, and room for one batch
+TRAIN_PEAK_SHARE = 4.5
+
+
+def wide_encoder_training_set(n_weeks=10, docs_per_week=6, words_per_doc=100):
+    """`planted_training_set` with a hundred words of its own in each
+    document, so that the encoder's embedding dwarfs one batch."""
+    vocab, examples = planted_training_set(n_weeks, docs_per_week)
+    own = [f"w{i:05d}" for i in range(len(examples) * words_per_doc)]
+    words = tuple(sorted([*PLANTED_WORDS, *own]))
+    return vocab, [
+        replace(ex, doc=doc_over(words, ex.doc.record_id,
+                                 [ex.doc.words[j] for j in ex.doc.ids.tolist()]
+                                 + own[i * words_per_doc:(i + 1) * words_per_doc]))
+        for i, ex in enumerate(examples)]
+
+
+class TestBoundedMemory:
+    def test_training_holds_four_parameter_buffers_and_one_batch(self):
+        vocab, examples = wide_encoder_training_set()
+        config = ExtractorConfig(encoder_vocab=10_000, dim=16, emb_dim=128, hidden=16,
+                                 epochs=3, batch_size=4, seed=0)
+        dev = dev_weeks_of(examples)
+        # a first run imports what training imports on first use
+        trained = train_extractor(examples, config, vocab, dev)
+        assert len(trained.model.encoder.vocab) > 5000
+        peak = traced_peak(train_extractor, examples, config, vocab, dev)
+        assert peak < TRAIN_PEAK_SHARE * trained.model.flat.nbytes
 
 
 class TestScoring:

@@ -6,6 +6,7 @@ difference ranking, the vocabulary selection and the encoder's frequency
 vocabulary. A hypothesis test checks that both agree exactly.
 """
 
+import itertools
 import tracemalloc
 from collections import Counter
 from datetime import date
@@ -24,7 +25,7 @@ from newstrend.extractor import ReferenceEncoder
 from newstrend.polarity import (
     _count, _idf, _weights, build_model_set, tfidf_difference_ranking,
 )
-from newstrend.tokens import TOKENS_MAGIC, EncodedDoc, read_tokens, write_tokens
+from newstrend.tokens import TOKENS_MAGIC, EncodedDoc, _id_table, read_tokens, write_tokens
 from newstrend.weeks import POT_CLASSES
 
 from conftest import encoded, labeled_weeks, make_doc, make_record, traced_peak
@@ -67,6 +68,16 @@ class TestRoundTrip:
             docs[3]
         with pytest.raises(IndexError):
             docs.take([0, -4])
+
+    @given(st.lists(st.lists(st.sampled_from(["oil", "a", "é", "Oil", "b2", "a"]), max_size=6),
+                    max_size=6))
+    def test_id_table_numbers_each_token_by_its_sorted_word(self, seqs):
+        words, ids, offsets = _id_table(iter(seqs), "d")
+        want = sorted({t for seq in seqs for t in seq})
+        assert words == tuple(want)
+        assert ids.typecode == "d"
+        assert ids.tolist() == [want.index(t) for seq in seqs for t in seq]
+        assert offsets.tolist() == list(itertools.accumulate(map(len, seqs), initial=0))
 
     def test_write_is_byte_identical_on_rerun(self, tmp_path):
         write_tokens(RECORDS, tmp_path / "a.bin", max_tokens=180)
