@@ -69,10 +69,11 @@ class TokenizerConfig:
 class PolarityConfig:
     vocab_size: int = bounded(512, min=1)
     n_lags: int = bounded(4, min=1)
-    discount: float = 0.5
+    # the mild classes' weight in a polarity score; below 0 it flips their sign
+    discount: float = bounded(0.5, min=0.0, max=1.0)
     window_weeks: int = bounded(13, min=1)
-    very_threshold: float = 2.0
-    mild_threshold: float = 0.5
+    very_threshold: float = 2.0    # at least mild_threshold
+    mild_threshold: float = bounded(0.5, min=0.0)
 
 
 @dataclass
@@ -89,7 +90,8 @@ class ExtractorConfig:
     # at 1 every selected week is held out and none is left to train on
     dev_fraction: float = bounded(0.1, min=0.0, below=1.0)
     max_weeks_per_class: int | None = bounded(None, min=1)
-    threshold: float = 2.0         # |pct| bound selecting training weeks
+    # |pct| bound selecting training weeks; below 0 a fall can be "positive"
+    threshold: float = bounded(2.0, min=0.0)
 
 
 @dataclass
@@ -279,6 +281,11 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(
             f"synth.block_min_weeks ({config.synth.block_min_weeks}) must be <= "
             f"synth.block_max_weeks ({config.synth.block_max_weeks})"
+        )
+    if config.polarity.mild_threshold > config.polarity.very_threshold:
+        raise ConfigError(
+            f"polarity.mild_threshold ({config.polarity.mild_threshold}) must be <= "
+            f"polarity.very_threshold ({config.polarity.very_threshold})"
         )
     bad = [r for r in config.corpus.proxy_rules if not re.fullmatch(r"[^:]+:[01]:[0-9]+", r)]
     if bad:

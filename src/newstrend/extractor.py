@@ -18,11 +18,15 @@ examples contribute exactly zero gradient to the worthiness head).
 All gradients are hand-derived and checked against central finite
 differences (see gradient_check). Everything is float64 and deterministic
 under a fixed seed. The parameters are named views into one flat buffer,
-and gradients and Adam moments are buffers of the same layout, so one Adam
-step is a few in-place array operations over all of them, run one
-cache-sized slice at a time, with one slice of scratch. Training holds
-these four buffers and one batch: the best epoch's parameters wait in an
-unnamed temporary file until training ends. `param_shapes` gives the
+and Adam's two moments are buffers of the same layout. No buffer holds the
+whole gradient: backward hands each block's gradient to a sink once it has
+read that block's parameters for the last time, in the order heads, dense
+layer, attention gate, attention mixing, encoder projection, bias and
+embedding, and a block of more than ADAM_BLOCK elements goes in slices of
+whole rows. In training the sink is Adam's update of that slice, a few
+in-place array operations with one slice of scratch. Training holds these
+three buffers, one batch and one slice: the best epoch's parameters wait
+in an unnamed temporary file until training ends. `param_shapes` gives the
 layout to both ways of making a model: a seeded draw for training, straight
 into `flat`, and `load_extractor`, which copies a saved model's arrays into
 `flat` once, draws nothing and does not import `numpy.random`.
@@ -34,7 +38,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import reduce
+from functools import partial, reduce
+from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -54,8 +59,9 @@ MODEL_MAGIC = "newstrend-extractor 1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per slice of an Adam step: the slice's five arrays (parameters,
-# gradient, two moments, scratch) take 1.25 MB, inside a 2 MB L2 cache
+# elements per gradient slice and per piece of an Adam update: the piece's
+# five arrays (parameters, gradient, two moments, scratch) take 1.25 MB,
+# inside a 2 MB L2 cache
 ADAM_BLOCK = 32_768
 
 
@@ -109,14 +115,15 @@ class ReferenceEncoder:
         out = np.tanh(xbar @ params["w"] + params["b"])
         return out, (bag, xbar, out)
 
-    def backward(self, cache, d_out, params, grads):
-        """Write the gradient of each of `params` into the array of that name in `grads`."""
+    def backward(self, cache, d_out, params, hand):
+        """Give `hand(name, a, b=None)` the gradient of each of `params`: `a`,
+        or a.T @ b (see `ExtractorModel._hand`), once `w` has been read."""
         bag, xbar, out = cache
         dpre = d_out * (1.0 - out * out)
         dxbar = dpre @ params["w"].T
-        np.matmul(bag.T, dxbar, out=grads["emb"])
-        np.matmul(xbar.T, dpre, out=grads["w"])
-        dpre.sum(axis=0, out=grads["b"])
+        hand("w", xbar, dpre)
+        hand("b", dpre.sum(axis=0))
+        hand("emb", bag, dxbar)
 
     def to_config(self) -> dict:
         return {
@@ -213,10 +220,10 @@ class ExtractorModel:
 
     Parameter blocks: enc.* (encoder), att_w, att_v, dense_w, dense_b,
     senti_w, senti_b, worth_w, worth_b, laid out by `param_shapes`. `params`
-    maps each name to a view into the one flat buffer `flat`; write a block
-    in place (`[...] =`) to keep it there. A model is built on `flat` when
-    it is given (the caller's buffer of this layout, not a copy), else drawn
-    from `seed`.
+    maps each name to a view into the one flat buffer `flat`, starting at
+    `offsets[name]`; write a block in place (`[...] =`) to keep it there. A
+    model is built on `flat` when it is given (the caller's buffer of this
+    layout, not a copy), else drawn from `seed`.
     pot_mu/pot_sigma are fixed standardization buffers, not trained.
     """
 
@@ -237,6 +244,9 @@ class ExtractorModel:
         self.lam = lam
         v = len(vocab)
         self.shapes = param_shapes(encoder, v, hidden)
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        self.offsets = dict(zip(self.shapes, accumulate(sizes, initial=0)))
+        self.size = sum(sizes)
         self.flat = self._draw(seed) if flat is None else flat
         self.params = self.views(self.flat)
         self.pot_mu = np.zeros(v)
@@ -250,7 +260,7 @@ class ExtractorModel:
         every bias and head starts at zero. The blocks are drawn in layout
         order, each holding the bits that `rng.uniform(-k, k)` and
         `np.eye(v) + rng.normal(0, 0.01)` would give it."""
-        flat = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        flat = np.zeros(self.size)
         p, v = self.views(flat), len(self.vocab)
         rng = np.random.default_rng(seed)
         k_enc = 1.0 / np.sqrt(self.encoder.emb_dim)
@@ -265,12 +275,8 @@ class ExtractorModel:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter block's view into `flat`, a buffer of this model's layout."""
-        out, lo = {}, 0
-        for name, shape in self.shapes.items():
-            hi = lo + math.prod(shape)
-            out[name] = flat[lo:hi].reshape(shape)
-            lo = hi
-        return out
+        return {name: flat[lo : lo + math.prod(shape)].reshape(shape)
+                for (name, shape), lo in zip(self.shapes.items(), self.offsets.values())}
 
     def fit_pot_scaler(self, matrices: Sequence[np.ndarray]) -> None:
         """Standardization statistics for the pooled polarity vector.
@@ -340,31 +346,33 @@ class ExtractorModel:
                      cs=cs, cw=cw)
         return losses, cache
 
-    def loss_and_grads(
-        self, batch: Sequence[TrainingExample], out: np.ndarray | None = None
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """The batch loss and its gradient blocks, views into `out` (a new
-        buffer of the `flat` layout when None), which they fill. The
-        attention's dz is built in the forward cache's `t`."""
+    def loss_and_grads(self, batch: Sequence[TrainingExample], sink) -> float:
+        """The batch loss. Its gradient goes to `sink(lo, g)`, g being the
+        gradient of flat[lo : lo + g.size], which the sink may overwrite;
+        each block goes once backward has read its parameters for the last
+        time, so a sink may update them (`Adam.step`). A loss that is not
+        finite has no gradient: the sink gets nothing. The attention's dz is
+        built in the forward cache's `t`."""
         losses, cache = self._loss_forward(batch)
         n = len(batch)
         loss = reduce(add, losses.tolist(), 0.0) / n
-        p = self.params
-        grads = self.views(np.empty_like(self.flat) if out is None else out)
+        if not math.isfinite(loss):
+            return loss
+        p, hand = self.params, partial(self._hand, sink)
         ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
         m, week, a, x, t = cache["m"], cache["week"], cache["a"], cache["x"], cache["t"]
         dls = (ps - cache["ys"]) * cache["cs"][:, None] / n
         dlw = (pw - cache["yw"]) * cache["cw"][:, None] / n
 
-        np.matmul(r.T, dls, out=grads["senti_w"])
-        dls.sum(axis=0, out=grads["senti_b"])
-        np.matmul(r.T, dlw, out=grads["worth_w"])
-        dlw.sum(axis=0, out=grads["worth_b"])
         dr = dls @ p["senti_w"].T + dlw @ p["worth_w"].T
+        hand("senti_w", r, dls)
+        hand("senti_b", dls.sum(axis=0))
+        hand("worth_w", r, dlw)
+        hand("worth_b", dlw.sum(axis=0))
         dq = dr * (q > 0.0)
-        np.matmul(u.T, dq, out=grads["dense_w"])
-        dq.sum(axis=0, out=grads["dense_b"])
         du = dq @ p["dense_w"].T
+        hand("dense_w", u, dq)
+        hand("dense_b", dq.sum(axis=0))
         d = self.encoder.dim
         dvcls = du[:, :d]
         # attention backward once per table entry: rows sharing a week add up
@@ -372,14 +380,40 @@ class ExtractorModel:
         np.add.at(dpooled, week, du[:, d:] / self.pot_sigma)
         da = (dpooled[:, None, :] @ m)[:, 0, :]
         ds = a * (da - (a * da).sum(axis=1, keepdims=True))
-        np.matmul(t, ds.reshape(-1), out=grads["att_v"])
+        d_att_v = t @ ds.reshape(-1)
         # t is read: dz = (att_v ds') * (1 - t t) takes its place, rounded as written
         dz = np.multiply(t, t, out=t)
         np.subtract(1.0, dz, out=dz)
         np.multiply(np.multiply.outer(p["att_v"], ds.reshape(-1)), dz, out=dz)
-        np.matmul(dz, x.T, out=grads["att_w"])
-        self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."), _sub(grads, "enc."))
-        return loss, grads
+        hand("att_v", d_att_v)
+        hand("att_w", dz.T, x.T)
+        self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."),
+                              lambda name, *ab: hand("enc." + name, *ab))
+        return loss
+
+    def _hand(self, sink, name: str, a: np.ndarray, b: np.ndarray | None = None) -> None:
+        """Give `sink` the gradient of block `name`: `a`, or a.T @ b computed
+        in slices of whole rows, each of at most ADAM_BLOCK elements unless
+        one row is longer."""
+        lo = self.offsets[name]
+        if b is None:
+            sink(lo, a)
+            return
+        width = b.shape[1]
+        step = max(1, ADAM_BLOCK // width)
+        for row in range(0, a.shape[1], step):
+            sink(lo + row * width, a[:, row : row + step].T @ b)
+
+    def gradient(self, batch: Sequence[TrainingExample]) -> tuple[float, dict[str, np.ndarray]]:
+        """The batch loss and its whole gradient, block by block: views into
+        one new buffer of the `flat` layout that `loss_and_grads` fills, NaN
+        where it hands nothing."""
+        grad = np.full_like(self.flat, np.nan)
+
+        def fill(lo, g):
+            grad[lo : lo + g.size] = g.reshape(-1)
+
+        return self.loss_and_grads(batch, fill), self.views(grad)
 
 
 def _uniform(rng: np.random.Generator, out: np.ndarray, k: float) -> None:
@@ -431,7 +465,7 @@ def gradient_check(
     `example` may also be a batch of examples.
     """
     batch = [example] if isinstance(example, TrainingExample) else list(example)
-    _, grads = model.loss_and_grads(batch)
+    _, grads = model.gradient(batch)
     if corrupt_block is not None:
         if corrupt_block not in grads:
             raise ValueError(f"unknown parameter block {corrupt_block!r}")
@@ -467,12 +501,13 @@ class TrainedExtractor:
 
 
 class Adam:
-    """Adam over one flat parameter buffer, updated in place: the moments
-    match its size, and a step walks the buffer in slices of ADAM_BLOCK
-    elements, each a few ufunc calls with `out=` into one scratch buffer of
-    one slice and the gradient's slice, which `step` overwrites once it has
-    read it. Each element rounds as the per-array expressions
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g) and
+    """Adam over one flat parameter buffer, updated in place as the gradient
+    arrives: the moments match the buffer's size, and a step updates each
+    gradient slice it is handed in pieces of at most ADAM_BLOCK elements,
+    each a few ufunc calls with `out=` into one scratch buffer of one piece
+    and the gradient's piece, which it overwrites once it has read it. Each
+    element rounds as the per-array expressions m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) (g g) and
     params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) do."""
 
     def __init__(self, flat: np.ndarray, lr: float):
@@ -480,16 +515,23 @@ class Adam:
         self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
         self.tmp = np.empty_like(flat[:ADAM_BLOCK])
 
-    def step(self, grad: np.ndarray) -> None:
-        """One update from `grad`, a buffer of the parameters' layout, which
-        it leaves holding scratch values."""
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
+    def step(self):
+        """Begin update t + 1 and return its sink, `update`, for
+        `ExtractorModel.loss_and_grads`."""
         self.t += 1
+        return self.update
+
+    def update(self, lo: int, grad: np.ndarray) -> None:
+        """The current step's update of flat[lo : lo + grad.size] from
+        `grad`, that slice's gradient, which it leaves holding scratch values."""
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for lo in range(0, self.flat.size, ADAM_BLOCK):
-            part = slice(lo, lo + ADAM_BLOCK)
-            flat, g, m, v = self.flat[part], grad[part], self.m[part], self.v[part]
-            tmp = self.tmp[: flat.size]
+        grad = grad.reshape(-1)
+        for at in range(0, grad.size, ADAM_BLOCK):
+            g = grad[at : at + ADAM_BLOCK]
+            part = slice(lo + at, lo + at + g.size)
+            flat, m, v = self.flat[part], self.m[part], self.v[part]
+            tmp = self.tmp[: g.size]
             np.multiply(m, b1, out=m)
             np.multiply(g, 1 - b1, out=tmp)
             np.add(m, tmp, out=m)
@@ -525,18 +567,17 @@ def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], bat
     return hits_s / len(examples), acc_w, loss_sum / len(examples)
 
 
-def _train_epoch(model: ExtractorModel, adam: Adam, grad: np.ndarray,
+def _train_epoch(model: ExtractorModel, adam: Adam,
                  examples: Sequence[TrainingExample], batch_size: int, epoch: int) -> float:
-    """One Adam step per `batch_size` of `examples` in turn, the gradient
-    built in `grad`; the mean batch loss. A loss that is not finite is a
-    NumericError."""
+    """One Adam step per `batch_size` of `examples` in turn, each gradient
+    slice applied as backward hands it over; the mean batch loss. A loss that
+    is not finite is a NumericError, raised before its step changes anything."""
     epoch_loss = 0.0
     n_batches = 0
     for lo in range(0, len(examples), batch_size):
-        loss, _ = model.loss_and_grads(examples[lo : lo + batch_size], out=grad)
+        loss = model.loss_and_grads(examples[lo : lo + batch_size], adam.step())
         if not np.isfinite(loss):
             raise NumericError(f"training diverged: loss={loss} at epoch {epoch} batch {n_batches}")
-        adam.step(grad)
         epoch_loss += loss
         n_batches += 1
     return epoch_loss / max(n_batches, 1)
@@ -554,8 +595,8 @@ def train_extractor(
     against (rows of each matrix). Examples from `dev_weeks` only select the
     best epoch; every other example trains. Deterministic under a fixed seed
     and fixed example order; the returned model carries the parameters of
-    the best dev-accuracy epoch. Training holds four buffers of the model's
-    size: the parameters, the gradient and Adam's two moments. An unusable
+    the best dev-accuracy epoch. Training holds three buffers of the model's
+    size: the parameters and Adam's two moments. An unusable
     temporary directory, where the best epoch waits, is a DataError.
     """
     import tempfile
@@ -588,7 +629,6 @@ def train_extractor(
     model.fit_pot_scaler([ex.matrix for ex in train_ex])
 
     rng = np.random.default_rng([config.seed, 3])
-    grad = np.zeros_like(model.flat)
     adam = Adam(model.flat, config.lr)
     # best by dev accuracy; accuracy ties broken by lower dev loss, so a
     # model that keeps gaining margin after accuracy saturates still wins
@@ -600,7 +640,7 @@ def train_extractor(
         with tempfile.TemporaryFile() as best:
             for epoch in range(1, config.epochs + 1):
                 shuffled = [train_ex[i] for i in rng.permutation(len(train_ex))]
-                train_loss = _train_epoch(model, adam, grad, shuffled, config.batch_size, epoch)
+                train_loss = _train_epoch(model, adam, shuffled, config.batch_size, epoch)
                 acc_s, acc_w, dev_loss = _accuracy_on(model, dev_ex, config.batch_size)
                 history.append({"epoch": epoch, "train_loss": train_loss,
                                 "dev_acc_senti": acc_s, "dev_acc_worth": acc_w})

@@ -174,7 +174,7 @@ def test_03_worthiness_masking_is_exact():
     rng = np.random.default_rng(3)
     model.params["worth_w"] = rng.normal(0, 0.3, size=model.params["worth_w"].shape)
     ex = tiny_example(model, rng, worthiness=None)
-    _, grads = model.loss_and_grads([ex])
+    _, grads = model.gradient([ex])
     masked_zero = np.all(grads["worth_w"] == 0.0) and np.all(grads["worth_b"] == 0.0)
 
     ps = np.array([0.31, 0.69])

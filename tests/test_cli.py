@@ -506,6 +506,8 @@ class TestErrors:
         ("synth.weeks=abc", "synth.weeks"),
         ("labels.up=0.5", "labels.down"),
         ("synth.block_min_weeks=30", "synth.block_min_weeks"),
+        ("polarity.very_threshold=0.1 polarity.mild_threshold=5",
+         "polarity.mild_threshold (5) must be <= polarity.very_threshold (0.1)"),
         # JSON spells non-finite floats NaN, Infinity and 1e309
         ("extractor.threshold=NaN", "extractor.threshold must be a finite number"),
         ("polarity.very_threshold=NaN polarity.mild_threshold=NaN",
@@ -525,6 +527,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (wd / "news.jsonl").exists()
+
+    @pytest.mark.parametrize("sets, message", [
+        # every week would be a training week, one that fell 0.5% "positive"
+        (["extractor.threshold=-1"], "extractor.threshold must be >= 0.0, got -1"),
+        # no week would be pos or neg
+        (["polarity.very_threshold=0.1", "polarity.mild_threshold=5"],
+         "polarity.mild_threshold (5) must be <= polarity.very_threshold (0.1)"),
+    ], ids=["negative_extractor_threshold", "mild_above_very"])
+    def test_label_thresholds_that_would_misclass_weeks_exit_one(self, tmp_path, capsys,
+                                                                 sets, message):
+        config = write_config(tmp_path, **{"synth.weeks": 60})
+        wd = tmp_path / "w"
+        assert run(["synth", "--workdir", wd, "--config", config]) == 0
+        overrides = [arg for item in sets for arg in ("--set", item)]
+        assert run(["label", "--workdir", wd, "--config", config, *overrides]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (wd / "weeks.csv").exists()
 
     @pytest.mark.parametrize("key, kind, value", declared_bounds())
     def test_value_past_a_declared_bound_exits_one_when_loaded(self, tmp_path, capsys,

@@ -55,7 +55,7 @@ def randomize(model, rng):
 
 def zero_gradient_blocks(model, ex):
     """Gradient blocks that are exactly zero, apart from a masked worthiness head."""
-    _, grads = model.loss_and_grads([ex])
+    _, grads = model.gradient([ex])
     return [name for name, g in grads.items()
             if not np.any(g) and not (ex.worthiness is None and name.startswith("worth_"))]
 
@@ -288,7 +288,7 @@ class TestForward:
         for ps, pw, _ in (model.forward(docs, table, week), model.forward(docs, table[week])):
             assert np.abs(ps - want_ps).max() < 1e-12
             assert np.abs(pw - want_pw).max() < 1e-12
-        loss, grads = model.loss_and_grads(batch)
+        loss, grads = model.gradient(batch)
         assert model._loss_forward(batch)[1]["a"].shape == (len(set(week.tolist())), 4)
         want_loss, want_grads = reference_loss_and_grads(model, batch)
         assert abs(loss - want_loss) < 1e-12
@@ -477,7 +477,7 @@ class TestGradientCheck:
         ]
         worst, errors = gradient_check(model, batch, detail=True)
         assert worst < 1e-4, errors
-        _, grads = model.loss_and_grads(batch)
+        _, grads = model.gradient(batch)
         assert all(np.any(grads[name] != 0.0) for name in ("att_w", "att_v", "enc.emb"))
         assert gradient_check(model, batch, corrupt_block="att_w") > 1e-2
 
@@ -493,11 +493,11 @@ class TestGradientCheck:
         rng = np.random.default_rng(3)
         model.params["worth_w"] = rng.normal(0, 0.3, size=model.params["worth_w"].shape)
         ex = tiny_example(model, rng, worthiness=None)
-        _, grads = model.loss_and_grads([ex])
+        _, grads = model.gradient([ex])
         assert np.all(grads["worth_w"] == 0.0)
         assert np.all(grads["worth_b"] == 0.0)
         labeled = tiny_example(model, rng, worthiness=1)
-        _, grads2 = model.loss_and_grads([labeled])
+        _, grads2 = model.gradient([labeled])
         assert np.any(grads2["worth_w"] != 0.0)
 
 
@@ -531,9 +531,23 @@ def dev_weeks_of(examples):
     return split_dev_weeks([e.week for e in examples], dev_fraction=0.1, seed=0)[1]
 
 
+SLICED_WORDS = tuple(f"s{i:04d}" for i in range(640))  # the last 40 are unknown words
+
+
+def sliced_model():
+    """A model whose encoder embedding, attention mixing and dense layer each
+    exceed ADAM_BLOCK elements, so that backward hands them over in slices."""
+    encoder = ReferenceEncoder(SLICED_WORDS[:600], dim=8, emb_dim=64)
+    vocab = Vocabulary(words=tuple(f"v{i:03d}" for i in range(190)))
+    model = ExtractorModel(vocab=vocab, encoder=encoder, n_lags=3, hidden=170, lam=0.5, seed=7)
+    randomize(model, np.random.default_rng(70))
+    return model
+
+
 class TestFlatAdam:
     def test_bitwise_equal_to_the_per_block_update_over_60_steps(self):
-        """Adam on the one flat buffer against the per-block update it replaced."""
+        """Adam on the one flat buffer, fed slice by slice during backward,
+        against the per-block update of the whole gradient it replaced."""
         model = tiny_model(seed=3)
         rng = np.random.default_rng(9)
         randomize(model, rng)
@@ -545,17 +559,16 @@ class TestFlatAdam:
         adam_m = {name: np.zeros_like(p) for name, p in params.items()}
         adam_v = {name: np.zeros_like(p) for name, p in params.items()}
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        grad, start = np.empty_like(model.flat), model.flat.copy()
+        start = model.flat.copy()
         for step in range(1, 61):
-            _, grads = model.loss_and_grads(batch, out=grad)
-            assert all(np.shares_memory(g, grad) for g in grads.values())
+            _, grads = model.gradient(batch)
+            model.loss_and_grads(batch, adam.step())
             for name, g in grads.items():
                 adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
                 adam_v[name] = b2 * adam_v[name] + (1 - b2) * (g * g)
                 mhat = adam_m[name] / (1 - b1 ** step)
                 vhat = adam_v[name] / (1 - b2 ** step)
                 params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            adam.step(grad)
             for name, p in model.params.items():
                 assert np.array_equal(p, params[name]), (step, name)
                 assert np.shares_memory(p, model.flat)
@@ -564,19 +577,53 @@ class TestFlatAdam:
 
     @pytest.mark.parametrize("size", [3 * ADAM_BLOCK + 1234, ADAM_BLOCK // 3])
     def test_blocked_step_equals_the_whole_buffer_update(self, size):
-        """Slice by slice, over three slices and a ragged tail or within one
-        slice, against the 14 ufuncs run once over the whole buffer."""
+        """Piece by piece, over three pieces and a ragged tail or within one
+        piece, handed in slices cut at random, against the 14 ufuncs run once
+        over the whole buffer."""
         rng = np.random.default_rng(size)
         flat, lr = rng.normal(size=size), 0.01
         adam = Adam(flat, lr)
         want, m, v = flat.copy(), np.zeros(size), np.zeros(size)
         for step in range(1, 61):
             grad = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
-            whole_buffer_adam_step(want, m, v, grad, lr, step)
-            adam.step(grad)
+            whole_buffer_adam_step(want, m, v, grad.copy(), lr, step)
+            update = adam.step()
+            cuts = [0, *np.sort(rng.integers(0, size, size=3)).tolist(), size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                update(lo, grad[lo:hi])
             assert flat.tobytes() == want.tobytes(), step
             assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes()
         assert adam.tmp.size <= ADAM_BLOCK
+
+    def test_streamed_update_equals_the_whole_gradient_update_over_60_steps(self):
+        """Training through the Adam sink, which updates each slice while
+        backward still runs, against filling a buffer with the whole gradient
+        and then updating: parameters and moments bit for bit."""
+        model = sliced_model()
+        sizes = {name: p.size for name, p in model.params.items()}
+        assert all(sizes[name] > ADAM_BLOCK for name in ("enc.emb", "att_w", "dense_w"))
+        rng = np.random.default_rng(71)
+        matrices = [rng.normal(0, 0.5, size=(190, 3)) for _ in range(5)]
+        batch = [TrainingExample(
+                    doc=doc_over(SLICED_WORDS, f"d{i}", list(rng.choice(SLICED_WORDS, 40))),
+                    matrix=matrices[i % 5], week=date(2020, 1, 6) + timedelta(days=7 * (i % 5)),
+                    sentiment=i % 2, worthiness=[None, 0, 1][i % 3])
+                 for i in range(12)]
+        lr = 0.01
+        adam = Adam(model.flat, lr)
+        want, m, v = model.flat.copy(), np.zeros(model.size), np.zeros(model.size)
+        for step in range(1, 61):
+            _, grads = model.gradient(batch)
+            whole_buffer_adam_step(want, m, v, np.concatenate(
+                [g.reshape(-1) for g in grads.values()]), lr, step)
+            model.loss_and_grads(batch, adam.step())
+            assert model.flat.tobytes() == want.tobytes(), step
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes(), step
+        start = sliced_model().params
+        for name in ("enc.emb", "att_w", "dense_w"):  # each slice was applied
+            rows = ADAM_BLOCK // model.shapes[name][1]
+            moved = np.any(model.params[name] != start[name], axis=1)
+            assert all(moved[lo : lo + rows].any() for lo in range(0, len(moved), rows)), name
 
 
 def whole_buffer_adam_step(flat, m, v, grad, lr, t):
@@ -737,20 +784,36 @@ class TestTraining:
             opened.append(temporary_file(*args, **kwargs))
             return opened[-1]
 
+        class RecordingAdam(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                adams.append(self)
+
+        adams, before = [], {}
         steps = iter(range(100))
         loss_and_grads = ExtractorModel.loss_and_grads
 
-        def diverging(model, batch, *args, **kwargs):
-            loss, grads = loss_and_grads(model, batch, *args, **kwargs)
-            return (float("nan") if next(steps) == 10 else loss), grads
+        def diverging(model, batch, sink):
+            """The 11th batch's loss is NaN: its first row's matrix is."""
+            if next(steps) == 10:
+                batch = [replace(batch[0], matrix=np.full_like(batch[0].matrix, np.nan)),
+                         *batch[1:]]
+                before.update(flat=model.flat.copy(), m=adams[0].m.copy(), v=adams[0].v.copy())
+            return loss_and_grads(model, batch, sink)
 
         monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(extractor, "Adam", RecordingAdam)
         monkeypatch.setattr(ExtractorModel, "loss_and_grads", diverging)
         vocab, examples = planted_training_set()
-        with pytest.raises(NumericError, match="epoch 2 batch"):
+        with pytest.raises(NumericError, match="loss=nan at epoch 2 batch 3$"):
             train_extractor(examples, self.settings, vocab, dev_weeks_of(examples))
         assert len(opened) == 1 and opened[0].closed
         assert list(tmp_path.iterdir()) == []
+        # the diverging batch applied no slice
+        (adam,) = adams
+        assert adam.flat.tobytes() == before["flat"].tobytes()
+        assert adam.m.tobytes() == before["m"].tobytes()
+        assert adam.v.tobytes() == before["v"].tobytes()
 
     def test_an_unusable_temporary_directory_is_a_data_error(self, monkeypatch, tmp_path):
         blocker = tmp_path / "file"
@@ -769,8 +832,8 @@ class TestTraining:
 
 
 # the share of the parameters' bytes that training may hold at its peak: the
-# parameters, the gradient and Adam's two moments, and room for one batch
-TRAIN_PEAK_SHARE = 4.5
+# parameters and Adam's two moments, and room for one batch and one slice
+TRAIN_PEAK_SHARE = 3.5
 
 
 def wide_encoder_training_set(n_weeks=10, docs_per_week=6, words_per_doc=100):
@@ -787,7 +850,7 @@ def wide_encoder_training_set(n_weeks=10, docs_per_week=6, words_per_doc=100):
 
 
 class TestBoundedMemory:
-    def test_training_holds_four_parameter_buffers_and_one_batch(self):
+    def test_training_holds_three_parameter_buffers_and_one_batch(self):
         vocab, examples = wide_encoder_training_set()
         config = ExtractorConfig(encoder_vocab=10_000, dim=16, emb_dim=128, hidden=16,
                                  epochs=3, batch_size=4, seed=0)
