@@ -10,7 +10,7 @@ Run:  python3 demos/02_polarity_lexicon.py
 
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.polarity import build_model_set, tfidf_difference_ranking
-from newstrend.config import SynthConfig
+from newstrend.config import PolarityConfig, SynthConfig
 from newstrend.synth import generate
 from newstrend.tokens import encode_docs
 from newstrend.weeks import (
@@ -57,7 +57,7 @@ def main():
     print("=" * 64)
     print("3. weekly polarity models over a rolling 13-week window")
     print("=" * 64)
-    model_set = build_model_set(labels, docs_by_week, set(vocab.words))
+    model_set = build_model_set(labels, docs_by_week, set(vocab.words), PolarityConfig())
     print(f"{len(model_set.anchors)} weekly models")
 
     print()

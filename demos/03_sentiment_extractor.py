@@ -7,7 +7,7 @@ finite-difference gradient check, and scoring of unseen articles.
 Run:  python3 demos/03_sentiment_extractor.py
 """
 
-from newstrend.config import ExtractorConfig, SynthConfig
+from newstrend.config import ExtractorConfig, PolarityConfig, SynthConfig
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.extractor import (
     TrainingExample, gradient_check, sentiment_score, train_extractor,
@@ -16,8 +16,8 @@ from newstrend.polarity import build_model_set, tfidf_difference_ranking
 from newstrend.synth import generate
 from newstrend.tokens import encode_docs
 from newstrend.weeks import (
-    PriceSeries, attach_news, label_weeks, make_policy, monday_anchors,
-    split_dev_weeks, weekly_changes,
+    PriceSeries, attach_news, extractor_split, label_weeks, make_policy, monday_anchors,
+    weekly_changes,
 )
 
 
@@ -39,17 +39,23 @@ def main():
     print("=" * 64)
     print("1. training examples from the big-move weeks")
     print("=" * 64)
-    big = [lab for lab in labels[3:] if lab.extractor_class in ("positive", "negative")]
-    pos_docs = [d for lab in big if lab.extractor_class == "positive"
+    config = ExtractorConfig(dim=32, emb_dim=32, hidden=64, epochs=8, seed=0)
+    n_lags = 4
+    # the big-move weeks with news and 4 weeks of polarity history, some
+    # held out whole for dev; the vocabulary is ranked on the rest alone
+    selected, train_weeks, dev_weeks = extractor_split(labels, config, n_lags)
+    big = [lab for lab in labels if lab.week.anchor in selected]
+    train = [lab for lab in big if lab.week.anchor in train_weeks]
+    pos_docs = [d for lab in train if lab.extractor_class == "positive"
                 for d in docs_by_week[lab.week.anchor]]
-    neg_docs = [d for lab in big if lab.extractor_class == "negative"
+    neg_docs = [d for lab in train if lab.extractor_class == "negative"
                 for d in docs_by_week[lab.week.anchor]]
     ranking = tfidf_difference_ranking(pos_docs, neg_docs)
     vocab = build_vocabulary(ranking, 32)
-    model_set = build_model_set(labels, docs_by_week, set(vocab.words))
+    model_set = build_model_set(labels, docs_by_week, set(vocab.words), PolarityConfig())
     examples = []
     for lab in big:
-        matrix = model_set.matrix(vocab, lab.week.anchor, 4)
+        matrix = model_set.matrix(vocab, lab.week.anchor, n_lags)
         sentiment = 1 if lab.extractor_class == "positive" else 0
         for rid in lab.week.news_ids:
             examples.append(TrainingExample(
@@ -57,15 +63,13 @@ def main():
                 sentiment=sentiment, worthiness=worthiness[rid],
             ))
     n_labeled = sum(1 for e in examples if e.worthiness is not None)
-    print(f"{len(examples)} examples from {len(big)} weeks "
-          f"({n_labeled} carry a worthiness label)")
+    print(f"{len(examples)} examples from {len(big)} weeks, {len(train_weeks)} train and "
+          f"{len(dev_weeks)} dev ({n_labeled} carry a worthiness label)")
 
     print()
     print("=" * 64)
     print("2. training (Adam, whole-week dev holdout, masked multitask loss)")
     print("=" * 64)
-    config = ExtractorConfig(dim=32, emb_dim=32, hidden=64, epochs=8, seed=0)
-    _, dev_weeks = split_dev_weeks([e.week for e in examples], config.dev_fraction, config.seed)
     trained = train_extractor(examples, config, vocab, dev_weeks)
     for row in trained.history:
         worth = "-" if row["dev_acc_worth"] is None else f"{row['dev_acc_worth']:.3f}"
@@ -87,10 +91,10 @@ def main():
     print("4. scoring unseen articles")
     print("=" * 64)
     used = set(trained.train_weeks) | set(trained.dev_weeks)
-    unseen = [lab for lab in labels[3:]
+    unseen = [lab for lab in labels[n_lags - 1:]
               if lab.week.anchor not in used and lab.week.news_ids][:6]
     for lab in unseen:
-        matrix = model_set.matrix(vocab, lab.week.anchor, 4)
+        matrix = model_set.matrix(vocab, lab.week.anchor, n_lags)
         rid = sorted(lab.week.news_ids)[0]
         score = sentiment_score(trained.model, docs[rid], matrix)
         print(f"  week {lab.week.anchor} ({lab.week.pct_change:+5.2f}%)  "

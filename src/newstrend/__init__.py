@@ -17,8 +17,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "config": ("CorpusConfig", "ExtractorConfig", "SummarizerConfig", "SynthConfig",
-               "SynthSettings"),
+    "config": ("CorpusConfig", "ExtractorConfig", "PolarityConfig", "SummarizerConfig",
+               "SynthConfig", "SynthSettings", "TokenizerConfig"),
     "corpus": (
         "IngestResult", "NewsRecord", "ProxyRule", "TokenizedDoc", "Vocabulary",
         "assign_worthiness_proxy", "build_vocabulary", "clean_filter", "ingest_news",
@@ -43,8 +43,8 @@ _EXPORTS = {
     "tokens": ("EncodedDoc", "TokenizedCorpus", "encode_docs", "read_tokens", "write_tokens"),
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
-        "autocorrelation", "extractor_class_of", "label_weeks", "load_prices", "make_policy",
-        "monday_anchors", "pot_class_of", "select_extractor_weeks", "split_dev_weeks",
+        "autocorrelation", "extractor_class_of", "extractor_split", "label_weeks", "load_prices",
+        "make_policy", "monday_anchors", "pot_class_of", "split_dev_weeks",
         "weekday_autocorrelation", "weekly_changes",
     ),
 }

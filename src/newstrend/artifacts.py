@@ -173,23 +173,27 @@ def read_csv(path: str | Path, what: str,
     stripped and lowercased, to its field. Rows end only at `\\n` or `\\r`,
     rows of blank fields are skipped, and keys must strictly increase; a
     KeyError, TypeError or ValueError in a row, and a file of no rows, are
-    DataErrors naming the file and the line."""
+    DataErrors naming the file and the line, as is a line `csv` cannot read
+    (a field past its size limit, say)."""
     reader = csv.reader(io.StringIO(read_text(path, what), newline=""))
-    header = [name.strip().lower() for name in next(reader, [])]
     items: list[T] = []
-    for fields in reader:
-        if not "".join(fields).strip():
-            continue
-        try:
-            key, item = parse(dict(zip(header, fields)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{what} {path} line {reader.line_num}: bad or missing "
-                            f"field {exc}") from None
-        if items and not last < key:
-            raise DataError(f"{what} {path} line {reader.line_num}: {key} does not "
-                            f"follow {last}; rows must strictly increase")
-        last = key
-        items.append(item)
+    try:
+        header = [name.strip().lower() for name in next(reader, [])]
+        for fields in reader:
+            if not "".join(fields).strip():
+                continue
+            try:
+                key, item = parse(dict(zip(header, fields)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{what} {path} line {reader.line_num}: bad or missing "
+                                f"field {exc}") from None
+            if items and not last < key:
+                raise DataError(f"{what} {path} line {reader.line_num}: {key} does not "
+                                f"follow {last}; rows must strictly increase")
+            last = key
+            items.append(item)
+    except csv.Error as exc:
+        raise DataError(f"{what} {path} line {reader.line_num}: {exc}") from None
     if not items:
         raise DataError(f"{what} {path} holds no rows")
     return items
@@ -222,13 +226,17 @@ def write_manifest(
 
 
 def read_manifest(artifact: Path) -> dict | None:
+    """The manifest of `artifact`, or None; a DataError names one of the wrong shape."""
     path = manifest_path(artifact)
     if not path.exists():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"manifest {path} is unreadable: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
+        raise DataError(f"manifest {path} must hold a JSON object whose 'config' is an object")
+    return manifest
 
 
 def config_drift(artifact: Path, config_flat: Mapping) -> list[str]:

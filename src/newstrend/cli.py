@@ -41,9 +41,8 @@ from .corpus import (
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .tokens import read_tokens, write_tokens
 from .weeks import (
-    CLASS_ORDER, attach_news, label_weeks, load_prices, make_policy,
-    monday_anchors, read_weeks_csv, select_extractor_weeks, split_dev_weeks,
-    weekly_changes, weekday_autocorrelation, write_weeks_csv,
+    CLASS_ORDER, attach_news, extractor_split, label_weeks, load_prices, make_policy,
+    monday_anchors, read_weeks_csv, weekly_changes, weekday_autocorrelation, write_weeks_csv,
 )
 
 WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday")
@@ -131,34 +130,6 @@ def _load_week_data(workdir: Path):
     return labels, worthiness, docs
 
 
-def _extractor_split(config: PipelineConfig, labels):
-    """Week selection shared by pot and train-extractor.
-
-    Only weeks with a full lag history are eligible, and selected weeks
-    without news are dropped, since they give no examples. pot ranks words on
-    the train weeks and `train_extractor` holds out the dev weeks; this is the
-    one place that splits them. Train weeks that lack a positive or a
-    negative week (none are left when one week is selected) are a DataError
-    naming the config keys that shrink them.
-    """
-    eligible = labels[config.polarity.n_lags - 1:]
-    with_news = {lab.week.anchor for lab in eligible if lab.week.news_ids}
-    picked = select_extractor_weeks(eligible, seed=config.extractor.seed,
-                                    max_weeks_per_class=config.extractor.max_weeks_per_class)
-    selected = tuple(anchor for anchor in picked if anchor in with_news)
-    train_w, dev_w = ((), selected) if len(selected) < 2 else split_dev_weeks(
-        selected, config.extractor.dev_fraction, config.extractor.seed)
-    train_set = set(train_w)
-    per_class = Counter(lab.extractor_class for lab in eligible if lab.week.anchor in train_set)
-    if not per_class["positive"] or not per_class["negative"]:
-        raise DataError(
-            f"the extractor's {len(train_w)} training week(s) hold {per_class['positive']} "
-            f"positive and {per_class['negative']} negative, and it needs both classes: "
-            f"raise extractor.max_weeks_per_class (now {config.extractor.max_weeks_per_class}) "
-            f"or lower extractor.dev_fraction (now {config.extractor.dev_fraction})")
-    return selected, train_w, dev_w
-
-
 def _load_pot(workdir: Path):
     """The `PolarityModelSet` of `pot.bin`. Call it after `_load_week_data`:
     importing `polarity` before the corpus is loaded raises the peak RSS of
@@ -226,7 +197,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
     labels, _, docs = _load_week_data(workdir)
-    _, train_w, _ = _extractor_split(config, labels)
+    _, train_w, _ = extractor_split(labels, config.extractor, config.polarity.n_lags)
     docs_by_week = {lab.week.anchor: docs(lab.week.news_ids) for lab in labels}
     del docs  # the file's buffer; the documents are copies
     train_set = set(train_w)
@@ -238,11 +209,8 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
         bucket.extend(docs_by_week[lab.week.anchor])
     ranking = polarity.tfidf_difference_ranking(pos_docs, neg_docs)
     vocab = build_vocabulary(ranking, config.polarity.vocab_size)
-    model_set = polarity.build_model_set(
-        labels, docs_by_week, set(vocab.words) | set(args.word),
-        window_weeks=config.polarity.window_weeks,
-        discount=config.polarity.discount,
-    )
+    model_set = polarity.build_model_set(labels, docs_by_week, set(vocab.words) | set(args.word),
+                                         config.polarity)
     model_set = replace(model_set, vocab=vocab, train_weeks=train_w)
     model_set.save(workdir / "pot.bin")
     print(f"pot: {len(model_set.anchors)} weekly models over {len(model_set.words)} words; "
@@ -253,7 +221,8 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
     labels, worthiness, docs = _load_week_data(workdir)
-    selected, train_w, dev_w = _extractor_split(config, labels)
+    selected, train_w, dev_w = extractor_split(labels, config.extractor,
+                                               config.polarity.n_lags)
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
     if train_w != model_set.train_weeks:
@@ -314,12 +283,8 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
             out[lo : lo + len(chunk)] = ps[:, 1]
         return out
 
-    dataset = build_summarizer_dataset(
-        labels[n_lags - 1:], excluded, score_articles,
-        n_sample=config.summarizer.n_sample,
-        seed=config.summarizer.seed,
-        target_offset=config.summarizer.target_offset,
-    )
+    dataset = build_summarizer_dataset(labels[n_lags - 1:], excluded, score_articles,
+                                       config.summarizer)
     write_weekly_sentiment_csv(dataset.rows, workdir / "weekly_sentiment.csv")
     reasons = dict(Counter(why for _, why in dataset.skipped))
     print(f"score: {len(dataset.rows)} weeks scored "

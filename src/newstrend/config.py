@@ -172,7 +172,7 @@ class PipelineConfig:
         if "." not in key:
             raise ConfigError(f"config key {key!r} must be section.field")
         section_name, field_name = key.split(".", 1)
-        if not hasattr(self, section_name):
+        if section_name not in {f.name for f in dataclasses.fields(self)}:
             raise ConfigError(f"unknown config section {section_name!r}")
         obj = getattr(self, section_name)
         if field_name not in {f.name for f in dataclasses.fields(obj)}:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import artifacts
-from .config import CorpusConfig
+from .config import CorpusConfig, TokenizerConfig
 from .errors import ConfigError, DataError
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -204,7 +204,7 @@ def _words(text: str) -> list[str]:
     return [t for t in words.split() if not t.isdigit()]
 
 
-def tokenize(record: NewsRecord, max_tokens: int = 180) -> TokenizedDoc:
+def tokenize(record: NewsRecord, max_tokens: int = TokenizerConfig.max_tokens) -> TokenizedDoc:
     """Lowercase word tokens of title then content, truncated to max_tokens.
 
     Tokens are maximal runs of a-z and 0-9 in the lowercased text; every

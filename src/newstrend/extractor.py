@@ -82,7 +82,8 @@ class ReferenceEncoder:
     empty document encodes the zero vector.
     """
 
-    def __init__(self, vocab: Sequence[str], dim: int = 64, emb_dim: int = 64):
+    def __init__(self, vocab: Sequence[str], dim: int = ExtractorConfig.dim,
+                 emb_dim: int = ExtractorConfig.emb_dim):
         self.vocab = tuple(vocab)
         self.dim = dim
         self.emb_dim = emb_dim
@@ -91,7 +92,8 @@ class ReferenceEncoder:
         self._rows = np.zeros(0, dtype=np.int64)
 
     @classmethod
-    def frequency_vocab(cls, docs: Sequence[EncodedDoc], size: int = 5000) -> tuple[str, ...]:
+    def frequency_vocab(cls, docs: Sequence[EncodedDoc],
+                        size: int = ExtractorConfig.encoder_vocab) -> tuple[str, ...]:
         """The `size` most frequent words of `docs`, ties in word order."""
         words, ids, _ = concat_ids(docs)
         counts = np.bincount(ids, minlength=len(words))
@@ -234,7 +236,7 @@ class ExtractorModel:
         n_lags: int,
         hidden: int,
         lam: float,
-        seed: int = 0,
+        seed: int = ExtractorConfig.seed,
         flat: np.ndarray | None = None,
     ):
         self.vocab = vocab

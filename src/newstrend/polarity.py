@@ -48,7 +48,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from . import artifacts
-from .config import parse_day
+from .config import PolarityConfig, parse_day
 from .corpus import Vocabulary
 from .errors import DataError
 from .tokens import EncodedDoc, concat_ids
@@ -227,10 +227,11 @@ def build_model_set(
     labels: Sequence[WeeklyLabel],
     docs_by_week: Mapping[date, Sequence[EncodedDoc]],
     words: Collection[str],
-    window_weeks: int = 13,
-    discount: float = 0.5,
+    config: PolarityConfig,
 ) -> PolarityModelSet:
-    """Weekly scores of `words` for every labeled week, all windows at once.
+    """Weekly scores of `words` for every labeled week, all windows at once,
+    each window `config.window_weeks` long and the mild classes weighted by
+    `config.discount`.
 
     Early weeks use however much history exists (the window simply has not
     filled yet).
@@ -240,6 +241,7 @@ def build_model_set(
     counts, df, tokens, n_docs = _count(
         [docs_by_week.get(lab.week.anchor, ()) for lab in ordered], word_list)
     n_weeks = len(ordered)
+    window_weeks, discount = config.window_weeks, config.discount
     classes = np.array([POT_CLASSES.index(lab.pot_class) for lab in ordered], dtype=np.int64)
 
     def window_sums(weekly: np.ndarray, kept: np.ndarray) -> np.ndarray:

@@ -54,16 +54,16 @@ def build_summarizer_dataset(
     week_labels: Sequence[WeeklyLabel],
     excluded_anchors: set[date],
     score_articles: Callable[[date, Sequence[str]], np.ndarray],
-    n_sample: int = 100,
-    seed: int = 0,
-    target_offset: int = 1,
+    config: SummarizerConfig,
 ) -> SummarizerDataset:
-    """One scored row per usable week.
+    """One scored row per usable week, labeled with the class of the week
+    `config.target_offset` ahead.
 
     `score_articles(anchor, ids)` returns each article's sentiment score,
-    shape (n,). Sampling is without replacement and seeded per week, so week
-    order cannot change a week's sample. Skipped weeks are reported with a
-    reason, never silently dropped.
+    shape (n,). At most `config.n_sample` articles are scored a week,
+    sampled without replacement and seeded per week from `config.seed`, so
+    week order cannot change a week's sample. Skipped weeks are reported with
+    a reason, never silently dropped.
     """
     import numpy as np
 
@@ -78,7 +78,7 @@ def build_summarizer_dataset(
         if not lab.week.news_ids:
             skipped.append((anchor, "no articles"))
             continue
-        j = i + target_offset
+        j = i + config.target_offset
         if not 0 <= j < len(ordered):
             skipped.append((anchor, "no target week"))
             continue
@@ -87,9 +87,9 @@ def build_summarizer_dataset(
             skipped.append((anchor, "target week outside policy bins"))
             continue
         ids = sorted(lab.week.news_ids)
-        if len(ids) > n_sample:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, anchor.toordinal()]))
-            picked = rng.choice(len(ids), size=n_sample, replace=False)
+        if len(ids) > config.n_sample:
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, anchor.toordinal()]))
+            picked = rng.choice(len(ids), size=config.n_sample, replace=False)
             ids = [ids[k] for k in picked]
         scores = np.asarray(score_articles(anchor, ids), dtype=np.float64)
         rows.append(WeeklySentiment(week=anchor, n_sampled=len(ids),

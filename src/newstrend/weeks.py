@@ -1,11 +1,11 @@
 """Weekly Monday calendar: price series, Monday anchors, weekly percent
 changes, class labels under the different binning policies, news-to-week
-assignment, the seeded choice of the extractor's training and dev weeks,
-and weekday autocorrelation.
+assignment, the extractor's week split, and weekday autocorrelation.
 
-Only the week choice draws random numbers, and it imports numpy when it is
-called, so `label` never loads numpy and `pot`, which picks the weeks its
-vocabulary is ranked on, never loads the extractor.
+`extractor_split` alone assigns the extractor's week roles, so `pot`, which
+ranks its vocabulary on the training weeks, and `train-extractor` see one
+split. Only the split draws random numbers, and it imports numpy when it
+is called, so `label` never loads numpy and `pot` never loads the extractor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import artifacts
-from .config import parse_day, parse_finite
+from .config import ExtractorConfig, PolarityConfig, parse_day, parse_finite
 from .errors import ConfigError, DataError
 
 EXTRACTOR_CLASSES = ("positive", "negative", "excluded")
@@ -116,7 +116,7 @@ def make_policy(name: str, up: float | None = None, down: float | None = None) -
     return BinningPolicy(name, up, down)
 
 
-def extractor_class_of(pct: float, threshold: float = 2.0) -> str:
+def extractor_class_of(pct: float, threshold: float = ExtractorConfig.threshold) -> str:
     if pct > threshold:
         return "positive"
     if pct < -threshold:
@@ -124,7 +124,8 @@ def extractor_class_of(pct: float, threshold: float = 2.0) -> str:
     return "excluded"
 
 
-def pot_class_of(pct: float, very: float = 2.0, mild: float = 0.5) -> str:
+def pot_class_of(pct: float, very: float = PolarityConfig.very_threshold,
+                 mild: float = PolarityConfig.mild_threshold) -> str:
     if pct >= very:
         return "vpos"
     if pct >= mild:
@@ -200,9 +201,9 @@ def weekly_changes(prices: PriceSeries, anchors: Sequence[date]) -> list[Trading
 def label_weeks(
     weeks: Sequence[TradingWeek],
     policy: BinningPolicy,
-    extractor_threshold: float = 2.0,
-    pot_very: float = 2.0,
-    pot_mild: float = 0.5,
+    extractor_threshold: float = ExtractorConfig.threshold,
+    pot_very: float = PolarityConfig.very_threshold,
+    pot_mild: float = PolarityConfig.mild_threshold,
 ) -> list[WeeklyLabel]:
     return [
         WeeklyLabel(
@@ -215,27 +216,45 @@ def label_weeks(
     ]
 
 
-def select_extractor_weeks(
-    labels: Sequence[WeeklyLabel],
-    seed: int,
-    max_weeks_per_class: int | None = None,
-) -> tuple[date, ...]:
-    """Weeks eligible for extractor training, optionally capped per class.
+def extractor_split(
+    labels: Sequence[WeeklyLabel], config: ExtractorConfig, n_lags: int
+) -> tuple[tuple[date, ...], tuple[date, ...], tuple[date, ...]]:
+    """The extractor's `(selected, train, dev)` week anchors, each sorted,
+    from `labels` in anchor order (as `read_weeks_csv` and `attach_news`
+    give them).
 
-    The cap is a seeded without-replacement sample so capped selections stay
-    spread over the whole period.
+    Selected are the positive and negative weeks that have news and a full
+    history of `n_lags` polarity models, each class capped at
+    `config.max_weeks_per_class` by a seeded sample, which stays spread over
+    the whole period. `split_dev_weeks` splits them into whole train and dev
+    weeks (all dev when fewer than two). Train weeks that lack a class are a
+    DataError naming the config keys that shrink them.
     """
     import numpy as np
 
-    rng = np.random.default_rng([seed, 2])
-    selected: list[date] = []
+    eligible = labels[n_lags - 1:]
+    cap = config.max_weeks_per_class
+    rng = np.random.default_rng([config.seed, 2])
+    picked: dict[str, list[date]] = {}
     for cls in ("positive", "negative"):
-        anchors = sorted(l.week.anchor for l in labels if l.extractor_class == cls)
-        if max_weeks_per_class is not None and len(anchors) > max_weeks_per_class:
-            idx = sorted(rng.choice(len(anchors), size=max_weeks_per_class, replace=False).tolist())
-            anchors = [anchors[i] for i in idx]
-        selected.extend(anchors)
-    return tuple(sorted(selected))
+        anchors = [lab.week.anchor for lab in eligible if lab.extractor_class == cls]
+        if cap is not None and len(anchors) > cap:
+            kept = sorted(rng.choice(len(anchors), size=cap, replace=False).tolist())
+            anchors = [anchors[i] for i in kept]
+        picked[cls] = anchors
+    with_news = {lab.week.anchor for lab in eligible if lab.week.news_ids}
+    selected = tuple(sorted(anchor for anchors in picked.values() for anchor in anchors
+                            if anchor in with_news))
+    train, dev = ((), selected) if len(selected) < 2 else split_dev_weeks(
+        selected, config.dev_fraction, config.seed)
+    n_pos = len(set(train) & set(picked["positive"]))
+    if not n_pos or n_pos == len(train):
+        raise DataError(
+            f"the extractor's {len(train)} training week(s) hold {n_pos} "
+            f"positive and {len(train) - n_pos} negative, and it needs both classes: "
+            f"raise extractor.max_weeks_per_class (now {cap}) "
+            f"or lower extractor.dev_fraction (now {config.dev_fraction})")
+    return selected, train, dev
 
 
 def split_dev_weeks(

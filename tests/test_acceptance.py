@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from newstrend.cli import main as cli_main, _load_week_data
-from newstrend.config import load_config
+from newstrend.config import PolarityConfig, SummarizerConfig, load_config
 from newstrend.corpus import ingest_news, tokenize
 from newstrend.extractor import gradient_check, load_extractor, multitask_loss, pot_attention
 from newstrend.metrics import ConfusionMatrix, accuracy, f1, mcc
@@ -271,7 +271,8 @@ def test_06_leakage_guard_and_407_weeks():
         n_excl = int(rng.integers(0, 20))
         excluded_idx = set(rng.choice(30, size=n_excl, replace=False).tolist())
         excluded = {labels[i].week.anchor for i in excluded_idx}
-        ds = build_summarizer_dataset(labels, excluded, scorer, n_sample=3, seed=11)
+        ds = build_summarizer_dataset(labels, excluded, scorer,
+                                      SummarizerConfig(n_sample=3, seed=11))
         excluded_ids = {
             rid for lab in labels if lab.week.anchor in excluded for rid in lab.week.news_ids
         }
@@ -283,7 +284,7 @@ def test_06_leakage_guard_and_407_weeks():
     labels = labels_of(497 + 1)
     excluded_idx = set(np.random.default_rng(17).choice(497, size=90, replace=False).tolist())
     excluded = {labels[i].week.anchor for i in excluded_idx}
-    ds = build_summarizer_dataset(labels, excluded, scorer, n_sample=5, seed=0)
+    ds = build_summarizer_dataset(labels, excluded, scorer, SummarizerConfig(n_sample=5, seed=0))
     _report("6. leakage guard + 407 evaluation weeks",
             overlap_free and len(ds.rows) == 407,
             f"overlap-free over 200 partitions, count {len(ds.rows)}")
@@ -357,7 +358,7 @@ def test_09_real_data_calibration():
     by_id = {doc.record_id: doc for doc in docs}
     docs_by_week = {lab.week.anchor: [by_id[rid] for rid in lab.week.news_ids]
                     for lab in labels}
-    model_set = build_model_set(labels, docs_by_week, {"coronavirus"})
+    model_set = build_model_set(labels, docs_by_week, {"coronavirus"}, PolarityConfig())
     trajectory = model_set.trajectory("coronavirus", date(2020, 2, 1), date(2020, 3, 31))
     corona_ok = bool(trajectory) and all(score < 0 for _, score in trajectory)
 

@@ -223,6 +223,8 @@ CONTRACT = {
     "upper-case header": (lambda t, j: t.__setitem__(0, [f" {c.upper()}" for c in t[0]]), None),
     "columns reordered": (lambda t, j: [row.reverse() for row in t], None),
     "empty file": (lambda t, j: t.clear(), "holds no rows"),
+    "field past the csv size limit": (lambda t, j: _set(t, 3, j, "1" * 200_000),
+                                      r"line 3: field larger than field limit \(131072\)"),
 }
 
 
@@ -230,7 +232,7 @@ CONTRACT = {
 @pytest.mark.parametrize("name", CSV_FILES)
 def test_every_csv_read_back_keeps_one_contract(tmp_path, name, case):
     reader, columns, row, j = CSV_FILES[name]
-    table = [columns] + [row(i) for i in range(6)]
+    table = [list(columns)] + [row(i) for i in range(6)]  # a case may reorder the header
     clean = tmp_path / "clean.csv"
     clean.write_text("".join(",".join(fields) + "\n" for fields in table), encoding="utf-8")
     edit, error = CONTRACT[case]
@@ -242,3 +244,19 @@ def test_every_csv_read_back_keeps_one_contract(tmp_path, name, case):
     else:
         with pytest.raises(DataError, match=f"{name} {error}"):
             reader(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"config"', '{"config": []}', '{"config": 1}'],
+                         ids=["list", "number", "string", "config_list", "config_number"])
+def test_manifest_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, text):
+    artifact = tmp_path / "prices.csv"
+    artifacts.manifest_path(artifact).write_text(text)
+    with pytest.raises(DataError, match="manifest .*prices.csv.manifest.json must hold "
+                                        "a JSON object whose 'config' is an object"):
+        artifacts.config_drift(artifact, {"synth.seed": 7})
+
+
+def test_manifest_without_a_config_has_no_drift(tmp_path):
+    artifact = tmp_path / "prices.csv"
+    artifacts.manifest_path(artifact).write_text('{"command": "synth"}')
+    assert artifacts.config_drift(artifact, {"synth.seed": 7}) == []

@@ -594,6 +594,17 @@ class TestErrors:
         assert run(["label", "--workdir", wd, "--config", config]) == 2
         assert "prices.csv.manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[]", '{"config": []}'])
+    def test_input_manifest_of_the_wrong_shape_exits_two_naming_it(self, tmp_path, capsys,
+                                                                    text):
+        config = write_config(tmp_path)
+        wd = tmp_path / "w"
+        run_pipeline(wd, config, stages=[])
+        (wd / "prices.csv.manifest.json").write_text(text)
+        assert run(["label", "--workdir", wd, "--config", config]) == 2
+        assert "prices.csv.manifest.json must hold a JSON object" in capsys.readouterr().err
+        assert not (wd / "weeks.csv").exists()
+
     def test_lock_blocks_second_writer(self, tmp_path, capsys):
         config = write_config(tmp_path)
         wd = tmp_path / "w"

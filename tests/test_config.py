@@ -5,6 +5,8 @@ import pytest
 from newstrend.config import PipelineConfig, load_config
 from newstrend.errors import ConfigError
 
+from conftest import run
+
 
 class TestDefaults:
     def test_reference_hyperparameters(self):
@@ -43,6 +45,14 @@ class TestFlatKeys:
             config.set_flat("nosection.x", 1)
         with pytest.raises(ConfigError):
             config.set_flat("plainkey", 1)
+
+
+    @pytest.mark.parametrize("key", ["to_flat.x", "set_flat.x", "__dict__.x"])
+    def test_attribute_that_is_not_a_section_rejected(self, key, capsys):
+        with pytest.raises(ConfigError, match="unknown config section"):
+            PipelineConfig().set_flat(key, 1)
+        assert run(["label", "--set", f"{key}=1"]) == 1
+        assert capsys.readouterr().err == f"error: unknown config section {key.split('.')[0]!r}\n"
 
 
 class TestLoading:

@@ -19,7 +19,7 @@ from newstrend.extractor import (
     TrainedExtractor, TrainingExample, gradient_check, load_extractor, multitask_loss, pot_attention,
     save_extractor, sentiment_score, softmax, train_extractor,
 )
-from newstrend.weeks import select_extractor_weeks, split_dev_weeks
+from newstrend.weeks import split_dev_weeks
 
 from conftest import doc_over, traced_peak
 
@@ -883,25 +883,6 @@ class TestScoring:
         neg = [e for e in examples if e.sentiment == 0][0]
         assert sentiment_score(trained.model, pos.doc, pos.matrix) > 0.9
         assert sentiment_score(trained.model, neg.doc, neg.matrix) < 0.1
-
-
-class TestSelection:
-    def test_cap_is_seeded_sample(self):
-        from newstrend.weeks import TradingWeek, WeeklyLabel
-        labels = []
-        monday = date(2020, 1, 6)
-        for i in range(30):
-            wk = TradingWeek(anchor=monday + timedelta(days=7 * i),
-                             prev_anchor=monday + timedelta(days=7 * (i - 1)),
-                             pct_change=3.0 if i % 2 else -3.0)
-            labels.append(WeeklyLabel(week=wk, extractor_class="positive" if i % 2 else "negative",
-                                      pot_class="vpos", summarizer_class="up"))
-        sel = select_extractor_weeks(labels, seed=0, max_weeks_per_class=5)
-        assert len(sel) == 10
-        again = select_extractor_weeks(labels, seed=0, max_weeks_per_class=5)
-        assert sel == again
-        uncapped = select_extractor_weeks(labels, seed=0)
-        assert len(uncapped) == 30
 
 
 class TestModelArtifact:

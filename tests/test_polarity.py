@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend.config import PolarityConfig
 from newstrend.corpus import Vocabulary
 from newstrend.errors import DataError
 from newstrend.polarity import (
@@ -47,8 +48,9 @@ def oracle_polarity(word, window, alpha):
 
 
 def build(labels, docs_by_week, words, **kwargs):
-    """`build_model_set` of TokenizedDoc weeks, encoded over one word table."""
-    return build_model_set(labels, encoded_weeks(docs_by_week), words, **kwargs)
+    """`build_model_set` of TokenizedDoc weeks, encoded over one word table,
+    under the `polarity.*` keys `kwargs`."""
+    return build_model_set(labels, encoded_weeks(docs_by_week), words, PolarityConfig(**kwargs))
 
 
 def window_scores(window, words, discount=0.5):
@@ -252,7 +254,8 @@ class TestModelSet:
         docs_by_week = encoded_weeks({
             lab.week.anchor: [make_doc(f"{i}-{j}", t) for j, t in enumerate(texts)]
             for i, (lab, (_, texts)) in enumerate(zip(labels, weeks))})
-        got = build_model_set(labels[::-1], docs_by_week, tracked, window_weeks, discount)
+        got = build_model_set(labels[::-1], docs_by_week, tracked,
+                              PolarityConfig(window_weeks=window_weeks, discount=discount))
         want = all_classes_scores(labels, docs_by_week, tracked, window_weeks, discount)
         assert got.scores.tobytes() == want.tobytes()
 
@@ -265,7 +268,7 @@ class TestModelSet:
             lab.week.anchor: [make_doc(f"{i}-{j}", rng.choice(words, size=20).tolist())
                               for j in range(3)]
             for i, lab in enumerate(labels)})
-        peak = traced_peak(build_model_set, labels, docs_by_week, words)
+        peak = traced_peak(build_model_set, labels, docs_by_week, words, PolarityConfig())
         # the all-classes tables alone are 5 x 3 such arrays
         assert peak < 8 * n_weeks * n_words * 8
 

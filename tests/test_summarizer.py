@@ -44,7 +44,8 @@ def constant_scorer(value):
 class TestDatasetBuild:
     def test_row_per_usable_week_with_next_week_target(self):
         labels = make_labels(5)
-        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5), n_sample=10, seed=0)
+        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=10, seed=0))
         # last week has no next week -> 4 rows
         assert len(ds.rows) == 4
         for i, row in enumerate(ds.rows):
@@ -53,12 +54,14 @@ class TestDatasetBuild:
 
     def test_mean_of_constant_scores(self):
         labels = make_labels(3)
-        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5), n_sample=10, seed=0)
+        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=10, seed=0))
         assert all(row.overall_score == pytest.approx(0.5) for row in ds.rows)
 
     def test_sample_clamped_to_available(self):
         labels = make_labels(3, n_articles=4)
-        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5), n_sample=100, seed=0)
+        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=100, seed=0))
         assert all(row.n_sampled == 4 for row in ds.rows)
 
     def test_zero_article_week_excluded_and_reported(self):
@@ -70,14 +73,16 @@ class TestDatasetBuild:
             extractor_class=empty.extractor_class, pot_class=empty.pot_class,
             summarizer_class=empty.summarizer_class,
         )
-        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5), n_sample=5, seed=0)
+        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=5, seed=0))
         assert (labels[1].week.anchor, "no articles") in ds.skipped
         assert len(ds.rows) == 2
 
     def test_extractor_weeks_excluded(self):
         labels = make_labels(5)
         excluded = {labels[0].week.anchor, labels[2].week.anchor}
-        ds = build_summarizer_dataset(labels, excluded, constant_scorer(0.5), n_sample=5, seed=0)
+        ds = build_summarizer_dataset(labels, excluded, constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=5, seed=0))
         anchors = {row.week for row in ds.rows}
         assert not anchors & excluded
         reasons = dict(ds.skipped)
@@ -85,14 +90,15 @@ class TestDatasetBuild:
 
     def test_excluded_target_label_skipped(self):
         labels = make_labels(4, classes=["up", "excluded", "down", "up"])
-        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5), n_sample=5, seed=0)
+        ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
+                                      SummarizerConfig(n_sample=5, seed=0))
         assert (labels[0].week.anchor, "target week outside policy bins") in ds.skipped
         assert {row.week for row in ds.rows} == {labels[1].week.anchor, labels[2].week.anchor}
 
     def test_offset_zero_pairs_own_week(self):
         labels = make_labels(3)
         ds = build_summarizer_dataset(labels, set(), constant_scorer(0.5),
-                                      n_sample=5, seed=0, target_offset=0)
+                                      SummarizerConfig(n_sample=5, seed=0, target_offset=0))
         assert len(ds.rows) == 3
         for i, row in enumerate(ds.rows):
             assert row.label == labels[i].summarizer_class
@@ -105,14 +111,17 @@ class TestDatasetBuild:
             calls[anchor] = list(ids)
             return np.linspace(0.1, 0.9, len(ids))
 
-        ds1 = build_summarizer_dataset(labels, set(), spread_scorer, n_sample=10, seed=1)
+        ds1 = build_summarizer_dataset(labels, set(), spread_scorer,
+                                       SummarizerConfig(n_sample=10, seed=1))
         ids_first = dict(calls)
         calls.clear()
-        ds2 = build_summarizer_dataset(labels, set(), spread_scorer, n_sample=10, seed=1)
+        ds2 = build_summarizer_dataset(labels, set(), spread_scorer,
+                                       SummarizerConfig(n_sample=10, seed=1))
         assert dict(calls) == ids_first
         assert [r.sampled_ids for r in ds1.rows] == [r.sampled_ids for r in ds2.rows]
 
-        ds3 = build_summarizer_dataset(labels, set(), spread_scorer, n_sample=10, seed=2)
+        ds3 = build_summarizer_dataset(labels, set(), spread_scorer,
+                                       SummarizerConfig(n_sample=10, seed=2))
         assert any(a.sampled_ids != b.sampled_ids for a, b in zip(ds1.rows, ds3.rows))
         for row in ds1.rows + ds3.rows:
             assert 0.1 - 1e-9 <= row.overall_score <= 0.9 + 1e-9
@@ -334,7 +343,7 @@ class TestLeakageGuard:
         labels = make_labels(20)
         excluded = {labels[i].week.anchor for i in range(20) if (mask >> i) & 1}
         ds = build_summarizer_dataset(labels, excluded, constant_scorer(0.5),
-                                      n_sample=3, seed=0)
+                                      SummarizerConfig(n_sample=3, seed=0))
         excluded_ids = {
             rid for lab in labels if lab.week.anchor in excluded for rid in lab.week.news_ids
         }
@@ -349,7 +358,7 @@ class TestLeakageGuard:
         excluded_idx = set(rng.choice(497, size=90, replace=False).tolist())
         excluded = {labels[i].week.anchor for i in excluded_idx}
         ds = build_summarizer_dataset(labels, excluded, constant_scorer(0.5),
-                                      n_sample=5, seed=0)
+                                      SummarizerConfig(n_sample=5, seed=0))
         assert len(ds.rows) == 407
 
 

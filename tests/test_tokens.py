@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from newstrend import polarity
 from newstrend.artifacts import write_arrays
+from newstrend.config import PolarityConfig
 from newstrend.corpus import build_vocabulary, tokenize
 from newstrend.errors import DataError
 from newstrend.extractor import ReferenceEncoder
@@ -317,14 +318,16 @@ class TestChunkedCounting:
         with mock.patch.object(polarity, "COUNT_DOCS", chunk):
             got = _count(groups, words)
             ranking = tfidf_difference_ranking(*groups[:2]) if pos and neg else None
-            scores = build_model_set(labels, docs_by_week, words, window_weeks=3).scores
+            scores = build_model_set(labels, docs_by_week, words,
+                                     PolarityConfig(window_weeks=3)).scores
         assert all(np.array_equal(g, w) for g, w in zip(got, reference_count(token_groups, words)))
         if pos and neg:
             assert ranking == reference_ranking(pos, neg)
         # the same build over the string-keyed counts of each week
         with mock.patch.object(polarity, "_count",
                                lambda groups, words: reference_count(decoded(groups), words)):
-            want = build_model_set(labels, docs_by_week, words, window_weeks=3).scores
+            want = build_model_set(labels, docs_by_week, words,
+                                   PolarityConfig(window_weeks=3)).scores
         assert scores.tobytes() == want.tobytes()
 
     def test_a_chunk_over_another_table_is_refused(self):

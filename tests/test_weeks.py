@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newstrend.config import ExtractorConfig
 from newstrend.errors import ConfigError, DataError
 from newstrend.weeks import (
-    POLICY_THRESHOLDS, BinningPolicy, PriceSeries, TradingWeek, attach_news,
-    autocorrelation, extractor_class_of, label_weeks, load_prices, make_policy,
-    monday_anchors, pot_class_of, read_weeks_csv, weekday_autocorrelation,
-    weekday_anchors, weekly_changes, write_weeks_csv,
+    POLICY_THRESHOLDS, BinningPolicy, PriceSeries, TradingWeek, WeeklyLabel, attach_news,
+    autocorrelation, extractor_class_of, extractor_split, label_weeks, load_prices,
+    make_policy, monday_anchors, pot_class_of, read_weeks_csv, split_dev_weeks,
+    weekday_autocorrelation, weekday_anchors, weekly_changes, write_weeks_csv,
 )
 
 from conftest import make_record
@@ -238,6 +239,80 @@ class TestLabels:
             BinningPolicy("custom", 1.0, 0.0)
         with pytest.raises(ConfigError, match="binary policy requires up >= down"):
             BinningPolicy("binary_symmetric", -1.0, 1.0)
+
+
+FIRST_MONDAY = date(2020, 1, 6)
+
+
+def split_labels(classes, no_news=()):
+    """One label a week from FIRST_MONDAY for each character of `classes`: "p"
+    a positive extractor week, "n" a negative one, "." neither. Week i holds
+    one news id unless i is in `no_news`."""
+    names = {"p": "positive", "n": "negative", ".": "excluded"}
+    return [WeeklyLabel(TradingWeek(anchor=FIRST_MONDAY + timedelta(weeks=i),
+                                    prev_anchor=FIRST_MONDAY + timedelta(weeks=i - 1),
+                                    pct_change=0.0, news_ids=() if i in no_news else (f"r{i}",)),
+                        names[c], "neutral", "preserve")
+            for i, c in enumerate(classes)]
+
+
+def week_numbers(anchors):
+    return [(a - FIRST_MONDAY).days // 7 for a in anchors]
+
+
+class TestExtractorSplit:
+    def test_cap_is_seeded_sample_spread_over_the_period(self):
+        labels = split_labels("np" * 15)
+        config = ExtractorConfig(max_weeks_per_class=5)
+        selected, train, dev = extractor_split(labels, config, n_lags=1)
+        assert len(selected) == 10
+        assert extractor_split(labels, config, n_lags=1) == (selected, train, dev)
+        assert max(week_numbers(selected)) - min(week_numbers(selected)) >= 15
+        uncapped, _, _ = extractor_split(labels, ExtractorConfig(), n_lags=1)
+        assert len(uncapped) == 30
+
+    @pytest.mark.parametrize("n_lags", [1, 2, 4, 7])
+    def test_weeks_without_a_full_lag_history_are_never_selected(self, n_lags):
+        labels = split_labels("pn" * 10)
+        selected, train, dev = extractor_split(labels, ExtractorConfig(), n_lags)
+        assert week_numbers(selected) == list(range(n_lags - 1, 20))
+        assert sorted(train + dev) == list(selected)
+
+    def test_a_selected_week_without_news_is_dropped_before_the_dev_draw(self):
+        labels = split_labels("pn" * 10, no_news={8})
+        config = ExtractorConfig(dev_fraction=0.2, seed=4)
+        selected, train, dev = extractor_split(labels, config, n_lags=1)
+        assert week_numbers(selected) == [i for i in range(20) if i != 8]
+        assert (train, dev) == split_dev_weeks(selected, 0.2, 4)
+        # drawn with the week still in, the dev weeks would differ
+        every = [lab.week.anchor for lab in labels]
+        assert split_dev_weeks(every, 0.2, 4)[1] != dev
+
+    def test_train_weeks_of_one_class_name_the_keys(self):
+        with pytest.raises(DataError, match=r"1 training week\(s\) hold [01] positive and "
+                           r"[01] negative.*max_weeks_per_class \(now 1\).*dev_fraction"):
+            extractor_split(split_labels("pnpn"), ExtractorConfig(max_weeks_per_class=1), 1)
+
+    # (max_weeks_per_class, dev_fraction, seed, n_lags) and the week numbers of
+    # (selected, train, dev), as the split gave them before it was one function
+    RECORDED = [
+        ((8, 0.25, 5, 4), ([4, 5, 7, 9, 15, 18, 19, 20, 21, 23, 28, 30, 35, 39],
+                           [4, 7, 9, 15, 18, 20, 21, 30, 35, 39], [5, 19, 23, 28])),
+        ((None, 0.1, 0, 4), ([4, 5, 7, 9, 10, 12, 14, 15, 18, 19, 20, 21, 23, 24, 26, 28, 29,
+                              30, 32, 33, 35, 36, 37, 38, 39],
+                             [4, 5, 7, 9, 10, 12, 14, 15, 18, 19, 20, 21, 24, 26, 28, 29, 30,
+                              32, 33, 35, 36, 38, 39], [23, 37])),
+        ((6, 0.3, 11, 1), ([2, 4, 9, 14, 21, 23, 24, 29, 33, 35, 36],
+                           [2, 4, 14, 21, 23, 24, 29, 33], [9, 35, 36])),
+    ]
+
+    @pytest.mark.parametrize("keys, want", RECORDED, ids=["capped", "uncapped", "no_lags"])
+    def test_matches_the_recorded_split(self, keys, want):
+        cap, dev_fraction, seed, n_lags = keys
+        labels = split_labels("pnp.nppn.nn.ppnp..pnnpnpp.n.pnnppn.pnpnn", no_news={6, 13, 22, 31})
+        config = ExtractorConfig(max_weeks_per_class=cap, dev_fraction=dev_fraction, seed=seed)
+        got = extractor_split(labels, config, n_lags)
+        assert [week_numbers(part) for part in got] == [list(part) for part in want]
 
 
 def news(records):
