@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from datetime import date
 
@@ -150,3 +151,22 @@ class TestBoundedMemory:
         peak = traced_peak(write_outputs, config, news, tmp_path / "prices.csv")
         assert news.stat().st_size > 5_000_000
         assert peak < WRITE_PEAK_SHARE * news.stat().st_size
+
+
+class TestDefaultSizes:
+    def test_default_sizes_keep_their_bytes(self, tmp_path):
+        """The bench digests cover 12 articles a week over 300 or 800 filler
+        words; this pins the default 50 articles over 500 fillers, on fewer
+        weeks so that it runs in about a second. The loop that tops a body
+        up to 250 characters ran for none of the 20,000 default-config, 3,600
+        deep or 4,080 lexicon articles, so no digest covers its draws, and
+        they must stay as written."""
+        config = SynthConfig(weeks=200)
+        assert (config.articles_per_week, config.filler_vocab) == (50, 500)
+        write_outputs(config, tmp_path / "news.jsonl", tmp_path / "prices.csv")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("news.jsonl", "prices.csv")}
+        assert digests == {
+            "news.jsonl": "6096ed01677a69ba9316e63b1b758196e3ea500f775edc6f48d312f331932aab",
+            "prices.csv": "050e741e184d048e5dcea12577a28c86551951af71fc3aa93570dbdccb4cb630",
+        }
