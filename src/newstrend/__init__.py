@@ -20,9 +20,9 @@ _EXPORTS = {
     "config": ("CorpusConfig", "ExtractorConfig", "PolarityConfig", "SummarizerConfig",
                "SynthConfig", "SynthSettings", "TokenizerConfig"),
     "corpus": (
-        "IngestResult", "NewsRecord", "ProxyRule", "TokenizedDoc", "Vocabulary",
-        "assign_worthiness_proxy", "build_vocabulary", "clean_filter", "ingest_news",
-        "tokenize", "write_news_jsonl",
+        "NewsReader", "NewsRecord", "ProxyRule", "TokenizedDoc", "Vocabulary",
+        "assign_worthiness_proxy", "build_vocabulary", "clean_filter", "encode_record",
+        "ingest_news", "tokenize", "write_news_jsonl",
     ),
     "errors": ("ConfigError", "DataError", "NumericError", "PipelineError",
                "UndefinedMetricError"),
@@ -40,7 +40,7 @@ _EXPORTS = {
         "save_summarizer", "train_summarizer",
     ),
     "synth": ("SynthTruth", "generate", "write_outputs"),
-    "tokens": ("EncodedDoc", "TokenizedCorpus", "encode_docs", "read_tokens", "write_tokens"),
+    "tokens": ("EncodedDoc", "TokenizedCorpus", "TokensWriter", "encode_docs", "read_tokens"),
     "weeks": (
         "BinningPolicy", "PriceSeries", "TradingWeek", "WeeklyLabel", "attach_news",
         "autocorrelation", "extractor_class_of", "extractor_split", "label_weeks", "load_prices",

@@ -166,6 +166,20 @@ def read_text(path: str | Path, what: str) -> str:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
+def read_lines(path: str | Path, what: str) -> Iterable[str]:
+    """The lines of `read_text(path, what)`, read one at a time, without
+    their "\\n"; errors as `read_text` names them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                yield line.removesuffix("\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        read_text(path, what)  # names the first undecodable byte by its place in the file
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
 def read_csv(path: str | Path, what: str,
              parse: Callable[[dict[str, str]], tuple[object, T]]) -> list[T]:
     """The items of the CSV `path`, the pipeline's `what`, in row order:

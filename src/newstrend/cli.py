@@ -39,7 +39,7 @@ from .corpus import (
     ingest_news, is_token, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
-from .tokens import read_tokens, write_tokens
+from .tokens import TokensWriter, read_tokens
 from .weeks import (
     CLASS_ORDER, attach_news, extractor_split, label_weeks, load_prices, make_policy,
     monday_anchors, read_weeks_csv, weekly_changes, weekday_autocorrelation, write_weeks_csv,
@@ -153,25 +153,32 @@ def run_synth(config: PipelineConfig, workdir: Path, args) -> None:
 
 
 def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
+    """One pass over `news.jsonl`: each line is parsed, cleaned, proxy-labeled,
+    tokenized and written to `corpus.jsonl` as it is read."""
     news_path = _path(config, workdir, "news.jsonl")
-    result = ingest_news(news_path)
-    cleaned = clean_filter(result.records, config.corpus)
-    counts = (f"{result.total} lines, {result.parsed} parsed, "
-              f"{len(result.rejected)} rejected, {len(cleaned)} after cleaning")
-    if not cleaned:
-        raise DataError(f"no news record of {news_path} survives ingest: {counts}")
     items = config.corpus.proxy_rules  # shape checked by load_config
     rules = [ProxyRule(cat, int(label), int(cap))
              for cat, label, cap in (item.split(":") for item in items)]
-    labeled, per_rule = assign_worthiness_proxy(cleaned, rules)
-    write_news_jsonl(labeled, workdir / "corpus.jsonl")
-    write_rejects_csv(result.rejected, workdir / "rejects.csv")
+    news = ingest_news(news_path)
+    labeled, per_rule = assign_worthiness_proxy(clean_filter(news, config.corpus), rules)
+    tokens = TokensWriter(config.tokenizer.max_tokens)
+
+    def counts() -> str:
+        return (f"{news.total} lines, {news.parsed} parsed, "
+                f"{len(news.rejected)} rejected, {len(tokens.record_ids)} after cleaning")
+
+    def kept():
+        yield from map(tokens.add, labeled)
+        if not tokens.record_ids:  # raised inside the write, so no file is written
+            raise DataError(f"no news record of {news_path} survives ingest: {counts()}")
+
+    write_news_jsonl(kept(), workdir / "corpus.jsonl")
+    write_rejects_csv(news.rejected, workdir / "rejects.csv")
     # last, so the one output later stages read is replaced after the others
-    write_tokens(labeled, workdir / "tokens.bin", config.tokenizer.max_tokens)
-    n_pos = sum(1 for r in labeled if r.worthiness == 1)
-    n_neg = sum(1 for r in labeled if r.worthiness == 0)
-    print(f"ingest: {counts}")
-    print(f"ingest: worthiness labels: {n_pos} positive, {n_neg} negative")
+    tokens.write(workdir / "tokens.bin")
+    print(f"ingest: {counts()}")
+    print(f"ingest: worthiness labels: {tokens.worthiness.count(1)} positive, "
+          f"{tokens.worthiness.count(0)} negative")
     tally = ", ".join(f"{item}={n}" for item, n in zip(items, per_rule))
     print(f"ingest: records labeled per proxy rule: {tally or 'no rules'}")
 

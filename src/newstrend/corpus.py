@@ -14,8 +14,9 @@ import json
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import artifacts
 from .config import CorpusConfig, TokenizerConfig
@@ -61,17 +62,6 @@ class Vocabulary:
         return len(self.words)
 
 
-@dataclass
-class IngestResult:
-    records: list[NewsRecord]
-    total: int
-    rejected: list[tuple[int, str]]  # (1-based line number, reason)
-
-    @property
-    def parsed(self) -> int:
-        return len(self.records)
-
-
 def parse_timestamp(value: str) -> datetime:
     """A UTC datetime from TIMESTAMP_FORMAT; ValueError if `value` does not fit."""
     m = _TIMESTAMP_RE.fullmatch(value)
@@ -81,11 +71,16 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime(TIMESTAMP_FORMAT)
+    """`dt` in UTC as TIMESTAMP_FORMAT, with a four-digit year."""
+    dt = dt.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (dt.year, dt.month, dt.day,
+                                              dt.hour, dt.minute, dt.second)
 
 
 def record_from_obj(obj: Mapping) -> NewsRecord:
     """Build a NewsRecord from a parsed JSON object; raises ValueError on bad fields."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
     for key in ("id", "url", "title", "content", "published"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
@@ -97,7 +92,7 @@ def record_from_obj(obj: Mapping) -> NewsRecord:
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise ValueError("field 'categories' must be a list of strings")
     worthiness = obj.get("worthiness")
-    if worthiness not in (0, 1, None):
+    if worthiness is not None and (type(worthiness) is not int or worthiness not in (0, 1)):
         raise ValueError("field 'worthiness' must be 0, 1, or null")
     try:
         published = parse_timestamp(obj["published"])
@@ -114,88 +109,80 @@ def record_from_obj(obj: Mapping) -> NewsRecord:
     )
 
 
-def record_to_obj(record: NewsRecord) -> dict:
-    return {
-        "id": record.id,
-        "url": record.url,
-        "title": record.title,
-        "content": record.content,
-        "published": format_timestamp(record.published),
-        "categories": sorted(record.categories),
-        "worthiness": record.worthiness,
-    }
+class NewsReader:
+    """The records of a news JSONL file, each parsed as its line is read;
+    iterate once. `total` counts the lines read and `rejected` holds the
+    (1-based line number, reason) of each malformed one, never silently
+    dropped. An unreadable file is a DataError."""
+
+    def __init__(self, path: str | Path):
+        self.path, self.total, self.rejected = path, 0, []
+
+    @property
+    def parsed(self) -> int:
+        return self.total - len(self.rejected)
+
+    def __iter__(self) -> Iterator[NewsRecord]:
+        for self.total, line in enumerate(artifacts.read_lines(self.path, "news file"), 1):
+            try:
+                if not line.strip():
+                    raise ValueError("empty line")
+                record = record_from_obj(json.loads(line))
+            except json.JSONDecodeError as exc:
+                self.rejected.append((self.total, f"invalid JSON: {exc.msg}"))
+            except ValueError as exc:
+                self.rejected.append((self.total, str(exc)))
+            else:
+                yield record
 
 
-def ingest_news(path: str | Path) -> IngestResult:
-    """Read a news JSONL file.
-
-    Malformed lines are skipped and counted (never silently dropped); an
-    unreadable file is fatal.
-    """
-    lines = artifacts.read_text(path, "news file").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    records: list[NewsRecord] = []
-    rejected: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            rejected.append((lineno, "empty line"))
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejected.append((lineno, f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            rejected.append((lineno, "record is not a JSON object"))
-            continue
-        try:
-            records.append(record_from_obj(obj))
-        except ValueError as exc:
-            rejected.append((lineno, str(exc)))
-    return IngestResult(records=records, total=len(lines), rejected=rejected)
+def ingest_news(path: str | Path) -> NewsReader:
+    return NewsReader(path)
 
 
-# what json.dumps(obj, sort_keys=True) builds on every call, built once
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+def encode_record(record: NewsRecord) -> bytes:
+    """The JSONL line of `record`, as `json.dumps(obj, sort_keys=True)` writes
+    the object of the module docstring, key by key without building it."""
+    w = record.worthiness
+    return (f'{{"categories": [{", ".join(map(_quote, sorted(record.categories)))}], '
+            f'"content": {_quote(record.content)}, "id": {_quote(record.id)}, '
+            f'"published": "{format_timestamp(record.published)}", '
+            f'"title": {_quote(record.title)}, "url": {_quote(record.url)}, '
+            f'"worthiness": {"null" if w is None else "%d" % w}}}\n').encode("ascii")
 
 
 def write_news_jsonl(records: Iterable[NewsRecord], path: str | Path) -> None:
     """Write `records` as JSONL, one line a chunk, so a generator of records
     is written as it runs and no more than one line is held at a time."""
-    encode = _RECORD_ENCODER.encode
-    artifacts.write_bytes(path, ((encode(record_to_obj(record)) + "\n").encode("utf-8")
-                                 for record in records))
+    artifacts.write_bytes(path, map(encode_record, records))
 
 
 def write_rejects_csv(rejected: Sequence[tuple[int, str]], path: str | Path) -> None:
     artifacts.write_csv(path, ["line_number", "reason"], rejected)
 
 
-def clean_filter(records: Sequence[NewsRecord], config: CorpusConfig) -> list[NewsRecord]:
-    """Drop bad records: too short/long content, urls matching a
-    `url_blocklist` regex, duplicates.
+def clean_filter(records: Iterable[NewsRecord], config: CorpusConfig) -> Iterator[NewsRecord]:
+    """Yield the records of `records` that are not bad: too short/long
+    content, urls matching a `url_blocklist` regex, duplicates.
 
     Duplicates are detected by id and by (title, published date); the first
     occurrence wins. Deterministic and idempotent.
     """
     blocked = [re.compile(p) for p in config.url_blocklist]
     seen_ids: set[str] = set()
-    seen_title_day: set[tuple[str, str]] = set()
-    kept: list[NewsRecord] = []
+    seen_title_day: set[tuple[str, int]] = set()
     for record in records:
         n = len(record.content)
         if n < config.min_content_chars or n > config.max_content_chars:
             continue
         if any(p.search(record.url) for p in blocked):
             continue
-        title_day = (record.title, record.published.date().isoformat())
+        title_day = (record.title, record.published.toordinal())
         if record.id in seen_ids or title_day in seen_title_day:
             continue
         seen_ids.add(record.id)
         seen_title_day.add(title_day)
-        kept.append(record)
-    return kept
+        yield record
 
 
 def _words(text: str) -> list[str]:
@@ -230,10 +217,11 @@ class ProxyRule:
 
 
 def assign_worthiness_proxy(
-    records: Sequence[NewsRecord], rules: Sequence[ProxyRule]
-) -> tuple[list[NewsRecord], list[int]]:
+    records: Iterable[NewsRecord], rules: Sequence[ProxyRule]
+) -> tuple[Iterator[NewsRecord], list[int]]:
     """Attach worthiness labels from category proxies, respecting per-rule caps;
-    also returns how many records each rule labeled.
+    also returns how many records each rule labeled, a count final once
+    every record is taken.
 
     Existing labels (manual annotation) are never overwritten. Rules apply in
     order; within a rule, records are labeled in corpus order until the cap.
@@ -245,16 +233,18 @@ def assign_worthiness_proxy(
         if rule.label not in (0, 1):
             raise ConfigError(f"proxy label for {rule.category!r} must be 0 or 1")
     counts = [0] * len(rules)
-    out = []
-    for record in records:
-        if record.worthiness is None:
-            for k, rule in enumerate(rules):
-                if counts[k] < rule.cap and rule.category in record.categories:
-                    record = replace(record, worthiness=rule.label)
-                    counts[k] += 1
-                    break
-        out.append(record)
-    return out, counts
+
+    def labeled() -> Iterator[NewsRecord]:
+        for record in records:
+            if record.worthiness is None:
+                for k, rule in enumerate(rules):
+                    if counts[k] < rule.cap and rule.category in record.categories:
+                        record = replace(record, worthiness=rule.label)
+                        counts[k] += 1
+                        break
+            yield record
+
+    return labeled(), counts
 
 
 def build_vocabulary(ranking: Sequence[tuple[str, float]], size: int) -> Vocabulary:

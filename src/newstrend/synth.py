@@ -75,11 +75,11 @@ def _filler_cdf(size: int) -> np.ndarray:
     return cdf
 
 
-def _draw(rng: np.random.Generator, words: list[str], cdf: np.ndarray, n: int) -> list[str]:
-    """`rng.choice(words, size=n, p=p).tolist()` for `cdf` built from `p` by
-    `_filler_cdf`: one uniform per word searched in the cdf, as `choice` does
-    after it has converted `words` and checked and summed `p` again."""
-    return [words[k] for k in cdf.searchsorted(rng.random(n), side="right").tolist()]
+def _draw(rng: np.random.Generator, words: np.ndarray, cdf: np.ndarray, n: int) -> list[str]:
+    """`rng.choice(words, size=n, p=p).tolist()` for the object array `words`
+    and `cdf` built from `p` by `_filler_cdf`: one uniform per word searched
+    in the cdf, as `choice` does after it has checked and summed `p` again."""
+    return words[cdf.searchsorted(rng.random(n), "right")].tolist()
 
 
 def generate(config: SynthConfig) -> tuple[Iterator[NewsRecord], list[tuple[date, float]],
@@ -146,39 +146,40 @@ def generate(config: SynthConfig) -> tuple[Iterator[NewsRecord], list[tuple[date
 def _records(config: SynthConfig, rng: np.random.Generator, anchors: list[date],
              moods: list[int]) -> Iterator[NewsRecord]:
     """The news records of weeks 1..`config.weeks`, drawn from `rng` one at a time."""
-    fillers = _filler_words(config.filler_vocab)
+    fillers = np.array(_filler_words(config.filler_vocab), dtype=object)
     filler_cdf = _filler_cdf(len(fillers))
+    integers, random = rng.integers, rng.random
     for t in range(1, config.weeks + 1):
+        own, other = ((POSITIVE_WORDS, NEGATIVE_WORDS) if moods[t] > 0
+                      else (NEGATIVE_WORDS, POSITIVE_WORDS))
+        anchor = anchors[t - 1]
+        midnight = datetime(anchor.year, anchor.month, anchor.day, tzinfo=timezone.utc)
         for i in range(config.articles_per_week):
-            intensity = int(rng.integers(3, 10))
-            own = POSITIVE_WORDS if moods[t] > 0 else NEGATIVE_WORDS
-            other = NEGATIVE_WORDS if moods[t] > 0 else POSITIVE_WORDS
-            tokens = [own[int(k)] for k in rng.integers(0, len(own), size=intensity)]
-            if rng.random() < 0.25:
-                tokens.append(other[int(rng.integers(0, len(other)))])
-            n_fill = int(rng.integers(45, 70))
-            tokens.extend(_draw(rng, fillers, filler_cdf, n_fill))
+            intensity = int(integers(3, 10))
+            tokens = [own[k] for k in integers(0, len(own), size=intensity).tolist()]
+            if random() < 0.25:
+                tokens.append(other[int(integers(0, len(other)))])
+            tokens += _draw(rng, fillers, filler_cdf, int(integers(45, 70)))
             rng.shuffle(tokens)
             title = " ".join(tokens[:6])
-            body_tokens = tokens[6:]
-            while len(" ".join(body_tokens)) < 250:
-                body_tokens.append(fillers[int(rng.integers(0, len(fillers)))])
-            content = " ".join(body_tokens)
+            # at least 42 words, so a word appended to the body is " " + word;
+            # no article at the bench or default sizes is this short
+            content = " ".join(tokens[6:])
+            while len(content) < 250:
+                content += " " + fillers[int(integers(0, len(fillers)))]
 
-            categories: list[str] = []
-            if intensity >= 7 and rng.random() < 0.3:
-                categories.append(POSITIVE_CATEGORIES[int(rng.integers(0, len(POSITIVE_CATEGORIES)))])
-            elif intensity <= 4 and rng.random() < 0.3:
-                categories.append(NEGATIVE_CATEGORIES[int(rng.integers(0, len(NEGATIVE_CATEGORIES)))])
+            tags = ()
+            if intensity >= 7 and random() < 0.3:
+                tags = POSITIVE_CATEGORIES
+            elif intensity <= 4 and random() < 0.3:
+                tags = NEGATIVE_CATEGORIES
+            categories = frozenset([tags[int(integers(0, len(tags)))]] if tags else ())
             worthiness = None
-            if rng.random() < 0.02:
+            if random() < 0.02:
                 worthiness = 1 if intensity >= 7 else 0
 
-            day = anchors[t - 1] + timedelta(days=int(rng.integers(1, 8)))
-            seconds = int(rng.integers(0, 86400))
-            published = datetime(day.year, day.month, day.day, tzinfo=timezone.utc) + timedelta(
-                seconds=seconds
-            )
+            day = int(integers(1, 8))  # of the week after the anchor
+            published = midnight + timedelta(days=day, seconds=int(integers(0, 86400)))
             rec_id = f"synth-{t:04d}-{i:04d}"
             yield NewsRecord(
                 id=rec_id,
@@ -186,7 +187,7 @@ def _records(config: SynthConfig, rng: np.random.Generator, anchors: list[date],
                 title=title,
                 content=content,
                 published=published,
-                categories=frozenset(categories),
+                categories=categories,
                 worthiness=worthiness,
             )
 

@@ -93,41 +93,47 @@ class CorpusDocs(Sequence):
         return docs
 
 
-class _Numbering(dict):
-    """Words numbered in order of first lookup: looking up a new word adds
-    it with the next number, inside `dict.__getitem__`, so mapping that over
-    a sequence numbers it without a Python-level loop."""
+class _IdTable(dict):
+    """Token sequences added one at a time, each token as a 4-byte number:
+    its word's in order of first lookup. Looking up a new word adds it with
+    the next number, inside `dict.__getitem__`, so mapping that over a
+    sequence numbers it without a Python-level loop."""
+
+    def __init__(self):
+        from array import array
+
+        super().__init__()
+        self._ids, self.offsets = array("I"), array("q", [0])
 
     def __missing__(self, word: str) -> int:
         self[word] = n = len(self)
         return n
 
+    def add(self, tokens: Iterable[str]) -> None:
+        self._ids.extend(map(self.__getitem__, tokens))
+        self.offsets.append(len(self._ids))
 
-def _id_table(token_seqs: Iterable[Sequence[str]],
-              typecode: str) -> tuple[tuple[str, ...], array, array]:
-    """The sorted distinct words of `token_seqs`, every token as its position
-    among them (an `array` of `typecode`), and a leading 0 then the offset at
-    which each sequence ends. Only the table holds a string; each sequence
-    may be dropped once read."""
-    from array import array
+    def finish(self, typecode: str) -> tuple[tuple[str, ...], array, array]:
+        """The sorted distinct words, every token as its position among them
+        (an `array` of `typecode`), and a leading 0 then the offset at which
+        each sequence ends."""
+        from array import array
 
-    first_seen = _Numbering()
-    ids, offsets = array("q"), array("q", [0])
-    for tokens in token_seqs:
-        ids.extend(map(first_seen.__getitem__, tokens))
-        offsets.append(len(ids))
-    words = sorted(first_seen)
-    rank = [0] * len(words)
-    for r, word in enumerate(words):
-        rank[first_seen[word]] = r
-    return tuple(words), array(typecode, map(rank.__getitem__, ids)), offsets
+        words = sorted(self)
+        rank = [0] * len(words)
+        for r, word in enumerate(words):
+            rank[self[word]] = r
+        return tuple(words), array(typecode, map(rank.__getitem__, self._ids)), self.offsets
 
 
 def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
     """`docs` as EncodedDocs sharing one table, the sorted distinct words of them all."""
     import numpy as np
 
-    words, ids, offsets = _id_table((d.tokens for d in docs), "q")
+    table = _IdTable()
+    for d in docs:
+        table.add(d.tokens)
+    words, ids, offsets = table.finish("q")
     flat = np.frombuffer(ids, dtype=np.int64)
     return [EncodedDoc(d.record_id, flat[lo:hi], words)
             for d, lo, hi in zip(docs, offsets, offsets[1:])]
@@ -150,21 +156,37 @@ def concat_ids(
     return words, ids, lengths
 
 
-def write_tokens(records: Sequence[NewsRecord], path: str | Path, max_tokens: int) -> None:
-    """Write `tokens.bin` (see the module docstring), tokenizing each record
-    once with `tokenize`; needs no numpy."""
-    from array import array
+class TokensWriter:
+    """`tokens.bin` built one record at a time: `add` tokenizes a record and
+    keeps its token ids, id, day and worthiness; `write` writes the file."""
 
-    # through the module, so that a wrapper installed on `corpus.tokenize` sees each call
-    words, ids, offsets = _id_table((corpus.tokenize(r, max_tokens).tokens for r in records), "d")
-    header = {"words": list(words), "record_ids": [r.id for r in records]}
-    artifacts.write_arrays(path, TOKENS_MAGIC, header, [
-        ("day", array("d", (r.published.toordinal() for r in records))),
-        ("worthiness", array("d", (-1 if r.worthiness is None else r.worthiness
-                                   for r in records))),
-        ("offsets", array("d", offsets)),
-        ("tokens", ids),
-    ])
+    def __init__(self, max_tokens: int):
+        from array import array
+
+        self.max_tokens = max_tokens
+        self.record_ids: list[str] = []
+        self.days, self.worthiness = array("d"), array("d")
+        self._table = _IdTable()
+
+    def add(self, record: NewsRecord) -> NewsRecord:
+        # through the module, so that a wrapper installed on `corpus.tokenize` sees each call
+        self._table.add(corpus.tokenize(record, self.max_tokens).tokens)
+        self.record_ids.append(record.id)
+        self.days.append(record.published.toordinal())
+        self.worthiness.append(-1 if record.worthiness is None else record.worthiness)
+        return record
+
+    def write(self, path: str | Path) -> None:
+        from array import array
+
+        words, ids, offsets = self._table.finish("d")
+        artifacts.write_arrays(path, TOKENS_MAGIC, {"words": list(words),
+                                                    "record_ids": self.record_ids}, [
+            ("day", self.days),
+            ("worthiness", self.worthiness),
+            ("offsets", array("d", offsets)),
+            ("tokens", ids),
+        ])
 
 
 def read_tokens(path: str | Path) -> TokenizedCorpus:

@@ -324,8 +324,8 @@ def test_09_real_data_calibration():
         print("[acceptance] 9. real-data calibration: SKIP (data/real/ not present)")
         pytest.skip("real dataset not downloaded")
 
-    result = ingest_news(REAL_NEWS)
-    ingest_ok = result.parsed == 181_523
+    records = list(ingest_news(REAL_NEWS))
+    ingest_ok = len(records) == 181_523
 
     prices = load_prices(REAL_PRICES)
     lag_ok = True
@@ -351,10 +351,10 @@ def test_09_real_data_calibration():
     anchors = monday_anchors(prices, prices.first_date, prices.last_date)
     weeks = weekly_changes(prices, anchors)
     labels = label_weeks(weeks, make_policy("three_way"))
-    attached = attach_news(weeks, ((r.id, r.published.date()) for r in result.records))
+    attached = attach_news(weeks, ((r.id, r.published.date()) for r in records))
     by_anchor = {w.anchor: w for w in attached}
     labels = [dc_replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels]
-    docs = encode_docs([tokenize(r) for r in result.records])
+    docs = encode_docs([tokenize(r) for r in records])
     by_id = {doc.record_id: doc for doc in docs}
     docs_by_week = {lab.week.anchor: [by_id[rid] for rid in lab.week.news_ids]
                     for lab in labels}

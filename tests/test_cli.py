@@ -10,15 +10,16 @@ from pathlib import Path
 import pytest
 
 from newstrend.artifacts import read_arrays, write_arrays
-from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES
-from newstrend.config import BOUNDS, PipelineConfig
+from newstrend.cli import CONFIG_PATHS, STAGES as CLI_STAGES, run_ingest
+from newstrend.config import BOUNDS, PipelineConfig, SynthConfig
 from newstrend.extractor import MODEL_MAGIC
 from newstrend.polarity import POT_MAGIC, PolarityModelSet
 from newstrend.summarizer import (
     load_summarizer, predict_week, read_weekly_sentiment_csv, rows_after_training,
 )
+from newstrend.synth import write_outputs
 
-from conftest import BASE_CONFIG, STAGES, run, run_pipeline, write_config
+from conftest import BASE_CONFIG, STAGES, run, run_pipeline, traced_peak, write_config
 
 
 def declared_bounds():
@@ -256,6 +257,20 @@ class TestIngestCommand:
         assert run(["ingest", "--workdir", wd, *small]) == 0
         assert "basic-materials:0:250=0" in capsys.readouterr().out
         assert (wd / "corpus.jsonl").exists()
+
+    def test_ingest_holds_the_token_ids_not_the_records(self, tmp_path):
+        # the deep bench workload's inputs, about 10 bytes of news.jsonl a
+        # token; `ingest` reads them one line at a time and keeps only the
+        # word table, the ids, the offsets and each kept record's id, day,
+        # worthiness and (for the duplicate check) title
+        config = PipelineConfig()
+        news = tmp_path / config.paths.news
+        write_outputs(SynthConfig(weeks=300, articles_per_week=12, seed=55, filler_vocab=300),
+                      news, tmp_path / config.paths.prices)
+        run_ingest(config, tmp_path, None)  # a first run imports what ingest imports
+        peak = traced_peak(run_ingest, config, tmp_path, None)
+        assert news.stat().st_size > 2_000_000
+        assert peak < 2.0 * news.stat().st_size
 
 
 class TestPotCommand:

@@ -1,7 +1,7 @@
 import json
 import re
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from newstrend.config import CorpusConfig
 from newstrend.corpus import (
-    TIMESTAMP_FORMAT, ProxyRule, Vocabulary, assign_worthiness_proxy,
-    build_vocabulary, clean_filter, ingest_news, parse_timestamp, tokenize,
-    write_news_jsonl, write_rejects_csv,
+    TIMESTAMP_FORMAT, NewsRecord, ProxyRule, Vocabulary, assign_worthiness_proxy,
+    build_vocabulary, clean_filter, encode_record, format_timestamp, ingest_news,
+    parse_timestamp, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from newstrend.errors import DataError
 from newstrend.tokens import encode_docs
@@ -40,7 +40,7 @@ class TestIngest:
         path = tmp_path / "news.jsonl"
         write_lines(path, [])
         result = ingest_news(path)
-        assert result.records == []
+        assert list(result) == []
         assert result.rejected == []
         assert result.total == 0
 
@@ -48,10 +48,24 @@ class TestIngest:
         path = tmp_path / "news.jsonl"
         write_lines(path, [record_line(rec_id="a"), "{not json", record_line(rec_id="b")])
         result = ingest_news(path)
-        assert [r.id for r in result.records] == ["a", "b"]
+        assert [r.id for r in result] == ["a", "b"]
         assert len(result.rejected) == 1
         assert result.rejected[0][0] == 2
         assert result.total == 3
+
+    def test_each_malformed_line_rejected_with_its_reason(self, tmp_path):
+        path = tmp_path / "news.jsonl"
+        write_lines(path, [record_line(rec_id="a"), "", "  \t", "[1, 2]", '"text"',
+                           "{not json", "null", record_line(rec_id="b")])
+        result = ingest_news(path)
+        assert [r.id for r in result] == ["a", "b"]
+        assert result.rejected == [
+            (2, "empty line"), (3, "empty line"), (4, "record is not a JSON object"),
+            (5, "record is not a JSON object"),
+            (6, "invalid JSON: Expecting property name enclosed in double quotes"),
+            (7, "record is not a JSON object"),
+        ]
+        assert (result.total, result.parsed) == (8, 2)
 
     @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
     def test_unicode_line_break_inside_a_record_is_content(self, tmp_path, char):
@@ -61,8 +75,9 @@ class TestIngest:
         write_lines(path, [json.dumps(obj, ensure_ascii=False), "{not json",
                            record_line(rec_id="b")])
         result = ingest_news(path)
-        assert [r.id for r in result.records] == ["a", "b"]
-        assert char in result.records[0].content
+        records = list(result)
+        assert [r.id for r in records] == ["a", "b"]
+        assert char in records[0].content
         assert result.total == 3
         assert [line for line, _ in result.rejected] == [2]
 
@@ -72,7 +87,7 @@ class TestIngest:
         lines = [record_line(rec_id="a"), record_line(rec_id="b")]
         path.write_bytes(("\r\n".join(lines) + ending).encode("utf-8"))
         result = ingest_news(path)
-        assert [r.id for r in result.records] == ["a", "b"]
+        assert [r.id for r in result] == ["a", "b"]
         assert (result.total, result.rejected) == (2, [])
 
     def test_missing_field_rejected_with_reason(self, tmp_path):
@@ -80,19 +95,34 @@ class TestIngest:
         bad = json.dumps({"id": "x", "url": "u", "title": "t", "content": "c"})
         write_lines(path, [bad])
         result = ingest_news(path)
-        assert result.records == []
+        assert list(result) == []
         assert "published" in result.rejected[0][1]
 
     def test_bad_worthiness_rejected(self, tmp_path):
+        # a bool or a float equals 0 or 1 but is not the `0 | 1 | null` the format requires
         path = tmp_path / "news.jsonl"
-        obj = json.loads(record_line())
-        obj["worthiness"] = 2
-        write_lines(path, [json.dumps(obj)])
-        assert ingest_news(path).rejected
+        bad = [2, -1, True, False, 1.0, 0.0, "1", [1]]
+        lines = []
+        for worthiness in bad:
+            obj = json.loads(record_line())
+            obj["worthiness"] = worthiness
+            lines.append(json.dumps(obj))
+        write_lines(path, lines)
+        result = ingest_news(path)
+        assert list(result) == []
+        assert result.rejected == [(i, "field 'worthiness' must be 0, 1, or null")
+                                   for i in range(1, len(bad) + 1)]
 
     def test_unreadable_file_fatal(self, tmp_path):
-        with pytest.raises(DataError):
-            ingest_news(tmp_path / "missing.jsonl")
+        with pytest.raises(DataError, match="cannot read news file .*missing.jsonl"):
+            list(ingest_news(tmp_path / "missing.jsonl"))
+
+    def test_undecodable_byte_named_by_its_place_in_the_file(self, tmp_path):
+        path = tmp_path / "news.jsonl"
+        head = (record_line(rec_id="a") + "\n").encode() * 100
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(DataError, match=f"in position {len(head)}: invalid start byte"):
+            list(ingest_news(path))
 
     def test_roundtrip_identity(self, tmp_path):
         records = [
@@ -102,8 +132,8 @@ class TestIngest:
         path = tmp_path / "out.jsonl"
         write_news_jsonl(records, path)
         back = ingest_news(path)
+        assert list(back) == records
         assert back.rejected == []
-        assert back.records == records
 
     def test_write_holds_one_line_not_the_file(self, tmp_path):
         records = [make_record(rec_id=f"r{i}", content="market " * 150) for i in range(5000)]
@@ -126,27 +156,27 @@ class TestCleanFilter:
 
     def test_short_content_removed(self):
         records = [make_record(rec_id="a", content="")]
-        assert clean_filter(records, self.rules) == []
+        assert list(clean_filter(records, self.rules)) == []
 
     def test_long_content_removed(self):
         records = [make_record(rec_id="a", content="x" * 30_000)]
-        assert clean_filter(records, self.rules) == []
+        assert list(clean_filter(records, self.rules)) == []
 
     def test_duplicate_id_keeps_first(self):
         a = make_record(rec_id="a", title="one")
         b = make_record(rec_id="a", title="two")
-        assert clean_filter([a, b], self.rules) == [a]
+        assert list(clean_filter([a, b], self.rules)) == [a]
 
     def test_duplicate_title_and_day_removed(self):
         a = make_record(rec_id="a", published="2020-01-08T09:00:00Z")
         b = make_record(rec_id="b", published="2020-01-08T21:00:00Z")
-        assert clean_filter([a, b], self.rules) == [a]
+        assert list(clean_filter([a, b], self.rules)) == [a]
 
     def test_url_blocklist(self):
         rules = CorpusConfig(url_blocklist=[r"/video/"])
         bad = make_record(rec_id="a", url="https://example.com/video/1")
         good = make_record(rec_id="b")
-        assert clean_filter([bad, good], rules) == [good]
+        assert list(clean_filter([bad, good], rules)) == [good]
 
     def test_idempotent(self):
         records = [
@@ -155,8 +185,8 @@ class TestCleanFilter:
             make_record(rec_id="c", content="tiny"),
             make_record(rec_id="d", title="other", published="2021-06-01T00:00:00Z"),
         ]
-        once = clean_filter(records, self.rules)
-        assert clean_filter(once, self.rules) == once
+        once = list(clean_filter(records, self.rules))
+        assert list(clean_filter(once, self.rules)) == once
 
 
 class TestTokenize:
@@ -299,6 +329,60 @@ class TestParseTimestampMatchesStrptime:
         assert outcome(parse_timestamp, value) == outcome(reference_parse_timestamp, value)
 
 
+class TestFormatTimestamp:
+    @pytest.mark.parametrize("value", ["0001-01-01T00:00:00Z", "0999-01-06T10:00:00Z",
+                                       "2020-02-29T23:59:59Z", "9999-12-31T23:59:59Z"])
+    def test_round_trip(self, value):
+        assert format_timestamp(parse_timestamp(value)) == value
+
+    def test_early_year_survives_a_corpus_round_trip(self, tmp_path):
+        record = make_record(published="0999-01-06T10:00:00Z")
+        path = tmp_path / "corpus.jsonl"
+        write_news_jsonl([record], path)
+        back = ingest_news(path)
+        assert list(back) == [record]
+        assert back.rejected == []
+
+    def test_other_zones_are_written_in_utc(self):
+        dt = datetime(2020, 1, 1, 1, 30, 5, 999_999, tzinfo=timezone(timedelta(hours=2)))
+        assert format_timestamp(dt) == "2019-12-31T23:30:05Z"
+
+
+# any character, lone surrogates included, and the ones JSON escapes
+TEXT = st.text(st.one_of(st.characters(blacklist_categories=()),
+                         st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé')), max_size=40)
+ZONES = st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                         timezone(timedelta(hours=-8))])
+
+
+def record_to_obj(record):
+    """The JSON object of `record`, as the corpus module docstring lays it out."""
+    return {
+        "id": record.id,
+        "url": record.url,
+        "title": record.title,
+        "content": record.content,
+        "published": format_timestamp(record.published),
+        "categories": sorted(record.categories),
+        "worthiness": record.worthiness,
+    }
+
+
+class TestEncodeRecord:
+    """`encode_record` spells out by hand what the json module writes; the
+    reference encoder is kept here, so that the package keeps one."""
+
+    @given(st.builds(NewsRecord, id=TEXT, url=TEXT, title=TEXT, content=TEXT,
+                     published=st.datetimes(min_value=datetime(2, 1, 1),
+                                            max_value=datetime(9998, 12, 31), timezones=ZONES),
+                     categories=st.frozensets(TEXT, max_size=4),
+                     worthiness=st.sampled_from([None, 0, 1])))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_json_dumps(self, record):
+        want = (json.dumps(record_to_obj(record), sort_keys=True) + "\n").encode()
+        assert encode_record(record) == want
+
+
 class TestTokenizeMatchesRegex:
     @pytest.mark.parametrize("text", [
         "Stocks Rise!",
@@ -356,12 +440,12 @@ class TestWorthinessProxy:
     def test_positive_proxy(self):
         records = [make_record(rec_id="a", categories=("top-companies",))]
         out, _ = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
-        assert out[0].worthiness == 1
+        assert [r.worthiness for r in out] == [1]
 
     def test_manual_label_wins(self):
         records = [make_record(rec_id="a", categories=("top-companies",), worthiness=0)]
         out, counts = assign_worthiness_proxy(records, [ProxyRule("top-companies", 1, 10)])
-        assert out[0].worthiness == 0
+        assert [r.worthiness for r in out] == [0]
         assert counts == [0]
 
     def test_unknown_category_labels_nothing(self):
@@ -377,7 +461,7 @@ class TestWorthinessProxy:
         out, _ = assign_worthiness_proxy(
             records, [ProxyRule("us", 1, 10), ProxyRule("healthcare", 0, 10)]
         )
-        assert out[0].worthiness == 1
+        assert [r.worthiness for r in out] == [1]
 
     @given(
         st.lists(st.tuples(st.sets(st.sampled_from(CATEGORIES)),
@@ -390,7 +474,8 @@ class TestWorthinessProxy:
         records = [make_record(rec_id=f"r{i}", categories=cats, worthiness=worth)
                    for i, (cats, worth) in enumerate(specs)]
         rules = [ProxyRule(*spec) for spec in rule_specs]
-        assert assign_worthiness_proxy(records, rules) == rule_at_a_time(records, rules)
+        out, counts = assign_worthiness_proxy(iter(records), rules)
+        assert (list(out), counts) == rule_at_a_time(records, rules)
 
 
 class TestVocabulary:

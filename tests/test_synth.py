@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from datetime import date
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from newstrend.config import SynthConfig
 from newstrend.corpus import tokenize
+from newstrend import synth
 from newstrend.errors import ConfigError
 from newstrend.synth import (
     NEGATIVE_WORDS, POSITIVE_WORDS, _draw, _filler_cdf, _filler_words, generate, write_outputs,
@@ -113,7 +115,7 @@ class TestFillerDraws:
     @pytest.mark.parametrize("size", [40, 300, 800])
     def test_draw_is_generator_choice(self, size):
         # guards the hoisted sampler against a numpy whose `choice` changes
-        words = _filler_words(size)
+        words = np.array(_filler_words(size), dtype=object)
         p = np.array([1.0 / (i + 3.0) for i in range(size)])
         p /= p.sum()
         cdf = _filler_cdf(size)
@@ -170,3 +172,17 @@ class TestDefaultSizes:
             "news.jsonl": "6096ed01677a69ba9316e63b1b758196e3ea500f775edc6f48d312f331932aab",
             "prices.csv": "050e741e184d048e5dcea12577a28c86551951af71fc3aa93570dbdccb4cb630",
         }
+
+    def test_top_up_draws_keep_their_bytes(self, tmp_path, monkeypatch):
+        # fillers of two or three characters leave every body short of 250,
+        # so each article runs the top-up loop that no other digest covers
+        monkeypatch.setattr(synth, "_filler_words", lambda size: [f"w{i}" for i in range(size)])
+        write_outputs(SynthConfig(weeks=10, articles_per_week=5, filler_vocab=30),
+                      tmp_path / "news.jsonl", tmp_path / "prices.csv")
+        lines = (tmp_path / "news.jsonl").read_bytes()
+        # a topped-up body stops at the first filler that takes it to 250
+        # characters, so 47 of the 50 end within one filler of 250
+        lengths = [len(json.loads(line)["content"]) for line in lines.splitlines()]
+        assert min(lengths) == 250 and sum(n < 254 for n in lengths) == 47
+        assert hashlib.sha256(lines).hexdigest() == (
+            "d764651c57d72da12c222b2df3806a1a8484370dcd160d9f777a1ae369c705de")

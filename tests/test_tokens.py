@@ -26,7 +26,7 @@ from newstrend.extractor import ReferenceEncoder
 from newstrend.polarity import (
     _count, _idf, _weights, build_model_set, tfidf_difference_ranking,
 )
-from newstrend.tokens import TOKENS_MAGIC, EncodedDoc, _id_table, read_tokens, write_tokens
+from newstrend.tokens import TOKENS_MAGIC, EncodedDoc, TokensWriter, _IdTable, read_tokens
 from newstrend.weeks import POT_CLASSES
 
 from conftest import encoded, labeled_weeks, make_doc, make_record, traced_peak
@@ -39,6 +39,13 @@ RECORDS = [
     make_record(rec_id="c", title="", content="!! 42 ??", published="2019-12-31T12:00:00Z",
                 worthiness=0),
 ]
+
+
+def write_tokens(records, path, max_tokens):
+    writer = TokensWriter(max_tokens)
+    for record in records:
+        writer.add(record)
+    writer.write(path)
 
 
 class TestRoundTrip:
@@ -73,7 +80,10 @@ class TestRoundTrip:
     @given(st.lists(st.lists(st.sampled_from(["oil", "a", "é", "Oil", "b2", "a"]), max_size=6),
                     max_size=6))
     def test_id_table_numbers_each_token_by_its_sorted_word(self, seqs):
-        words, ids, offsets = _id_table(iter(seqs), "d")
+        table = _IdTable()
+        for seq in seqs:
+            table.add(iter(seq))
+        words, ids, offsets = table.finish("d")
         want = sorted({t for seq in seqs for t in seq})
         assert words == tuple(want)
         assert ids.typecode == "d"
@@ -82,7 +92,7 @@ class TestRoundTrip:
 
     def test_write_is_byte_identical_on_rerun(self, tmp_path):
         write_tokens(RECORDS, tmp_path / "a.bin", max_tokens=180)
-        write_tokens(list(RECORDS), tmp_path / "b.bin", max_tokens=180)
+        write_tokens(iter(RECORDS), tmp_path / "b.bin", max_tokens=180)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
