@@ -14,8 +14,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import (TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Mapping, Sequence,
+                    TypeVar)
 
 from .errors import ConfigError, DataError
 
@@ -70,21 +72,53 @@ class _Echo:
         return text
 
 
-def write_arrays(path: str | Path, magic: str, header: Mapping,
-                 arrays: Sequence[tuple[str, np.ndarray | array]]) -> None:
-    """Write `header` and the named `arrays` as one array file (`write_bytes`),
-    each array's buffer a chunk of its own. An array is a numpy array, or a
-    stdlib `array("d")`, taken as one-dimensional and packed without
-    importing numpy."""
-    from array import array
+@dataclass(frozen=True)
+class Chunks:
+    """A one-dimensional array of `length` values for `write_arrays`, given
+    as `parts`, arrays it takes one after another, so that the whole array
+    need not exist at once."""
 
+    length: int
+    parts: Iterable[np.ndarray | array]
+
+
+def write_arrays(path: str | Path, magic: str, header: Mapping,
+                 arrays: Sequence[tuple[str, np.ndarray | array | Chunks]]) -> None:
+    """Write `header` and the named `arrays` as one array file (`write_bytes`),
+    each array's buffer a chunk of its own, or each part's of `Chunks`. An
+    array is a numpy array, or a stdlib `array("d")`, taken as
+    one-dimensional and packed without importing numpy; `Chunks` whose parts
+    do not hold `length` values in all are a ValueError."""
     header = {**header, "magic": magic, "arrays": [
-        {"name": name, "shape": [len(a)] if isinstance(a, array) else list(a.shape)}
-        for name, a in arrays]}
+        {"name": name, "shape": _shape(a)} for name, a in arrays]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     write_bytes(path, itertools.chain(
         [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)],
-        (_f8_buffer(a) for _, a in arrays)))
+        *(_f8_parts(name, a) for name, a in arrays)))
+
+
+def _shape(a: np.ndarray | array | Chunks) -> list[int]:
+    from array import array
+
+    if isinstance(a, Chunks):
+        return [a.length]
+    return [len(a)] if isinstance(a, array) else list(a.shape)
+
+
+def _f8_parts(name: str, a: np.ndarray | array | Chunks) -> Iterable[np.ndarray | array]:
+    """The buffers of `a` (`_f8_buffer`), its parts one by one for `Chunks`."""
+    from array import array
+
+    if not isinstance(a, Chunks):
+        yield _f8_buffer(a)
+        return
+    count = 0
+    for part in a.parts:
+        part = _f8_buffer(part)
+        count += len(part) if isinstance(part, array) else part.size
+        yield part
+    if count != a.length:
+        raise ValueError(f"{name} has {count} values in its parts, not the {a.length} declared")
 
 
 def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:
@@ -105,17 +139,20 @@ def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:
 
 
 def read_arrays(path: str | Path, magic: str,
-                parse: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
+                parse: Callable[[dict, dict[str, np.ndarray]], T],
+                int32: Collection[str] = ()) -> T:
     """`parse(header, arrays)` of an array file. The arrays are writable
     float64 views into one `bytearray` that holds the file's body, read
     once, so no reader holds a second copy of it; an array that `parse`
-    keeps keeps that buffer. A missing or wrong magic line, header-length
-    line or header, a body whose length differs from the declared shapes,
-    and a KeyError, ValueError or TypeError in `parse` are DataErrors naming
-    the file."""
+    keeps keeps that buffer. An array named in `int32` is read into an int32
+    array of its own instead, READ_CHUNK values at a time, so its float64
+    values are never held whole; each must be an integer that int32 holds.
+    A missing or wrong magic line, header-length line or header, a body
+    whose length differs from the declared shapes, and a KeyError,
+    ValueError or TypeError in `parse` are DataErrors naming the file."""
     try:
         with open(path, "rb") as fh:
-            header, arrays = _decode(fh, magic)
+            header, arrays = _decode(fh, magic, int32)
         return parse(header, arrays)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -125,7 +162,11 @@ def read_arrays(path: str | Path, magic: str,
         raise DataError(f"{path} is corrupt: {exc}") from None
 
 
-def _decode(fh: BinaryIO, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+# values of an int32 array read and checked in one step: 64 KB as float64
+READ_CHUNK = 1 << 13
+
+
+def _decode(fh: BinaryIO, magic: str, int32: Collection[str]) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named arrays of the array file open as `fh`."""
     import numpy as np
 
@@ -145,16 +186,46 @@ def _decode(fh: BinaryIO, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     size = file_size - end
     if size != 8 * sum(counts):
         raise ValueError(f"{size} array bytes where the header declares {8 * sum(counts)}")
-    body = bytearray(size)
-    if fh.readinto(body) != size:  # the file shrank while it was read
-        raise ValueError(f"the array bytes end short of the {size} declared")
-    # the buffer starts at the body, so every view is aligned
-    flat = np.frombuffer(body, dtype="<f8")
+    body = bytearray(8 * sum(c for spec, c in zip(header["arrays"], counts)
+                             if spec["name"] not in int32))
+    # native float64 views of the buffer, which starts aligned: the file's
+    # little-endian bytes are read into it and swapped in place where needed
+    flat, at, arrays = np.frombuffer(body, dtype=np.float64), 0, {}
+    for spec, count in zip(header["arrays"], counts):  # in file order
+        if spec["name"] in int32:
+            a = _read_int32(fh, spec["name"], count, size)
+        else:
+            a, at = flat[at : at + count], at + count
+            _read_exactly(fh, memoryview(a).cast("B"), size)
+        arrays[spec["name"]] = a.reshape(spec["shape"])
     if sys.byteorder == "big":
-        flat = flat.byteswap(inplace=True).view(np.float64)
-    parts = np.split(flat, np.cumsum(counts)[:-1])
-    return header, {spec["name"]: part.reshape(spec["shape"])
-                    for spec, part in zip(header["arrays"], parts)}
+        flat.byteswap(inplace=True)
+    return header, arrays
+
+
+def _read_int32(fh: BinaryIO, name: str, count: int, size: int) -> np.ndarray:
+    """The next `count` float64 values of `fh` as an int32 array, read and
+    checked READ_CHUNK at a time; a value that is not an integer int32 holds
+    is a ValueError."""
+    import numpy as np
+
+    low, high = -(2**31), 2**31
+    out = np.empty(count, dtype=np.int32)
+    chunk = bytearray(8 * min(count, READ_CHUNK))
+    for lo in range(0, count, READ_CHUNK):
+        n = min(READ_CHUNK, count - lo)
+        _read_exactly(fh, memoryview(chunk)[: 8 * n], size)
+        part = np.frombuffer(chunk, dtype="<f8", count=n)
+        if not (np.all((part >= low) & (part < high)) and np.all(np.floor(part) == part)):
+            raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
+        out[lo:lo + n] = part
+    return out
+
+
+def _read_exactly(fh: BinaryIO, buf: memoryview, size: int) -> None:
+    with buf:
+        if fh.readinto(buf) != len(buf):  # the file shrank while it was read
+            raise ValueError(f"the array bytes end short of the {size} declared")
 
 
 def read_text(path: str | Path, what: str) -> str:

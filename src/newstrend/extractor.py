@@ -20,11 +20,18 @@ differences (see gradient_check). Everything is float64 and deterministic
 under a fixed seed. The parameters are named views into one flat buffer,
 and Adam's two moments are buffers of the same layout. No buffer holds the
 whole gradient: backward hands each block's gradient to a sink once it has
-read that block's parameters for the last time, in the order heads, dense
+read that block's parameters for the last time, in the order heads (the
+four blocks, side by side at the end of the buffer, as one slice), dense
 layer, attention gate, attention mixing, encoder projection, bias and
 embedding, and a block of more than ADAM_BLOCK elements goes in slices of
 whole rows. In training the sink is Adam's update of that slice, a few
-in-place array operations with one slice of scratch. Training holds these
+in-place array operations with one slice of scratch. A step holds only
+what the rest of backward still reads: forward adds the dense bias and
+takes the ReLU in place, backward builds dq in dr and the attention's dz
+in its tanh, and it drops each forward array after its last read. The
+week matrices are kept only as the attention's lag columns, and the bag
+of words is whole only while the encoder's forward product reads it;
+backward builds its columns one gradient slice at a time. Training holds
 three buffers, one batch and one slice: the best epoch's parameters wait
 in an unnamed temporary file until training ends. `param_shapes` gives the
 layout to both ways of making a model: a seeded draw for training, straight
@@ -100,20 +107,20 @@ class ReferenceEncoder:
         ranked = np.argsort(-counts, kind="stable")[: min(size, np.count_nonzero(counts))]
         return tuple(words[i] for i in ranked.tolist())
 
-    def _bag(self, docs: Sequence[EncodedDoc]) -> np.ndarray:
-        """B x (|vocab|+1) bag of words holding count / sqrt(n) per token."""
-        width = len(self.vocab) + 1
+    def _bag(self, docs: Sequence[EncodedDoc]) -> _Bag:
+        """The B x (|vocab|+1) bag of words of `docs`, built a range of columns at a time."""
         table, ids, lengths = concat_ids(docs)
         if table is not self._table:  # each word of the docs' table as its embedding row
             self._table = table
             self._rows = np.array([self.index.get(w, 0) for w in table], dtype=np.int64)
-        docs_of = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-        counts = np.bincount(docs_of * width + self._rows[ids], minlength=len(docs) * width)
-        return counts.reshape(len(docs), width) / np.sqrt(np.maximum(lengths, 1))[:, None]
+        return _Bag(np.repeat(np.arange(len(docs), dtype=np.int64), lengths),
+                    self._rows[ids], lengths, len(self.vocab) + 1)
 
     def forward(self, docs, params):
+        """The encoding of `docs` and what `backward` reads: the whole bag of
+        words lives only while the product with the embedding reads it."""
         bag = self._bag(docs)
-        xbar = bag @ params["emb"]
+        xbar = bag[:, :] @ params["emb"]
         out = np.tanh(xbar @ params["w"] + params["b"])
         return out, (bag, xbar, out)
 
@@ -136,6 +143,34 @@ class ReferenceEncoder:
         }
 
 
+class _Bag:
+    """A batch's bag of words, B x width, kept as each token's document and
+    column: `bag[:, lo:hi]` builds those columns, count / sqrt(n) per token,
+    n being the document's length, so only the columns asked for exist."""
+
+    def __init__(self, doc: np.ndarray, col: np.ndarray, lengths: np.ndarray, width: int):
+        self.doc, self.col = doc, col
+        self.scale = np.sqrt(np.maximum(lengths, 1))[:, None]
+        self.shape = (len(lengths), width)
+
+    def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
+        rows, cols = index
+        lo, hi, step = cols.indices(self.shape[1])
+        if rows != slice(None) or step != 1:
+            raise IndexError("a bag of words gives all rows of a range of columns")
+        n, width = self.shape[0], max(hi - lo, 0)
+        doc, col = self.doc, self.col
+        if width < self.shape[1]:  # the tokens of those columns
+            keep = (col >= lo) & (col < hi)
+            doc, col = doc[keep], col[keep] - lo
+        # counted as sums of ones, exact in float64, so that the scaling runs in
+        # place; with no token, bincount counts in int64 whatever the weights
+        bag = np.bincount(doc * width + col, weights=np.ones(len(doc)), minlength=n * width)
+        bag = bag.astype(np.float64, copy=False).reshape(n, width)
+        bag /= self.scale
+        return bag
+
+
 def pot_attention(
     m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,29 +179,32 @@ def pot_attention(
     Weights a = softmax(att_v' tanh(att_w m)) form a probability simplex over
     the lags; the pooled vector is m a.
     """
-    a, pooled, _, _ = _attend(m, att_w, att_v)
-    return a, pooled
-
-
-def _attend(
-    m: np.ndarray, att_w: np.ndarray, att_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`pot_attention`'s weights and pooled vector, the (V, N*L) lag columns
-    x of the N stacked matrices, and tanh(att_w x); the backward pass reuses
-    the last two. One product over all lag columns reads `att_w` once, not
-    once per matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
         raise ValueError(f"m must be (..., V, L), got {m.shape}")
-    v_size = m.shape[-2]
+    a, pooled, _, _ = _attend(m.reshape(-1, *m.shape[-2:]), att_w, att_v)
+    return a.reshape(m.shape[:-2] + m.shape[-1:]), pooled.reshape(m.shape[:-1])
+
+
+def _attend(
+    matrices: Sequence[np.ndarray], att_w: np.ndarray, att_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`pot_attention`'s (N, L) weights and (N, V) pooled vectors of N (V, L)
+    matrices, given as a sequence or a stack; x, their (V, N*L) lag columns
+    side by side, matrix by matrix; and tanh(att_w x). The backward pass
+    reuses the last two and reads the matrices as `_stacked(x, N)`, so no
+    stack of them is kept beside x. One product over all lag columns reads
+    `att_w` once, not once per matrix."""
+    x = np.concatenate(matrices, axis=1, dtype=np.float64)
+    v_size = x.shape[0]
     if att_w.shape != (v_size, v_size):
         raise ValueError(f"att_w must be {v_size}x{v_size}, got {att_w.shape}")
     if att_v.shape != (v_size,):
         raise ValueError(f"att_v must have length {v_size}, got {att_v.shape}")
-    x = _lag_columns(m)
-    t = np.tanh(att_w @ x)
-    a = softmax((att_v @ t).reshape(m.shape[:-2] + m.shape[-1:]))
-    return a, (m @ a[..., None])[..., 0], x, t
+    t = att_w @ x
+    np.tanh(t, out=t)
+    a = softmax((att_v @ t).reshape(len(matrices), -1))
+    return a, (_stacked(x, len(matrices)) @ a[..., None])[..., 0], x, t
 
 
 def multitask_loss(
@@ -301,28 +339,29 @@ class ExtractorModel:
         self.pot_sigma = sigma
 
     def forward(
-        self, docs: Sequence[EncodedDoc], matrices: np.ndarray, week: np.ndarray | None = None
+        self, docs: Sequence[EncodedDoc], matrices: Sequence[np.ndarray],
+        week: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Batch forward over a (W, V, L) table of week matrices; `week` is each
-        document's (B,) index into it, None meaning one matrix per document.
-        Attention runs once per table entry; documents gather its output."""
-        p = self.params
-        m = np.asarray(matrices, dtype=np.float64)
-        if m.ndim != 3 or m.shape[1] != len(self.vocab) or m.shape[2] != self.n_lags:
-            raise ValueError(
-                f"matrices must be (W, {len(self.vocab)}, {self.n_lags}), got {m.shape}"
-            )
-        week = np.arange(len(m)) if week is None else np.asarray(week, dtype=np.intp)
+        """Batch forward over a table of W week matrices, each (V, L), as a
+        sequence or a (W, V, L) stack; `week` is each document's (B,) index
+        into it, None meaning one matrix per document. Attention runs once
+        per table entry; documents gather its output."""
+        p, shape = self.params, (len(self.vocab), self.n_lags)
+        for m in matrices:
+            if np.shape(m) != shape:
+                raise ValueError(f"each week matrix must be {shape}, got {np.shape(m)}")
+        week = np.arange(len(matrices)) if week is None else np.asarray(week, dtype=np.intp)
         vcls, enc_cache = self.encoder.forward(docs, _sub(p, "enc."))
-        a, pooled, x, t = _attend(m, p["att_w"], p["att_v"])
+        a, pooled, x, t = _attend(matrices, p["att_w"], p["att_v"])
         vpot = (pooled[week] - self.pot_mu) / self.pot_sigma
         u = np.concatenate([vcls, vpot], axis=1)
-        q = u @ p["dense_w"] + p["dense_b"]
-        r = np.maximum(q, 0.0)
+        r = u @ p["dense_w"]  # q, the dense layer's output, which the ReLU overwrites
+        r += p["dense_b"]
+        np.maximum(r, 0.0, out=r)
         ps = softmax(r @ p["senti_w"] + p["senti_b"], axis=1)
         pw = softmax(r @ p["worth_w"] + p["worth_b"], axis=1)
-        cache = {"m": m, "week": week, "a": a, "x": x, "t": t, "enc_cache": enc_cache,
-                 "u": u, "q": q, "r": r, "ps": ps, "pw": pw}
+        cache = {"week": week, "a": a, "x": x, "t": t, "enc_cache": enc_cache,
+                 "u": u, "r": r, "ps": ps, "pw": pw}
         return ps, pw, cache
 
     def batch_loss(self, batch: Sequence[TrainingExample]) -> float:
@@ -352,51 +391,63 @@ class ExtractorModel:
         """The batch loss. Its gradient goes to `sink(lo, g)`, g being the
         gradient of flat[lo : lo + g.size], which the sink may overwrite;
         each block goes once backward has read its parameters for the last
-        time, so a sink may update them (`Adam.step`). A loss that is not
-        finite has no gradient: the sink gets nothing. The attention's dz is
-        built in the forward cache's `t`."""
+        time, so a sink may update them (`Adam.step`), and the four head
+        blocks, which lie side by side, go as one slice. A loss that is not
+        finite has no gradient: the sink gets nothing. Backward drops each
+        forward array after its last read; dq is built in dr and the
+        attention's dz in the forward cache's `t`."""
         losses, cache = self._loss_forward(batch)
         n = len(batch)
         loss = reduce(add, losses.tolist(), 0.0) / n
         if not math.isfinite(loss):
             return loss
-        p, hand = self.params, partial(self._hand, sink)
-        ps, pw, r, q, u = cache["ps"], cache["pw"], cache["r"], cache["q"], cache["u"]
-        m, week, a, x, t = cache["m"], cache["week"], cache["a"], cache["x"], cache["t"]
-        dls = (ps - cache["ys"]) * cache["cs"][:, None] / n
-        dlw = (pw - cache["yw"]) * cache["cw"][:, None] / n
+        p, hand, pop = self.params, partial(self._hand, sink), cache.pop
+        dls = (pop("ps") - pop("ys")) * pop("cs")[:, None] / n
+        dlw = (pop("pw") - pop("yw")) * pop("cw")[:, None] / n
 
-        dr = dls @ p["senti_w"].T + dlw @ p["worth_w"].T
-        hand("senti_w", r, dls)
-        hand("senti_b", dls.sum(axis=0))
-        hand("worth_w", r, dlw)
-        hand("worth_b", dlw.sum(axis=0))
-        dq = dr * (q > 0.0)
+        r = pop("r")
+        dr = dls @ p["senti_w"].T
+        dr += dlw @ p["worth_w"].T
+        # the four head blocks lie side by side at the end of `flat`
+        sink(self.offsets["senti_w"], np.concatenate([
+            (r.T @ dls).reshape(-1), dls.sum(axis=0), (r.T @ dlw).reshape(-1), dlw.sum(axis=0)]))
+        # dq = dr * (q > 0) in dr's place: r, q's ReLU, is positive where q is
+        dq = np.multiply(dr, r > 0.0, out=dr)
+        del dls, dlw, r, dr
         du = dq @ p["dense_w"].T
-        hand("dense_w", u, dq)
+        hand("dense_w", pop("u"), dq)
         hand("dense_b", dq.sum(axis=0))
+        del dq
         d = self.encoder.dim
-        dvcls = du[:, :d]
         # attention backward once per table entry: rows sharing a week add up
-        dpooled = np.zeros((len(m), len(self.vocab)))
-        np.add.at(dpooled, week, du[:, d:] / self.pot_sigma)
-        da = (dpooled[:, None, :] @ m)[:, 0, :]
-        ds = a * (da - (a * da).sum(axis=1, keepdims=True))
-        d_att_v = t @ ds.reshape(-1)
+        a, x = pop("a"), pop("x")
+        dpooled = np.zeros((len(a), len(self.vocab)))
+        np.add.at(dpooled, pop("week"), du[:, d:] / self.pot_sigma)
+        da = (dpooled[:, None, :] @ _stacked(x, len(a)))[:, 0, :]
+        ds = (a * (da - (a * da).sum(axis=1, keepdims=True))).reshape(-1)
+        del a, da, dpooled
         # t is read: dz = (att_v ds') * (1 - t t) takes its place, rounded as written
-        dz = np.multiply(t, t, out=t)
+        dz = pop("t")
+        d_att_v = dz @ ds
+        np.multiply(dz, dz, out=dz)
         np.subtract(1.0, dz, out=dz)
-        np.multiply(np.multiply.outer(p["att_v"], ds.reshape(-1)), dz, out=dz)
+        step = max(1, ADAM_BLOCK // len(ds))  # the outer product a gradient slice's rows at a time
+        for lo in range(0, len(dz), step):
+            np.multiply(np.multiply.outer(p["att_v"][lo : lo + step], ds), dz[lo : lo + step],
+                        out=dz[lo : lo + step])
+        del ds
         hand("att_v", d_att_v)
         hand("att_w", dz.T, x.T)
-        self.encoder.backward(cache["enc_cache"], dvcls, _sub(p, "enc."),
+        del dz, x
+        self.encoder.backward(pop("enc_cache"), du[:, :d], _sub(p, "enc."),
                               lambda name, *ab: hand("enc." + name, *ab))
         return loss
 
     def _hand(self, sink, name: str, a: np.ndarray, b: np.ndarray | None = None) -> None:
         """Give `sink` the gradient of block `name`: `a`, or a.T @ b computed
         in slices of whole rows, each of at most ADAM_BLOCK elements unless
-        one row is longer."""
+        one row is longer. For a.T @ b, `a` need only give a range of its
+        columns at a time, `a[:, lo:hi]`, as a `_Bag` does."""
         lo = self.offsets[name]
         if b is None:
             sink(lo, a)
@@ -429,11 +480,9 @@ def _sub(params: Mapping[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-def _lag_columns(x: np.ndarray) -> np.ndarray:
-    """(..., V, L) -> (V, N*L): every lag column of each of the N stacked
-    matrices, matrix by matrix."""
-    v_size, n_lags = x.shape[-2:]
-    return x.reshape(-1, v_size, n_lags).transpose(1, 0, 2).reshape(v_size, -1)
+def _stacked(x: np.ndarray, n: int) -> np.ndarray:
+    """The (N, V, L) stack of the N matrices whose lag columns `x` holds, a view of it."""
+    return x.reshape(len(x), n, -1).transpose(1, 0, 2)
 
 
 def _week_table(batch: Sequence[TrainingExample]):
@@ -441,7 +490,7 @@ def _week_table(batch: Sequence[TrainingExample]):
     table = {id(ex.matrix): ex.matrix for ex in batch}
     slot = {key: i for i, key in enumerate(table)}
     week = np.array([slot[id(ex.matrix)] for ex in batch], dtype=np.intp)
-    return [ex.doc for ex in batch], np.stack(list(table.values())), week
+    return [ex.doc for ex in batch], list(table.values()), week
 
 
 def sentiment_score(model: ExtractorModel, doc: EncodedDoc, matrix: np.ndarray) -> float:

@@ -45,9 +45,9 @@ class EncodedDoc:
 @dataclass(frozen=True)
 class TokenizedCorpus:
     """What `tokens.bin` holds, record by record in corpus order. `docs`
-    holds the file's buffer and builds a record's `EncodedDoc` only when it
-    is asked for, copying out int32 ids, so a document outlives the corpus
-    without keeping the file."""
+    holds every token id as int32 and builds a record's `EncodedDoc` only
+    when it is asked for, copying out its ids, so a document outlives the
+    corpus without keeping the others'."""
 
     words: tuple[str, ...]
     record_ids: tuple[str, ...]
@@ -59,8 +59,8 @@ class TokenizedCorpus:
 class CorpusDocs(Sequence):
     """The documents of a corpus in record order, built when asked for:
     `docs[i]` one, `docs.take(positions)` several at once. Record i's ids are
-    `tokens[bounds[i]:bounds[i + 1]]`, `tokens` being a float64 view of the
-    file and `bounds` int64."""
+    `tokens[bounds[i]:bounds[i + 1]]`, `tokens` being int32 and `bounds`
+    int64."""
 
     def __init__(self, record_ids: tuple[str, ...], words: tuple[str, ...],
                  bounds: np.ndarray, tokens: np.ndarray):
@@ -113,17 +113,21 @@ class _IdTable(dict):
         self._ids.extend(map(self.__getitem__, tokens))
         self.offsets.append(len(self._ids))
 
-    def finish(self, typecode: str) -> tuple[tuple[str, ...], array, array]:
-        """The sorted distinct words, every token as its position among them
-        (an `array` of `typecode`), and a leading 0 then the offset at which
-        each sequence ends."""
+    def finish(self) -> tuple[str, ...]:
+        """The sorted distinct words; from then on `ids` numbers each token
+        by its word's position among them."""
+        words = sorted(self)
+        self._rank = [0] * len(words)
+        for r, word in enumerate(words):
+            self._rank[self[word]] = r
+        return tuple(words)
+
+    def ids(self, typecode: str, lo: int = 0, hi: int | None = None) -> array:
+        """Tokens lo to hi (all by default) in the order added, each as its
+        word's position among the sorted words, as an `array` of `typecode`."""
         from array import array
 
-        words = sorted(self)
-        rank = [0] * len(words)
-        for r, word in enumerate(words):
-            rank[self[word]] = r
-        return tuple(words), array(typecode, map(rank.__getitem__, self._ids)), self.offsets
+        return array(typecode, map(self._rank.__getitem__, memoryview(self._ids)[lo:hi]))
 
 
 def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
@@ -133,10 +137,10 @@ def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
     table = _IdTable()
     for d in docs:
         table.add(d.tokens)
-    words, ids, offsets = table.finish("q")
-    flat = np.frombuffer(ids, dtype=np.int64)
+    words = table.finish()
+    flat = np.frombuffer(table.ids("q"), dtype=np.int64)
     return [EncodedDoc(d.record_id, flat[lo:hi], words)
-            for d, lo, hi in zip(docs, offsets, offsets[1:])]
+            for d, lo, hi in zip(docs, table.offsets, table.offsets[1:])]
 
 
 def concat_ids(
@@ -154,6 +158,10 @@ def concat_ids(
     lengths = np.array([len(d.ids) for d in docs], dtype=np.int64)
     ids = np.concatenate([d.ids for d in docs]) if docs else np.zeros(0, dtype=np.int64)
     return words, ids, lengths
+
+
+# token ids ranked and written in one step: 128 KB as float64
+WRITE_CHUNK = 1 << 14
 
 
 class TokensWriter:
@@ -177,15 +185,20 @@ class TokensWriter:
         return record
 
     def write(self, path: str | Path) -> None:
+        """Write `tokens.bin`, its token ids ranked WRITE_CHUNK at a time as
+        they are written, so no float64 copy of them all is made."""
         from array import array
 
-        words, ids, offsets = self._table.finish("d")
+        table, n = self._table, self._table.offsets[-1]
+        words = table.finish()
+        tokens = artifacts.Chunks(n, (table.ids("d", lo, lo + WRITE_CHUNK)
+                                      for lo in range(0, n, WRITE_CHUNK)))
         artifacts.write_arrays(path, TOKENS_MAGIC, {"words": list(words),
                                                     "record_ids": self.record_ids}, [
             ("day", self.days),
             ("worthiness", self.worthiness),
-            ("offsets", array("d", offsets)),
-            ("tokens", ids),
+            ("offsets", array("d", table.offsets)),
+            ("tokens", tokens),
         ])
 
 
@@ -195,10 +208,10 @@ def read_tokens(path: str | Path) -> TokenizedCorpus:
     that is not an integer in its range (a token id of at least the word
     count included), and offsets that are not a rise from 0 to the token
     count are DataErrors naming the file, as is a file of no records. The
-    corpus reads its documents' ids from the file's buffer, which it holds,
-    and the checks look at CHECK_CHUNK values at a time, so reading holds
-    about one copy of the file."""
-    return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens)
+    token ids, nearly all of the file, are read a chunk at a time into the
+    int32 array the corpus holds, and the checks look at CHECK_CHUNK values
+    at a time, so reading holds about half the file's size."""
+    return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens, int32=("tokens",))
 
 
 # values an integer check looks at in one step, so its temporaries stay small

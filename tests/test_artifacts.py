@@ -41,6 +41,48 @@ def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_chunks_write_the_bytes_of_the_whole_array(tmp_path):
+    from array import array
+
+    x = np.arange(10.0) / 3
+    parts = [x[:4], array("d", x[4:5]), x[5:5], x[5:]]
+    write_arrays(tmp_path / "whole.bin", MAGIC, {}, [("x", x), ("y", x[:2])])
+    write_arrays(tmp_path / "parts.bin", MAGIC, {},
+                 [("x", artifacts.Chunks(10, iter(parts))), ("y", x[:2])])
+    assert (tmp_path / "parts.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+@pytest.mark.parametrize("length", [9, 11])
+def test_chunks_of_another_length_than_declared_write_nothing(tmp_path, length):
+    path = tmp_path / "a.bin"
+    parts = [np.arange(4.0), np.arange(6.0)]
+    with pytest.raises(ValueError, match=f"x has 10 values in its parts, not the {length}"):
+        write_arrays(path, MAGIC, {}, [("x", artifacts.Chunks(length, iter(parts)))])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_int32_arrays_are_read_a_chunk_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "a.bin"
+    x, ids, y = np.arange(4.0) / 3, np.array([5.0, -(2.0**31), 2.0**31 - 1, 0, 7]), np.arange(3.0)
+    write_arrays(path, MAGIC, {}, [("x", x), ("ids", ids), ("empty", ids[:0]), ("y", y)])
+    monkeypatch.setattr(artifacts, "READ_CHUNK", 2)
+    _, arrays = read_arrays(path, MAGIC, arrays_of, int32=("ids", "empty"))
+    assert arrays["ids"].dtype == np.int32 and arrays["ids"].tolist() == ids.tolist()
+    assert arrays["empty"].dtype == np.int32 and arrays["empty"].shape == (0,)
+    assert arrays["x"].tobytes() == x.tobytes() and arrays["y"].tobytes() == y.tobytes()
+    assert arrays["x"].flags.writeable
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0**31, -(2.0**31) - 1, float("nan"), float("inf")])
+def test_int32_array_of_another_value_is_a_data_error(tmp_path, monkeypatch, bad):
+    path = tmp_path / "a.bin"
+    write_arrays(path, MAGIC, {}, [("ids", np.array([1.0, 2.0, 3.0, bad]))])
+    monkeypatch.setattr(artifacts, "READ_CHUNK", 3)  # the value in the second chunk
+    with pytest.raises(DataError, match=r"a.bin is corrupt: ids holds a value that is not an "
+                                        r"integer in \[-2147483648, 2147483648\)"):
+        read_arrays(path, MAGIC, arrays_of, int32=("ids",))
+
+
 def _bad_rows():
     yield ["a", 1]
     raise ValueError("row 2 cannot be formatted")

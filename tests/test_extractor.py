@@ -625,6 +625,60 @@ class TestFlatAdam:
             moved = np.any(model.params[name] != start[name], axis=1)
             assert all(moved[lo : lo + rows].any() for lo in range(0, len(moved), rows)), name
 
+    # the bench's wide and deep layers, and the default config's with an
+    # encoder vocabulary of 1,000 words; each head block on its own would
+    # make 13 and 27 calls
+    @pytest.mark.parametrize("enc_words, v, calls", [(400, 128, 10), (1000, 512, 24)])
+    def test_heads_go_as_one_slice_updated_as_block_by_block(self, enc_words, v, calls):
+        """One step through the Adam sink, the heads handed as one slice,
+        against Adam applied to each head block on its own, its gradient as
+        r' dls or a column sum, then to the other slices as handed;
+        parameters and moments bit for bit."""
+        words = tuple(f"h{i:04d}" for i in range(enc_words + 20))  # 20 unknown words
+        encoder = ReferenceEncoder(words[:enc_words], dim=64, emb_dim=64)
+        vocab = Vocabulary(words=tuple(f"v{i:03d}" for i in range(v)))
+        model = ExtractorModel(vocab=vocab, encoder=encoder, n_lags=4, hidden=512, lam=0.5,
+                               seed=5)
+        rng = np.random.default_rng(50)
+        randomize(model, rng)
+        matrices = [rng.normal(0, 0.5, size=(v, 4)) for _ in range(3)]
+        batch = [TrainingExample(doc=doc_over(words, f"d{i}", list(rng.choice(words, 30))),
+                                 matrix=matrices[i % 3], week=date(2020, 1, 6),
+                                 sentiment=i % 2, worthiness=[None, 0, 1][i % 3])
+                 for i in range(10)]
+        _, grads = model.gradient(batch)
+        _, cache = model._loss_forward(batch)
+        n = len(batch)
+        dls = (cache["ps"] - cache["ys"]) * cache["cs"][:, None] / n
+        dlw = (cache["pw"] - cache["yw"]) * cache["cw"][:, None] / n
+        heads = {"senti_w": cache["r"].T @ dls, "senti_b": dls.sum(axis=0),
+                 "worth_w": cache["r"].T @ dlw, "worth_b": dlw.sum(axis=0)}
+        whole = np.concatenate([g.reshape(-1) for g in grads.values()])
+        lr = 0.01
+        want, adam = model.flat.copy(), Adam(model.flat, lr)
+        handed = []
+        update = adam.step()
+
+        def sink(lo, g):
+            handed.append((lo, g.size))
+            update(lo, g)
+
+        model.loss_and_grads(batch, sink)
+        assert len(handed) == calls
+        assert handed[0] == (model.offsets["senti_w"], 4 * 512 + 4)
+        old = Adam(want, lr)
+        old_update = old.step()
+        for name, g in heads.items():
+            old_update(model.offsets[name], g.copy())
+        for lo, size in handed[1:]:
+            old_update(lo, whole[lo : lo + size].copy())
+        assert model.flat.tobytes() == want.tobytes()
+        assert adam.m.tobytes() == old.m.tobytes() and adam.v.tobytes() == old.v.tobytes()
+        tiles = sorted(handed)  # each element once
+        assert [lo for lo, _ in tiles] == [sum(size for _, size in tiles[:i])
+                                           for i in range(len(tiles))]
+        assert sum(size for _, size in tiles) == model.size
+
 
 def whole_buffer_adam_step(flat, m, v, grad, lr, t):
     """One Adam step as 14 ufuncs over whole buffers, with two scratch
@@ -860,6 +914,35 @@ class TestBoundedMemory:
         assert len(trained.model.encoder.vocab) > 5000
         peak = traced_peak(train_extractor, examples, config, vocab, dev)
         assert peak < TRAIN_PEAK_SHARE * trained.model.flat.nbytes
+
+    def test_one_step_drops_each_forward_array_after_its_last_read(self):
+        """The tracemalloc peak of one `loss_and_grads` call through Adam: a
+        32-row batch over 16 week matrices, an encoder of 2,000 words and
+        the default hidden layer. Its largest arrays are the bag of words
+        (512 KB, whole only while the encoder's forward product reads it), a
+        gradient slice (256 KB), the attention's lag columns and their tanh
+        and the dense layer's output (128 KB each). The step peaked at 0.89
+        MB when the bound was set, at the dense layer's slices, and at 1.97
+        MB when every forward array (the pre-ReLU output and a stack of the
+        week matrices among them) lived until backward ended and the bag was
+        built twice. The bound leaves 90 KB for numpy's own buffers, less
+        than any one of those arrays: one of them kept alive up to the
+        dense layer's slices again fails here."""
+        words = tuple(f"h{i:04d}" for i in range(2020))
+        encoder = ReferenceEncoder(words[:2000], dim=64, emb_dim=64)
+        vocab = Vocabulary(words=tuple(f"v{i:03d}" for i in range(256)))
+        model = ExtractorModel(vocab=vocab, encoder=encoder, n_lags=4, hidden=512, lam=0.5,
+                               seed=5)
+        rng = np.random.default_rng(51)
+        matrices = [rng.normal(0, 0.5, size=(256, 4)) for _ in range(16)]
+        batch = [TrainingExample(doc=doc_over(words, f"d{i}", list(rng.choice(words, 60))),
+                                 matrix=matrices[i % 16],
+                                 week=date(2020, 1, 6) + timedelta(days=7 * (i % 16)),
+                                 sentiment=i % 2, worthiness=[None, 0, 1][i % 3])
+                 for i in range(32)]
+        adam = Adam(model.flat, 1e-3)
+        model.loss_and_grads(batch, adam.step())  # the encoder maps the word table once
+        assert traced_peak(model.loss_and_grads, batch, adam.step()) < 980_000
 
 
 class TestScoring:
