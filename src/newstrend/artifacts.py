@@ -1,6 +1,11 @@
 """Workdir bookkeeping: `write_bytes`, through which every file the pipeline
 writes goes, `read_csv`, through which every CSV it reads back goes, the
 array-file format, manifests, hashing, and the advisory lock.
+
+An array file (`write_arrays`, `read_arrays`) is a magic line naming its
+kind and layout version, a line holding the header's length in bytes, a
+sorted-key JSON header whose `arrays` entry gives each array's name, shape
+and dtype, one of DTYPES, then each array's little-endian bytes in turn.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Mapping, Sequence,
-                    TypeVar)
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
 
@@ -72,87 +75,60 @@ class _Echo:
         return text
 
 
-@dataclass(frozen=True)
-class Chunks:
-    """A one-dimensional array of `length` values for `write_arrays`, given
-    as `parts`, arrays it takes one after another, so that the whole array
-    need not exist at once."""
-
-    length: int
-    parts: Iterable[np.ndarray | array]
+# the dtypes an array file stores, little-endian, by the stdlib `array`
+# typecode that holds each
+DTYPES = {"d": "<f8", "q": "<i8", "i": "<i4"}
 
 
 def write_arrays(path: str | Path, magic: str, header: Mapping,
-                 arrays: Sequence[tuple[str, np.ndarray | array | Chunks]]) -> None:
+                 arrays: Sequence[tuple[str, np.ndarray | array]]) -> None:
     """Write `header` and the named `arrays` as one array file (`write_bytes`),
-    each array's buffer a chunk of its own, or each part's of `Chunks`. An
-    array is a numpy array, or a stdlib `array("d")`, taken as
-    one-dimensional and packed without importing numpy; `Chunks` whose parts
-    do not hold `length` values in all are a ValueError."""
+    each array's dtype in the header and its buffer a chunk of its own. An
+    array is a numpy array of a dtype in DTYPES, of either byte order, or a
+    stdlib `array` of a typecode in DTYPES, taken as one-dimensional and
+    packed without importing numpy; any other is a ValueError."""
+    typed = [(name, *_typed(name, a)) for name, a in arrays]
     header = {**header, "magic": magic, "arrays": [
-        {"name": name, "shape": _shape(a)} for name, a in arrays]}
+        {"name": name, "shape": shape, "dtype": dtype} for name, shape, dtype, _ in typed]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    write_bytes(path, itertools.chain(
-        [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob)],
-        *(_f8_parts(name, a) for name, a in arrays)))
+    write_bytes(path, [b"%s\n%d\n%s" % (magic.encode("ascii"), len(blob), blob),
+                       *(buffer for *_, buffer in typed)])
 
 
-def _shape(a: np.ndarray | array | Chunks) -> list[int]:
-    from array import array
-
-    if isinstance(a, Chunks):
-        return [a.length]
-    return [len(a)] if isinstance(a, array) else list(a.shape)
-
-
-def _f8_parts(name: str, a: np.ndarray | array | Chunks) -> Iterable[np.ndarray | array]:
-    """The buffers of `a` (`_f8_buffer`), its parts one by one for `Chunks`."""
-    from array import array
-
-    if not isinstance(a, Chunks):
-        yield _f8_buffer(a)
-        return
-    count = 0
-    for part in a.parts:
-        part = _f8_buffer(part)
-        count += len(part) if isinstance(part, array) else part.size
-        yield part
-    if count != a.length:
-        raise ValueError(f"{name} has {count} values in its parts, not the {a.length} declared")
-
-
-def _f8_buffer(a: np.ndarray | array) -> np.ndarray | array:
-    """`a` as a contiguous buffer of little-endian float64, copied only when
-    its type or byte order differ."""
+def _typed(name: str, a: np.ndarray | array) -> tuple[list[int], str, np.ndarray | array]:
+    """The shape, dtype and little-endian buffer of `a`, copied only where
+    its byte order differs."""
     from array import array
 
     if isinstance(a, array):
-        if a.typecode != "d":
-            raise TypeError(f"an array file stores float64, not array({a.typecode!r})")
+        shape, dtype = [len(a)], DTYPES.get(a.typecode, f"array({a.typecode!r})")
         if sys.byteorder == "big":
-            a = array("d", a)
+            a = array(a.typecode, a)
             a.byteswap()
-        return a
-    import numpy as np
+    else:
+        import numpy as np
 
-    return np.ascontiguousarray(a, dtype="<f8")
+        shape, dtype = list(a.shape), a.dtype.newbyteorder("<").str
+        a = np.ascontiguousarray(a, dtype=dtype)
+    if dtype not in DTYPES.values():
+        raise ValueError(f"{name} is of {dtype}; an array file stores {', '.join(DTYPES.values())}")
+    return shape, dtype, a
 
 
 def read_arrays(path: str | Path, magic: str,
-                parse: Callable[[dict, dict[str, np.ndarray]], T],
-                int32: Collection[str] = ()) -> T:
-    """`parse(header, arrays)` of an array file. The arrays are writable
-    float64 views into one `bytearray` that holds the file's body, read
-    once, so no reader holds a second copy of it; an array that `parse`
-    keeps keeps that buffer. An array named in `int32` is read into an int32
-    array of its own instead, READ_CHUNK values at a time, so its float64
-    values are never held whole; each must be an integer that int32 holds.
-    A missing or wrong magic line, header-length line or header, a body
-    whose length differs from the declared shapes, and a KeyError,
-    ValueError or TypeError in `parse` are DataErrors naming the file."""
+                parse: Callable[[dict, dict[str, np.ndarray]], T], stage: str) -> T:
+    """`parse(header, arrays)` of an array file that the CLI stage `stage`
+    writes. Each array is read straight from the file into a writable array
+    of its own, of the dtype the header declares for it, so no reader holds
+    a second copy of the body, and an array that `parse` drops is freed. A
+    missing or wrong magic line (a file of another layout version, say: the
+    error names `stage`, which rewrites it), header-length line or header,
+    a dtype not in DTYPES, a body whose length differs from the declared
+    shapes, and a KeyError, ValueError or TypeError in `parse` are
+    DataErrors naming the file."""
     try:
         with open(path, "rb") as fh:
-            header, arrays = _decode(fh, magic, int32)
+            header, arrays = _decode(fh, magic, stage)
         return parse(header, arrays)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -162,11 +138,7 @@ def read_arrays(path: str | Path, magic: str,
         raise DataError(f"{path} is corrupt: {exc}") from None
 
 
-# values of an int32 array read and checked in one step: 64 KB as float64
-READ_CHUNK = 1 << 13
-
-
-def _decode(fh: BinaryIO, magic: str, int32: Collection[str]) -> tuple[dict, dict[str, np.ndarray]]:
+def _decode(fh: BinaryIO, magic: str, stage: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named arrays of the array file open as `fh`."""
     import numpy as np
 
@@ -174,58 +146,32 @@ def _decode(fh: BinaryIO, magic: str, int32: Collection[str]) -> tuple[dict, dic
     if lines == [b""]:
         raise ValueError(f"the magic line {magic!r} is missing")
     if lines[0] != magic.encode("ascii"):
-        raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}")
+        raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}; "
+                         f"re-run `{stage}` to rewrite it")
     if len(lines) < 3 or not lines[1].isdigit():
         raise ValueError("the header-length line is missing")
     start = len(lines[0]) + len(lines[1]) + 2
     end, file_size = start + int(lines[1]), os.fstat(fh.fileno()).st_size
     fh.seek(start)
     header = json.loads(fh.read(min(end, file_size) - start))
-    counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
+    specs = header["arrays"]
+    for spec in specs:
+        if spec["dtype"] not in DTYPES.values():
+            raise ValueError(f"{spec['name']} has dtype {spec['dtype']!r}, not one of "
+                             f"{', '.join(DTYPES.values())}")
+    counts = [math.prod(spec["shape"]) for spec in specs]
+    declared = sum(c * np.dtype(spec["dtype"]).itemsize for spec, c in zip(specs, counts))
     # the body's length is checked against the file's before it is allocated
     size = file_size - end
-    if size != 8 * sum(counts):
-        raise ValueError(f"{size} array bytes where the header declares {8 * sum(counts)}")
-    body = bytearray(8 * sum(c for spec, c in zip(header["arrays"], counts)
-                             if spec["name"] not in int32))
-    # native float64 views of the buffer, which starts aligned: the file's
-    # little-endian bytes are read into it and swapped in place where needed
-    flat, at, arrays = np.frombuffer(body, dtype=np.float64), 0, {}
-    for spec, count in zip(header["arrays"], counts):  # in file order
-        if spec["name"] in int32:
-            a = _read_int32(fh, spec["name"], count, size)
-        else:
-            a, at = flat[at : at + count], at + count
-            _read_exactly(fh, memoryview(a).cast("B"), size)
-        arrays[spec["name"]] = a.reshape(spec["shape"])
-    if sys.byteorder == "big":
-        flat.byteswap(inplace=True)
-    return header, arrays
-
-
-def _read_int32(fh: BinaryIO, name: str, count: int, size: int) -> np.ndarray:
-    """The next `count` float64 values of `fh` as an int32 array, read and
-    checked READ_CHUNK at a time; a value that is not an integer int32 holds
-    is a ValueError."""
-    import numpy as np
-
-    low, high = -(2**31), 2**31
-    out = np.empty(count, dtype=np.int32)
-    chunk = bytearray(8 * min(count, READ_CHUNK))
-    for lo in range(0, count, READ_CHUNK):
-        n = min(READ_CHUNK, count - lo)
-        _read_exactly(fh, memoryview(chunk)[: 8 * n], size)
-        part = np.frombuffer(chunk, dtype="<f8", count=n)
-        if not (np.all((part >= low) & (part < high)) and np.all(np.floor(part) == part)):
-            raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
-        out[lo:lo + n] = part
-    return out
-
-
-def _read_exactly(fh: BinaryIO, buf: memoryview, size: int) -> None:
-    with buf:
-        if fh.readinto(buf) != len(buf):  # the file shrank while it was read
+    if size != declared:
+        raise ValueError(f"{size} array bytes where the header declares {declared}")
+    arrays = {}
+    for spec, count in zip(specs, counts):  # in file order
+        a = np.empty(count, dtype=spec["dtype"])
+        if fh.readinto(a) != a.nbytes:  # the file shrank while it was read
             raise ValueError(f"the array bytes end short of the {size} declared")
+        arrays[spec["name"]] = a.reshape(spec["shape"])
+    return header, arrays
 
 
 def read_text(path: str | Path, what: str) -> str:

@@ -111,23 +111,22 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
 def _load_week_data(workdir: Path):
     """Weeks with news attached, from `tokens.bin` and `weeks.csv` alone.
 
-    Returns the week labels in anchor order, each record's worthiness by id,
-    and `docs(ids)`, the `EncodedDoc`s of the records `ids`, built when it is
-    called. `docs` holds the file's buffer; the documents it returns do not,
-    so a stage that drops `docs` keeps the ids of only the records it took.
+    Returns the week labels in anchor order, the corpus, and `positions(ids)`,
+    the places of the records `ids` in it. The corpus holds the file's token
+    ids; the documents `corpus.docs.take` returns copy theirs, so a stage
+    that drops the corpus keeps the ids of only the records it took.
     """
     corpus = read_tokens(workdir / "tokens.bin")
     labels = read_weeks_csv(workdir / "weeks.csv")  # anchors strictly increase
     attached = attach_news([lab.week for lab in labels], zip(corpus.record_ids, corpus.days))
     # attach_news returns anchor order, so the two lists pair by position
     labels = [replace(lab, week=week) for lab, week in zip(labels, attached)]
-    worthiness = dict(zip(corpus.record_ids, corpus.worthiness))
     position = {rid: i for i, rid in enumerate(corpus.record_ids)}
 
-    def docs(ids):
-        return corpus.docs.take([position[i] for i in ids])
+    def positions(ids):
+        return [position[i] for i in ids]
 
-    return labels, worthiness, docs
+    return labels, corpus, positions
 
 
 def _load_pot(workdir: Path):
@@ -203,10 +202,11 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
-    labels, _, docs = _load_week_data(workdir)
+    labels, corpus, positions = _load_week_data(workdir)
     _, train_w, _ = extractor_split(labels, config.extractor, config.polarity.n_lags)
-    docs_by_week = {lab.week.anchor: docs(lab.week.news_ids) for lab in labels}
-    del docs  # the file's buffer; the documents are copies
+    docs_by_week = {lab.week.anchor: corpus.docs.take(positions(lab.week.news_ids))
+                    for lab in labels}
+    del corpus, positions  # the file's token ids; the documents are copies
     train_set = set(train_w)
     pos_docs, neg_docs = [], []
     for lab in labels:
@@ -227,7 +227,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
-    labels, worthiness, docs = _load_week_data(workdir)
+    labels, corpus, positions = _load_week_data(workdir)
     selected, train_w, dev_w = extractor_split(labels, config.extractor,
                                                config.polarity.n_lags)
     model_set = _load_pot(workdir)
@@ -243,16 +243,17 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
             continue
         matrix = model_set.matrix(vocab, anchor, config.polarity.n_lags)
         senti = 1 if lab.extractor_class == "positive" else 0
-        for rid, doc in zip(lab.week.news_ids, docs(lab.week.news_ids)):
+        places = positions(lab.week.news_ids)
+        for p, doc in zip(places, corpus.docs.take(places)):
             examples.append(
                 TrainingExample(
                     doc=doc, matrix=matrix, week=anchor,
-                    sentiment=senti, worthiness=worthiness[rid],
+                    sentiment=senti, worthiness=corpus.worthiness[p],
                 )
             )
-    # the file's buffer, `pot.bin`'s body and the week tables: training holds
+    # the file's token ids, `pot.bin`'s scores and the week tables: training holds
     # only the examples, which hold the selected weeks' ids and matrices
-    del docs, model_set, labels, worthiness
+    del corpus, positions, model_set, labels
     trained = train_extractor(examples, config.extractor, vocab, dev_w)
     save_extractor(trained, workdir / "extractor.model")
     write_train_log(trained.history, workdir / "train_log.csv")
@@ -267,7 +268,7 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import load_extractor
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
-    labels, _, docs = _load_week_data(workdir)
+    labels, corpus, positions = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
@@ -286,7 +287,8 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
         out = np.empty(len(ids))
         for lo in range(0, len(ids), batch):
             chunk = ids[lo : lo + batch]
-            ps, _, _ = model.forward(docs(chunk), matrix[None], np.zeros(len(chunk), dtype=np.intp))
+            docs = corpus.docs.take(positions(chunk))
+            ps, _, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
             out[lo : lo + len(chunk)] = ps[:, 1]
         return out
 

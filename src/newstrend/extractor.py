@@ -61,7 +61,7 @@ from .tokens import EncodedDoc, concat_ids
 
 PROB_FLOOR = 1e-12
 
-MODEL_MAGIC = "newstrend-extractor 1"
+MODEL_MAGIC = "newstrend-extractor 2"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -743,9 +743,9 @@ def save_extractor(trained: TrainedExtractor, path: str | Path) -> None:
 
 
 def load_extractor(path: str | Path) -> TrainedExtractor:
-    """The model `save_extractor` wrote: its parameters are copied once, out
-    of the file's buffer into a new `flat`, with no random draw."""
-    return artifacts.read_arrays(path, MODEL_MAGIC, _parse_extractor)
+    """The model `save_extractor` wrote: its parameters are copied once, from
+    the arrays read from the file into a new `flat`, with no random draw."""
+    return artifacts.read_arrays(path, MODEL_MAGIC, _parse_extractor, "train-extractor")
 
 
 def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtractor:
@@ -765,13 +765,12 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
             raise ValueError(f"{name} has shape {list(arrays[name].shape)}, not {list(shape)}")
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{name} holds a value that is not finite")
-    # copies, so that the model does not keep the file's buffer
+    # one copy of the parameter blocks, the model's one flat buffer
     model = ExtractorModel(
         vocab=vocab, encoder=encoder, n_lags=header["n_lags"], hidden=header["hidden"],
         lam=header["lam"], flat=np.concatenate([arrays[name].reshape(-1) for name in shapes]),
     )
-    model.pot_mu = arrays["pot_mu"].copy()
-    model.pot_sigma = arrays["pot_sigma"].copy()
+    model.pot_mu, model.pot_sigma = arrays["pot_mu"], arrays["pot_sigma"]
     return TrainedExtractor(
         model=model,
         train_weeks=tuple(parse_day(d) for d in header["train_weeks"]),

@@ -55,7 +55,7 @@ from .tokens import EncodedDoc, concat_ids
 from .weeks import POT_CLASSES, WeeklyLabel
 
 SCORE_FORMAT = "%.12e"
-POT_MAGIC = "newstrend-pot 1"
+POT_MAGIC = "newstrend-pot 2"
 
 # documents whose ids are counted in one step
 COUNT_DOCS = 256
@@ -220,7 +220,7 @@ class PolarityModelSet:
             anchors=tuple(map(parse_day, header["anchors"])),
             words=tuple(header["words"]), scores=arrays["scores"],
             vocab=Vocabulary(words=tuple(header["vocab"])),
-            train_weeks=tuple(map(parse_day, header["train_weeks"]))))
+            train_weeks=tuple(map(parse_day, header["train_weeks"]))), "pot")
 
 
 def build_model_set(

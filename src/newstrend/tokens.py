@@ -5,9 +5,11 @@ that `pot`, `train-extractor` and `score` read from it.
 file (see `artifacts`) whose header holds the sorted distinct words and the
 record ids in corpus order, and whose arrays hold each record's published
 UTC day ordinal (`day`), its worthiness (-1 for none), the document
-`offsets` and the token ids (`tokens`, positions in the words). Writing it
-needs no numpy. Readers get each document as an `EncodedDoc`: an int32 copy
-of its ids, made only when a stage asks for that record, plus the one shared
+`offsets`, all int64, and the token ids (`tokens`, positions in the words)
+as int32. Writing it needs no numpy: the ids are ranked in place, so the
+file's arrays are those `ingest` built. Readers hold the token ids as the
+file's int32 and get each document as an `EncodedDoc`: an int32 copy of
+its ids, made only when a stage asks for that record, plus the one shared
 word table, so a corpus holds no per-token Python objects, a stage holds
 the ids of only the records it uses once it drops the corpus, and counting
 words is `bincount` and sorting over ids.
@@ -24,12 +26,10 @@ from typing import TYPE_CHECKING
 from . import artifacts, corpus
 from .corpus import NewsRecord, TokenizedDoc
 
-if TYPE_CHECKING:  # numpy and the stdlib array load only where they are used
-    from array import array
-
+if TYPE_CHECKING:  # numpy loads only where it is used
     import numpy as np
 
-TOKENS_MAGIC = "newstrend-tokens 1"
+TOKENS_MAGIC = "newstrend-tokens 2"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -93,41 +93,46 @@ class CorpusDocs(Sequence):
         return docs
 
 
+# values checked, or ranked by `_IdTable.finish`, in one step, so the
+# temporaries stay small
+CHECK_CHUNK = 1 << 13
+
+
 class _IdTable(dict):
-    """Token sequences added one at a time, each token as a 4-byte number:
-    its word's in order of first lookup. Looking up a new word adds it with
-    the next number, inside `dict.__getitem__`, so mapping that over a
-    sequence numbers it without a Python-level loop."""
+    """Token sequences added one at a time, each token as a 4-byte number in
+    `ids`, the array("i") of them all: its word's in order of first lookup.
+    Looking up a new word adds it with the next number, inside
+    `dict.__getitem__`, so mapping that over a sequence numbers it without a
+    Python-level loop."""
 
     def __init__(self):
         from array import array
 
         super().__init__()
-        self._ids, self.offsets = array("I"), array("q", [0])
+        self.ids, self.offsets = array("i"), array("q", [0])
 
     def __missing__(self, word: str) -> int:
         self[word] = n = len(self)
         return n
 
     def add(self, tokens: Iterable[str]) -> None:
-        self._ids.extend(map(self.__getitem__, tokens))
-        self.offsets.append(len(self._ids))
+        self.ids.extend(map(self.__getitem__, tokens))
+        self.offsets.append(len(self.ids))
 
     def finish(self) -> tuple[str, ...]:
-        """The sorted distinct words; from then on `ids` numbers each token
-        by its word's position among them."""
-        words = sorted(self)
-        self._rank = [0] * len(words)
-        for r, word in enumerate(words):
-            self._rank[self[word]] = r
-        return tuple(words)
-
-    def ids(self, typecode: str, lo: int = 0, hi: int | None = None) -> array:
-        """Tokens lo to hi (all by default) in the order added, each as its
-        word's position among the sorted words, as an `array` of `typecode`."""
+        """The sorted distinct words. It renumbers `ids` in place,
+        CHECK_CHUNK at a time, and each word, by its position among them, so
+        a later call, after more `add`s or none, renumbers from there."""
         from array import array
 
-        return array(typecode, map(self._rank.__getitem__, memoryview(self._ids)[lo:hi]))
+        words = sorted(self)
+        rank = [0] * len(words)
+        for r, word in enumerate(words):
+            rank[self[word]], self[word] = r, r
+        for lo in range(0, len(self.ids), CHECK_CHUNK):
+            hi = lo + CHECK_CHUNK
+            self.ids[lo:hi] = array("i", map(rank.__getitem__, self.ids[lo:hi]))
+        return tuple(words)
 
 
 def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
@@ -138,7 +143,7 @@ def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
     for d in docs:
         table.add(d.tokens)
     words = table.finish()
-    flat = np.frombuffer(table.ids("q"), dtype=np.int64)
+    flat = np.frombuffer(table.ids, dtype=np.int32)
     return [EncodedDoc(d.record_id, flat[lo:hi], words)
             for d, lo, hi in zip(docs, table.offsets, table.offsets[1:])]
 
@@ -160,10 +165,6 @@ def concat_ids(
     return words, ids, lengths
 
 
-# token ids ranked and written in one step: 128 KB as float64
-WRITE_CHUNK = 1 << 14
-
-
 class TokensWriter:
     """`tokens.bin` built one record at a time: `add` tokenizes a record and
     keeps its token ids, id, day and worthiness; `write` writes the file."""
@@ -173,7 +174,7 @@ class TokensWriter:
 
         self.max_tokens = max_tokens
         self.record_ids: list[str] = []
-        self.days, self.worthiness = array("d"), array("d")
+        self.days, self.worthiness = array("q"), array("q")
         self._table = _IdTable()
 
     def add(self, record: NewsRecord) -> NewsRecord:
@@ -185,51 +186,45 @@ class TokensWriter:
         return record
 
     def write(self, path: str | Path) -> None:
-        """Write `tokens.bin`, its token ids ranked WRITE_CHUNK at a time as
-        they are written, so no float64 copy of them all is made."""
-        from array import array
-
-        table, n = self._table, self._table.offsets[-1]
+        """Write `tokens.bin`; its token ids are ranked in place
+        (`_IdTable.finish`), so no copy of them all is made."""
+        table = self._table
         words = table.finish()
-        tokens = artifacts.Chunks(n, (table.ids("d", lo, lo + WRITE_CHUNK)
-                                      for lo in range(0, n, WRITE_CHUNK)))
         artifacts.write_arrays(path, TOKENS_MAGIC, {"words": list(words),
                                                     "record_ids": self.record_ids}, [
             ("day", self.days),
             ("worthiness", self.worthiness),
-            ("offsets", array("d", table.offsets)),
-            ("tokens", tokens),
+            ("offsets", table.offsets),
+            ("tokens", table.ids),
         ])
 
 
 def read_tokens(path: str | Path) -> TokenizedCorpus:
     """Read `tokens.bin`. Words that are not sorted and distinct, repeated
-    record ids, an array whose length does not fit the record count, a value
-    that is not an integer in its range (a token id of at least the word
-    count included), and offsets that are not a rise from 0 to the token
-    count are DataErrors naming the file, as is a file of no records. The
-    token ids, nearly all of the file, are read a chunk at a time into the
-    int32 array the corpus holds, and the checks look at CHECK_CHUNK values
-    at a time, so reading holds about half the file's size."""
-    return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens, int32=("tokens",))
-
-
-# values an integer check looks at in one step, so its temporaries stay small
-CHECK_CHUNK = 1 << 13
+    record ids, an array whose length does not fit the record count, an
+    array stored as floats, a value out of its range (a token id of at least
+    the word count included), and offsets that are not a rise from 0 to the
+    token count are DataErrors naming the file, as is a file of no records.
+    The corpus holds the token ids, nearly all of the file, as the int32
+    array read from it, and the checks look at CHECK_CHUNK values at a time,
+    so reading holds about the file's size."""
+    return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens, "ingest")
 
 
 def _integers(arrays: dict, name: str, low: int, high: int, count: int | None) -> np.ndarray:
     """`arrays[name]`; ValueError unless it is one-dimensional, of `count`
-    values (any count for None), each an integer in [low, high)."""
+    values (any count for None), stored as integers, each in [low, high)."""
     import numpy as np
 
     a = arrays[name]
     if a.ndim != 1 or count is not None and len(a) != count:
         raise ValueError(f"{name} has shape {list(a.shape)}, not [{count}]")
+    if a.dtype.kind != "i":
+        raise ValueError(f"{name} is stored as {a.dtype.str}, not as integers")
     for lo in range(0, len(a), CHECK_CHUNK):
         part = a[lo:lo + CHECK_CHUNK]
-        if not (np.all((part >= low) & (part < high)) and np.all(np.floor(part) == part)):
-            raise ValueError(f"{name} holds a value that is not an integer in [{low}, {high})")
+        if not np.all((part >= low) & (part < high)):
+            raise ValueError(f"{name} holds a value outside [{low}, {high})")
     return a
 
 
@@ -247,9 +242,9 @@ def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
     if len(set(record_ids)) != len(record_ids):
         raise ValueError("record ids must be distinct")
     n, words, record_ids = len(record_ids), tuple(words), tuple(record_ids)
-    days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n).astype(np.int64)
-    worthiness = _integers(arrays, "worthiness", -1, 2, n).astype(np.int64)
-    offsets = _integers(arrays, "offsets", 0, 2**53, n + 1).astype(np.int64)
+    days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n)
+    worthiness = _integers(arrays, "worthiness", -1, 2, n)
+    offsets = _integers(arrays, "offsets", 0, 2**53, n + 1)
     tokens = _integers(arrays, "tokens", 0, len(words), None)
     if offsets[0] != 0 or offsets[-1] != len(tokens) or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError(f"offsets must rise from 0 to the token count {len(tokens)}")

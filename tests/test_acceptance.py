@@ -82,7 +82,7 @@ def _extractor_test_accuracy(workdir: Path) -> float:
     level away from 0.5.
     """
     config = load_config(workdir.parent / f"{workdir.name}.json")
-    labels, _, week_docs = _load_week_data(workdir)
+    labels, corpus, positions = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
     model_set = PolarityModelSet.load(workdir / "pot.bin")
     vocab = model_set.vocab
@@ -97,7 +97,7 @@ def _extractor_test_accuracy(workdir: Path) -> float:
             continue
         matrix = model_set.matrix(vocab, anchor, n_lags)
         y = 1 if lab.extractor_class == "positive" else 0
-        docs = week_docs(sorted(lab.week.news_ids))
+        docs = corpus.docs.take(positions(sorted(lab.week.news_ids)))
         ps, _, _ = trained.model.forward(docs, np.repeat(matrix[None], len(docs), axis=0))
         per_class[y][0] += int((ps.argmax(axis=1) == y).sum())
         per_class[y][1] += len(docs)

@@ -1,9 +1,16 @@
+import json
 import os
+import struct
+import sys
+import tempfile
+from array import array
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newstrend import artifacts
 from newstrend.artifacts import read_arrays, read_text, write_arrays
@@ -12,75 +19,128 @@ from newstrend.summarizer import read_weekly_sentiment_csv
 from newstrend.weeks import load_prices, read_weeks_csv
 
 MAGIC = "newstrend-test 1"
+STAGE = "synth"  # the stage an error about the magic line tells the user to re-run
 
 
 def arrays_of(header, arrays):
     return header, arrays
 
 
+def read(path, parse=arrays_of, magic=MAGIC):
+    return read_arrays(path, magic, parse, STAGE)
+
+
+def edit_header(path, edit):
+    """Rewrite the JSON header of the array file `path` as `edit` changes it."""
+    magic, size, rest = path.read_bytes().split(b"\n", 2)
+    header = json.loads(rest[: int(size)])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(blob), blob, rest[int(size):]))
+
+
+def body_of(path):
+    _, size, rest = path.read_bytes().split(b"\n", 2)
+    return rest[int(size):]
+
+
 def test_roundtrip_keeps_header_order_and_values(tmp_path):
     path = tmp_path / "a.bin"
     x, y = np.arange(6.0).reshape(2, 3), np.array([np.pi, -0.5])
-    write_arrays(path, MAGIC, {"note": "hi"}, [("y", y), ("x", x)])
+    ids, days = array("i", [7, -1]), np.array([737432, 1], dtype=">i8")
+    write_arrays(path, MAGIC, {"note": "hi"}, [("y", y), ("x", x), ("ids", ids), ("days", days)])
     assert path.read_bytes().startswith(f"{MAGIC}\n".encode("ascii"))
-    header, arrays = read_arrays(path, MAGIC, arrays_of)
+    header, arrays = read(path)
     assert header["note"] == "hi" and header["magic"] == MAGIC
-    assert header["arrays"] == [{"name": "y", "shape": [2]}, {"name": "x", "shape": [2, 3]}]
+    assert header["arrays"] == [{"name": "y", "shape": [2], "dtype": "<f8"},
+                                {"name": "x", "shape": [2, 3], "dtype": "<f8"},
+                                {"name": "ids", "shape": [2], "dtype": "<i4"},
+                                {"name": "days", "shape": [2], "dtype": "<i8"}]
     assert np.array_equal(arrays["x"], x) and np.array_equal(arrays["y"], y)
-    assert arrays["x"].flags.writeable
+    assert arrays["ids"].dtype == np.int32 and arrays["ids"].tolist() == [7, -1]
+    assert arrays["days"].dtype == np.int64 and arrays["days"].tolist() == [737432, 1]
+    assert arrays["x"].flags.writeable and arrays["ids"].flags.writeable
+    assert len(body_of(path)) == 8 * 8 + 2 * 4 + 2 * 8
 
 
 def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
     path = tmp_path / "a.bin"
     write_arrays(path, MAGIC, {}, [("x", np.arange(3.0))])
     before = path.read_bytes()
-    # the header and the first array are formatted before the second fails
+    # the second array's type is refused before anything is written
     with pytest.raises(ValueError):
         write_arrays(path, MAGIC, {}, [("x", np.arange(4.0)), ("y", np.array(["oops"]))])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_chunks_write_the_bytes_of_the_whole_array(tmp_path):
-    from array import array
-
-    x = np.arange(10.0) / 3
-    parts = [x[:4], array("d", x[4:5]), x[5:5], x[5:]]
-    write_arrays(tmp_path / "whole.bin", MAGIC, {}, [("x", x), ("y", x[:2])])
-    write_arrays(tmp_path / "parts.bin", MAGIC, {},
-                 [("x", artifacts.Chunks(10, iter(parts))), ("y", x[:2])])
-    assert (tmp_path / "parts.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+TYPECODES = {dtype: code for code, dtype in artifacts.DTYPES.items()}
+VALUES = {"<f8": st.floats(width=64), "<i8": st.integers(-(2**63), 2**63 - 1),
+          "<i4": st.integers(-(2**31), 2**31 - 1)}
+# a dtype, values of it, and how the writer is given them: as a stdlib
+# array, or as a numpy array of either byte order
+typed_values = st.sampled_from(sorted(VALUES)).flatmap(lambda dtype: st.tuples(
+    st.just(dtype), st.lists(VALUES[dtype], max_size=5), st.sampled_from(["array", "<", ">"])))
 
 
-@pytest.mark.parametrize("length", [9, 11])
-def test_chunks_of_another_length_than_declared_write_nothing(tmp_path, length):
+@given(st.lists(typed_values, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_each_dtype_round_trips_bit_for_bit(specs):
+    given_arrays = [(f"a{i}", array(TYPECODES[dtype], values) if kind == "array"
+                     else np.array(values, dtype=kind + dtype[1:]))
+                    for i, (dtype, values, kind) in enumerate(specs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.bin"
+        write_arrays(path, MAGIC, {}, given_arrays)
+        header, arrays = read(path)
+        body = body_of(path)
+    assert [spec["dtype"] for spec in header["arrays"]] == [dtype for dtype, _, _ in specs]
+    want = [np.array(values, dtype=dtype) for dtype, values, _ in specs]
+    assert body == b"".join(w.tobytes() for w in want)
+    for (name, _), w in zip(given_arrays, want):
+        assert arrays[name].dtype == w.dtype and arrays[name].shape == w.shape
+        assert arrays[name].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f8", "<u4", "|b1", "float64", None, "absent"])
+def test_a_declared_dtype_outside_the_three_is_a_data_error_naming_the_file(tmp_path, dtype):
     path = tmp_path / "a.bin"
-    parts = [np.arange(4.0), np.arange(6.0)]
-    with pytest.raises(ValueError, match=f"x has 10 values in its parts, not the {length}"):
-        write_arrays(path, MAGIC, {}, [("x", artifacts.Chunks(length, iter(parts)))])
+    write_arrays(path, MAGIC, {}, [("x", np.arange(3.0))])
+    if dtype == "absent":
+        edit_header(path, lambda header: header["arrays"][0].pop("dtype"))
+        why = "header lacks key 'dtype'"
+    else:
+        edit_header(path, lambda header: header["arrays"][0].update(dtype=dtype))
+        why = f"x has dtype {dtype!r}, not one of <f8, <i8, <i4"
+    with pytest.raises(DataError, match=f"a.bin is corrupt: {why}"):
+        read(path)
+
+
+@pytest.mark.parametrize("a", [np.arange(3, dtype=np.float32), np.arange(3, dtype=np.uint32),
+                               np.array([True]), np.array(["oops"]), array("f", [1.0]),
+                               array("I", [1]), array("b", [1])],
+                         ids=["float32", "uint32", "bool", "str", "array-f", "array-I", "array-b"])
+def test_an_array_of_another_type_writes_nothing(tmp_path, a):
+    with pytest.raises(ValueError, match="x is of .*; an array file stores <f8, <i8, <i4"):
+        write_arrays(tmp_path / "a.bin", MAGIC, {}, [("x", a)])
     assert list(tmp_path.iterdir()) == []
 
 
-def test_int32_arrays_are_read_a_chunk_at_a_time(tmp_path, monkeypatch):
+def test_a_big_endian_host_writes_its_stdlib_arrays_little_endian(tmp_path, monkeypatch):
+    values = {"d": [1.5, -2.0, 1e300], "q": [3, -4, 2**62], "i": [5, -6, 2**30]}
+    # the arrays as a host of the other byte order holds them
+    held = {code: array(code, v) for code, v in values.items()}
+    for a in held.values():
+        a.byteswap()
+    before = {code: a.tobytes() for code, a in held.items()}
+    monkeypatch.setattr(sys, "byteorder", "little" if sys.byteorder == "big" else "big")
     path = tmp_path / "a.bin"
-    x, ids, y = np.arange(4.0) / 3, np.array([5.0, -(2.0**31), 2.0**31 - 1, 0, 7]), np.arange(3.0)
-    write_arrays(path, MAGIC, {}, [("x", x), ("ids", ids), ("empty", ids[:0]), ("y", y)])
-    monkeypatch.setattr(artifacts, "READ_CHUNK", 2)
-    _, arrays = read_arrays(path, MAGIC, arrays_of, int32=("ids", "empty"))
-    assert arrays["ids"].dtype == np.int32 and arrays["ids"].tolist() == ids.tolist()
-    assert arrays["empty"].dtype == np.int32 and arrays["empty"].shape == (0,)
-    assert arrays["x"].tobytes() == x.tobytes() and arrays["y"].tobytes() == y.tobytes()
-    assert arrays["x"].flags.writeable
-
-
-@pytest.mark.parametrize("bad", [1.5, 2.0**31, -(2.0**31) - 1, float("nan"), float("inf")])
-def test_int32_array_of_another_value_is_a_data_error(tmp_path, monkeypatch, bad):
-    path = tmp_path / "a.bin"
-    write_arrays(path, MAGIC, {}, [("ids", np.array([1.0, 2.0, 3.0, bad]))])
-    monkeypatch.setattr(artifacts, "READ_CHUNK", 3)  # the value in the second chunk
-    with pytest.raises(DataError, match=r"a.bin is corrupt: ids holds a value that is not an "
-                                        r"integer in \[-2147483648, 2147483648\)"):
-        read_arrays(path, MAGIC, arrays_of, int32=("ids",))
+    write_arrays(path, MAGIC, {}, list(held.items()))
+    assert body_of(path) == (struct.pack("<3d", *values["d"]) + struct.pack("<3q", *values["q"])
+                             + struct.pack("<3i", *values["i"]))
+    assert {code: a.tobytes() for code, a in held.items()} == before  # swapped in a copy
+    _, arrays = read(path)
+    assert {code: a.tolist() for code, a in arrays.items()} == values
 
 
 def _bad_rows():
@@ -199,11 +259,12 @@ def test_parse_errors_are_data_errors_naming_the_file(tmp_path):
         return header["absent"]
 
     with pytest.raises(DataError, match="a.bin is corrupt: header lacks key 'absent'"):
-        read_arrays(path, MAGIC, parse)
-    with pytest.raises(DataError, match="a.bin is corrupt: expected magic"):
-        read_arrays(path, "newstrend-other 1", arrays_of)
+        read(path, parse)
+    with pytest.raises(DataError, match="a.bin is corrupt: expected magic 'newstrend-test 2', "
+                                        "found b'newstrend-test 1'; re-run `synth` to rewrite it"):
+        read(path, magic="newstrend-test 2")
     with pytest.raises(DataError, match="cannot read .*b.bin"):
-        read_arrays(tmp_path / "b.bin", MAGIC, arrays_of)
+        read(tmp_path / "b.bin")
 
 
 @pytest.mark.parametrize("cut, why", [
@@ -216,7 +277,7 @@ def test_empty_or_cut_file_names_the_missing_line(tmp_path, cut, why):
     write_arrays(path, MAGIC, {}, [("x", np.arange(3.0))])
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(DataError, match=f"a.bin is corrupt: {why}"):
-        read_arrays(path, MAGIC, arrays_of)
+        read(path)
 
 
 def test_read_text_of_undecodable_or_missing_file_is_data_error(tmp_path):

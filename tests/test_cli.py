@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newstrend.artifacts import read_arrays, write_arrays
@@ -713,10 +714,25 @@ def _pot_vocab_repeated(wd):
 
 def _edit_array(path, magic, name, change):
     """Rewrite the array `name` of the array file `path` as `change` of it."""
-    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays))
+    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays), "test")
     arrays[name] = change(arrays[name])
     write_arrays(path, magic, header, list(arrays.items()))
     return f"{path.name} is corrupt: {name} "
+
+
+def _in_first_layout(path):
+    """Rewrite the array file `path` in the first layout, whose magic line
+    ends in 1 and whose every array is float64, named without a dtype;
+    return the magic lines it had and has."""
+    magic = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
+    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays), "test")
+    old = magic.replace(" 2", " 1")
+    for spec in header["arrays"]:
+        del spec["dtype"]
+    blob = json.dumps({**header, "magic": old}, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"%s\n%d\n%s" % (old.encode("ascii"), len(blob), blob)
+                     + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays.values()))
+    return magic, old
 
 
 def _with_nan(a):
@@ -974,6 +990,20 @@ class TestCorruptArtifacts:
         expected = corrupt(wd)
         assert run([stage, "--workdir", wd, "--config", config, "--allow-config-drift"]) == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, reader, writer", [("tokens.bin", "pot", "ingest"),
+                                                      ("pot.bin", "train-extractor", "pot"),
+                                                      ("extractor.model", "score",
+                                                       "train-extractor")])
+    def test_a_file_of_the_first_layout_exits_two_naming_the_stage_that_rewrites_it(
+            self, trained_workdir, tmp_path, capsys, name, reader, writer):
+        source, config = trained_workdir
+        wd = tmp_path / "w"
+        shutil.copytree(source, wd)
+        magic, old = _in_first_layout(wd / name)
+        assert run([reader, "--workdir", wd, "--config", config, "--allow-config-drift"]) == 2
+        assert (f"{wd / name} is corrupt: expected magic '{magic}', found b'{old}'; "
+                f"re-run `{writer}` to rewrite it") in capsys.readouterr().err
 
 
 # input faults, each a function of the file's bytes

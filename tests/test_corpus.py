@@ -257,8 +257,8 @@ class TestTokenObjects:
         # every document indexes one shared table of the distinct words, and
         # holds int32 ids rather than strings
         workdir, _ = trained_workdir
-        labels, _, week_docs = _load_week_data(workdir)
-        docs = week_docs([rid for lab in labels for rid in lab.week.news_ids])
+        labels, corpus, positions = _load_week_data(workdir)
+        docs = corpus.docs.take(positions([rid for lab in labels for rid in lab.week.news_ids]))
         words = docs[0].words
         assert all(doc.words is words for doc in docs)
         assert list(words) == sorted(set(words))
