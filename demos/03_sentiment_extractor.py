@@ -31,7 +31,7 @@ def main():
                         ((r.id, r.published.date()) for r in records))
     labels = label_weeks(weeks, make_policy("three_way"))
     # every document as token ids into one shared, sorted word table
-    docs = {doc.record_id: doc for doc in encode_docs([tokenize(r) for r in records])}
+    docs = {doc.record_id: doc for doc in encode_docs([(r.id, tokenize(r)) for r in records])}
     docs_by_week = {lab.week.anchor: [docs[rid] for rid in lab.week.news_ids]
                     for lab in labels}
     worthiness = {r.id: r.worthiness for r in records}

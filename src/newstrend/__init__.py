@@ -20,7 +20,7 @@ _EXPORTS = {
     "config": ("CorpusConfig", "ExtractorConfig", "PolarityConfig", "SummarizerConfig",
                "SynthConfig", "SynthSettings", "TokenizerConfig"),
     "corpus": (
-        "NewsReader", "NewsRecord", "ProxyRule", "TokenizedDoc", "Vocabulary",
+        "NewsReader", "NewsRecord", "ProxyRule", "Vocabulary",
         "assign_worthiness_proxy", "build_vocabulary", "clean_filter", "encode_record",
         "ingest_news", "tokenize", "write_news_jsonl",
     ),

@@ -18,9 +18,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, TypeVar
 
 from .errors import ConfigError, DataError
 
@@ -116,20 +117,20 @@ def _typed(name: str, a: np.ndarray | array) -> tuple[list[int], str, np.ndarray
 
 
 def read_arrays(path: str | Path, magic: str,
-                parse: Callable[[dict, dict[str, np.ndarray]], T], stage: str) -> T:
+                parse: Callable[[dict, Mapping[str, np.ndarray]], T], stage: str) -> T:
     """`parse(header, arrays)` of an array file that the CLI stage `stage`
-    writes. Each array is read straight from the file into a writable array
-    of its own, of the dtype the header declares for it, so no reader holds
-    a second copy of the body, and an array that `parse` drops is freed. A
-    missing or wrong magic line (a file of another layout version, say: the
-    error names `stage`, which rewrites it), header-length line or header,
-    a dtype not in DTYPES, a body whose length differs from the declared
-    shapes, and a KeyError, ValueError or TypeError in `parse` are
+    writes. Each lookup `arrays[name]` in `parse` reads that array from the
+    file into a writable array of its own, of the dtype the header declares,
+    so no reader holds a second copy of the body or an array it has dropped.
+    A missing or wrong magic line (a file of another layout version, say:
+    the error names `stage`, which rewrites it), header-length line or
+    header, a dtype not in DTYPES, a body whose length differs from the
+    declared shapes, and a KeyError, ValueError or TypeError in `parse` are
     DataErrors naming the file."""
     try:
         with open(path, "rb") as fh:
-            header, arrays = _decode(fh, magic, stage)
-        return parse(header, arrays)
+            arrays = _Arrays(fh, magic, stage)
+            return parse(arrays.header, arrays)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except KeyError as exc:
@@ -138,40 +139,52 @@ def read_arrays(path: str | Path, magic: str,
         raise DataError(f"{path} is corrupt: {exc}") from None
 
 
-def _decode(fh: BinaryIO, magic: str, stage: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the named arrays of the array file open as `fh`."""
-    import numpy as np
+class _Arrays(Mapping):
+    """The `header` of the array file open as `fh`, and its arrays by name,
+    each read from the file into an array of its declared shape and dtype
+    whenever it is looked up."""
 
-    lines = fh.read(len(magic) + 32).split(b"\n", 2)
-    if lines == [b""]:
-        raise ValueError(f"the magic line {magic!r} is missing")
-    if lines[0] != magic.encode("ascii"):
-        raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}; "
-                         f"re-run `{stage}` to rewrite it")
-    if len(lines) < 3 or not lines[1].isdigit():
-        raise ValueError("the header-length line is missing")
-    start = len(lines[0]) + len(lines[1]) + 2
-    end, file_size = start + int(lines[1]), os.fstat(fh.fileno()).st_size
-    fh.seek(start)
-    header = json.loads(fh.read(min(end, file_size) - start))
-    specs = header["arrays"]
-    for spec in specs:
-        if spec["dtype"] not in DTYPES.values():
-            raise ValueError(f"{spec['name']} has dtype {spec['dtype']!r}, not one of "
-                             f"{', '.join(DTYPES.values())}")
-    counts = [math.prod(spec["shape"]) for spec in specs]
-    declared = sum(c * np.dtype(spec["dtype"]).itemsize for spec, c in zip(specs, counts))
-    # the body's length is checked against the file's before it is allocated
-    size = file_size - end
-    if size != declared:
-        raise ValueError(f"{size} array bytes where the header declares {declared}")
-    arrays = {}
-    for spec, count in zip(specs, counts):  # in file order
-        a = np.empty(count, dtype=spec["dtype"])
-        if fh.readinto(a) != a.nbytes:  # the file shrank while it was read
-            raise ValueError(f"the array bytes end short of the {size} declared")
-        arrays[spec["name"]] = a.reshape(spec["shape"])
-    return header, arrays
+    def __init__(self, fh: BinaryIO, magic: str, stage: str):
+        import numpy as np
+
+        lines = fh.read(len(magic) + 32).split(b"\n", 2)
+        if lines == [b""]:
+            raise ValueError(f"the magic line {magic!r} is missing")
+        if lines[0] != magic.encode("ascii"):
+            raise ValueError(f"expected magic {magic!r}, found {lines[0][:40]!r}; "
+                             f"re-run `{stage}` to rewrite it")
+        if len(lines) < 3 or not lines[1].isdigit():
+            raise ValueError("the header-length line is missing")
+        start = len(lines[0]) + len(lines[1]) + 2
+        end, file_size = start + int(lines[1]), os.fstat(fh.fileno()).st_size
+        fh.seek(start)
+        self.header = json.loads(fh.read(min(end, file_size) - start))
+        self._fh, self._places, at = fh, {}, end
+        for spec in self.header["arrays"]:  # in file order
+            if spec["dtype"] not in DTYPES.values():
+                raise ValueError(f"{spec['name']} has dtype {spec['dtype']!r}, not one of "
+                                 f"{', '.join(DTYPES.values())}")
+            self._places[spec["name"]] = (at, spec)
+            at += math.prod(spec["shape"]) * np.dtype(spec["dtype"]).itemsize
+        # the body's length is checked against the file's before any array is allocated
+        if file_size != at:
+            raise ValueError(f"{file_size - end} array bytes where the header declares {at - end}")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        import numpy as np
+
+        at, spec = self._places[name]
+        a = np.empty(spec["shape"], dtype=spec["dtype"])
+        self._fh.seek(at)
+        if self._fh.readinto(a) != a.nbytes:  # the file shrank while it was read
+            raise ValueError("the array bytes end short of those the header declares")
+        return a
+
+    def __iter__(self):
+        return iter(self._places)
+
+    def __len__(self) -> int:
+        return len(self._places)
 
 
 def read_text(path: str | Path, what: str) -> str:

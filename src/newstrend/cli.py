@@ -36,7 +36,7 @@ from . import artifacts
 from .config import PipelineConfig, load_config, parse_date
 from .corpus import (
     ProxyRule, assign_worthiness_proxy, build_vocabulary, clean_filter,
-    ingest_news, is_token, write_news_jsonl, write_rejects_csv,
+    ingest_news, is_token, tokenize, write_news_jsonl, write_rejects_csv,
 )
 from .errors import ConfigError, DataError, NumericError, PipelineError
 from .tokens import TokensWriter, read_tokens
@@ -111,22 +111,17 @@ def _parse_date(flag: str, value: str, end: bool = False) -> date:
 def _load_week_data(workdir: Path):
     """Weeks with news attached, from `tokens.bin` and `weeks.csv` alone.
 
-    Returns the week labels in anchor order, the corpus, and `positions(ids)`,
-    the places of the records `ids` in it. The corpus holds the file's token
-    ids; the documents `corpus.docs.take` returns copy theirs, so a stage
-    that drops the corpus keeps the ids of only the records it took.
+    Returns the week labels in anchor order and the corpus. The corpus
+    holds the file's token ids; the documents `corpus.take` returns copy
+    theirs, so a stage that drops the corpus keeps the ids of only the
+    records it took.
     """
     corpus = read_tokens(workdir / "tokens.bin")
     labels = read_weeks_csv(workdir / "weeks.csv")  # anchors strictly increase
     attached = attach_news([lab.week for lab in labels], zip(corpus.record_ids, corpus.days))
     # attach_news returns anchor order, so the two lists pair by position
     labels = [replace(lab, week=week) for lab, week in zip(labels, attached)]
-    position = {rid: i for i, rid in enumerate(corpus.record_ids)}
-
-    def positions(ids):
-        return [position[i] for i in ids]
-
-    return labels, corpus, positions
+    return labels, corpus
 
 
 def _load_pot(workdir: Path):
@@ -160,14 +155,16 @@ def run_ingest(config: PipelineConfig, workdir: Path, args) -> None:
              for cat, label, cap in (item.split(":") for item in items)]
     news = ingest_news(news_path)
     labeled, per_rule = assign_worthiness_proxy(clean_filter(news, config.corpus), rules)
-    tokens = TokensWriter(config.tokenizer.max_tokens)
+    tokens = TokensWriter()
 
     def counts() -> str:
         return (f"{news.total} lines, {news.parsed} parsed, "
                 f"{len(news.rejected)} rejected, {len(tokens.record_ids)} after cleaning")
 
     def kept():
-        yield from map(tokens.add, labeled)
+        for record in labeled:
+            tokens.add(record, tokenize(record, config.tokenizer.max_tokens))
+            yield record
         if not tokens.record_ids:  # raised inside the write, so no file is written
             raise DataError(f"no news record of {news_path} survives ingest: {counts()}")
 
@@ -202,11 +199,11 @@ def run_label(config: PipelineConfig, workdir: Path, args) -> None:
 def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
     from . import polarity
 
-    labels, corpus, positions = _load_week_data(workdir)
+    labels, corpus = _load_week_data(workdir)
     _, train_w, _ = extractor_split(labels, config.extractor, config.polarity.n_lags)
-    docs_by_week = {lab.week.anchor: corpus.docs.take(positions(lab.week.news_ids))
+    docs_by_week = {lab.week.anchor: corpus.take(corpus.positions(lab.week.news_ids))
                     for lab in labels}
-    del corpus, positions  # the file's token ids; the documents are copies
+    del corpus  # the file's token ids; the documents are copies
     train_set = set(train_w)
     pos_docs, neg_docs = [], []
     for lab in labels:
@@ -227,7 +224,7 @@ def run_pot(config: PipelineConfig, workdir: Path, args) -> None:
 def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import TrainingExample, save_extractor, train_extractor, write_train_log
 
-    labels, corpus, positions = _load_week_data(workdir)
+    labels, corpus = _load_week_data(workdir)
     selected, train_w, dev_w = extractor_split(labels, config.extractor,
                                                config.polarity.n_lags)
     model_set = _load_pot(workdir)
@@ -243,8 +240,8 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
             continue
         matrix = model_set.matrix(vocab, anchor, config.polarity.n_lags)
         senti = 1 if lab.extractor_class == "positive" else 0
-        places = positions(lab.week.news_ids)
-        for p, doc in zip(places, corpus.docs.take(places)):
+        places = corpus.positions(lab.week.news_ids)
+        for p, doc in zip(places, corpus.take(places)):
             examples.append(
                 TrainingExample(
                     doc=doc, matrix=matrix, week=anchor,
@@ -253,7 +250,7 @@ def run_train_extractor(config: PipelineConfig, workdir: Path, args) -> None:
             )
     # the file's token ids, `pot.bin`'s scores and the week tables: training holds
     # only the examples, which hold the selected weeks' ids and matrices
-    del corpus, positions, model_set, labels
+    del corpus, model_set, labels
     trained = train_extractor(examples, config.extractor, vocab, dev_w)
     save_extractor(trained, workdir / "extractor.model")
     write_train_log(trained.history, workdir / "train_log.csv")
@@ -268,7 +265,7 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
     from .extractor import load_extractor
     from .summarizer import build_summarizer_dataset, write_weekly_sentiment_csv
 
-    labels, corpus, positions = _load_week_data(workdir)
+    labels, corpus = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
     model_set = _load_pot(workdir)
     vocab = model_set.vocab
@@ -287,7 +284,7 @@ def run_score(config: PipelineConfig, workdir: Path, args) -> None:
         out = np.empty(len(ids))
         for lo in range(0, len(ids), batch):
             chunk = ids[lo : lo + batch]
-            docs = corpus.docs.take(positions(chunk))
+            docs = corpus.take(corpus.positions(chunk))
             ps, _, _ = model.forward(docs, matrix[None], np.zeros(len(chunk), dtype=np.intp))
             out[lo : lo + len(chunk)] = ps[:, 1]
         return out

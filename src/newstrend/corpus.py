@@ -43,12 +43,6 @@ class NewsRecord:
 
 
 @dataclass(frozen=True)
-class TokenizedDoc:
-    record_id: str
-    tokens: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Vocabulary:
     """Ordered list of distinct words."""
 
@@ -191,7 +185,7 @@ def _words(text: str) -> list[str]:
     return [t for t in words.split() if not t.isdigit()]
 
 
-def tokenize(record: NewsRecord, max_tokens: int = TokenizerConfig.max_tokens) -> TokenizedDoc:
+def tokenize(record: NewsRecord, max_tokens: int = TokenizerConfig.max_tokens) -> tuple[str, ...]:
     """Lowercase word tokens of title then content, truncated to max_tokens.
 
     Tokens are maximal runs of a-z and 0-9 in the lowercased text; every
@@ -200,8 +194,7 @@ def tokenize(record: NewsRecord, max_tokens: int = TokenizerConfig.max_tokens) -
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    tokens = _words(record.title + " " + record.content)[:max_tokens]
-    return TokenizedDoc(record_id=record.id, tokens=tuple(tokens))
+    return tuple(_words(record.title + " " + record.content)[:max_tokens])
 
 
 def is_token(word: str) -> bool:

@@ -743,12 +743,13 @@ def save_extractor(trained: TrainedExtractor, path: str | Path) -> None:
 
 
 def load_extractor(path: str | Path) -> TrainedExtractor:
-    """The model `save_extractor` wrote: its parameters are copied once, from
-    the arrays read from the file into a new `flat`, with no random draw."""
+    """The model `save_extractor` wrote, with no random draw: each parameter
+    block is read from the file and copied into a new `flat` before the next
+    is read, so loading holds the parameters about once, not twice."""
     return artifacts.read_arrays(path, MODEL_MAGIC, _parse_extractor, "train-extractor")
 
 
-def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtractor:
+def _parse_extractor(header: dict, arrays: Mapping[str, np.ndarray]) -> TrainedExtractor:
     if header["vocab_sha256"] != _sha256_words(header["vocab"]):
         raise ValueError("vocabulary does not match its recorded sha256")
     enc = header["encoder"]
@@ -758,19 +759,20 @@ def _parse_extractor(header: dict, arrays: dict[str, np.ndarray]) -> TrainedExtr
         raise ValueError(f"n_lags {header['n_lags']!r} is not a lag count of at least 1")
     encoder = ReferenceEncoder(enc["vocab"], dim=enc["dim"], emb_dim=enc["emb_dim"])
     vocab = Vocabulary(words=tuple(header["vocab"]))
-    v = len(vocab)
-    shapes = param_shapes(encoder, v, header["hidden"])
-    for name, shape in {**shapes, "pot_mu": (v,), "pot_sigma": (v,)}.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"{name} has shape {list(arrays[name].shape)}, not {list(shape)}")
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{name} holds a value that is not finite")
-    # one copy of the parameter blocks, the model's one flat buffer
+    size = sum(map(math.prod, param_shapes(encoder, len(vocab), header["hidden"]).values()))
     model = ExtractorModel(
         vocab=vocab, encoder=encoder, n_lags=header["n_lags"], hidden=header["hidden"],
-        lam=header["lam"], flat=np.concatenate([arrays[name].reshape(-1) for name in shapes]),
+        lam=header["lam"], flat=np.empty(size),
     )
-    model.pot_mu, model.pot_sigma = arrays["pot_mu"], arrays["pot_sigma"]
+    blocks = {**model.params, "pot_mu": model.pot_mu, "pot_sigma": model.pot_sigma}
+    for name, out in blocks.items():
+        a = arrays[name]
+        if a.shape != out.shape:
+            raise ValueError(f"{name} has shape {list(a.shape)}, not {list(out.shape)}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds a value that is not finite")
+        out[...] = a
+        del a
     return TrainedExtractor(
         model=model,
         train_weeks=tuple(parse_day(d) for d in header["train_weeks"]),

@@ -1,4 +1,4 @@
-"""Token ids: the `tokens.bin` file that `ingest` writes and the documents
+"""Token ids: the `tokens.bin` file that `ingest` writes and the corpus
 that `pot`, `train-extractor` and `score` read from it.
 
 `ingest` tokenizes each kept record once and writes `tokens.bin`, an array
@@ -7,24 +7,24 @@ record ids in corpus order, and whose arrays hold each record's published
 UTC day ordinal (`day`), its worthiness (-1 for none), the document
 `offsets`, all int64, and the token ids (`tokens`, positions in the words)
 as int32. Writing it needs no numpy: the ids are ranked in place, so the
-file's arrays are those `ingest` built. Readers hold the token ids as the
-file's int32 and get each document as an `EncodedDoc`: an int32 copy of
-its ids, made only when a stage asks for that record, plus the one shared
-word table, so a corpus holds no per-token Python objects, a stage holds
-the ids of only the records it uses once it drops the corpus, and counting
-words is `bincount` and sorting over ids.
+file's arrays are those `ingest` built. A reader gets a `TokenizedCorpus`
+that holds the file's int32 ids, finds records by id and builds a record's
+`EncodedDoc`, a copy of its ids plus the one shared word table, only when
+a stage asks for it. So a corpus holds no per-token Python objects, a
+stage that drops the corpus holds the ids of only the records it used, and
+counting words is `bincount` and sorting over ids.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import artifacts, corpus
-from .corpus import NewsRecord, TokenizedDoc
+from . import artifacts
+from .corpus import NewsRecord
 
 if TYPE_CHECKING:  # numpy loads only where it is used
     import numpy as np
@@ -42,38 +42,34 @@ class EncodedDoc:
     words: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TokenizedCorpus:
-    """What `tokens.bin` holds, record by record in corpus order. `docs`
-    holds every token id as int32 and builds a record's `EncodedDoc` only
-    when it is asked for, copying out its ids, so a document outlives the
-    corpus without keeping the others'."""
+class TokenizedCorpus(Sequence):
+    """What `tokens.bin` holds, record by record in corpus order: `words`,
+    `record_ids`, each record's published UTC day (`days`), `worthiness`
+    and document, built when asked for by place (`corpus[i]`, `take`) and
+    found by record id (`positions`). Record i's ids are
+    `ids[offsets[i]:offsets[i + 1]]`, int32; a built document copies its
+    ids out, so it outlives the corpus without keeping the others'.
+    Repeated record ids are a ValueError."""
 
-    words: tuple[str, ...]
-    record_ids: tuple[str, ...]
-    docs: CorpusDocs
-    days: tuple[date, ...]                # published UTC day
-    worthiness: tuple[int | None, ...]
-
-
-class CorpusDocs(Sequence):
-    """The documents of a corpus in record order, built when asked for:
-    `docs[i]` one, `docs.take(positions)` several at once. Record i's ids are
-    `tokens[bounds[i]:bounds[i + 1]]`, `tokens` being int32 and `bounds`
-    int64."""
-
-    def __init__(self, record_ids: tuple[str, ...], words: tuple[str, ...],
-                 bounds: np.ndarray, tokens: np.ndarray):
-        self._record_ids, self._words, self._bounds, self._tokens = (
-            record_ids, words, bounds, tokens)
+    def __init__(self, words: tuple[str, ...], record_ids: tuple[str, ...],
+                 days: tuple[date, ...], worthiness: tuple[int | None, ...],
+                 offsets: np.ndarray, ids: np.ndarray):
+        self.words, self.record_ids, self.days, self.worthiness = (
+            words, record_ids, days, worthiness)
+        self.offsets, self.ids = offsets, ids
+        self._position = {rid: i for i, rid in enumerate(record_ids)}
+        if len(self._position) != len(record_ids):
+            raise ValueError("record ids must be distinct")
 
     def __len__(self) -> int:
-        return len(self._record_ids)
+        return len(self.record_ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(range(len(self))[i])
+    def __getitem__(self, i: int) -> EncodedDoc:
         return self.take([i])[0]
+
+    def positions(self, record_ids: Iterable[str]) -> list[int]:
+        """The places of the records `record_ids`; KeyError for one it lacks."""
+        return [self._position[rid] for rid in record_ids]
 
     def take(self, positions: Iterable[int]) -> list[EncodedDoc]:
         """The documents of the records at `positions`, built together: their
@@ -82,13 +78,13 @@ class CorpusDocs(Sequence):
         import numpy as np
 
         positions = [range(len(self))[p] for p in positions]
-        spans = [(int(self._bounds[p]), int(self._bounds[p + 1])) for p in positions]
+        spans = [(int(self.offsets[p]), int(self.offsets[p + 1])) for p in positions]
         ids = np.empty(sum(hi - lo for lo, hi in spans), dtype=np.int32)
         docs, at = [], 0
         for p, (lo, hi) in zip(positions, spans):
             part = ids[at:at + hi - lo]
-            part[...] = self._tokens[lo:hi]
-            docs.append(EncodedDoc(self._record_ids[p], part, self._words))
+            part[...] = self.ids[lo:hi]
+            docs.append(EncodedDoc(self.record_ids[p], part, self.words))
             at += hi - lo
         return docs
 
@@ -135,17 +131,17 @@ class _IdTable(dict):
         return tuple(words)
 
 
-def encode_docs(docs: Sequence[TokenizedDoc]) -> list[EncodedDoc]:
-    """`docs` as EncodedDocs sharing one table, the sorted distinct words of them all."""
+def encode_docs(docs: Sequence[tuple[str, Sequence[str]]]) -> list[EncodedDoc]:
+    """`(record_id, tokens)` pairs as EncodedDocs over one table, their sorted distinct words."""
     import numpy as np
 
     table = _IdTable()
-    for d in docs:
-        table.add(d.tokens)
+    for _, tokens in docs:
+        table.add(tokens)
     words = table.finish()
     flat = np.frombuffer(table.ids, dtype=np.int32)
-    return [EncodedDoc(d.record_id, flat[lo:hi], words)
-            for d, lo, hi in zip(docs, table.offsets, table.offsets[1:])]
+    return [EncodedDoc(record_id, flat[lo:hi], words)
+            for (record_id, _), lo, hi in zip(docs, table.offsets, table.offsets[1:])]
 
 
 def concat_ids(
@@ -166,24 +162,21 @@ def concat_ids(
 
 
 class TokensWriter:
-    """`tokens.bin` built one record at a time: `add` tokenizes a record and
-    keeps its token ids, id, day and worthiness; `write` writes the file."""
+    """`tokens.bin` built one record at a time: `add` keeps a record's id, day,
+    worthiness and the ids of `corpus.tokenize`'s tokens; `write` writes the file."""
 
-    def __init__(self, max_tokens: int):
+    def __init__(self):
         from array import array
 
-        self.max_tokens = max_tokens
         self.record_ids: list[str] = []
         self.days, self.worthiness = array("q"), array("q")
         self._table = _IdTable()
 
-    def add(self, record: NewsRecord) -> NewsRecord:
-        # through the module, so that a wrapper installed on `corpus.tokenize` sees each call
-        self._table.add(corpus.tokenize(record, self.max_tokens).tokens)
+    def add(self, record: NewsRecord, tokens: Iterable[str]) -> None:
+        self._table.add(tokens)
         self.record_ids.append(record.id)
         self.days.append(record.published.toordinal())
         self.worthiness.append(-1 if record.worthiness is None else record.worthiness)
-        return record
 
     def write(self, path: str | Path) -> None:
         """Write `tokens.bin`; its token ids are ranked in place
@@ -211,7 +204,7 @@ def read_tokens(path: str | Path) -> TokenizedCorpus:
     return artifacts.read_arrays(path, TOKENS_MAGIC, _parse_tokens, "ingest")
 
 
-def _integers(arrays: dict, name: str, low: int, high: int, count: int | None) -> np.ndarray:
+def _integers(arrays: Mapping, name: str, low: int, high: int, count: int | None) -> np.ndarray:
     """`arrays[name]`; ValueError unless it is one-dimensional, of `count`
     values (any count for None), stored as integers, each in [low, high)."""
     import numpy as np
@@ -228,7 +221,7 @@ def _integers(arrays: dict, name: str, low: int, high: int, count: int | None) -
     return a
 
 
-def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
+def _parse_tokens(header: dict, arrays: Mapping) -> TokenizedCorpus:
     import numpy as np
 
     words, record_ids = header["words"], header["record_ids"]
@@ -239,8 +232,6 @@ def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
         raise ValueError("words must be sorted and distinct")
     if not record_ids:
         raise ValueError("it holds no news records")
-    if len(set(record_ids)) != len(record_ids):
-        raise ValueError("record ids must be distinct")
     n, words, record_ids = len(record_ids), tuple(words), tuple(record_ids)
     days = _integers(arrays, "day", 1, date.max.toordinal() + 1, n)
     worthiness = _integers(arrays, "worthiness", -1, 2, n)
@@ -251,7 +242,8 @@ def _parse_tokens(header: dict, arrays: dict) -> TokenizedCorpus:
     return TokenizedCorpus(
         words=words,
         record_ids=record_ids,
-        docs=CorpusDocs(record_ids, words, offsets, tokens),
         days=tuple(map(date.fromordinal, days.tolist())),
         worthiness=tuple(None if w < 0 else w for w in worthiness.tolist()),
+        offsets=offsets,
+        ids=tokens,
     )

@@ -12,7 +12,7 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 from newstrend.cli import main
-from newstrend.corpus import NewsRecord, TokenizedDoc
+from newstrend.corpus import NewsRecord
 from newstrend.tokens import EncodedDoc, encode_docs
 from newstrend.weeks import TradingWeek, WeeklyLabel
 
@@ -54,18 +54,19 @@ def traced_peak(fn, *args) -> int:
 
 
 def make_doc(rec_id, tokens):
-    return TokenizedDoc(record_id=rec_id, tokens=tuple(tokens))
+    """A document before ingest: its record id and its tokens."""
+    return rec_id, tuple(tokens)
 
 
 def encoded(*groups):
-    """Each group of TokenizedDocs as a list of EncodedDocs, all groups over
-    one shared word table."""
+    """Each group of `make_doc` pairs as a list of EncodedDocs, all groups
+    over one shared word table."""
     docs = iter(encode_docs([doc for group in groups for doc in group]))
     return [[next(docs) for _ in group] for group in groups]
 
 
 def encoded_weeks(docs_by_week):
-    """A mapping of TokenizedDoc lists as EncodedDoc lists over one table."""
+    """A mapping of `make_doc` pair lists as EncodedDoc lists over one table."""
     return dict(zip(docs_by_week, encoded(*docs_by_week.values())))
 
 

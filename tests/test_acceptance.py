@@ -82,7 +82,7 @@ def _extractor_test_accuracy(workdir: Path) -> float:
     level away from 0.5.
     """
     config = load_config(workdir.parent / f"{workdir.name}.json")
-    labels, corpus, positions = _load_week_data(workdir)
+    labels, corpus = _load_week_data(workdir)
     trained = load_extractor(workdir / "extractor.model")
     model_set = PolarityModelSet.load(workdir / "pot.bin")
     vocab = model_set.vocab
@@ -97,7 +97,7 @@ def _extractor_test_accuracy(workdir: Path) -> float:
             continue
         matrix = model_set.matrix(vocab, anchor, n_lags)
         y = 1 if lab.extractor_class == "positive" else 0
-        docs = corpus.docs.take(positions(sorted(lab.week.news_ids)))
+        docs = corpus.take(corpus.positions(sorted(lab.week.news_ids)))
         ps, _, _ = trained.model.forward(docs, np.repeat(matrix[None], len(docs), axis=0))
         per_class[y][0] += int((ps.argmax(axis=1) == y).sum())
         per_class[y][1] += len(docs)
@@ -354,7 +354,7 @@ def test_09_real_data_calibration():
     attached = attach_news(weeks, ((r.id, r.published.date()) for r in records))
     by_anchor = {w.anchor: w for w in attached}
     labels = [dc_replace(lab, week=by_anchor[lab.week.anchor]) for lab in labels]
-    docs = encode_docs([tokenize(r) for r in records])
+    docs = encode_docs([(r.id, tokenize(r)) for r in records])
     by_id = {doc.record_id: doc for doc in docs}
     docs_by_week = {lab.week.anchor: [by_id[rid] for rid in lab.week.news_ids]
                     for lab in labels}

@@ -23,7 +23,7 @@ STAGE = "synth"  # the stage an error about the magic line tells the user to re-
 
 
 def arrays_of(header, arrays):
-    return header, arrays
+    return header, dict(arrays)  # each read while the file is open
 
 
 def read(path, parse=arrays_of, magic=MAGIC):

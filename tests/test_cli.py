@@ -714,7 +714,7 @@ def _pot_vocab_repeated(wd):
 
 def _edit_array(path, magic, name, change):
     """Rewrite the array `name` of the array file `path` as `change` of it."""
-    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays), "test")
+    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, dict(arrays)), "test")
     arrays[name] = change(arrays[name])
     write_arrays(path, magic, header, list(arrays.items()))
     return f"{path.name} is corrupt: {name} "
@@ -725,7 +725,7 @@ def _in_first_layout(path):
     ends in 1 and whose every array is float64, named without a dtype;
     return the magic lines it had and has."""
     magic = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
-    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, arrays), "test")
+    header, arrays = read_arrays(path, magic, lambda header, arrays: (header, dict(arrays)), "test")
     old = magic.replace(" 2", " 1")
     for spec in header["arrays"]:
         del spec["dtype"]

@@ -70,6 +70,12 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_json_array_file_fatal(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('["polarity.vocab_size", 64]')
+        with pytest.raises(ConfigError, match="must hold a JSON object of dotted keys"):
+            load_config(path)
+
     def test_bad_override_fatal(self):
         with pytest.raises(ConfigError):
             load_config(None, ["no-equals-sign"])

@@ -307,6 +307,20 @@ class TestForward:
         assert cache["a"].shape == (2, model.n_lags)
         assert cache["week"].tolist() == [0, 1, 0]
 
+    def test_wrongly_shaped_week_matrix_fatal(self):
+        model = tiny_model()
+        doc = doc_over(TINY_WORDS, "d", ["t1"])
+        with pytest.raises(ValueError, match=r"each week matrix must be \(6, 3\), got \(5, 3\)"):
+            model.forward([doc], np.zeros((1, 5, 3)))
+
+    @pytest.mark.parametrize("index", [(slice(0, 1), slice(None)), (slice(None), slice(0, 4, 2))],
+                             ids=["row_slice", "column_step"])
+    def test_bag_gives_only_all_rows_of_a_column_range(self, index):
+        model = tiny_model()
+        bag = model.encoder._bag([doc_over(TINY_WORDS, f"d{i}", ["t1", "t2"]) for i in range(2)])
+        with pytest.raises(IndexError, match="all rows of a range of columns"):
+            bag[index]
+
     def test_empty_document_encodes(self):
         model = tiny_model()
         ex = TrainingExample(doc=doc_over(TINY_WORDS, "d", []), matrix=np.zeros((6, 3)),
@@ -807,6 +821,16 @@ class TestTraining:
         )
         assert all(not seen & set(dev) for seen in batch_weeks)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda vocab, examples: (vocab, []), "no training examples"),
+        (lambda vocab, examples: (Vocabulary(words=vocab.words + ("w2",)), examples),
+         "example matrices have 4 rows but the vocabulary has 5 words"),
+    ], ids=["no_examples", "matrix_rows_not_the_vocabulary"])
+    def test_unusable_training_set_fatal(self, edit, message):
+        vocab, examples = edit(*planted_training_set())
+        with pytest.raises(DataError, match=message):
+            train_extractor(examples, self.settings, vocab, (date(2020, 1, 6),))
+
     def test_dev_weeks_without_examples_fatal(self):
         vocab, examples = planted_training_set()
         with pytest.raises(DataError, match="dev week"):
@@ -903,7 +927,24 @@ def wide_encoder_training_set(n_weeks=10, docs_per_week=6, words_per_doc=100):
         for i, ex in enumerate(examples)]
 
 
+# the share of the parameters' bytes that loading a model may hold at its
+# peak: its `flat`, one parameter block (a third of them in the model below)
+# and the header. It reads 1.47 there, and read 2.10 when every block was
+# read from the file before any was copied into `flat`.
+LOAD_PEAK_SHARE = 1.6
+
+
 class TestBoundedMemory:
+    def test_loading_holds_the_parameters_about_once(self, tmp_path):
+        encoder = ReferenceEncoder([f"e{i:04d}" for i in range(1023)], dim=64, emb_dim=64)
+        model = ExtractorModel(vocab=Vocabulary(words=tuple(f"v{i:03d}" for i in range(256))),
+                               encoder=encoder, n_lags=4, hidden=192, lam=0.5)
+        path = tmp_path / "m.model"
+        save_extractor(TrainedExtractor(model, train_weeks=(), dev_weeks=()), path)
+        load_extractor(path)  # a first load imports what loading imports on first use
+        assert traced_peak(load_extractor, path) < LOAD_PEAK_SHARE * model.flat.nbytes
+        assert np.array_equal(load_extractor(path).model.flat, model.flat)
+
     def test_training_holds_three_parameter_buffers_and_one_batch(self):
         vocab, examples = wide_encoder_training_set()
         config = ExtractorConfig(encoder_vocab=10_000, dim=16, emb_dim=128, hidden=16,

@@ -52,6 +52,10 @@ class TestMcc:
         assert value == 0.0
         assert degenerate
 
+    def test_empty_undefined(self):
+        with pytest.raises(UndefinedMetricError, match="MCC undefined"):
+            mcc(cm_of([[0, 0], [0, 0]]))
+
     def test_three_class_matches_binary_on_binary_data(self):
         binary = cm_of([[4, 1], [2, 3]])
         padded = cm_of([[4, 1, 0], [2, 3, 0], [0, 0, 0]], classes=("a", "b", "c"))
@@ -75,6 +79,10 @@ class TestF1:
         with pytest.raises(DataError):
             f1(cm_of([[1, 0], [0, 1]]), "nope")
 
+    def test_empty_undefined(self):
+        with pytest.raises(UndefinedMetricError, match="F1 undefined"):
+            f1(cm_of([[0, 0], [0, 0]]), "pos")
+
 
 class TestPearson:
     def test_affine_is_one(self):
@@ -95,6 +103,10 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             pearson([1.0, 2.0], [1.0])
+
+    def test_one_point_undefined(self):
+        with pytest.raises(UndefinedMetricError, match="at least 2 points"):
+            pearson([1.0], [2.0])
 
 
 class TestReport:

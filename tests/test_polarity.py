@@ -48,7 +48,7 @@ def oracle_polarity(word, window, alpha):
 
 
 def build(labels, docs_by_week, words, **kwargs):
-    """`build_model_set` of TokenizedDoc weeks, encoded over one word table,
+    """`build_model_set` of `make_doc` weeks, encoded over one word table,
     under the `polarity.*` keys `kwargs`."""
     return build_model_set(labels, encoded_weeks(docs_by_week), words, PolarityConfig(**kwargs))
 

@@ -416,6 +416,12 @@ class TestSerialization:
         with pytest.raises(DataError, match=message):
             load_summarizer(path)
 
+    def test_model_that_is_not_an_object_is_a_data_error(self, tmp_path):
+        path = tmp_path / "s.model"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="must hold a JSON object"):
+            load_summarizer(path)
+
     def test_weekly_sentiment_csv_holds_the_four_columns_read(self, tmp_path):
         rows = [
             WeeklySentiment(week=MONDAY, n_sampled=3, overall_score=0.25, label="up",

@@ -42,7 +42,7 @@ class TestGenerate:
         pos, neg = set(POSITIVE_WORDS), set(NEGATIVE_WORDS)
         for rec in itertools.islice(records, 50):
             week_idx = int(rec.id.split("-")[1])
-            toks = tokenize(rec, 400).tokens
+            toks = tokenize(rec, 400)
             n_pos = sum(1 for t in toks if t in pos)
             n_neg = sum(1 for t in toks if t in neg)
             if truth.moods[week_idx] > 0:

@@ -42,9 +42,9 @@ RECORDS = [
 
 
 def write_tokens(records, path, max_tokens):
-    writer = TokensWriter(max_tokens)
+    writer = TokensWriter()
     for record in records:
-        writer.add(record)
+        writer.add(record, tokenize(record, max_tokens))
     writer.write(path)
 
 
@@ -53,29 +53,38 @@ class TestRoundTrip:
         path = tmp_path / "tokens.bin"
         write_tokens(RECORDS, path, max_tokens=5)
         corpus = read_tokens(path)
-        docs = [tokenize(r, 5) for r in RECORDS]
-        assert corpus.words == tuple(sorted({t for d in docs for t in d.tokens}))
-        assert [d.record_id for d in corpus.docs] == ["a", "b", "c"]
-        for doc, want in zip(corpus.docs, docs):
+        token_lists = [tokenize(r, 5) for r in RECORDS]
+        assert corpus.words == tuple(sorted({t for tokens in token_lists for t in tokens}))
+        assert [d.record_id for d in corpus] == ["a", "b", "c"]
+        for doc, want in zip(corpus, token_lists):
             assert doc.words is corpus.words
-            assert [corpus.words[i] for i in doc.ids] == list(want.tokens)
-        assert len(corpus.docs[2].ids) == 0
+            assert [corpus.words[i] for i in doc.ids] == list(want)
+        assert len(corpus[2].ids) == 0
         assert corpus.days == (date(2020, 1, 8), date(2020, 1, 9), date(2019, 12, 31))
         assert corpus.worthiness == (1, None, 0)
 
     def test_docs_are_built_for_the_records_asked_for(self, tmp_path):
         path = tmp_path / "tokens.bin"
         write_tokens(RECORDS, path, max_tokens=5)
-        docs = read_tokens(path).docs
-        assert len(docs) == 3 and docs[-1].record_id == "c"
-        assert [d.record_id for d in docs[1:]] == ["b", "c"]
-        taken = docs.take([1, 0])
+        corpus = read_tokens(path)
+        assert len(corpus) == 3 and corpus[-1].record_id == "c"
+        taken = corpus.take([1, 0])
         assert [d.record_id for d in taken] == ["b", "a"]
-        assert [d.ids.tolist() for d in taken] == [docs[1].ids.tolist(), docs[0].ids.tolist()]
+        assert [d.ids.tolist() for d in taken] == [corpus[1].ids.tolist(), corpus[0].ids.tolist()]
         with pytest.raises(IndexError):
-            docs[3]
+            corpus[3]
         with pytest.raises(IndexError):
-            docs.take([0, -4])
+            corpus.take([0, -4])
+
+    def test_records_are_found_by_id(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        write_tokens(RECORDS, path, max_tokens=5)
+        corpus = read_tokens(path)
+        assert corpus.positions(["c", "a", "c"]) == [2, 0, 2]
+        assert corpus.positions([]) == []
+        assert [d.record_id for d in corpus.take(corpus.positions(["b"]))] == ["b"]
+        with pytest.raises(KeyError):
+            corpus.positions(["a", "z"])
 
     @given(st.lists(st.lists(st.sampled_from(["oil", "a", "é", "Oil", "b2", "a"]), max_size=6),
                     max_size=6))
@@ -102,9 +111,9 @@ class TestRoundTrip:
         write_tokens(iter(RECORDS), tmp_path / "b.bin", max_tokens=180)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         # one writer writing twice, as after a failed write, ranks its ids once
-        writer = TokensWriter(180)
+        writer = TokensWriter()
         for record in RECORDS:
-            writer.add(record)
+            writer.add(record, tokenize(record, 180))
         writer.write(tmp_path / "c.bin")
         writer.write(tmp_path / "d.bin")
         assert (tmp_path / "d.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
@@ -179,7 +188,7 @@ class TestCorruptFile:
     def test_valid_parts_read(self, tmp_path):
         write_parts(tmp_path / "tokens.bin")
         corpus = read_tokens(tmp_path / "tokens.bin")
-        assert [d.ids.tolist() for d in corpus.docs] == [[1, 2], [0]]
+        assert [d.ids.tolist() for d in corpus] == [[1, 2], [0]]
         assert corpus.worthiness == (1, None)
 
 
@@ -220,7 +229,7 @@ class TestBoundedMemory:
         tracemalloc.start()
         try:
             corpus = read_tokens(path)
-            doc = corpus.docs[7]
+            doc = corpus[7]
             want = (doc.record_id, doc.ids.tolist(), doc.words)
             del corpus
             held = tracemalloc.get_traced_memory()[0]
@@ -233,10 +242,9 @@ class TestBoundedMemory:
 
     def test_write_ranks_the_token_ids_a_chunk_at_a_time(self, tmp_path):
         words = [f"w{i}x" for i in range(50)]
-        writer = TokensWriter(max_tokens=4000)
+        writer = TokensWriter()
         for i in range(60):
-            writer.add(make_record(rec_id=f"r{i}", title="", content=" ".join(
-                words[(i + j) % 50] for j in range(4000))))
+            writer.add(make_record(rec_id=f"r{i}"), [words[(i + j) % 50] for j in range(4000)])
         n_tokens = 60 * 4000
         path = tmp_path / "tokens.bin"
         peak = traced_peak(writer.write, path)
@@ -245,8 +253,8 @@ class TestBoundedMemory:
         assert peak < 8 * n_tokens / 4
         corpus = read_tokens(path)
         assert corpus.words == tuple(sorted(words))
-        assert [corpus.words[i] for i in corpus.docs[1].ids[:3]] == words[1:4]
-        assert sum(len(doc.ids) for doc in corpus.docs) == n_tokens
+        assert [corpus.words[i] for i in corpus[1].ids[:3]] == words[1:4]
+        assert sum(len(doc.ids) for doc in corpus) == n_tokens
 
 
 # --- string-keyed references -------------------------------------------------

@@ -288,6 +288,11 @@ class TestExtractorSplit:
         every = [lab.week.anchor for lab in labels]
         assert split_dev_weeks(every, 0.2, 4)[1] != dev
 
+    def test_one_distinct_week_cannot_split_off_a_dev_week(self):
+        week = date(2020, 1, 6)
+        with pytest.raises(DataError, match="at least 2 distinct weeks"):
+            split_dev_weeks([week, week], 0.5, 0)
+
     def test_train_weeks_of_one_class_name_the_keys(self):
         with pytest.raises(DataError, match=r"1 training week\(s\) hold [01] positive and "
                            r"[01] negative.*max_weeks_per_class \(now 1\).*dev_fraction"):
