@@ -45,9 +45,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate
-from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -298,7 +297,7 @@ class ExtractorModel:
         are uniform in +-1/sqrt(emb_dim); attention starts near pass-through
         (identity-plus-noise mixing, a zero gate giving uniform lag weights);
         every bias and head starts at zero. The blocks are drawn in layout
-        order, each holding the bits that `rng.uniform(-k, k)` and
+        order, each holding the values that `rng.uniform(-k, k)` and
         `np.eye(v) + rng.normal(0, 0.01)` would give it."""
         flat = np.zeros(self.size)
         p, v = self.views(flat), len(self.vocab)
@@ -308,7 +307,6 @@ class ExtractorModel:
         _uniform(rng, p["enc.w"], k_enc)
         rng.standard_normal(out=p["att_w"])
         p["att_w"] *= 0.01
-        p["att_w"] += 0.0  # normal's 0 + 0.01 g, which turns a -0.0 into 0.0
         p["att_w"].reshape(-1)[:: v + 1] += 1.0
         _uniform(rng, p["dense_w"], 1.0 / np.sqrt(self.encoder.dim + v))
         return flat
@@ -366,13 +364,12 @@ class ExtractorModel:
 
     def batch_loss(self, batch: Sequence[TrainingExample]) -> float:
         losses, _ = self._loss_forward(batch)
-        return reduce(add, losses.tolist(), 0.0) / len(batch)
+        return float(losses.sum()) / len(batch)
 
     def _loss_forward(self, batch):
-        """Each row's loss, bit for bit as `multitask_loss` gives it, and the
-        forward cache, which also holds the rows' one-hot targets `ys`, `yw`
-        and loss weights `cs`, `cw`. An unlabeled row's worthiness term is
-        0 * -log(1), which keeps its sentiment loss's bits, signed zero too."""
+        """Each row's loss, as `multitask_loss` gives it, and the forward
+        cache, which also holds the rows' one-hot targets `ys`, `yw` and loss
+        weights `cs`, `cw`. An unlabeled row's worthiness term is 0 * -log(1)."""
         ps, pw, cache = self.forward(*_week_table(batch))
         rows = np.arange(len(batch))
         sentiment = np.array([ex.sentiment for ex in batch], dtype=np.intp)
@@ -398,7 +395,7 @@ class ExtractorModel:
         attention's dz in the forward cache's `t`."""
         losses, cache = self._loss_forward(batch)
         n = len(batch)
-        loss = reduce(add, losses.tolist(), 0.0) / n
+        loss = float(losses.sum()) / n
         if not math.isfinite(loss):
             return loss
         p, hand, pop = self.params, partial(self._hand, sink), cache.pop
@@ -556,10 +553,11 @@ class Adam:
     arrives: the moments match the buffer's size, and a step updates each
     gradient slice it is handed in pieces of at most ADAM_BLOCK elements,
     each a few ufunc calls with `out=` into one scratch buffer of one piece
-    and the gradient's piece, which it overwrites once it has read it. Each
-    element rounds as the per-array expressions m = b1 m + (1 - b1) g,
-    v = b2 v + (1 - b2) (g g) and
-    params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) do."""
+    and the gradient's piece, which it overwrites once it has read it. The
+    bias corrections are folded into the step size and epsilon (Kingma & Ba
+    2015, section 2): m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    params -= lr_t m / (sqrt(v) + eps_t), with lr_t = lr sqrt(1 - b2^t) / (1 - b1^t)
+    and eps_t = eps sqrt(1 - b2^t)."""
 
     def __init__(self, flat: np.ndarray, lr: float):
         self.flat, self.lr, self.t = flat, lr, 0
@@ -576,7 +574,8 @@ class Adam:
         """The current step's update of flat[lo : lo + grad.size] from
         `grad`, that slice's gradient, which it leaves holding scratch values."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        root_c2 = math.sqrt(1 - b2 ** self.t)
+        lr_t, eps_t = self.lr * root_c2 / (1 - b1 ** self.t), ADAM_EPS * root_c2
         grad = grad.reshape(-1)
         for at in range(0, grad.size, ADAM_BLOCK):
             g = grad[at : at + ADAM_BLOCK]
@@ -590,12 +589,10 @@ class Adam:
             np.multiply(g, g, out=tmp)
             np.multiply(tmp, 1 - b2, out=tmp)
             np.add(v, tmp, out=v)
-            np.divide(m, c1, out=tmp)
-            np.multiply(tmp, self.lr, out=tmp)
+            np.multiply(m, lr_t, out=tmp)
             # g is read: its slice is the second scratch buffer from here on
-            np.divide(v, c2, out=g)
-            np.sqrt(g, out=g)
-            np.add(g, ADAM_EPS, out=g)
+            np.sqrt(v, out=g)
+            np.add(g, eps_t, out=g)
             np.divide(tmp, g, out=tmp)
             np.subtract(flat, tmp, out=flat)
 
@@ -613,7 +610,7 @@ def _accuracy_on(model: ExtractorModel, examples: Sequence[TrainingExample], bat
         hits_s += int((cache["ps"].argmax(axis=1) == ys.argmax(axis=1)).sum())
         hits_w += int((cache["pw"].argmax(axis=1) == yw.argmax(axis=1))[labeled].sum())
         n_w += int(labeled.sum())
-        loss_sum = reduce(add, losses.tolist(), loss_sum)
+        loss_sum += float(losses.sum())
     acc_w = hits_w / n_w if n_w else None
     return hits_s / len(examples), acc_w, loss_sum / len(examples)
 

@@ -97,13 +97,13 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise UndefinedMetricError("pearson needs at least 2 points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    syy = math.fsum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedMetricError("pearson undefined for a zero-variance series")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
 
 

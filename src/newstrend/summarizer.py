@@ -21,9 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from fractions import Fraction
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -124,21 +121,18 @@ def _fit_binary_hinge(
     """
     n = len(x)
     lam = 1.0 / (c * n)
-    # y is +-1, so y_i * x_i is exact and the margin y_i (w x_i + b) is (y_i x_i) w + y_i b
-    yx = [yi * xi for yi, xi in zip(y, x)]
     w = b = 0.0
     radius = 1.0 / math.sqrt(lam)
     for t in range(1, epochs + 1):
-        active = [i for i in range(n) if yx[i] * w + y[i] * b < 1.0]
-        # as numpy's axis-0 sum: row by row from the first active row, 0.0 if none
-        # (not sum(), which compensates floats from Python 3.12 on)
-        total_w = reduce(add, [yx[i] for i in active]) if active else 0.0
-        total_b = reduce(add, [y[i] for i in active]) if active else 0.0
+        active = [i for i in range(n) if y[i] * (w * x[i] + b) < 1.0]
+        total_w = math.fsum(y[i] * x[i] for i in active)
+        total_b = math.fsum(y[i] for i in active)
         step = lam * t
         w = w - (lam * w - total_w / n) / step
         b = b - (lam * b - total_b / n) / step
-        # w^2 rounds, then b^2 adds in one rounding: the FMA of the BLAS dot in np.linalg.norm
-        norm = math.sqrt(float(Fraction(b) ** 2 + Fraction(w * w)))
+        norm = math.sqrt(w * w + b * b)
+        if not math.isfinite(norm):
+            raise OverflowError("the fit left the float range")
         if norm > radius:
             scale = radius / norm
             w, b = w * scale, b * scale
@@ -178,9 +172,7 @@ def train_summarizer(
     if len(classes) < 2:
         raise DataError(f"training split has a single class {present}; cannot fit")
     x = [r.overall_score for r in train]
-    # Each class is fit against the rest. With two classes the first fit is the
-    # second negated, since every step is odd in y and round-to-nearest is
-    # sign-symmetric: the model holds [-w, w] and [-b, b] (a zero is +0.0 in both).
+    # each class is fit against the rest
     weights, bias = [], []
     for cls in classes:
         y = [1.0 if r.label == cls else -1.0 for r in train]

@@ -10,6 +10,7 @@ is called, so `label` never loads numpy and `pot` never loads the extractor.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -311,12 +312,12 @@ def autocorrelation(series: Sequence[float], lag: int) -> float | None:
         raise ConfigError("lag must be >= 0")
     if n <= lag + 1:
         raise DataError(f"series of length {n} too short for lag {lag}")
-    mean = sum(series) / n
+    mean = math.fsum(series) / n
     centered = [x - mean for x in series]
-    denom = sum(c * c for c in centered)
+    denom = math.fsum(c * c for c in centered)
     if denom == 0.0:
         return None
-    num = sum(centered[t] * centered[t + lag] for t in range(n - lag))
+    num = math.fsum(centered[t] * centered[t + lag] for t in range(n - lag))
     return num / denom
 
 

@@ -73,7 +73,7 @@ def encoded_weeks(docs_by_week):
 def doc_over(words, rec_id, tokens):
     """An EncodedDoc of `tokens` over the sorted table `words`, which holds each."""
     words = tuple(words)
-    return EncodedDoc(rec_id, np.array([words.index(t) for t in tokens], dtype=np.int64), words)
+    return EncodedDoc(rec_id, np.array([words.index(t) for t in tokens], dtype=np.int32), words)
 
 
 def labeled_weeks(pot_classes):

@@ -324,7 +324,8 @@ def test_09_real_data_calibration():
         print("[acceptance] 9. real-data calibration: SKIP (data/real/ not present)")
         pytest.skip("real dataset not downloaded")
 
-    records = list(ingest_news(REAL_NEWS))
+    reader = ingest_news(REAL_NEWS)
+    records = list(reader)
     ingest_ok = len(records) == 181_523
 
     prices = load_prices(REAL_PRICES)
@@ -363,4 +364,4 @@ def test_09_real_data_calibration():
     corona_ok = bool(trajectory) and all(score < 0 for _, score in trajectory)
 
     _report("9. real-data calibration", ingest_ok and lag_ok and partition_ok and corona_ok,
-            f"ingest {result.parsed}, partition {counts}")
+            f"ingest {reader.parsed}, partition {counts}")

@@ -436,7 +436,7 @@ class TestBatchLoss:
             if saturated:  # the floor fired, and the loss stays finite
                 assert 0.0 in ps[np.arange(len(batch)), [ex.sentiment for ex in batch]]
                 assert np.isfinite(losses).all() and np.signbit(losses).any()
-            assert model.batch_loss(batch) == sum(want) / len(batch)
+            assert math.isclose(model.batch_loss(batch), sum(want) / len(batch), rel_tol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_accuracy_on_matches_the_row_loop(self, lam):
@@ -450,8 +450,10 @@ class TestBatchLoss:
                 saturate_heads(model)
             examples = labeled_batch(model, rng, 23)
             for batch_size in (1, 4, 32):
-                assert _accuracy_on(model, examples, batch_size) == reference_accuracy_on(
-                    model, examples, batch_size)
+                *accuracies, loss = _accuracy_on(model, examples, batch_size)
+                *want, want_loss = reference_accuracy_on(model, examples, batch_size)
+                assert accuracies == want
+                assert math.isclose(loss, want_loss, rel_tol=1e-14)
         unlabeled = [replace(ex, worthiness=None) for ex in examples]
         assert _accuracy_on(model, unlabeled, 8)[1] is None
 
@@ -559,9 +561,11 @@ def sliced_model():
 
 
 class TestFlatAdam:
-    def test_bitwise_equal_to_the_per_block_update_over_60_steps(self):
+    def test_matches_textbook_adam_over_60_steps(self):
         """Adam on the one flat buffer, fed slice by slice during backward,
-        against the per-block update of the whole gradient it replaced."""
+        against textbook Adam (bias-corrected moments, then the step) per
+        block of the whole gradient: the folded step size and epsilon round
+        differently, so the two agree to 1e-12, not bit for bit."""
         model = tiny_model(seed=3)
         rng = np.random.default_rng(9)
         randomize(model, rng)
@@ -584,7 +588,8 @@ class TestFlatAdam:
                 vhat = adam_v[name] / (1 - b2 ** step)
                 params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             for name, p in model.params.items():
-                assert np.array_equal(p, params[name]), (step, name)
+                np.testing.assert_allclose(p, params[name], rtol=0, atol=1e-12,
+                                           err_msg=f"{step} {name}")
                 assert np.shares_memory(p, model.flat)
         before = model.views(start)
         assert all(np.any(p != before[name]) for name, p in model.params.items())
@@ -592,7 +597,7 @@ class TestFlatAdam:
     @pytest.mark.parametrize("size", [3 * ADAM_BLOCK + 1234, ADAM_BLOCK // 3])
     def test_blocked_step_equals_the_whole_buffer_update(self, size):
         """Piece by piece, over three pieces and a ragged tail or within one
-        piece, handed in slices cut at random, against the 14 ufuncs run once
+        piece, handed in slices cut at random, against the 12 ufuncs run once
         over the whole buffer."""
         rng = np.random.default_rng(size)
         flat, lr = rng.normal(size=size), 0.01
@@ -695,24 +700,14 @@ class TestFlatAdam:
 
 
 def whole_buffer_adam_step(flat, m, v, grad, lr, t):
-    """One Adam step as 14 ufuncs over whole buffers, with two scratch
-    buffers of the full size: the reference for the blocked step."""
+    """One Adam step of the folded form over whole buffers, as plain array
+    expressions: the reference for the blocked step."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    tmp, tmp2 = np.empty_like(flat), np.empty_like(flat)
-    np.multiply(m, b1, out=m)
-    np.multiply(grad, 1 - b1, out=tmp)
-    np.add(m, tmp, out=m)
-    np.multiply(v, b2, out=v)
-    np.multiply(grad, grad, out=tmp)
-    np.multiply(tmp, 1 - b2, out=tmp)
-    np.add(v, tmp, out=v)
-    np.divide(m, 1 - b1 ** t, out=tmp)
-    np.multiply(tmp, lr, out=tmp)
-    np.divide(v, 1 - b2 ** t, out=tmp2)
-    np.sqrt(tmp2, out=tmp2)
-    np.add(tmp2, ADAM_EPS, out=tmp2)
-    np.divide(tmp, tmp2, out=tmp)
-    np.subtract(flat, tmp, out=flat)
+    root_c2 = math.sqrt(1 - b2 ** t)
+    lr_t, eps_t = lr * root_c2 / (1 - b1 ** t), ADAM_EPS * root_c2
+    m[...] = b1 * m + (1 - b1) * grad
+    v[...] = b2 * v + (1 - b2) * (grad * grad)
+    flat -= lr_t * m / (np.sqrt(v) + eps_t)
 
 
 def stacked_pot_scaler(matrices):

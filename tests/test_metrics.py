@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestPearson:
     def test_one_point_undefined(self):
         with pytest.raises(UndefinedMetricError, match="at least 2 points"):
             pearson([1.0], [2.0])
+
+    def test_sums_are_exact_where_a_left_to_right_sum_loses_a_term(self):
+        # left to right, 2^53 + 1.0 rounds back to 2^53, so the mean of xs
+        # would be -0.25, not 0, and the cross products' sum would be off
+        xs, ys = [2.0 ** 53, 1.0, -(2.0 ** 53), -1.0], [1.0, 1.0, 1.0, 3.0]
+        fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+        mx, my = sum(fx) / 4, sum(fy) / 4
+        sxy = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+        sxx, syy = sum((x - mx) ** 2 for x in fx), sum((y - my) ** 2 for y in fy)
+        want = math.copysign(math.sqrt(float(sxy * sxy / (sxx * syy))), sxy)
+        assert pearson(xs, ys) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestReport:

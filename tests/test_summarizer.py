@@ -256,18 +256,17 @@ def max_difference_from_numpy_fit(rows, config):
 class TestFitMatchesNumpyOracle:
     """The pure-Python fit against the numpy fit it replaced, on random data.
 
-    The numpy fit takes |w| from a BLAS dot, which adds with fused
-    multiply-adds on FMA hardware; `_norm` does the same, so the scalar fits
-    agree bit for bit where that dot fuses."""
+    The two sum the active rows and take |(w, b)| in different orders and
+    roundings, so they agree to 1e-12, not bit for bit."""
 
     @pytest.mark.parametrize("classes", [("down", "up"), ("down", "preserve", "up")])
-    def test_scalar_fit_is_bit_for_bit(self, classes):
+    def test_scalar_fit_matches_within_1e_12(self, classes):
         rng = np.random.default_rng(len(classes))
         for _ in range(40):
             n = int(rng.integers(20, 120))
             config = SummarizerConfig(train_weeks=n - 5, c=float(rng.choice([0.1, 1.0, 10.0])),
                                       epochs=int(rng.integers(1, 300)))
-            assert max_difference_from_numpy_fit(random_rows(rng, n, classes), config) == 0.0
+            assert max_difference_from_numpy_fit(random_rows(rng, n, classes), config) <= 1e-12
 
 
 class TestNegatedLabels:

@@ -1,5 +1,6 @@
 import math
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,6 +409,16 @@ class TestAutocorrelation:
     def test_too_short_fatal(self):
         with pytest.raises(DataError):
             autocorrelation([1.0, 2.0], 1)
+
+    def test_sums_are_exact_where_a_left_to_right_sum_loses_a_term(self):
+        # left to right, 2^53 + 1.0 rounds back to 2^53, so the mean would be
+        # -0.25, not 0, and r(1) a quarter too small
+        xs = [2.0 ** 53, 1.0, -(2.0 ** 53), -1.0]
+        exact = [Fraction(x) for x in xs]
+        centered = [x - sum(exact) / 4 for x in exact]
+        want = float(sum(a * b for a, b in zip(centered, centered[1:]))
+                     / sum(c * c for c in centered))
+        assert autocorrelation(xs, 1) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_weekday_series_with_substitution(self):
         prices = series(
